@@ -67,11 +67,9 @@ from .step_policy import (
     phi_t,
 )
 from .svd_init import (
-    SvdResult,
     best_rank_k,
     check_stationarity,
     fill_missing_column_mean,
-    jacobi_svd,
     truncated_svd_init,
 )
 

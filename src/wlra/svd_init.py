@@ -1,107 +1,19 @@
 """Column-mean imputation, truncated-SVD initialization, and the best
 rank-k approximation used as a test oracle.
 
-The SVD is a self-contained one-sided Jacobi iteration, accurate for the
-small dense matrices produced by imputation at desk scale.
+Both SVDs are LAPACK thin SVDs (``np.linalg.svd``). No sign convention is
+imposed on the singular vectors: flipping a pair (u_j, v_j) leaves
+U diag(x) V^T unchanged, and the QR retraction commutes with column sign
+flips, so the solvers' costs do not depend on the signs LAPACK returns.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NegativeSingularValue, ShapeMismatch
 from .geometry import ProductPoint
 from .model import FactorPair, ProblemData
-
-JACOBI_TOL = 1e-12
-MAX_SWEEPS = 60
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD A = U diag(s) V^T with s non-negative and descending."""
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.v.T
-
-
-def _complete_column(u: np.ndarray, j: int) -> None:
-    """Replace column j by a unit vector orthogonal to columns 0..j-1, ..., j+1.."""
-    m = u.shape[0]
-    others = np.delete(np.arange(u.shape[1]), j)
-    basis = u[:, others]
-    for i in range(m):
-        cand = np.zeros(m)
-        cand[i] = 1.0
-        cand -= basis @ (basis.T @ cand)
-        norm = np.linalg.norm(cand)
-        if norm > 0.5:
-            u[:, j] = cand / norm
-            return
-    raise ShapeMismatch("could not complete an orthonormal basis")
-
-
-def _one_sided_jacobi(b: np.ndarray, tol: float, max_sweeps: int):
-    """Hestenes rotations on the columns of b (requires rows >= cols)."""
-    g = b.copy()
-    n = g.shape[1]
-    v = np.eye(n)
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                app = float(g[:, p] @ g[:, p])
-                aqq = float(g[:, q] @ g[:, q])
-                apq = float(g[:, p] @ g[:, q])
-                if apq == 0.0 or abs(apq) <= tol * math.sqrt(app * aqq):
-                    continue
-                rotated = True
-                zeta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta**2))
-                c = 1.0 / math.sqrt(1.0 + t**2)
-                s = c * t
-                gp = c * g[:, p] - s * g[:, q]
-                gq = s * g[:, p] + c * g[:, q]
-                g[:, p], g[:, q] = gp, gq
-                vp = c * v[:, p] - s * v[:, q]
-                vq = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vp, vq
-        if not rotated:
-            break
-    s_vals = np.linalg.norm(g, axis=0)
-    u = np.zeros_like(g)
-    scale = float(s_vals.max()) if s_vals.size else 0.0
-    for j in range(n):
-        if s_vals[j] > max(scale, 1.0) * 1e-14:
-            u[:, j] = g[:, j] / s_vals[j]
-        else:
-            s_vals[j] = 0.0
-    order = np.argsort(-s_vals, kind="stable")
-    u, s_vals, v = u[:, order], s_vals[order], v[:, order]
-    for j in range(n):
-        if s_vals[j] == 0.0:
-            _complete_column(u, j)
-    return u, s_vals, v
-
-
-def jacobi_svd(a, tol: float = JACOBI_TOL, max_sweeps: int = MAX_SWEEPS) -> SvdResult:
-    """Thin SVD of a dense matrix via one-sided Jacobi iteration."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ShapeMismatch(f"expected a matrix, got shape {a.shape}")
-    m, n = a.shape
-    if m >= n:
-        u, s, v = _one_sided_jacobi(a, tol, max_sweeps)
-    else:
-        v, s, u = _one_sided_jacobi(a.T, tol, max_sweeps)
-    return SvdResult(u=u, s=s, v=v)
 
 
 def fill_missing_column_mean(data: ProblemData) -> np.ndarray:
@@ -127,13 +39,14 @@ def truncated_svd_init(dense, k: int) -> tuple[ProductPoint, FactorPair]:
     m, n = dense.shape
     if not 1 <= k <= min(m, n):
         raise ShapeMismatch(f"need 1 <= k <= min(m, n), got k={k}")
-    res = jacobi_svd(dense)
-    lead = res.s[:k]
+    u, s, vt = np.linalg.svd(dense, full_matrices=False)
+    lead = s[:k]
     if np.any(lead < 0):
         raise NegativeSingularValue(f"singular values {lead}")
-    point = ProductPoint(res.u[:, :k].copy(), lead.copy(), res.v[:, :k].copy())
+    u, v = u[:, :k], vt[:k].T
+    point = ProductPoint(u.copy(), lead.copy(), v.copy())
     root = np.sqrt(lead)
-    pair = FactorPair(res.u[:, :k] * root, res.v[:, :k] * root)
+    pair = FactorPair(u * root, v * root)
     return point, pair
 
 
@@ -146,12 +59,14 @@ def best_rank_k(a, k: int) -> tuple[np.ndarray, float]:
     deterministic SVD is returned.
     """
     a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise ShapeMismatch(f"expected a matrix, got shape {a.shape}")
     if k < 0:
         raise ShapeMismatch("k must be >= 0")
-    res = jacobi_svd(a)
-    k = min(k, res.s.size)
-    p = (res.u[:, :k] * res.s[:k]) @ res.v[:, :k].T
-    return p, float(np.sum(res.s[k:] ** 2))
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    k = min(k, s.size)
+    p = (u[:, :k] * s[:k]) @ vt[:k]
+    return p, float(np.sum(s[k:] ** 2))
 
 
 def check_stationarity(a, p, tol: float) -> bool:

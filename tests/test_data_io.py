@@ -127,6 +127,20 @@ class TestWeights:
         with pytest.raises(EmptySupport):
             normalize_weights(np.zeros(3))
 
+    def test_zero_last_weight_stays_zero(self):
+        rng = np.random.default_rng(21)
+        nnz = 1000
+        tm = TripletMatrix(1, nnz, np.zeros(nnz, dtype=np.int64),
+                           np.arange(nnz, dtype=np.int64), np.ones(nnz))
+        for _ in range(20):
+            raw = rng.random(nnz)
+            raw[-1] = 0.0
+            w = normalize_weights(raw)
+            assert w[-1] == 0.0
+            data = problem_from_triplets(tm, 1, raw)
+            assert data.w_vals[-1] == 0.0
+            assert nnz - 1 not in data.support
+
     def test_problem_from_triplets(self):
         tm = synth_lowrank(6, 5, 2, 0.5, 0.1, seed=9)
         data = problem_from_triplets(tm, 2)

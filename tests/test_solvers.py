@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wlra.data_io import problem_from_triplets, synth_lowrank
 from wlra.errors import BacktrackLimit, InitNotConfined, ShapeMismatch
 from wlra.geometry import ProductPoint, assemble, random_point, retract, tangent_inner
 from wlra.model import (
@@ -33,6 +34,11 @@ from wlra.solvers import (
     sgd_pw,
 )
 from wlra.step_policy import PolicyKind, make_policy
+from wlra.svd_init import fill_missing_column_mean, truncated_svd_init
+
+# Final cost of the acceptance criterion-8 run recorded with the earlier
+# hand-written kernels (one-sided Jacobi SVD, Gram-Schmidt QR).
+CRITERION_8_FINAL_COST = 0.13114043729387467
 
 
 def observed_instance(m, n, k, density, seed, full=False):
@@ -151,6 +157,29 @@ class TestSgdManifold:
         sgd_manifold(init, data, config)
         after = np.random.get_state()[1]
         assert np.array_equal(before, after)
+
+
+    def test_criterion_8_trajectory_pinned_and_sign_invariant(self):
+        data = problem_from_triplets(synth_lowrank(50, 20, 3, 0.4, 0.1, seed=0), 3)
+        point0, _ = truncated_svd_init(fill_missing_column_mean(data), 3)
+        policy = make_policy(
+            PolicyKind.MANIFOLD, data, confinement_manifold(point0), 1e-4, 1.0,
+            schedule=lambda t: (t + 1.0) ** -0.6, c=1.0, sigma=5.5915824411777519,
+        )
+        config = SolverConfig(
+            kind=PolicyKind.MANIFOLD, policy=policy,
+            budget=Budget(max_iterations=10000), seed=2024, trace_every=10,
+        )
+        _, trace = sgd_manifold(point0, data, config)
+        final = trace.costs[-1]
+        assert abs(final - CRITERION_8_FINAL_COST) <= 1e-10 * CRITERION_8_FINAL_COST
+        # Flipping a singular pair (u_j, v_j) leaves the iterate's matrix
+        # unchanged, and qf(C D) = qf(C) D for a diagonal sign matrix D, so
+        # the trace does not depend on the signs the SVD returns.
+        flip = np.array([1.0, -1.0, 1.0])
+        flipped = ProductPoint(point0.u * flip, point0.x, point0.v * flip)
+        _, trace_flipped = sgd_manifold(flipped, data, config)
+        np.testing.assert_allclose(trace_flipped.costs, trace.costs, rtol=1e-12, atol=0)
 
 
 class TestSgdEuclidean:

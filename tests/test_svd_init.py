@@ -8,7 +8,6 @@ from wlra.svd_init import (
     best_rank_k,
     check_stationarity,
     fill_missing_column_mean,
-    jacobi_svd,
     truncated_svd_init,
 )
 
@@ -31,38 +30,56 @@ def refined_candidates_best(a, k, n_candidates, sweeps, seed):
     return float(np.min(np.sum(resid**2, axis=(1, 2))))
 
 
-class TestJacobiSvd:
+class TestSvdProperties:
+    """Properties of the public SVD-based functions, on square, tall and wide input."""
+
     def test_reconstructs_and_orders(self):
         rng = np.random.default_rng(0)
         for shape in [(6, 4), (4, 6), (5, 5), (8, 3)]:
             a = rng.standard_normal(shape)
-            res = jacobi_svd(a)
-            assert np.linalg.norm(res.reconstruct() - a) <= 1e-8 * np.linalg.norm(a)
-            assert np.all(np.diff(res.s) <= 1e-12)
-            assert np.all(res.s >= 0)
-            assert orthonormality_defect(res.u) <= 1e-10
-            assert orthonormality_defect(res.v) <= 1e-10
+            point, pair = truncated_svd_init(a, min(shape))
+            assert np.linalg.norm(assemble(point) - a) <= 1e-8 * np.linalg.norm(a)
+            assert np.linalg.norm(pair.x @ pair.y.T - a) <= 1e-8 * np.linalg.norm(a)
+            assert np.all(np.diff(point.x) <= 1e-12)
+            assert np.all(point.x >= 0)
+            assert orthonormality_defect(point.u) <= 1e-10
+            assert orthonormality_defect(point.v) <= 1e-10
+            p, cost = best_rank_k(a, min(shape))
+            assert np.linalg.norm(p - a) <= 1e-8 * np.linalg.norm(a)
+            assert cost <= 1e-16
 
     def test_matches_known_singular_values(self):
-        a = np.diag([3.0, 1.0])
-        res = jacobi_svd(a)
-        np.testing.assert_allclose(res.s, [3.0, 1.0], atol=1e-14)
+        point, _ = truncated_svd_init(np.diag([3.0, 1.0]), 2)
+        np.testing.assert_allclose(point.x, [3.0, 1.0], atol=1e-14)
+        _, cost = best_rank_k(np.diag([3.0, 1.0]), 0)
+        assert abs(cost - 10.0) <= 1e-13
 
     def test_rank_deficient_input(self):
+        # k exceeds the rank: the trailing singular vectors must still
+        # complete orthonormal bases, on both tall and wide input.
         rng = np.random.default_rng(1)
-        base = rng.standard_normal((7, 2))
-        a = base @ rng.standard_normal((2, 5))
-        res = jacobi_svd(a)
-        assert np.linalg.norm(res.reconstruct() - a) <= 1e-8 * np.linalg.norm(a)
-        assert np.sum(res.s > 1e-10) == 2
-        assert orthonormality_defect(res.u) <= 1e-8
+        tall = rng.standard_normal((7, 2)) @ rng.standard_normal((2, 5))
+        for a in (tall, tall.T):
+            point, pair = truncated_svd_init(a, 4)
+            assert np.linalg.norm(assemble(point) - a) <= 1e-8 * np.linalg.norm(a)
+            assert np.linalg.norm(pair.x @ pair.y.T - a) <= 1e-8 * np.linalg.norm(a)
+            assert np.sum(point.x > 1e-10) == 2
+            assert np.all(point.x >= 0) and np.all(np.diff(point.x) <= 1e-12)
+            assert orthonormality_defect(point.u) <= 1e-10
+            assert orthonormality_defect(point.v) <= 1e-10
+            p, cost = best_rank_k(a, 4)
+            assert np.linalg.norm(p - a) <= 1e-8 * np.linalg.norm(a)
+            assert cost <= 1e-16
 
-    def test_agrees_with_lapack_values(self):
+    def test_values_match_gram_eigenvalues(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((9, 6))
-        np.testing.assert_allclose(
-            jacobi_svd(a).s, np.linalg.svd(a, compute_uv=False), atol=1e-10
-        )
+        point, _ = truncated_svd_init(a, 6)
+        eig = np.linalg.eigvalsh(a.T @ a)[::-1]
+        np.testing.assert_allclose(point.x**2, eig, rtol=1e-10, atol=1e-12)
+        for k in range(7):
+            _, cost = best_rank_k(a, k)
+            assert abs(cost - eig[k:].sum()) <= 1e-10 * eig.sum()
 
 
 def sparse_instance(m, n, k, nnz, seed):
@@ -178,16 +195,20 @@ class TestBestRankK:
         rng = np.random.default_rng(11)
         a = rng.standard_normal((6, 5))
         k = 2
-        res = jacobi_svd(a)
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
         from wlra.geometry import ProductPoint
 
-        point = ProductPoint(res.u[:, :k].copy(), res.s[:k].copy(), res.v[:, :k].copy())
+        point = ProductPoint(u[:, :k].copy(), s[:k].copy(), vt[:k].T.copy())
         base = np.linalg.norm(a - assemble(point)) ** 2
         for _ in range(50):
             d = random_tangent(point, rng)
             d = d.scaled(1e-3 / max(d.norm(), 1e-12))
             moved = retract(point, d)
             assert np.linalg.norm(a - assemble(moved)) ** 2 >= base - 1e-12
+
+    def test_non_matrix_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            best_rank_k(np.ones(3), 1)
 
 
 class TestStationarity:
