@@ -82,13 +82,6 @@ class ProblemData:
     def sampler(self) -> "AliasSampler":
         return AliasSampler(self.w_vals[self.support])
 
-    @cached_property
-    def _index_of(self) -> dict[tuple[int, int], int]:
-        return {
-            (int(i), int(j)): t
-            for t, (i, j) in enumerate(zip(self.rows, self.cols))
-        }
-
     def dense(self) -> np.ndarray:
         """Dense m-by-n matrix of observed values, zeros elsewhere."""
         a = np.zeros((self.m, self.n))
@@ -187,10 +180,9 @@ class AliasSampler:
         return np.where(take, idx, self.alias[idx])
 
 
-def sample_index(data: ProblemData, rng: np.random.Generator) -> tuple[int, int]:
-    """Draw an observed index pair (i, j) with probability w_ij."""
-    t = data.support[data.sampler.draw(rng)]
-    return int(data.rows[t]), int(data.cols[t])
+def sample_index(data: ProblemData, rng: np.random.Generator) -> int:
+    """Draw an observed triplet index t (cell rows[t], cols[t]) with probability w_t."""
+    return int(data.support[data.sampler.draw(rng)])
 
 
 # ---------------------------------------------------------------------------
@@ -251,53 +243,34 @@ def cost_euclidean(f: FactorPair, data: ProblemData, lam: float) -> float:
 
 
 def sample_cost_manifold(
-    p: ProductPoint, s: tuple[int, int], data: ProblemData, lam: float
+    p: ProductPoint, t: int, data: ProblemData, lam: float
 ) -> float:
-    """Per-sample objective (a_ij - p_ij)^2 + lam * ||x||^2."""
-    i, j = s
-    r = _observed_value(data, i, j) - predicted_entry(p, i, j)
+    """Per-sample objective (a_t - p_ij)^2 + lam * ||x||^2 at triplet index t."""
+    i, j = data.rows[t], data.cols[t]
+    r = data.a_vals[t] - predicted_entry(p, i, j)
     return r * r + lam * float(np.dot(p.x, p.x))
 
 
 def sample_cost_euclidean(
-    f: FactorPair, s: tuple[int, int], data: ProblemData, lam: float
+    f: FactorPair, t: int, data: ProblemData, lam: float
 ) -> float:
-    i, j = s
-    r = _observed_value(data, i, j) - predicted_entry_pair(f, i, j)
+    """Per-sample Euclidean objective at triplet index t."""
+    i, j = data.rows[t], data.cols[t]
+    r = data.a_vals[t] - predicted_entry_pair(f, i, j)
     return r * r + lam * (float(np.sum(f.x**2)) + float(np.sum(f.y**2)))
 
 
 def sample_cost_pw(
-    p: ProductPoint, s: tuple[int, int], data: ProblemData, lam: float
+    p: ProductPoint, t: int, data: ProblemData, lam: float
 ) -> float:
-    """Per-sample positive-weights objective; its expectation is the raw cost."""
+    """Per-sample positive-weights objective at triplet index t; its
+    expectation is the raw cost."""
     w0 = require_positive_weights(data)
     check_lambda_pw(lam, w0)
-    i, j = s
-    a = _observed_value(data, i, j)
-    w = _observed_weight(data, i, j)
+    i, j = data.rows[t], data.cols[t]
     pv = predicted_entry(p, i, j)
-    r = a - pv
-    return r * r - (lam / w) * pv * pv + lam * float(np.dot(p.x, p.x))
-
-
-def _triplet_index(data: ProblemData, i: int, j: int) -> int:
-    t = _index_map(data).get((i, j))
-    if t is None:
-        raise ShapeMismatch(f"({i}, {j}) is not an observed entry")
-    return t
-
-
-def _index_map(data: ProblemData) -> dict[tuple[int, int], int]:
-    return data._index_of
-
-
-def _observed_value(data: ProblemData, i: int, j: int) -> float:
-    return float(data.a_vals[_triplet_index(data, i, j)])
-
-
-def _observed_weight(data: ProblemData, i: int, j: int) -> float:
-    return float(data.w_vals[_triplet_index(data, i, j)])
+    r = data.a_vals[t] - pv
+    return r * r - (lam / data.w_vals[t]) * pv * pv + lam * float(np.dot(p.x, p.x))
 
 
 # ---------------------------------------------------------------------------
@@ -322,20 +295,20 @@ def _manifold_tangent_from_residual(
 
 
 def stoch_grad_manifold(
-    p: ProductPoint, s: tuple[int, int], data: ProblemData, lam: float
+    p: ProductPoint, t: int, data: ProblemData, lam: float
 ) -> ProductTangent:
-    """Gradient of the per-sample regularized objective at a product point."""
-    i, j = s
-    r = _observed_value(data, i, j) - predicted_entry(p, i, j)
+    """Gradient of the per-sample regularized objective at triplet index t."""
+    i, j = data.rows[t], data.cols[t]
+    r = data.a_vals[t] - predicted_entry(p, i, j)
     return _manifold_tangent_from_residual(p, i, j, -2.0 * r, lam)
 
 
 def stoch_grad_euclidean(
-    f: FactorPair, s: tuple[int, int], data: ProblemData, lam: float
+    f: FactorPair, t: int, data: ProblemData, lam: float
 ) -> FactorPair:
-    """Gradient of the per-sample Euclidean objective; returned as a FactorPair."""
-    i, j = s
-    r = _observed_value(data, i, j) - predicted_entry_pair(f, i, j)
+    """Gradient of the per-sample Euclidean objective at triplet index t."""
+    i, j = data.rows[t], data.cols[t]
+    r = data.a_vals[t] - predicted_entry_pair(f, i, j)
     gx = 2.0 * lam * f.x.copy()
     gy = 2.0 * lam * f.y.copy()
     gx[i] += -2.0 * r * f.y[j]
@@ -344,13 +317,13 @@ def stoch_grad_euclidean(
 
 
 def stoch_grad_pw(
-    p: ProductPoint, s: tuple[int, int], data: ProblemData, lam: float
+    p: ProductPoint, t: int, data: ProblemData, lam: float
 ) -> ProductTangent:
-    """Positive-weights per-sample gradient: the residual uses a tilted prediction."""
+    """Positive-weights per-sample gradient at triplet index t: the residual
+    uses a tilted prediction."""
     w0 = require_positive_weights(data)
     check_lambda_pw(lam, w0)
-    i, j = s
-    t = _triplet_index(data, i, j)
+    i, j = data.rows[t], data.cols[t]
     pv = predicted_entry(p, i, j)
     r = data.a_vals[t] - (1.0 - lam * data.inv_w[t]) * pv
     return _manifold_tangent_from_residual(p, i, j, -2.0 * r, lam)

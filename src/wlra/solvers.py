@@ -268,23 +268,20 @@ def armijo_step(
     direction,
     params: ArmijoParams,
     retractor: Callable,
-    inner: Callable | None = None,
-    scale: Callable | None = None,
 ) -> tuple[float, int]:
     """Smallest m with f(x) - f(R_x(beta^m abar eta)) >= -iota <grad, beta^m abar eta>.
 
     Returns (tau, m) with tau = beta^m * alpha_bar. The direction must be a
     descent direction or zero; a zero direction accepts immediately.
     """
-    inner = inner or _generic_inner
-    scale = scale or _generic_scale
-    if inner(direction, direction) == 0.0:
+    if _generic_inner(direction, direction) == 0.0:
         return params.alpha_bar, 0
-    slope = inner(grad, direction)
+    slope = _generic_inner(grad, direction)
     f0 = cost(point)
     tau = params.alpha_bar
     for m in range(params.max_backtracks + 1):
-        if f0 - cost(retractor(point, scale(direction, tau))) >= -params.iota * tau * slope:
+        trial = retractor(point, _generic_scale(direction, tau))
+        if f0 - cost(trial) >= -params.iota * tau * slope:
             return tau, m
         tau *= params.beta
     raise BacktrackLimit(

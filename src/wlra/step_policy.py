@@ -110,7 +110,7 @@ def compute_phi_min(
     if w0 is None:
         raise LambdaOutOfRange("positive-weights mode needs w0")
     check_lambda_pw(lam, w0)
-    tail = (6.0 + math.pi**2) / 6.0 if is_default else c + sigma / 2.0
+    tail = (6.0 + math.pi**2) / 6.0 if is_default else c + sigma
     return big_k * max(
         4.0 * alpha * (w0 / 2.0 + 2.0 * math.sqrt(w0 / 2.0) + 1.0),
         math.sqrt(
@@ -195,9 +195,10 @@ def make_policy(
     )
 
 
-def _support_arrays(data: ProblemData):
-    sup = data.support
-    return data.rows[sup], data.cols[sup], data.a_vals[sup], data.w_vals[sup]
+# Support cells per block in adaptive_A_B. Whole-support temporaries run to
+# megabytes, which the allocator returns to the system when they are freed,
+# so every step would page them in again; blocks of this size are reused.
+_SUPPORT_BLOCK = 4096
 
 
 def adaptive_A_B(
@@ -205,34 +206,40 @@ def adaptive_A_B(
 ) -> tuple[float, float]:
     """Exact per-iteration safeguards, maximized over the weighted support."""
     lam = policy.lam
-    rows, cols, a, w = _support_arrays(data)
     if kind is PolicyKind.EUCLIDEAN:
         if not isinstance(iterate, FactorPair):
             raise ShapeMismatch("euclidean policy needs a FactorPair iterate")
-        p = np.einsum("tk,tk->t", iterate.x[rows], iterate.y[cols])
         rho = confinement_euclidean(iterate)
-        r = a - p
-        a_terms = 8.0 * r * p - 4.0 * lam * rho
-        row_sq = np.sum(iterate.x[rows] ** 2, axis=1) + np.sum(
-            iterate.y[cols] ** 2, axis=1
-        )
-        b_inner = 4.0 * (r**2 * row_sq + 4.0 * lam * r * p + lam**2 * rho)
-        b_terms = np.sqrt(np.maximum(b_inner, 0.0))
     else:
         if not isinstance(iterate, ProductPoint):
             raise ShapeMismatch("manifold policy needs a ProductPoint iterate")
-        p = np.einsum("tk,k,tk->t", iterate.u[rows], iterate.x, iterate.v[cols])
         rho = confinement_manifold(iterate)
-        if kind is PolicyKind.POSITIVE_WEIGHTS:
-            r = a - (1.0 - lam / w) * p
-        else:
+    sup = data.support
+    a_max = b_max = 0.0
+    for start in range(0, sup.size, _SUPPORT_BLOCK):
+        t = sup[start : start + _SUPPORT_BLOCK]
+        rows, cols, a = data.rows[t], data.cols[t], data.a_vals[t]
+        if kind is PolicyKind.EUCLIDEAN:
+            xr, yr = iterate.x[rows], iterate.y[cols]
+            p = np.einsum("tk,tk->t", xr, yr)
             r = a - p
-        a_terms = 4.0 * r * p - 4.0 * lam * rho
-        m = -r[:, None] * (iterate.u[rows] * iterate.v[cols]) + lam * iterate.x
-        b_terms = np.sqrt(8.0 * np.sum(m**2, axis=1))
-    a_t = max(0.0, float(a_terms.max())) / policy.a
-    b_t = float(b_terms.max()) / policy.b
-    return a_t, b_t
+            a_terms = 8.0 * r * p - 4.0 * lam * rho
+            row_sq = np.sum(xr**2, axis=1) + np.sum(yr**2, axis=1)
+            b_inner = 4.0 * (r**2 * row_sq + 4.0 * lam * r * p + lam**2 * rho)
+            b_terms = np.sqrt(np.maximum(b_inner, 0.0))
+        else:
+            ur, vr = iterate.u[rows], iterate.v[cols]
+            p = np.einsum("tk,k,tk->t", ur, iterate.x, vr)
+            if kind is PolicyKind.POSITIVE_WEIGHTS:
+                r = a - (1.0 - lam / data.w_vals[t]) * p
+            else:
+                r = a - p
+            a_terms = 4.0 * r * p - 4.0 * lam * rho
+            m = -r[:, None] * (ur * vr) + lam * iterate.x
+            b_terms = np.sqrt(8.0 * np.sum(m**2, axis=1))
+        a_max = max(a_max, float(a_terms.max()))
+        b_max = max(b_max, float(b_terms.max()))
+    return a_max / policy.a, b_max / policy.b
 
 
 def adaptive_A_B_tilde(

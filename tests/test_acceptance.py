@@ -168,29 +168,28 @@ def test_criterion_2_gradient_correctness():
     full = sparse_instance(8, 6, 2, 1.0, seed=2003, full=True)
     p = random_point(8, 6, 2, rng)
     f = FactorPair(rng.standard_normal((8, 2)), rng.standard_normal((6, 2)))
-    s = (int(data.rows[1]), int(data.cols[1]))
-    sf = (int(full.rows[5]), int(full.cols[5]))
+    t, tf = 1, 5
     lam_pw = 0.4 * float(full.w_vals.min())
     errs = {
         "stoch-manifold": _fd_err_manifold(
-            lambda q: sample_cost_manifold(q, s, data, lam), p,
-            stoch_grad_manifold(p, s, data, lam), rng,
+            lambda q: sample_cost_manifold(q, t, data, lam), p,
+            stoch_grad_manifold(p, t, data, lam), rng,
         ),
         "full-manifold": _fd_err_manifold(
             lambda q: cost_manifold(q, data, lam), p,
             full_grad_manifold(p, data, lam), rng,
         ),
         "stoch-euclidean": _fd_err_euclidean(
-            lambda q: sample_cost_euclidean(q, s, data, lam), f,
-            stoch_grad_euclidean(f, s, data, lam), rng,
+            lambda q: sample_cost_euclidean(q, t, data, lam), f,
+            stoch_grad_euclidean(f, t, data, lam), rng,
         ),
         "full-euclidean": _fd_err_euclidean(
             lambda q: cost_euclidean(q, data, lam), f,
             full_grad_euclidean(f, data, lam), rng,
         ),
         "stoch-pw": _fd_err_manifold(
-            lambda q: sample_cost_pw(q, sf, full, lam_pw), p,
-            stoch_grad_pw(p, sf, full, lam_pw), rng,
+            lambda q: sample_cost_pw(q, tf, full, lam_pw), p,
+            stoch_grad_pw(p, tf, full, lam_pw), rng,
         ),
         "full-pw": _fd_err_manifold(
             lambda q: cost_unregularized(q, full), p, full_grad_pw(p, full), rng
@@ -214,7 +213,7 @@ def test_criterion_3_unbiasedness():
     p = random_point(8, 7, 2, rng)
     acc = ProductTangent(np.zeros((8, 2)), np.zeros(2), np.zeros((7, 2)))
     for t in range(data.nnz):
-        g = stoch_grad_manifold(p, (int(data.rows[t]), int(data.cols[t])), data, lam)
+        g = stoch_grad_manifold(p, t, data, lam)
         w = data.w_vals[t]
         acc = ProductTangent(acc.du + w * g.du, acc.dx + w * g.dx, acc.dv + w * g.dv)
     gm = full_grad_manifold(p, data, lam)
@@ -223,14 +222,14 @@ def test_criterion_3_unbiasedness():
     f = FactorPair(rng.standard_normal((8, 2)), rng.standard_normal((7, 2)))
     acc_f = FactorPair(np.zeros((8, 2)), np.zeros((7, 2)))
     for t in range(data.nnz):
-        g = stoch_grad_euclidean(f, (int(data.rows[t]), int(data.cols[t])), data, lam)
+        g = stoch_grad_euclidean(f, t, data, lam)
         acc_f = acc_f.add_scaled(g, float(data.w_vals[t]))
     err_e = acc_f.add_scaled(full_grad_euclidean(f, data, lam), -1.0).norm()
 
     pp = random_point(7, 6, 2, rng)
     acc_p = ProductTangent(np.zeros((7, 2)), np.zeros(2), np.zeros((6, 2)))
     for t in range(full.nnz):
-        g = stoch_grad_pw(pp, (int(full.rows[t]), int(full.cols[t])), full, lam_pw)
+        g = stoch_grad_pw(pp, t, full, lam_pw)
         w = full.w_vals[t]
         acc_p = ProductTangent(acc_p.du + w * g.du, acc_p.dx + w * g.dx, acc_p.dv + w * g.dv)
     gp = full_grad_pw(pp, full)

@@ -130,7 +130,7 @@ class TestSampling:
             a_vals=[1.0, 2.0], w_vals=[0.0, 1.0],
         )
         rng = np.random.default_rng(0)
-        assert all(sample_index(data, rng) == (1, 1) for _ in range(50))
+        assert all(sample_index(data, rng) == 1 for _ in range(50))
 
     def test_uniform_frequencies_chi_square(self):
         data = ProblemData(
@@ -181,30 +181,29 @@ def fd_euclidean(cost, f, grad, rng, n_dirs=20, h=1e-6, rel_tol=1e-5):
 
 class TestStochGradManifold:
     def test_scalar_hand_case(self):
-        g = stoch_grad_manifold(scalar_point(), (0, 0), scalar_data(), 0.5)
+        g = stoch_grad_manifold(scalar_point(), 0, scalar_data(), 0.5)
         assert g.du[0, 0] == 0.0 and g.dv[0, 0] == 0.0
         np.testing.assert_allclose(g.dx, [-1.0])
 
     def test_zero_at_interpolation_without_reg(self):
         data = scalar_data(a=2.0)
         p = scalar_point(x=2.0)
-        g = stoch_grad_manifold(p, (0, 0), data, 0.0)
+        g = stoch_grad_manifold(p, 0, data, 0.0)
         assert g.norm() == 0.0
 
     def test_finite_differences(self):
         rng = np.random.default_rng(21)
         data = random_data(8, 6, 2, 20, seed=21)
         p = random_point(8, 6, 2, rng)
-        s = (int(data.rows[3]), int(data.cols[3]))
         lam = 0.3
-        g = stoch_grad_manifold(p, s, data, lam)
-        fd_manifold(lambda q: sample_cost_manifold(q, s, data, lam), p, g, rng)
+        g = stoch_grad_manifold(p, 3, data, lam)
+        fd_manifold(lambda q: sample_cost_manifold(q, 3, data, lam), p, g, rng)
 
     def test_lives_in_tangent_space(self):
         rng = np.random.default_rng(22)
         data = random_data(8, 6, 2, 20, seed=22)
         p = random_point(8, 6, 2, rng)
-        g = stoch_grad_manifold(p, (int(data.rows[0]), int(data.cols[0])), data, 0.1)
+        g = stoch_grad_manifold(p, 0, data, 0.1)
         assert tangent_defect(p.u, g.du) <= 1e-10
         assert tangent_defect(p.v, g.dv) <= 1e-10
 
@@ -238,9 +237,7 @@ class TestFullGradManifold:
         lam = 0.4
         acc = ProductTangent(np.zeros((4, 2)), np.zeros(2), np.zeros((3, 2)))
         for t in range(data.nnz):
-            g = stoch_grad_manifold(
-                p, (int(data.rows[t]), int(data.cols[t])), data, lam
-            )
+            g = stoch_grad_manifold(p, t, data, lam)
             w = data.w_vals[t]
             acc = ProductTangent(acc.du + w * g.du, acc.dx + w * g.dx, acc.dv + w * g.dv)
         full = full_grad_manifold(p, data, lam)
@@ -251,24 +248,23 @@ class TestFullGradManifold:
 class TestGradEuclidean:
     def test_scalar_hand_case(self):
         f = FactorPair(np.array([[1.0]]), np.array([[1.0]]))
-        g = stoch_grad_euclidean(f, (0, 0), scalar_data(), 0.5)
+        g = stoch_grad_euclidean(f, 0, scalar_data(), 0.5)
         np.testing.assert_allclose(g.x, [[-1.0]])
         np.testing.assert_allclose(g.y, [[-1.0]])
 
     def test_zero_at_fit_without_reg(self):
         data = scalar_data(a=2.0)
         f = FactorPair(np.array([[1.0]]), np.array([[2.0]]))
-        g = stoch_grad_euclidean(f, (0, 0), data, 0.0)
+        g = stoch_grad_euclidean(f, 0, data, 0.0)
         assert g.norm() == 0.0
 
     def test_stoch_finite_differences(self):
         rng = np.random.default_rng(26)
         data = random_data(8, 6, 2, 20, seed=26)
         f = FactorPair(rng.standard_normal((8, 2)), rng.standard_normal((6, 2)))
-        s = (int(data.rows[5]), int(data.cols[5]))
         lam = 0.2
-        g = stoch_grad_euclidean(f, s, data, lam)
-        fd_euclidean(lambda q: sample_cost_euclidean(q, s, data, lam), f, g, rng)
+        g = stoch_grad_euclidean(f, 5, data, lam)
+        fd_euclidean(lambda q: sample_cost_euclidean(q, 5, data, lam), f, g, rng)
 
     def test_full_finite_differences(self):
         rng = np.random.default_rng(27)
@@ -297,9 +293,7 @@ class TestGradEuclidean:
         lam = 0.15
         acc = FactorPair(np.zeros((4, 2)), np.zeros((3, 2)))
         for t in range(data.nnz):
-            g = stoch_grad_euclidean(
-                f, (int(data.rows[t]), int(data.cols[t])), data, lam
-            )
+            g = stoch_grad_euclidean(f, t, data, lam)
             acc = acc.add_scaled(g, float(data.w_vals[t]))
         full = full_grad_euclidean(f, data, lam)
         assert acc.add_scaled(full, -1.0).norm() <= 1e-12
@@ -307,7 +301,7 @@ class TestGradEuclidean:
 
 class TestGradPositiveWeights:
     def test_scalar_hand_case(self):
-        g = stoch_grad_pw(scalar_point(), (0, 0), scalar_data(), 0.5)
+        g = stoch_grad_pw(scalar_point(), 0, scalar_data(), 0.5)
         np.testing.assert_allclose(g.dx, [-2.0])
 
     def test_lambda_at_boundary_rejected(self):
@@ -315,22 +309,21 @@ class TestGradPositiveWeights:
         p = random_point(4, 3, 2, np.random.default_rng(30))
         w0 = float(data.w_vals.min())
         with pytest.raises(LambdaOutOfRange):
-            stoch_grad_pw(p, (0, 0), data, w0)
+            stoch_grad_pw(p, 0, data, w0)
 
     def test_partial_support_rejected(self):
         data = random_data(4, 3, 2, 6, seed=31)
         p = random_point(4, 3, 2, np.random.default_rng(31))
         with pytest.raises(NonPositiveWeight):
-            stoch_grad_pw(p, (int(data.rows[0]), int(data.cols[0])), data, 1e-3)
+            stoch_grad_pw(p, 0, data, 1e-3)
 
     def test_stoch_finite_differences(self):
         rng = np.random.default_rng(32)
         data = random_data(8, 6, 2, 48, seed=32, full=True, min_w=0.5)
         p = random_point(8, 6, 2, rng)
         lam = 0.3 * float(data.w_vals.min())
-        s = (int(data.rows[7]), int(data.cols[7]))
-        g = stoch_grad_pw(p, s, data, lam)
-        fd_manifold(lambda q: sample_cost_pw(q, s, data, lam), p, g, rng)
+        g = stoch_grad_pw(p, 7, data, lam)
+        fd_manifold(lambda q: sample_cost_pw(q, 7, data, lam), p, g, rng)
 
     def test_full_finite_differences(self):
         rng = np.random.default_rng(33)
@@ -361,7 +354,7 @@ class TestGradPositiveWeights:
         lam = 0.4 * float(data.w_vals.min())
         acc = ProductTangent(np.zeros((4, 2)), np.zeros(2), np.zeros((3, 2)))
         for t in range(data.nnz):
-            g = stoch_grad_pw(p, (int(data.rows[t]), int(data.cols[t])), data, lam)
+            g = stoch_grad_pw(p, t, data, lam)
             w = data.w_vals[t]
             acc = ProductTangent(acc.du + w * g.du, acc.dx + w * g.dx, acc.dv + w * g.dv)
         full = full_grad_pw(p, data)
@@ -390,15 +383,14 @@ class TestExpectationIdentities:
         p = random_point(6, 5, 2, rng)
         f = FactorPair(rng.standard_normal((6, 2)), rng.standard_normal((5, 2)))
         lam = 0.25
-        pairs = list(zip(data.rows, data.cols))
         g_mean = sum(
-            w * sample_cost_manifold(p, (int(i), int(j)), data, lam)
-            for (i, j), w in zip(pairs, data.w_vals)
+            w * sample_cost_manifold(p, t, data, lam)
+            for t, w in enumerate(data.w_vals)
         )
         assert abs(g_mean - cost_manifold(p, data, lam)) <= 1e-12
         h_mean = sum(
-            w * sample_cost_euclidean(f, (int(i), int(j)), data, lam)
-            for (i, j), w in zip(pairs, data.w_vals)
+            w * sample_cost_euclidean(f, t, data, lam)
+            for t, w in enumerate(data.w_vals)
         )
         assert abs(h_mean - cost_euclidean(f, data, lam)) <= 1e-12
 
@@ -408,8 +400,8 @@ class TestExpectationIdentities:
         p = random_point(5, 4, 2, rng)
         lam = 0.3 * float(data.w_vals.min())
         mean = sum(
-            w * sample_cost_pw(p, (int(i), int(j)), data, lam)
-            for i, j, w in zip(data.rows, data.cols, data.w_vals)
+            w * sample_cost_pw(p, t, data, lam)
+            for t, w in enumerate(data.w_vals)
         )
         assert abs(mean - cost_unregularized(p, data)) <= 1e-12
 
@@ -439,8 +431,7 @@ class TestConfinement:
             scale = np.sqrt(rho0 / confinement_manifold(p))
             p = ProductPoint(p.u, p.x * scale, p.v)
             t = int(rng.integers(data.nnz))
-            s = (int(data.rows[t]), int(data.cols[t]))
-            g = stoch_grad_manifold(p, s, data, lam)
+            g = stoch_grad_manifold(p, t, data, lam)
             rho_grad = ProductTangent(np.zeros_like(p.u), 2.0 * p.x, np.zeros_like(p.v))
             assert tangent_inner(rho_grad, g) >= -1e-10
 
@@ -455,7 +446,6 @@ class TestConfinement:
             scale = np.sqrt(rho0 / confinement_euclidean(f))
             f = f.scaled(scale)
             t = int(rng.integers(data.nnz))
-            s = (int(data.rows[t]), int(data.cols[t]))
-            g = stoch_grad_euclidean(f, s, data, lam)
+            g = stoch_grad_euclidean(f, t, data, lam)
             rho_grad = FactorPair(2.0 * f.x, 2.0 * f.y)
             assert pair_inner(rho_grad, g) >= -1e-10

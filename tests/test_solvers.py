@@ -39,6 +39,10 @@ from wlra.svd_init import fill_missing_column_mean, truncated_svd_init
 # Final cost of the acceptance criterion-8 run recorded with the earlier
 # hand-written kernels (one-sided Jacobi SVD, Gram-Schmidt QR).
 CRITERION_8_FINAL_COST = 0.13114043729387467
+# Final costs of the sgd_euclidean and sgd_pw pin runs below, recorded when
+# samples were still passed as (i, j) pairs and looked up by cell.
+SGD_EUCLIDEAN_PIN_FINAL_COST = 0.1880608714509634
+SGD_PW_PIN_FINAL_COST = 0.007441027302973417
 
 
 def observed_instance(m, n, k, density, seed, full=False):
@@ -78,8 +82,8 @@ class TestSgdManifold:
         init, policy, config = manifold_setup(data, lam, seed=7, iters=1, trace_every=1)
         final, _ = sgd_manifold(init, data, config)
         rng = np.random.default_rng(7)
-        s0 = sample_index(data, rng)
-        g0 = stoch_grad_manifold(init, s0, data, lam)
+        t0 = sample_index(data, rng)
+        g0 = stoch_grad_manifold(init, t0, data, lam)
         expected = retract(init, g0.scaled(-policy.schedule(0) / policy.phi_min))
         assert np.array_equal(final.u, expected.u)
         assert np.array_equal(final.x, expected.x)
@@ -181,6 +185,18 @@ class TestSgdManifold:
         _, trace_flipped = sgd_manifold(flipped, data, config)
         np.testing.assert_allclose(trace_flipped.costs, trace.costs, rtol=1e-12, atol=0)
 
+    def test_records_full_gradient_norm(self):
+        data = observed_instance(10, 8, 2, 0.4, seed=12)
+        lam = 1e-2
+        init, _, config = manifold_setup(
+            data, lam, seed=13, iters=50, trace_every=10, record_grad_norm=True
+        )
+        _, trace = sgd_manifold(init, data, config)
+        norms = [r.grad_norm for r in trace.records]
+        assert len(norms) == 6
+        assert all(g is not None and math.isfinite(g) for g in norms)
+        assert norms[0] == full_grad_manifold(init, data, lam).norm()
+
 
 class TestSgdEuclidean:
     def setup_pair(self, data, seed, scale=0.5):
@@ -203,8 +219,8 @@ class TestSgdEuclidean:
         )
         final, _ = sgd_euclidean(init, data, config)
         rng = np.random.default_rng(18)
-        s0 = sample_index(data, rng)
-        g0 = stoch_grad_euclidean(init, s0, data, lam)
+        t0 = sample_index(data, rng)
+        g0 = stoch_grad_euclidean(init, t0, data, lam)
         expected = init.add_scaled(g0, -policy.schedule(0) / policy.phi_min)
         assert np.array_equal(final.x, expected.x)
         assert np.array_equal(final.y, expected.y)
@@ -246,6 +262,20 @@ class TestSgdEuclidean:
         assert np.all(np.diff(rhos) <= 1e-15)
         assert rhos[-1] < 0.5 * rhos[0]
 
+    def test_trajectory_pinned(self):
+        data = problem_from_triplets(synth_lowrank(50, 20, 3, 0.4, 0.1, seed=0), 3)
+        _, pair0 = truncated_svd_init(fill_missing_column_mean(data), 3)
+        policy = make_policy(
+            PolicyKind.EUCLIDEAN, data, confinement_euclidean(pair0), 1e-2, 1.0
+        )
+        config = SolverConfig(
+            kind=PolicyKind.EUCLIDEAN, policy=policy,
+            budget=Budget(max_iterations=2000), seed=3, trace_every=10,
+        )
+        _, trace = sgd_euclidean(pair0, data, config)
+        pin = SGD_EUCLIDEAN_PIN_FINAL_COST
+        assert abs(trace.costs[-1] - pin) <= 1e-10 * pin
+
 
 class TestSgdPositiveWeights:
     def make_full(self, m, n, k, seed):
@@ -264,8 +294,8 @@ class TestSgdPositiveWeights:
         )
         final, _ = sgd_pw(init, data, config)
         rng2 = np.random.default_rng(26)
-        s0 = sample_index(data, rng2)
-        g0 = stoch_grad_pw(init, s0, data, policy.lam)
+        t0 = sample_index(data, rng2)
+        g0 = stoch_grad_pw(init, t0, data, policy.lam)
         expected = retract(init, g0.scaled(-policy.schedule(0) / policy.phi_min))
         assert np.array_equal(final.x, expected.x)
 
@@ -282,6 +312,23 @@ class TestSgdPositiveWeights:
         )
         _, trace = sgd_pw(init, data, config)
         assert all(r.rho <= policy.rho1 for r in trace.records)
+
+    def test_trajectory_pinned(self):
+        # fully observed, with weights spread over [0.1, 10] before normalizing
+        tm = synth_lowrank(30, 20, 3, 1.0, 0.1, seed=1)
+        raw = 0.1 + 9.9 * np.random.default_rng(5).random(tm.nnz)
+        data = problem_from_triplets(tm, 3, weights=raw)
+        point0, _ = truncated_svd_init(fill_missing_column_mean(data), 3)
+        policy = make_policy(
+            PolicyKind.POSITIVE_WEIGHTS, data, confinement_manifold(point0), None, 1.0
+        )
+        config = SolverConfig(
+            kind=PolicyKind.POSITIVE_WEIGHTS, policy=policy,
+            budget=Budget(max_iterations=2000), seed=7, trace_every=10,
+        )
+        _, trace = sgd_pw(point0, data, config)
+        pin = SGD_PW_PIN_FINAL_COST
+        assert abs(trace.costs[-1] - pin) <= 1e-10 * pin
 
 
 class TestArmijo:

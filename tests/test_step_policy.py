@@ -101,6 +101,16 @@ class TestPhiMin:
             )
         assert max(vals) <= 3.0 * min(vals)
 
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    def test_general_tail_continuous_at_default_schedule(self, kind):
+        # The closed-form default tails must equal the general expressions
+        # in c and sigma, so a sigma one ulp-scale off the default cannot
+        # jump phi_min.
+        args = (kind, 1.0, 0.1, 1.0, 3, 5.0, 0.5)
+        default = compute_phi_min(*args)
+        nudged = compute_phi_min(*args, sigma=DEFAULT_SIGMA * (1.0 + 1e-12))
+        assert abs(nudged - default) <= 1e-9 * default
+
 
 def scalar_policy(lam=0.5):
     return StepPolicy(
@@ -175,6 +185,68 @@ class TestAdaptive:
             at_t, bt_t = adaptive_A_B_tilde(kind, it, data, policy)
             assert at_t >= a_t - 1e-12
             assert bt_t >= b_t - 1e-12
+
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    def test_blocked_equals_whole_support_formula(self, kind):
+        # 9600 cells span several support blocks; outside positive-weights
+        # mode some cells get zero weight and must be left out of the max.
+        # A planted outlier puts both maxima at a block edge in turn.
+        rng = np.random.default_rng(7)
+        m, n, k = 120, 80, 3
+        rows, cols = np.nonzero(np.ones((m, n)))
+        a = rng.standard_normal(rows.size)
+        w = 0.5 + rng.random(rows.size)
+        if kind is not PolicyKind.POSITIVE_WEIGHTS:
+            w[rng.random(rows.size) < 0.3] = 0.0
+        w /= w.sum()
+        if kind is PolicyKind.EUCLIDEAN:
+            it = FactorPair(
+                0.1 * rng.standard_normal((m, k)), 0.1 * rng.standard_normal((n, k))
+            )
+            pred = np.einsum("tk,tk->t", it.x[rows], it.y[cols])
+        else:
+            p = random_point(m, n, k, rng)
+            it = ProductPoint(p.u, 0.1 * p.x, p.v)
+            pred = np.einsum("tk,k,tk->t", it.u[rows], it.x, it.v[cols])
+        sup = np.flatnonzero(w > 0)
+        for pos in (0, 4095, 4096, sup.size - 1):
+            planted = a.copy()
+            planted[sup[pos]] = 50.0 * np.sign(pred[sup[pos]])
+            data = ProblemData(
+                m=m, n=n, k=k, rows=rows, cols=cols, a_vals=planted, w_vals=w
+            )
+            lam = None if kind is PolicyKind.POSITIVE_WEIGHTS else 0.05
+            policy = make_policy(kind, data, 0.0, lam, 1.0)
+            a_t, b_t = adaptive_A_B(kind, it, data, policy)
+            a_ref, b_ref = whole_support_A_B(kind, it, data, policy)
+            assert a_t == a_ref and b_t == b_ref
+            assert a_t > 0.0
+
+
+def whole_support_A_B(kind, it, data, policy):
+    """Reference for adaptive_A_B: the formulas over the whole support at once."""
+    lam = policy.lam
+    sup = data.support
+    rows, cols, a, w = data.rows[sup], data.cols[sup], data.a_vals[sup], data.w_vals[sup]
+    if kind is PolicyKind.EUCLIDEAN:
+        p = np.einsum("tk,tk->t", it.x[rows], it.y[cols])
+        rho = float(np.sum(it.x**2) + np.sum(it.y**2))
+        r = a - p
+        a_terms = 8.0 * r * p - 4.0 * lam * rho
+        row_sq = np.sum(it.x[rows] ** 2, axis=1) + np.sum(it.y[cols] ** 2, axis=1)
+        b_inner = 4.0 * (r**2 * row_sq + 4.0 * lam * r * p + lam**2 * rho)
+        b_terms = np.sqrt(np.maximum(b_inner, 0.0))
+    else:
+        p = np.einsum("tk,k,tk->t", it.u[rows], it.x, it.v[cols])
+        rho = confinement_manifold(it)
+        if kind is PolicyKind.POSITIVE_WEIGHTS:
+            r = a - (1.0 - lam / w) * p
+        else:
+            r = a - p
+        a_terms = 4.0 * r * p - 4.0 * lam * rho
+        mm = -r[:, None] * (it.u[rows] * it.v[cols]) + lam * it.x
+        b_terms = np.sqrt(8.0 * np.sum(mm**2, axis=1))
+    return max(0.0, float(a_terms.max())) / policy.a, float(b_terms.max()) / policy.b
 
 
 class TestPhiT:
