@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import BacktrackLimit, InitNotConfined, RankDeficient, ShapeMismatch
 from .geometry import (
+    FactoredPoint,
     ProductPoint,
     ProductTangent,
     project_tangent,
@@ -137,15 +138,38 @@ def _retract_with_retry(p: ProductPoint, v: ProductTangent) -> ProductPoint:
         return retract(p, project_tangent(p, v))
 
 
+def _manifold_move(data: ProblemData, grad_fn: Callable) -> Callable:
+    """SGD move of the manifold solvers. `grad_fn(p, t)` is the per-sample
+    gradient: at the FactoredPoint its rows give an O(k^3) factored step; if
+    that raises RankDeficient, the dense retraction of the gradient at the
+    materialized point is taken instead and the factored state restarts
+    from it."""
+    cells_i, cells_j = data.rows, data.cols
+
+    def move(it: FactoredPoint, t: int, s: float) -> FactoredPoint:
+        rows = grad_fn(it, t)
+        try:
+            it.step(cells_i[t], cells_j[t], rows, s)
+            return it
+        except RankDeficient:
+            p = it.point()
+            return FactoredPoint(_retract_with_retry(p, grad_fn(p, t).scaled(s)))
+
+    return move
+
+
 def _run_sgd(
-    point,
+    state,
     data: ProblemData,
     config: SolverConfig,
-    grad_fn: Callable,
     move_fn: Callable,
+    view_fn: Callable,
     rho_fn: Callable,
     full_grad_norm_fn: Callable,
 ) -> tuple[object, IterTrace]:
+    """The SGD loop. `move_fn(state, t, step)` takes one step on sample t and
+    returns the new state; `view_fn(state)` gives the iterate that traces,
+    safeguards and the caller see."""
     policy = config.policy
     rng = np.random.default_rng(config.seed)
     trace = IterTrace()
@@ -165,23 +189,23 @@ def _run_sgd(
         )
         return elapsed
 
-    emit(0, point)
+    emit(0, view_fn(state))
     budget = config.budget
     t = 0
     while budget.max_iterations is None or t < budget.max_iterations:
         s = sample_index(data, rng)
-        g = grad_fn(point, s)
         if config.adaptive:
-            a_t, b_t = adaptive_A_B(config.kind, point, data, policy)
+            a_t, b_t = adaptive_A_B(config.kind, view_fn(state), data, policy)
             phi = phi_t(policy, a_t, b_t, t)
         else:
             phi = policy.phi_min
-        point = move_fn(point, g, -policy.schedule(t) / phi)
+        state = move_fn(state, s, -policy.schedule(t) / phi)
         t += 1
         if t % config.trace_every == 0:
-            elapsed = emit(t, point, phi)
+            elapsed = emit(t, view_fn(state), phi)
             if budget.max_seconds is not None and elapsed > budget.max_seconds:
                 break
+    point = view_fn(state)
     if trace.records[-1].t != t:
         emit(t, point)
     return point, trace
@@ -196,15 +220,16 @@ def sgd_manifold(
     the safeguards A_t, B_t every iteration.
     """
     policy = config.policy
+    lam = policy.lam
     _check_confined(confinement_manifold(init), policy.rho0)
     return _run_sgd(
-        init,
+        FactoredPoint(init),
         data,
         config,
-        grad_fn=lambda p, s: stoch_grad_manifold(p, s, data, policy.lam),
-        move_fn=lambda p, g, step: _retract_with_retry(p, g.scaled(step)),
+        move_fn=_manifold_move(data, lambda p, t: stoch_grad_manifold(p, t, data, lam)),
+        view_fn=FactoredPoint.point,
         rho_fn=confinement_manifold,
-        full_grad_norm_fn=lambda p: full_grad_manifold(p, data, policy.lam).norm(),
+        full_grad_norm_fn=lambda p: full_grad_manifold(p, data, lam).norm(),
     )
 
 
@@ -218,8 +243,10 @@ def sgd_euclidean(
         init,
         data,
         config,
-        grad_fn=lambda f, s: stoch_grad_euclidean(f, s, data, policy.lam),
-        move_fn=lambda f, g, step: f.add_scaled(g, step),
+        move_fn=lambda f, t, step: f.add_scaled(
+            stoch_grad_euclidean(f, t, data, policy.lam), step
+        ),
+        view_fn=lambda f: f,
         rho_fn=confinement_euclidean,
         full_grad_norm_fn=lambda f: full_grad_euclidean(f, data, policy.lam).norm(),
     )
@@ -231,13 +258,14 @@ def sgd_pw(
     """Positive-weights stochastic descent; the traced objective is the raw cost."""
     require_positive_weights(data)
     policy = config.policy
+    lam = policy.lam
     _check_confined(confinement_manifold(init), policy.rho0)
     return _run_sgd(
-        init,
+        FactoredPoint(init),
         data,
         config,
-        grad_fn=lambda p, s: stoch_grad_pw(p, s, data, policy.lam),
-        move_fn=lambda p, g, step: _retract_with_retry(p, g.scaled(step)),
+        move_fn=_manifold_move(data, lambda p, t: stoch_grad_pw(p, t, data, lam)),
+        view_fn=FactoredPoint.point,
         rho_fn=confinement_manifold,
         full_grad_norm_fn=lambda p: full_grad_pw(p, data).norm(),
     )

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import EmptySupport, LambdaOutOfRange, ShapeMismatch
 from .geometry import ProductPoint
 from .model import (
+    SUPPORT_BLOCK,
     FactorPair,
     ProblemData,
     check_lambda_pw,
@@ -195,12 +196,6 @@ def make_policy(
     )
 
 
-# Support cells per block in adaptive_A_B. Whole-support temporaries run to
-# megabytes, which the allocator returns to the system when they are freed,
-# so every step would page them in again; blocks of this size are reused.
-_SUPPORT_BLOCK = 4096
-
-
 def adaptive_A_B(
     kind: PolicyKind, iterate: Iterate, data: ProblemData, policy: StepPolicy
 ) -> tuple[float, float]:
@@ -216,8 +211,8 @@ def adaptive_A_B(
         rho = confinement_manifold(iterate)
     sup = data.support
     a_max = b_max = 0.0
-    for start in range(0, sup.size, _SUPPORT_BLOCK):
-        t = sup[start : start + _SUPPORT_BLOCK]
+    for start in range(0, sup.size, SUPPORT_BLOCK):
+        t = sup[start : start + SUPPORT_BLOCK]
         rows, cols, a = data.rows[t], data.cols[t], data.a_vals[t]
         if kind is PolicyKind.EUCLIDEAN:
             xr, yr = iterate.x[rows], iterate.y[cols]

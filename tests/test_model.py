@@ -8,16 +8,20 @@ from wlra.errors import (
     ShapeMismatch,
 )
 from wlra.geometry import (
+    FactoredPoint,
     ProductPoint,
     ProductTangent,
     assemble,
     random_point,
+    project_tangent,
     random_tangent,
     retract,
     tangent_defect,
     tangent_inner,
 )
+from wlra.data_io import TripletMatrix, binary_weights
 from wlra.model import (
+    SUPPORT_BLOCK,
     AliasSampler,
     FactorPair,
     ProblemData,
@@ -122,6 +126,23 @@ class TestCosts:
         with pytest.raises(ShapeMismatch):
             cost_unregularized(np.zeros((4, 5)), data)
 
+    def test_blocked_equals_whole_support_formula(self):
+        # 9600 cells span three blocks, the last one partial.
+        rng = np.random.default_rng(5)
+        data = random_data(120, 80, 3, 0, seed=5, full=True)
+        assert data.nnz > 2 * SUPPORT_BLOCK
+        p = random_point(120, 80, 3, rng)
+        f = FactorPair(rng.standard_normal((120, 3)), rng.standard_normal((80, 3)))
+        whole = {
+            "point": np.einsum("tk,k,tk->t", p.u[data.rows], p.x, p.v[data.cols]),
+            "pair": np.einsum("tk,tk->t", f.x[data.rows], f.y[data.cols]),
+            "dense": assemble(p)[data.rows, data.cols],
+        }
+        for name, source in (("point", p), ("pair", f), ("dense", assemble(p))):
+            res = data.a_vals - whole[name]
+            ref = float(np.dot(data.w_vals, res**2))
+            assert abs(cost_unregularized(source, data) - ref) <= 1e-14 * ref
+
 
 class TestSampling:
     def test_single_positive_entry_always_drawn(self):
@@ -153,6 +174,22 @@ class TestSampling:
         seq2 = [sample_index(data, rng2) for _ in range(30)]
         assert seq1 == seq2
 
+    @pytest.mark.parametrize("pattern", ["uniform", "binary", "random"])
+    def test_alias_table_equals_reference_build(self, pattern):
+        n = 5000
+        rng = np.random.default_rng(12)
+        if pattern == "uniform":
+            probs = np.full(n, 0.5)
+        elif pattern == "binary":
+            tm = TripletMatrix(1, n, np.zeros(n, int), np.arange(n), np.zeros(n))
+            probs = binary_weights(tm)
+        else:
+            probs = rng.uniform(0.1, 10.0, n)
+        sampler = AliasSampler(probs)
+        accept, alias = reference_alias_table(probs)
+        assert np.array_equal(sampler.accept, accept)
+        assert np.array_equal(sampler.alias, alias)
+
     def test_alias_table_matches_probabilities(self):
         probs = np.array([0.5, 0.3, 0.2])
         sampler = AliasSampler(probs)
@@ -160,6 +197,27 @@ class TestSampling:
         draws = sampler.draw_many(rng, 200000)
         freqs = np.bincount(draws, minlength=3) / 200000.0
         assert np.all(np.abs(freqs - probs) <= 0.01)
+
+
+def reference_alias_table(probs):
+    """The alias-table construction as first written, one numpy cell at a time."""
+    n = probs.size
+    scaled = probs * (n / probs.sum())
+    accept = np.ones(n)
+    alias = np.arange(n)
+    small = [i for i in range(n) if scaled[i] < 1.0]
+    large = [i for i in range(n) if scaled[i] >= 1.0]
+    scaled = scaled.copy()
+    while small and large:
+        s = small.pop()
+        l = large.pop()
+        accept[s] = scaled[s]
+        alias[s] = l
+        scaled[l] -= 1.0 - scaled[s]
+        (small if scaled[l] < 1.0 else large).append(l)
+    for i in small + large:
+        accept[i] = 1.0
+    return accept, alias
 
 
 def fd_manifold(cost, p, grad, rng, n_dirs=20, h=1e-6, rel_tol=1e-5):
@@ -206,6 +264,29 @@ class TestStochGradManifold:
         g = stoch_grad_manifold(p, 0, data, 0.1)
         assert tangent_defect(p.u, g.du) <= 1e-10
         assert tangent_defect(p.v, g.dv) <= 1e-10
+
+
+class TestStochGradAtFactoredPoint:
+    """At a FactoredPoint the per-sample gradients return their non-zero
+    ambient rows; placed and projected, they are the dense tangent."""
+
+    @pytest.mark.parametrize("grad, full", [(stoch_grad_manifold, False), (stoch_grad_pw, True)])
+    def test_rows_project_to_dense_tangent(self, grad, full):
+        rng = np.random.default_rng(26)
+        data = random_data(8, 6, 2, 48 if full else 20, seed=26, full=full, min_w=0.5)
+        p = random_point(8, 6, 2, rng)
+        lam = 0.2 * float(data.w_vals.min())
+        for t in (0, 5, data.nnz - 1):
+            du_i, dx, dv_j = grad(FactoredPoint(p), t, data, lam)
+            i, j = data.rows[t], data.cols[t]
+            ambient = ProductTangent(np.zeros_like(p.u), dx, np.zeros_like(p.v))
+            ambient.du[i] = du_i
+            ambient.dv[j] = dv_j
+            dense = grad(p, t, data, lam)
+            projected = project_tangent(p, ambient)
+            np.testing.assert_array_equal(projected.du, dense.du)
+            np.testing.assert_array_equal(projected.dx, dense.dx)
+            np.testing.assert_array_equal(projected.dv, dense.dv)
 
 
 class TestFullGradManifold:

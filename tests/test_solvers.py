@@ -1,11 +1,23 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import wlra.geometry
+import wlra.solvers
 from wlra.data_io import problem_from_triplets, synth_lowrank
-from wlra.errors import BacktrackLimit, InitNotConfined, ShapeMismatch
-from wlra.geometry import ProductPoint, assemble, random_point, retract, tangent_inner
+from wlra.errors import BacktrackLimit, InitNotConfined, RankDeficient, ShapeMismatch
+from wlra.geometry import (
+    FOLD_STEPS,
+    FactoredStiefel,
+    ProductPoint,
+    assemble,
+    orthonormality_defect,
+    random_point,
+    retract,
+    tangent_inner,
+)
 from wlra.model import (
     FactorPair,
     ProblemData,
@@ -43,6 +55,9 @@ CRITERION_8_FINAL_COST = 0.13114043729387467
 # samples were still passed as (i, j) pairs and looked up by cell.
 SGD_EUCLIDEAN_PIN_FINAL_COST = 0.1880608714509634
 SGD_PW_PIN_FINAL_COST = 0.007441027302973417
+# Largest entrywise difference allowed between the factored SGD iterate and
+# a loop of dense retract(stoch_grad_*) steps; measured 5.8e-15 to 1.3e-14.
+LAZY_VS_DENSE_TOL = 1e-13
 
 
 def observed_instance(m, n, k, density, seed, full=False):
@@ -75,6 +90,209 @@ def manifold_setup(data, lam, seed, iters, **kw):
     return init, policy, config
 
 
+def dense_sgd_reference(init, data, config, grad_fn):
+    """The SGD loop with Householder `retract` of the dense stochastic gradient."""
+    policy = config.policy
+    rng = np.random.default_rng(config.seed)
+    p = init
+    for t in range(config.budget.max_iterations):
+        s = sample_index(data, rng)
+        p = retract(p, grad_fn(p, s).scaled(-policy.schedule(t) / policy.phi_min))
+    return p
+
+
+def assert_close_to_dense(final, reference):
+    for got, want in ((final.u, reference.u), (final.v, reference.v)):
+        assert np.abs(got - want).max() <= LAZY_VS_DENSE_TOL
+        assert orthonormality_defect(got) <= 1e-13
+    assert np.abs(final.x - reference.x).max() <= LAZY_VS_DENSE_TOL * np.abs(reference.x).max()
+
+
+def criterion_8_setup(iters=10000):
+    data = problem_from_triplets(synth_lowrank(50, 20, 3, 0.4, 0.1, seed=0), 3)
+    point0, _ = truncated_svd_init(fill_missing_column_mean(data), 3)
+    policy = make_policy(
+        PolicyKind.MANIFOLD, data, confinement_manifold(point0), 1e-4, 1.0,
+        schedule=lambda t: (t + 1.0) ** -0.6, c=1.0, sigma=5.5915824411777519,
+    )
+    config = SolverConfig(
+        kind=PolicyKind.MANIFOLD, policy=policy,
+        budget=Budget(max_iterations=iters), seed=2024, trace_every=10,
+    )
+    return point0, data, config
+
+
+def svd_setup(m, n, k, iters, seed=5, lam=1e-2):
+    data = problem_from_triplets(synth_lowrank(m, n, k, 0.3, 0.1, seed=0), k)
+    point0, _ = truncated_svd_init(fill_missing_column_mean(data), k)
+    policy = make_policy(PolicyKind.MANIFOLD, data, confinement_manifold(point0), lam, 1.0)
+    config = SolverConfig(
+        kind=PolicyKind.MANIFOLD, policy=policy,
+        budget=Budget(max_iterations=iters), seed=seed, trace_every=100,
+    )
+    return point0, data, config
+
+
+def pw_setup(iters):
+    """The instance of the sgd_pw pin run, from its SVD init."""
+    tm = synth_lowrank(30, 20, 3, 1.0, 0.1, seed=1)
+    raw = 0.1 + 9.9 * np.random.default_rng(5).random(tm.nnz)
+    data = problem_from_triplets(tm, 3, weights=raw)
+    init, _ = truncated_svd_init(fill_missing_column_mean(data), 3)
+    policy = make_policy(
+        PolicyKind.POSITIVE_WEIGHTS, data, confinement_manifold(init), None, 1.0
+    )
+    config = SolverConfig(
+        kind=PolicyKind.POSITIVE_WEIGHTS, policy=policy,
+        budget=Budget(max_iterations=iters), seed=7,
+    )
+    return init, data, config
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that counts its calls."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestFactoredSgd:
+    """The manifold SGD steps in factored form; a loop of dense steps is the oracle."""
+
+    @pytest.mark.parametrize("instance", ["m500_k8", "criterion_8"])
+    def test_matches_dense_steps(self, instance):
+        if instance == "m500_k8":
+            init, data, config = svd_setup(500, 40, 8, iters=2000)
+        else:
+            init, data, config = criterion_8_setup()
+        lam = config.policy.lam
+        final, _ = sgd_manifold(init, data, config)
+        reference = dense_sgd_reference(
+            init, data, config, lambda p, s: stoch_grad_manifold(p, s, data, lam)
+        )
+        assert np.abs(final.u - init.u).max() > 1e-2  # the iterate did move
+        assert_close_to_dense(final, reference)
+
+    def test_pw_matches_dense_steps(self):
+        init, data, config = pw_setup(iters=2000)
+        policy = config.policy
+        final, _ = sgd_pw(init, data, config)
+        reference = dense_sgd_reference(
+            init, data, config, lambda p, s: stoch_grad_pw(p, s, data, policy.lam)
+        )
+        assert_close_to_dense(final, reference)
+
+    def test_forced_rank_deficient_takes_dense_fallback(self, monkeypatch):
+        init, data, config = svd_setup(60, 30, 4, iters=300)
+        lam = config.policy.lam
+        reference = dense_sgd_reference(
+            init, data, config, lambda p, s: stoch_grad_manifold(p, s, data, lam)
+        )
+        real = FactoredStiefel.plan_step
+        planned = []
+
+        def every_seventh_fails(self, i, a, s):
+            planned.append(1)
+            if len(planned) % 7 == 0:
+                raise RankDeficient("forced")
+            return real(self, i, a, s)
+
+        monkeypatch.setattr(FactoredStiefel, "plan_step", every_seventh_fails)
+        retracts = counting(monkeypatch, wlra.solvers, "retract")
+        final, _ = sgd_manifold(init, data, config)
+        assert len(retracts) > 30  # one dense step per forced failure
+        assert_close_to_dense(final, reference)
+
+    def test_near_singular_m_takes_dense_fallback(self, monkeypatch):
+        init, data, config = svd_setup(60, 30, 4, iters=300)
+        lam = config.policy.lam
+        reference = dense_sgd_reference(
+            init, data, config, lambda p, s: stoch_grad_manifold(p, s, data, lam)
+        )
+        real = FactoredStiefel.plan_step
+        planned, raised = [], []
+
+        def singular_m_on_call_100(self, i, a, s):
+            # On one call, plan the step with the s that makes M singular;
+            # plan_step must reject it and the solver must take the dense step
+            # with the true s instead.
+            planned.append(1)
+            if len(planned) == 100:
+                u_i = self.row(i)
+                s = 2.0 / (u_i @ a + np.linalg.norm(u_i) * np.linalg.norm(a))
+                try:
+                    return real(self, i, a, s)
+                except RankDeficient:
+                    raised.append(1)
+                    raise
+            return real(self, i, a, s)
+
+        monkeypatch.setattr(FactoredStiefel, "plan_step", singular_m_on_call_100)
+        retracts = counting(monkeypatch, wlra.solvers, "retract")
+        final, _ = sgd_manifold(init, data, config)
+        assert len(raised) == 1 and len(retracts) == 1
+        assert_close_to_dense(final, reference)
+
+    def test_low_fold_threshold_refolds(self, monkeypatch):
+        monkeypatch.setattr(wlra.geometry, "FOLD_COND", 0.0)
+        init, data, config = svd_setup(60, 30, 4, iters=300)
+        lam = config.policy.lam
+        qr_calls = counting(monkeypatch, wlra.geometry, "qf")
+        final, _ = sgd_manifold(init, data, config)
+        assert len(qr_calls) == 2 * 300  # both factors, every step
+        reference = dense_sgd_reference(
+            init, data, config, lambda p, s: stoch_grad_manifold(p, s, data, lam)
+        )
+        assert_close_to_dense(final, reference)
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_one_gradient_call_per_step(self, monkeypatch, adaptive):
+        # The factored step takes its rows from the per-sample gradient, so
+        # each step calls it once; the dense fallback calls it once more.
+        init, data, config = svd_setup(60, 30, 4, iters=300)
+        config = dataclasses.replace(config, adaptive=adaptive)
+        grads = counting(monkeypatch, wlra.solvers, "stoch_grad_manifold")
+        sgd_manifold(init, data, config)
+        assert len(grads) == 300
+        real = FactoredStiefel.plan_step
+        planned = []
+
+        def every_seventh_fails(self, i, a, s):
+            planned.append(1)
+            if len(planned) % 7 == 0:
+                raise RankDeficient("forced")
+            return real(self, i, a, s)
+
+        monkeypatch.setattr(FactoredStiefel, "plan_step", every_seventh_fails)
+        retracts = counting(monkeypatch, wlra.solvers, "retract")
+        grads.clear()
+        sgd_manifold(init, data, config)
+        assert len(grads) == 300 + len(retracts)
+
+    def test_pw_one_gradient_call_per_step(self, monkeypatch):
+        init, data, config = pw_setup(iters=300)
+        grads = counting(monkeypatch, wlra.solvers, "stoch_grad_pw")
+        sgd_pw(init, data, config)
+        assert len(grads) == 300
+
+    @pytest.mark.parametrize("m", [500, 5000])
+    def test_full_qr_only_at_folds(self, monkeypatch, m):
+        # Per-step work independent of m: with no fallback and cond(T) small,
+        # the only full-factor QRs are the periodic folds of U and V.
+        init, data, config = svd_setup(m, 40, 8, iters=2 * FOLD_STEPS + 100)
+        qr_calls = counting(monkeypatch, wlra.geometry, "qf")
+        retracts = counting(monkeypatch, wlra.solvers, "retract")
+        sgd_manifold(init, data, config)
+        assert len(retracts) == 0
+        assert len(qr_calls) == 2 * 2
+
+
 class TestSgdManifold:
     def test_one_step_composition_oracle(self):
         data = observed_instance(10, 8, 2, 0.4, seed=1)
@@ -85,9 +303,11 @@ class TestSgdManifold:
         t0 = sample_index(data, rng)
         g0 = stoch_grad_manifold(init, t0, data, lam)
         expected = retract(init, g0.scaled(-policy.schedule(0) / policy.phi_min))
-        assert np.array_equal(final.u, expected.u)
+        # The solver retracts by Cholesky-QR of a k-by-k Gram matrix, the
+        # oracle by Householder QR of the full factors: equal up to round-off.
+        np.testing.assert_allclose(final.u, expected.u, rtol=1e-13, atol=1e-15)
         assert np.array_equal(final.x, expected.x)
-        assert np.array_equal(final.v, expected.v)
+        np.testing.assert_allclose(final.v, expected.v, rtol=1e-13, atol=1e-15)
 
     def test_seeded_determinism(self):
         data = observed_instance(10, 8, 2, 0.4, seed=2)
@@ -164,16 +384,7 @@ class TestSgdManifold:
 
 
     def test_criterion_8_trajectory_pinned_and_sign_invariant(self):
-        data = problem_from_triplets(synth_lowrank(50, 20, 3, 0.4, 0.1, seed=0), 3)
-        point0, _ = truncated_svd_init(fill_missing_column_mean(data), 3)
-        policy = make_policy(
-            PolicyKind.MANIFOLD, data, confinement_manifold(point0), 1e-4, 1.0,
-            schedule=lambda t: (t + 1.0) ** -0.6, c=1.0, sigma=5.5915824411777519,
-        )
-        config = SolverConfig(
-            kind=PolicyKind.MANIFOLD, policy=policy,
-            budget=Budget(max_iterations=10000), seed=2024, trace_every=10,
-        )
+        point0, data, config = criterion_8_setup()
         _, trace = sgd_manifold(point0, data, config)
         final = trace.costs[-1]
         assert abs(final - CRITERION_8_FINAL_COST) <= 1e-10 * CRITERION_8_FINAL_COST
@@ -297,7 +508,9 @@ class TestSgdPositiveWeights:
         t0 = sample_index(data, rng2)
         g0 = stoch_grad_pw(init, t0, data, policy.lam)
         expected = retract(init, g0.scaled(-policy.schedule(0) / policy.phi_min))
+        np.testing.assert_allclose(final.u, expected.u, rtol=1e-13, atol=1e-15)
         assert np.array_equal(final.x, expected.x)
+        np.testing.assert_allclose(final.v, expected.v, rtol=1e-13, atol=1e-15)
 
     def test_uniform_weights_run_is_confined(self):
         data = self.make_full(8, 6, 2, seed=27)
