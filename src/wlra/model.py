@@ -274,14 +274,12 @@ def cost_unregularized(source, data: ProblemData) -> float:
 
 def cost_manifold(p: ProductPoint, data: ProblemData, lam: float) -> float:
     """Unregularized cost plus lam * ||x||^2 (the regularized manifold objective)."""
-    return cost_unregularized(p, data) + lam * float(np.dot(p.x, p.x))
+    return cost_unregularized(p, data) + lam * confinement_manifold(p)
 
 
 def cost_euclidean(f: FactorPair, data: ProblemData, lam: float) -> float:
     """Unregularized cost plus lam * (||X||_F^2 + ||Y||_F^2)."""
-    return cost_unregularized(f, data) + lam * (
-        float(np.sum(f.x**2)) + float(np.sum(f.y**2))
-    )
+    return cost_unregularized(f, data) + lam * confinement_euclidean(f)
 
 
 def sample_cost_manifold(
@@ -402,30 +400,78 @@ def stoch_grad_pw(
 # Full gradients (sums over the observed support).
 
 
+def _residual_weights(source, data: ProblemData) -> np.ndarray:
+    """e_t = -2 w_t (a_t - p_t) on every observed cell, computed block by block."""
+    e = np.empty(data.nnz)
+    for start in range(0, data.nnz, SUPPORT_BLOCK):
+        cells = slice(start, start + SUPPORT_BLOCK)
+        pred = _entries(source, data.rows[cells], data.cols[cells])
+        e[cells] = -2.0 * data.w_vals[cells] * (data.a_vals[cells] - pred)
+    return e
+
+
+def _support_sums(
+    e: np.ndarray, left: np.ndarray, right: np.ndarray, data: ProblemData, diag: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Weighted sums over the observed cells, one rank column l at a time.
+
+    Column l of the first result (m-by-k) is bincount(rows, e * right[cols, l]),
+    column l of the second (n-by-k) is bincount(cols, e * left[rows, l]), and,
+    with `diag`, entry l of the third is sum_t e_t left[rows_t, l] right[cols_t, l].
+    Each column is gathered with a 1-D `take` from a contiguous copy of the
+    factor's transpose, so no nnz-by-k array is made.
+    """
+    rows, cols = data.rows, data.cols
+    k = left.shape[1]
+    g_left = np.empty((data.m, k))
+    g_right = np.empty((data.n, k))
+    g_diag = np.empty(k) if diag else None
+    left_t, right_t = left.T.copy(), right.T.copy()
+    by_row, by_col = np.empty(data.nnz), np.empty(data.nnz)
+    for l in range(k):
+        np.take(right_t[l], cols, out=by_row)
+        np.take(left_t[l], rows, out=by_col)
+        by_row *= e
+        g_left[:, l] = np.bincount(rows, weights=by_row, minlength=data.m)
+        if diag:
+            g_diag[l] = np.dot(by_row, by_col)
+        by_col *= e
+        g_right[:, l] = np.bincount(cols, weights=by_col, minlength=data.n)
+    return g_left, g_right, g_diag
+
+
 def full_grad_manifold(
     p: ProductPoint, data: ProblemData, lam: float
 ) -> ProductTangent:
-    """Gradient of the regularized manifold objective, O(nnz * k)."""
-    rows, cols = data.rows, data.cols
-    e = -2.0 * data.w_vals * (data.a_vals - _point_entries(p, rows, cols))
-    gu = np.zeros_like(p.u)
-    gv = np.zeros_like(p.v)
-    np.add.at(gu, rows, e[:, None] * (p.x * p.v[cols]))
-    np.add.at(gv, cols, e[:, None] * (p.x * p.u[rows]))
-    gx = (e[:, None] * (p.u[rows] * p.v[cols])).sum(axis=0) + 2.0 * lam * p.x
-    return project_tangent(p, ProductTangent(gu, gx, gv))
+    """Gradient of the regularized manifold objective, O(nnz * k).
+
+    With residual weights e_t = -2 w_t (a_t - p_t), the ambient U slot is
+    (sum over the cells of row i of e_t V_j) * x, the V slot is
+    (sum over the cells of column j of e_t U_i) * x, and the x slot is
+    sum_t e_t (U_i * V_j) + 2 lam x; the sums are column-wise bincounts
+    (`_support_sums`). The result is projected onto the tangent space.
+    """
+    e = _residual_weights(p, data)
+    gu, gv, gx = _support_sums(e, p.u, p.v, data, diag=True)
+    gu *= p.x
+    gv *= p.x
+    return project_tangent(p, ProductTangent(gu, gx + 2.0 * lam * p.x, gv))
 
 
 def full_grad_euclidean(
     f: FactorPair, data: ProblemData, lam: float
 ) -> FactorPair:
-    """Gradient of the regularized Euclidean objective, O(nnz * k)."""
-    rows, cols = data.rows, data.cols
-    e = -2.0 * data.w_vals * (data.a_vals - _pair_entries(f, rows, cols))
-    gx = 2.0 * lam * f.x.copy()
-    gy = 2.0 * lam * f.y.copy()
-    np.add.at(gx, rows, e[:, None] * f.y[cols])
-    np.add.at(gy, cols, e[:, None] * f.x[rows])
+    """Gradient of the regularized Euclidean objective, O(nnz * k).
+
+    With residual weights e_t = -2 w_t (a_t - p_t), the X slot is the sum
+    over the cells of row i of e_t Y_j, plus 2 lam X, and the Y slot the sum
+    over the cells of column j of e_t X_i, plus 2 lam Y; the sums are
+    column-wise bincounts (`_support_sums`).
+    """
+    e = _residual_weights(f, data)
+    gx, gy, _ = _support_sums(e, f.x, f.y, data, diag=False)
+    gx += 2.0 * lam * f.x
+    gy += 2.0 * lam * f.y
     return FactorPair(gx, gy)
 
 

@@ -27,8 +27,6 @@ from .model import (
     ProblemData,
     confinement_euclidean,
     confinement_manifold,
-    cost_euclidean,
-    cost_manifold,
     cost_unregularized,
     full_grad_euclidean,
     full_grad_manifold,
@@ -81,6 +79,7 @@ class TraceRecord(NamedTuple):
     phi: float | None = None
     rho: float | None = None
     objective: float | None = None
+    backtracks: int | None = None
 
 
 @dataclass
@@ -296,21 +295,27 @@ def armijo_step(
     direction,
     params: ArmijoParams,
     retractor: Callable,
-) -> tuple[float, int]:
+    f0: float | None = None,
+) -> tuple[float, int, object, float | None]:
     """Smallest m with f(x) - f(R_x(beta^m abar eta)) >= -iota <grad, beta^m abar eta>.
 
-    Returns (tau, m) with tau = beta^m * alpha_bar. The direction must be a
-    descent direction or zero; a zero direction accepts immediately.
+    Returns (tau, m, trial, f_trial) with tau = beta^m * alpha_bar, trial =
+    R_x(tau eta) and f_trial its cost; the accepted trial is the last point
+    `cost` is called on. `f0`, when given, is f(x) and is not evaluated
+    again. The direction must be a descent direction or zero; a zero
+    direction accepts immediately with trial x and cost f0.
     """
     if _generic_inner(direction, direction) == 0.0:
-        return params.alpha_bar, 0
+        return params.alpha_bar, 0, point, f0
     slope = _generic_inner(grad, direction)
-    f0 = cost(point)
+    if f0 is None:
+        f0 = cost(point)
     tau = params.alpha_bar
     for m in range(params.max_backtracks + 1):
         trial = retractor(point, _generic_scale(direction, tau))
-        if f0 - cost(trial) >= -params.iota * tau * slope:
-            return tau, m
+        f_trial = cost(trial)
+        if f0 - f_trial >= -params.iota * tau * slope:
+            return tau, m, trial, f_trial
         tau *= params.beta
     raise BacktrackLimit(
         f"no Armijo step within {params.max_backtracks} backtracks "
@@ -320,34 +325,49 @@ def armijo_step(
 
 def _run_als(
     point,
-    cost_fn: Callable,
+    trace_cost_fn: Callable,
+    penalty_fn: Callable,
     grad_fn: Callable,
     retract_fn: Callable,
-    trace_cost_fn: Callable,
     rho_fn: Callable,
     params: ArmijoParams,
     budget: Budget,
     trace_every: int,
 ) -> tuple[object, IterTrace]:
+    """The line-search loop. The objective is trace_cost_fn + penalty_fn, so
+    each point's unregularized cost and objective come from one evaluation;
+    both are kept for the current point, and an iteration costs one
+    gradient and one evaluation per Armijo trial."""
     if trace_every < 1:
         raise ShapeMismatch("trace_every must be >= 1")
     trace = IterTrace()
     start = time.perf_counter()
+    unreg = 0.0
+    backtracks = 0
+
+    def objective(pt) -> float:
+        nonlocal unreg
+        unreg = trace_cost_fn(pt)
+        return unreg + penalty_fn(pt)
 
     def emit(t, pt, gnorm) -> float:
+        nonlocal backtracks
         elapsed = time.perf_counter() - start
         trace.append(
             TraceRecord(
                 t=t,
                 elapsed_seconds=elapsed,
-                cost_unregularized=trace_cost_fn(pt),
+                cost_unregularized=unreg,
                 grad_norm=gnorm,
                 rho=rho_fn(pt),
-                objective=cost_fn(pt),
+                objective=f,
+                backtracks=backtracks,
             )
         )
+        backtracks = 0
         return elapsed
 
+    f = objective(point)
     g = grad_fn(point)
     emit(0, point, _norm_of(g))
     t = 0
@@ -357,10 +377,11 @@ def _run_als(
         # backtracked step can satisfy the Armijo test, so the iterate is
         # numerically stationary; freeze it instead of exhausting backtracks.
         decrease_scale = params.iota * params.alpha_bar * _norm_of(g) ** 2
-        if decrease_scale > 1024.0 * eps * max(1.0, abs(cost_fn(point))):
+        if decrease_scale > 1024.0 * eps * max(1.0, abs(f)):
             eta = _generic_scale(g, -1.0)
-            tau, _ = armijo_step(cost_fn, g, point, eta, params, retract_fn)
-            point = retract_fn(point, _generic_scale(eta, tau))
+            # `objective` saw the accepted trial last, so `unreg` is its cost.
+            _, m, point, f = armijo_step(objective, g, point, eta, params, retract_fn, f0=f)
+            backtracks += m
             g = grad_fn(point)
         t += 1
         if t % trace_every == 0:
@@ -389,10 +410,10 @@ def als_manifold(
     """Line search along the negative full gradient of the regularized objective."""
     return _run_als(
         init,
-        cost_fn=lambda p: cost_manifold(p, data, lam),
+        trace_cost_fn=lambda p: cost_unregularized(p, data),
+        penalty_fn=lambda p: lam * confinement_manifold(p),
         grad_fn=lambda p: full_grad_manifold(p, data, lam),
         retract_fn=_retract_with_retry,
-        trace_cost_fn=lambda p: cost_unregularized(p, data),
         rho_fn=confinement_manifold,
         params=params,
         budget=budget,
@@ -411,10 +432,10 @@ def als_euclidean(
     """Line search on the factor pair with the additive retraction."""
     return _run_als(
         init,
-        cost_fn=lambda f: cost_euclidean(f, data, lam),
+        trace_cost_fn=lambda f: cost_unregularized(f, data),
+        penalty_fn=lambda f: lam * confinement_euclidean(f),
         grad_fn=lambda f: full_grad_euclidean(f, data, lam),
         retract_fn=lambda f, d: f.add_scaled(d, 1.0),
-        trace_cost_fn=lambda f: cost_unregularized(f, data),
         rho_fn=confinement_euclidean,
         params=params,
         budget=budget,
@@ -433,10 +454,10 @@ def als_pw(
     require_positive_weights(data)
     return _run_als(
         init,
-        cost_fn=lambda p: cost_unregularized(p, data),
+        trace_cost_fn=lambda p: cost_unregularized(p, data),
+        penalty_fn=lambda p: 0.0,
         grad_fn=lambda p: full_grad_pw(p, data),
         retract_fn=_retract_with_retry,
-        trace_cost_fn=lambda p: cost_unregularized(p, data),
         rho_fn=confinement_manifold,
         params=params,
         budget=budget,

@@ -210,29 +210,38 @@ def adaptive_A_B(
             raise ShapeMismatch("manifold policy needs a ProductPoint iterate")
         rho = confinement_manifold(iterate)
     sup = data.support
+    # max_t (a_t - c) is max_t a_t - c exactly, so the constant term of the
+    # A_t cells is subtracted once per block.
+    a_shift = 4.0 * lam * rho
     a_max = b_max = 0.0
     for start in range(0, sup.size, SUPPORT_BLOCK):
         t = sup[start : start + SUPPORT_BLOCK]
-        rows, cols, a = data.rows[t], data.cols[t], data.a_vals[t]
+        rows, cols, a = data.rows.take(t), data.cols.take(t), data.a_vals.take(t)
         if kind is PolicyKind.EUCLIDEAN:
-            xr, yr = iterate.x[rows], iterate.y[cols]
+            xr, yr = iterate.x.take(rows, axis=0), iterate.y.take(cols, axis=0)
             p = np.einsum("tk,tk->t", xr, yr)
             r = a - p
-            a_terms = 8.0 * r * p - 4.0 * lam * rho
-            row_sq = np.sum(xr**2, axis=1) + np.sum(yr**2, axis=1)
+            a_terms = 8.0 * r * p
+            xr *= xr
+            yr *= yr
+            row_sq = np.sum(xr, axis=1) + np.sum(yr, axis=1)
             b_inner = 4.0 * (r**2 * row_sq + 4.0 * lam * r * p + lam**2 * rho)
             b_terms = np.sqrt(np.maximum(b_inner, 0.0))
         else:
-            ur, vr = iterate.u[rows], iterate.v[cols]
+            ur, vr = iterate.u.take(rows, axis=0), iterate.v.take(cols, axis=0)
             p = np.einsum("tk,k,tk->t", ur, iterate.x, vr)
             if kind is PolicyKind.POSITIVE_WEIGHTS:
-                r = a - (1.0 - lam / data.w_vals[t]) * p
+                r = a - (1.0 - lam / data.w_vals.take(t)) * p
             else:
                 r = a - p
-            a_terms = 4.0 * r * p - 4.0 * lam * rho
-            m = -r[:, None] * (ur * vr) + lam * iterate.x
-            b_terms = np.sqrt(8.0 * np.sum(m**2, axis=1))
-        a_max = max(a_max, float(a_terms.max()))
+            a_terms = 4.0 * r * p
+            # m = -r (u o v) + lam x, built and squared in the gathered U rows
+            m = np.multiply(ur, vr, out=ur)
+            m *= -r[:, None]
+            m += lam * iterate.x
+            m *= m
+            b_terms = np.sqrt(8.0 * np.sum(m, axis=1))
+        a_max = max(a_max, float(a_terms.max()) - a_shift)
         b_max = max(b_max, float(b_terms.max()))
     return a_max / policy.a, b_max / policy.b
 

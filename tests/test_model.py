@@ -289,6 +289,86 @@ class TestStochGradAtFactoredPoint:
             np.testing.assert_array_equal(projected.dv, dense.dv)
 
 
+def add_at_grad_manifold(p, data, lam):
+    """The np.add.at form of full_grad_manifold, kept as the reference for the
+    column-wise bincounts that replaced it."""
+    rows, cols = data.rows, data.cols
+    e = -2.0 * data.w_vals * (data.a_vals - np.einsum("tk,k,tk->t", p.u[rows], p.x, p.v[cols]))
+    gu = np.zeros_like(p.u)
+    gv = np.zeros_like(p.v)
+    np.add.at(gu, rows, e[:, None] * (p.x * p.v[cols]))
+    np.add.at(gv, cols, e[:, None] * (p.x * p.u[rows]))
+    gx = (e[:, None] * (p.u[rows] * p.v[cols])).sum(axis=0) + 2.0 * lam * p.x
+    return project_tangent(p, ProductTangent(gu, gx, gv))
+
+
+def add_at_grad_euclidean(f, data, lam):
+    """The np.add.at form of full_grad_euclidean (reference)."""
+    rows, cols = data.rows, data.cols
+    e = -2.0 * data.w_vals * (data.a_vals - np.einsum("tk,tk->t", f.x[rows], f.y[cols]))
+    gx = 2.0 * lam * f.x.copy()
+    gy = 2.0 * lam * f.y.copy()
+    np.add.at(gx, rows, e[:, None] * f.y[cols])
+    np.add.at(gy, cols, e[:, None] * f.x[rows])
+    return FactorPair(gx, gy)
+
+
+# Largest max-abs relative difference allowed, slot by slot, between the
+# bincount gradients and the np.add.at reference.
+KERNEL_SWAP_RTOL = 1e-13
+
+
+def holey_data(m, n, k, seed):
+    """About 40% of an m-by-n matrix observed, in shuffled cell order, with
+    row 3 and column 2 unobserved and every fifth cell weighted zero; more
+    than two SUPPORT_BLOCKs of cells."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((m, n)) < 0.4
+    mask[3, :] = False
+    mask[:, 2] = False
+    rows, cols = np.nonzero(mask)
+    order = rng.permutation(rows.size)
+    rows, cols = rows[order], cols[order]
+    w = 0.5 + rng.random(rows.size)
+    w[::5] = 0.0
+    w /= w.sum()
+    return ProblemData(
+        m=m, n=n, k=k, rows=rows, cols=cols, a_vals=rng.standard_normal(rows.size), w_vals=w
+    )
+
+
+def assert_slots_close(got, want):
+    for g, r in zip(got, want):
+        assert np.abs(g - r).max() <= KERNEL_SWAP_RTOL * np.abs(r).max()
+
+
+class TestFullGradKernelSwap:
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_manifold_matches_add_at(self, k):
+        data = holey_data(500, 50, k, seed=60 + k)
+        assert data.nnz > 2 * SUPPORT_BLOCK
+        assert np.any(np.diff(data.rows) < 0)  # cells are not sorted
+        p = random_point(500, 50, k, np.random.default_rng(61))
+        p = ProductPoint(p.u, 3.0 * p.x, p.v)
+        got = full_grad_manifold(p, data, 0.05)
+        want = add_at_grad_manifold(p, data, 0.05)
+        assert_slots_close((got.du, got.dx, got.dv), (want.du, want.dx, want.dv))
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_euclidean_matches_add_at(self, k):
+        data = holey_data(500, 50, k, seed=70 + k)
+        assert data.nnz > 2 * SUPPORT_BLOCK
+        rng = np.random.default_rng(71)
+        f = FactorPair(rng.standard_normal((500, k)), rng.standard_normal((50, k)))
+        lam = 0.05
+        got = full_grad_euclidean(f, data, lam)
+        want = add_at_grad_euclidean(f, data, lam)
+        assert_slots_close((got.x, got.y), (want.x, want.y))
+        # no observed cell: only the regularization term remains
+        np.testing.assert_array_equal(got.x[3], 2.0 * lam * f.x[3])
+        np.testing.assert_array_equal(got.y[2], 2.0 * lam * f.y[2])
+
+
 class TestFullGradManifold:
     def test_finite_differences(self):
         rng = np.random.default_rng(23)

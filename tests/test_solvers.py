@@ -55,6 +55,10 @@ CRITERION_8_FINAL_COST = 0.13114043729387467
 # samples were still passed as (i, j) pairs and looked up by cell.
 SGD_EUCLIDEAN_PIN_FINAL_COST = 0.1880608714509634
 SGD_PW_PIN_FINAL_COST = 0.007441027302973417
+# Final costs of the als_manifold and als_euclidean pin runs below, recorded
+# when the full gradients still scattered with np.add.at.
+ALS_MANIFOLD_PIN_FINAL_COST = 0.06175735970320347
+ALS_EUCLIDEAN_PIN_FINAL_COST = 0.010616609723167464
 # Largest entrywise difference allowed between the factored SGD iterate and
 # a loop of dense retract(stoch_grad_*) steps; measured 5.8e-15 to 1.3e-14.
 LAZY_VS_DENSE_TOL = 1e-13
@@ -546,7 +550,7 @@ class TestSgdPositiveWeights:
 
 class TestArmijo:
     def test_quadratic_hand_case(self):
-        tau, m = armijo_step(
+        tau, m, _, _ = armijo_step(
             lambda x: float(x) ** 2,
             2.0,
             1.0,
@@ -557,7 +561,7 @@ class TestArmijo:
         assert m == 1 and tau == 0.5
 
     def test_zero_direction_accepts_immediately(self):
-        tau, m = armijo_step(
+        tau, m, _, _ = armijo_step(
             lambda x: float(x) ** 2,
             0.0,
             1.0,
@@ -587,7 +591,7 @@ class TestArmijo:
         g = full_grad_manifold(p, data, lam)
         eta = g.scaled(-1.0)
         cost = lambda q: cost_manifold(q, data, lam)
-        tau, m = armijo_step(cost, g, p, eta, params, retract)
+        tau, m, _, _ = armijo_step(cost, g, p, eta, params, retract)
         slope = tangent_inner(g, eta)
         assert cost(p) - cost(retract(p, eta.scaled(tau))) >= -params.iota * tau * slope
         if m > 0:
@@ -599,6 +603,99 @@ class TestArmijo:
             ArmijoParams(iota=1.5)
         with pytest.raises(ShapeMismatch):
             ArmijoParams(iota=0.5, beta=1.0)
+
+
+def als_pin_setup():
+    """SVD init of the criterion-8 instance, in both parametrizations."""
+    data = problem_from_triplets(synth_lowrank(50, 20, 3, 0.4, 0.1, seed=0), 3)
+    point0, pair0 = truncated_svd_init(fill_missing_column_mean(data), 3)
+    return data, point0, pair0
+
+
+def count_calls(monkeypatch, name):
+    """Patch wlra.solvers.<name> with a wrapper that records each call's result."""
+    results = []
+    fn = getattr(wlra.solvers, name)
+
+    def counting(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        results.append(out)
+        return out
+
+    monkeypatch.setattr(wlra.solvers, name, counting)
+    return results
+
+
+class TestAlsLineSearch:
+    """One gradient and one cost evaluation per Armijo trial, and the
+    accepted trial is the next iterate."""
+
+    @pytest.mark.parametrize("algorithm", ["manifold", "euclidean", "pw"])
+    def test_one_cost_per_trial(self, monkeypatch, algorithm):
+        if algorithm == "pw":
+            data = observed_instance(8, 6, 2, 1.0, seed=40, full=True)
+            point0 = random_point(8, 6, 2, np.random.default_rng(41))
+        else:
+            data, point0, pair0 = als_pin_setup()
+        params = ArmijoParams(iota=1e-4, alpha_bar=1000.0, beta=0.3)
+        budget = Budget(max_iterations=40)
+        costs = count_calls(monkeypatch, "cost_unregularized")
+        retracts = count_calls(monkeypatch, "retract")
+        steps = count_calls(monkeypatch, "armijo_step")
+        if algorithm == "manifold":
+            final, trace = als_manifold(point0, data, 1e-4, params, budget)
+        elif algorithm == "euclidean":
+            final, trace = als_euclidean(pair0, data, 1e-4, params, budget)
+        else:
+            final, trace = als_pw(point0, data, params, budget)
+        assert final is steps[-1][2]
+        trials = [1 + m for _, m, _, _ in steps]
+        assert len(steps) == 40 and sum(trials) > 40
+        assert len(costs) == 1 + sum(trials)
+        assert len(retracts) == (0 if algorithm == "euclidean" else sum(trials))
+        # records hold the costs of the accepted trials, each evaluated last
+        # among its iteration's trials, without evaluating them again
+        last_trial = np.cumsum(trials)
+        assert [r.cost_unregularized for r in trace.records] == [costs[0]] + [
+            costs[i] for i in last_trial
+        ]
+        assert [r.objective for r in trace.records[1:]] == [f for _, _, _, f in steps]
+
+    def test_backtracks_recorded(self, monkeypatch):
+        data, point0, _ = als_pin_setup()
+        steps = count_calls(monkeypatch, "armijo_step")
+        _, trace = als_manifold(
+            point0, data, 1e-4, ArmijoParams(iota=1e-4, alpha_bar=10.0, beta=0.3),
+            Budget(max_iterations=60), trace_every=7,
+        )
+        ms = [m for _, m, _, _ in steps]
+        counts = [r.backtracks for r in trace.records]
+        assert counts[0] == 0 and sum(counts) == sum(ms) > 0
+        assert counts[1:] == [sum(ms[i : i + 7]) for i in range(0, 60, 7)]
+
+    def test_sgd_records_no_backtracks(self):
+        data = observed_instance(20, 10, 2, 0.5, seed=32)
+        init, _, config = manifold_setup(data, 1e-2, seed=1, iters=30)
+        _, trace = sgd_manifold(init, data, config)
+        assert all(r.backtracks is None for r in trace.records)
+
+    def test_manifold_trajectory_pinned(self):
+        data, point0, _ = als_pin_setup()
+        _, trace = als_manifold(
+            point0, data, 1e-4, ArmijoParams(iota=1e-4), Budget(max_iterations=200),
+            trace_every=10,
+        )
+        pin = ALS_MANIFOLD_PIN_FINAL_COST
+        assert abs(trace.final_cost() - pin) <= 1e-10 * pin
+
+    def test_euclidean_trajectory_pinned(self):
+        data, _, pair0 = als_pin_setup()
+        _, trace = als_euclidean(
+            pair0, data, 1e-4, ArmijoParams(iota=1e-4), Budget(max_iterations=200),
+            trace_every=10,
+        )
+        pin = ALS_EUCLIDEAN_PIN_FINAL_COST
+        assert abs(trace.final_cost() - pin) <= 1e-10 * pin
 
 
 class TestAlsManifold:
