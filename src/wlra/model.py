@@ -499,7 +499,9 @@ def full_grad_pw(p: ProductPoint, data: ProblemData) -> ProductTangent:
 
 
 def confinement_manifold(p: ProductPoint) -> float:
-    """Squared norm of x, which equals the squared Frobenius norm of the iterate."""
+    """Squared norm of x, which equals the squared Frobenius norm of the iterate.
+
+    Reads only `p.x`, so a `geometry.FactoredPoint` works as well."""
     return float(np.dot(p.x, p.x))
 
 

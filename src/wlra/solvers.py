@@ -38,7 +38,12 @@ from .model import (
     stoch_grad_manifold,
     stoch_grad_pw,
 )
-from .step_policy import PolicyKind, StepPolicy, adaptive_A_B, phi_t
+from .step_policy import PolicyKind, StepPolicy, adaptive_A_B, phi_t, tilde_A_B_of_rho
+
+# The O(1) bounds settle phi_t only when both sit below the floor
+# max(c_t / theta, phi_min) by this relative margin, which absorbs the
+# rounding between the bounds and the exact pass they bound.
+BOUND_GATE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,8 @@ def _run_sgd(
 ) -> tuple[object, IterTrace]:
     """The SGD loop. `move_fn(state, t, step)` takes one step on sample t and
     returns the new state; `view_fn(state)` gives the iterate that traces,
-    safeguards and the caller see."""
+    the exact safeguards and the caller see; `rho_fn` reads the confinement
+    of the state and of its view alike."""
     policy = config.policy
     rng = np.random.default_rng(config.seed)
     trace = IterTrace()
@@ -194,7 +200,14 @@ def _run_sgd(
     while budget.max_iterations is None or t < budget.max_iterations:
         s = sample_index(data, rng)
         if config.adaptive:
-            a_t, b_t = adaptive_A_B(config.kind, view_fn(state), data, policy)
+            floor = max(policy.schedule(t) / policy.theta, policy.phi_min)
+            limit = floor * (1.0 - BOUND_GATE_MARGIN)
+            a_t, b_t = tilde_A_B_of_rho(config.kind, rho_fn(state), data.k, policy)
+            # Below the floor, phi_t is the floor whatever A_t <= A~_t and
+            # B_t <= B~_t are. Each bound is tested on its own so that NaN
+            # takes the exact pass.
+            if not (a_t <= limit and b_t <= limit):
+                a_t, b_t = adaptive_A_B(config.kind, view_fn(state), data, policy)
             phi = phi_t(policy, a_t, b_t, t)
         else:
             phi = policy.phi_min
@@ -215,8 +228,12 @@ def sgd_manifold(
 ) -> tuple[ProductPoint, IterTrace]:
     """Stochastic descent of the regularized objective on the product manifold.
 
-    Constant mode divides the schedule by phi_min; adaptive mode recomputes
-    the safeguards A_t, B_t every iteration.
+    Constant mode divides the schedule by phi_min; adaptive mode takes
+    phi_t = max{A_t, B_t, c_t / theta, phi_min} every iteration, and runs
+    the exact pass for A_t, B_t only when their O(1) upper bounds reach
+    the floor max{c_t / theta, phi_min}. With `make_policy`'s scales that
+    happens only past the confinement ceiling rho1, so a confined adaptive
+    run takes the same steps as the exact safeguard without the pass.
     """
     policy = config.policy
     lam = policy.lam

@@ -4,8 +4,14 @@ The step actually taken at iteration t is c_t / phi_t, where c_t is the
 preferred schedule and phi_t = max{A_t, B_t, c_t / theta, phi_min} shrinks
 it enough to keep the iterates confined. A_t and B_t are per-iteration
 quantities (a confinement inner product and a Hessian bound maximized over
-the observed support); the tilde variants are cheap closed-form upper
-bounds, and phi_min alone suffices in the constant-step regime.
+the observed support, O(nnz k)); the tilde variants are closed-form upper
+bounds in rho = ||x||^2 (or ||X||^2 + ||Y||^2), alpha and k, O(1), and
+phi_min alone suffices in the constant-step regime.
+
+With `make_policy`'s scales the tilde bounds stay at or below phi_min / K
+while rho <= rho1, so there phi_t is the floor max{c_t / theta, phi_min}.
+The SGD loop therefore checks the tilde bounds first and runs the exact
+pass only when one of them reaches that floor.
 """
 
 from __future__ import annotations
@@ -250,23 +256,35 @@ def adaptive_A_B_tilde(
     kind: PolicyKind, iterate: Iterate, data: ProblemData, policy: StepPolicy
 ) -> tuple[float, float]:
     """Closed-form upper bounds on A_t and B_t needing only norms and alpha."""
-    lam, alpha = policy.lam, policy.alpha
     if kind is PolicyKind.EUCLIDEAN:
         if not isinstance(iterate, FactorPair):
             raise ShapeMismatch("euclidean policy needs a FactorPair iterate")
         rho = confinement_euclidean(iterate)
+    else:
+        if not isinstance(iterate, ProductPoint):
+            raise ShapeMismatch("manifold policy needs a ProductPoint iterate")
+        rho = confinement_manifold(iterate)
+    return tilde_A_B_of_rho(kind, rho, data.k, policy)
+
+
+def tilde_A_B_of_rho(
+    kind: PolicyKind, rho: float, k: int, policy: StepPolicy
+) -> tuple[float, float]:
+    """The bounds of `adaptive_A_B_tilde` from rho itself, in O(1).
+
+    rho is ||x||^2 for the manifold kinds and ||X||^2 + ||Y||^2 for the
+    Euclidean kind. A non-finite rho gives a non-finite bound.
+    """
+    lam, alpha = policy.lam, policy.alpha
+    if kind is PolicyKind.EUCLIDEAN:
         if rho >= alpha / (2.0 * lam):
             a_t = 0.0
         else:
             a_t = 4.0 * ((math.sqrt(alpha) + rho / 2.0) * rho + lam * rho) / policy.a
-        b_t = (
-            math.sqrt(8.0 * (math.sqrt(alpha) + rho / 2.0) ** 2 * rho + 8.0 * lam**2 * rho)
-            / policy.b
-        )
+        # h * h, not h ** 2: float ** raises OverflowError on a diverging rho
+        h = math.sqrt(alpha) + rho / 2.0
+        b_t = math.sqrt(8.0 * h * h * rho + 8.0 * lam**2 * rho) / policy.b
         return a_t, b_t
-    if not isinstance(iterate, ProductPoint):
-        raise ShapeMismatch("manifold policy needs a ProductPoint iterate")
-    rho = confinement_manifold(iterate)
     xn = math.sqrt(rho)
     if kind is PolicyKind.POSITIVE_WEIGHTS:
         if policy.w0 is None:
@@ -278,7 +296,7 @@ def adaptive_A_B_tilde(
         a_t = 0.0
     else:
         a_t = (4.0 * (math.sqrt(alpha) + xn) * xn + 4.0 * lam * rho) / policy.a
-    b_t = math.sqrt(16.0 * data.k * (2.0 * alpha + (2.0 + lam**2) * rho)) / policy.b
+    b_t = math.sqrt(16.0 * k * (2.0 * alpha + (2.0 + lam**2) * rho)) / policy.b
     return a_t, b_t
 
 

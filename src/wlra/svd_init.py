@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NegativeSingularValue, ShapeMismatch
+from .errors import ShapeMismatch
 from .geometry import ProductPoint
 from .model import FactorPair, ProblemData
 
@@ -41,8 +41,6 @@ def truncated_svd_init(dense, k: int) -> tuple[ProductPoint, FactorPair]:
         raise ShapeMismatch(f"need 1 <= k <= min(m, n), got k={k}")
     u, s, vt = np.linalg.svd(dense, full_matrices=False)
     lead = s[:k]
-    if np.any(lead < 0):
-        raise NegativeSingularValue(f"singular values {lead}")
     u, v = u[:, :k], vt[:k].T
     point = ProductPoint(u.copy(), lead.copy(), v.copy())
     root = np.sqrt(lead)

@@ -45,7 +45,7 @@ from wlra.solvers import (
     sgd_manifold,
     sgd_pw,
 )
-from wlra.step_policy import PolicyKind, make_policy
+from wlra.step_policy import PolicyKind, make_policy, tilde_A_B_of_rho
 from wlra.svd_init import fill_missing_column_mean, truncated_svd_init
 
 # Final cost of the acceptance criterion-8 run recorded with the earlier
@@ -546,6 +546,85 @@ class TestSgdPositiveWeights:
         _, trace = sgd_pw(point0, data, config)
         pin = SGD_PW_PIN_FINAL_COST
         assert abs(trace.costs[-1] - pin) <= 1e-10 * pin
+
+
+def adaptive_setup(algorithm, iters, trace_every=10):
+    """An adaptive run of one SGD solver from the SVD init of a pinned instance."""
+    if algorithm == "pw":
+        init, data, config = pw_setup(iters)
+        return sgd_pw, init, data, dataclasses.replace(
+            config, trace_every=trace_every, adaptive=True, record_rho=True
+        )
+    data = problem_from_triplets(synth_lowrank(50, 20, 3, 0.4, 0.1, seed=0), 3)
+    point0, pair0 = truncated_svd_init(fill_missing_column_mean(data), 3)
+    if algorithm == "manifold":
+        kind, solver, init = PolicyKind.MANIFOLD, sgd_manifold, point0
+        rho_init = confinement_manifold(point0)
+    else:
+        kind, solver, init = PolicyKind.EUCLIDEAN, sgd_euclidean, pair0
+        rho_init = confinement_euclidean(pair0)
+    config = SolverConfig(
+        kind=kind, policy=make_policy(kind, data, rho_init, 1e-2, 1.0),
+        budget=Budget(max_iterations=iters), seed=3, trace_every=trace_every,
+        adaptive=True, record_rho=True,
+    )
+    return solver, init, data, config
+
+
+def run_key(final, trace):
+    """Everything of a run but its wall-clock times."""
+    arrays = (final.u, final.x, final.v) if hasattr(final, "u") else (final.x, final.y)
+    records = [(r.t, r.cost_unregularized, r.phi, r.rho) for r in trace.records]
+    return records, [a.tobytes() for a in arrays]
+
+
+# Replacements for the O(1) bounds the SGD loop checks; each must send every
+# step to the exact pass. NaN is tested in each slot on its own, because a
+# max over the pair would drop it.
+FORCED_BOUNDS = {
+    "inf": lambda *args: (math.inf, math.inf),
+    "nan_A": lambda *args: (math.nan, 0.0),
+    "nan_B": lambda *args: (0.0, math.nan),
+    "rho_nan": lambda kind, _, k, policy: tilde_A_B_of_rho(kind, math.nan, k, policy),
+    "rho_inf": lambda kind, _, k, policy: tilde_A_B_of_rho(kind, math.inf, k, policy),
+}
+
+
+class TestAdaptiveGate:
+    """Adaptive SGD checks the O(1) bounds first and runs the exact
+    safeguard pass only when a bound reaches the floor of phi_t."""
+
+    @pytest.mark.parametrize("force", sorted(FORCED_BOUNDS))
+    @pytest.mark.parametrize("algorithm", ["manifold", "euclidean", "pw"])
+    def test_exact_pass_on_every_step_changes_nothing(self, monkeypatch, algorithm, force):
+        iters = 300
+        solver, init, data, config = adaptive_setup(algorithm, iters)
+        exact = count_calls(monkeypatch, "adaptive_A_B")
+        gated = run_key(*solver(init, data, config))
+        assert len(exact) == 0
+        monkeypatch.setattr(wlra.solvers, "tilde_A_B_of_rho", FORCED_BOUNDS[force])
+        forced = run_key(*solver(init, data, config))
+        assert len(exact) == iters
+        assert forced == gated
+
+    @pytest.mark.parametrize("algorithm", ["manifold", "pw"])
+    def test_floor_below_bounds_runs_exact_pass(self, monkeypatch, algorithm):
+        # phi_min shrunk below B~ at rho = 0, its least value, so no step
+        # can skip the exact pass; phi_t is then max(A_t, B_t, floor).
+        iters = 200
+        solver, init, data, config = adaptive_setup(algorithm, iters, trace_every=1)
+        policy = config.policy
+        _, b_least = tilde_A_B_of_rho(config.kind, 0.0, data.k, policy)
+        phi_min = 0.5 * b_least
+        policy = dataclasses.replace(policy, phi_min=phi_min, theta=policy.c / phi_min)
+        config = dataclasses.replace(config, policy=policy)
+        exact = count_calls(monkeypatch, "adaptive_A_B")
+        _, trace = solver(init, data, config)
+        assert len(exact) == iters
+        for rec in trace.records[1:]:
+            a_t, b_t = exact[rec.t - 1]
+            floor = max(policy.schedule(rec.t - 1) / policy.theta, policy.phi_min)
+            assert rec.phi == max(a_t, b_t, floor)
 
 
 class TestArmijo:

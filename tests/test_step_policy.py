@@ -1,11 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import wlra.solvers
+from wlra.data_io import problem_from_triplets, synth_lowrank
 from wlra.errors import LambdaOutOfRange
 from wlra.geometry import ProductPoint, random_point
 from wlra.model import FactorPair, ProblemData, confinement_manifold
+from wlra.solvers import Budget, SolverConfig, sgd_manifold
 from wlra.step_policy import (
     DEFAULT_SIGMA,
     PolicyKind,
@@ -18,7 +22,9 @@ from wlra.step_policy import (
     default_schedule,
     make_policy,
     phi_t,
+    tilde_A_B_of_rho,
 )
+from wlra.svd_init import fill_missing_column_mean, truncated_svd_init
 
 
 def make_data(vals, m=2, n=2):
@@ -185,6 +191,57 @@ class TestAdaptive:
             at_t, bt_t = adaptive_A_B_tilde(kind, it, data, policy)
             assert at_t >= a_t - 1e-12
             assert bt_t >= b_t - 1e-12
+
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    def test_tilde_within_phi_min_while_confined(self, kind):
+        # The identity the SGD loop's gate rests on: with make_policy's
+        # scales both bounds stay at or below phi_min / K for every
+        # rho <= rho1 (pw at its default lam). The largest ratio, 1 + 4e-16,
+        # is reached at rho = rho1.
+        lams = [None] if kind is PolicyKind.POSITIVE_WEIGHTS else np.logspace(-7, 1, 9)
+        worst = 0.0
+        for lam, big_k, k, alpha, init_sq, spread in itertools.product(
+            lams, (1.0, 1.5, 4.0), (1, 3, 10), (1e-4, 1.0, 25.0, 1e4),
+            (0.0, 1.0, 1e3), (1.0, 100.0),
+        ):
+            rows, cols = np.nonzero(np.ones((k, k + 1)))
+            a = np.full(rows.size, 0.5 * math.sqrt(alpha))
+            a[0] = -math.sqrt(alpha)
+            w = np.linspace(1.0, spread, rows.size)
+            data = ProblemData(
+                m=k, n=k + 1, k=k, rows=rows, cols=cols, a_vals=a, w_vals=w / w.sum()
+            )
+            policy = make_policy(kind, data, init_sq, lam, big_k)
+            for rho in np.linspace(0.0, policy.rho1, 21):
+                a_t, b_t = tilde_A_B_of_rho(kind, float(rho), k, policy)
+                worst = max(worst, a_t / policy.phi_min * big_k, b_t / policy.phi_min * big_k)
+        assert worst <= 1.0 + 1e-12
+
+    def test_tilde_dominates_exact_along_run(self, monkeypatch):
+        # Runtime check of the paper's bound at every trace point of an
+        # adaptive run; the points are the ones the trace costs are taken at.
+        k = 8
+        data = problem_from_triplets(synth_lowrank(500, 40, k, 0.3, 0.1, seed=0), k)
+        init, _ = truncated_svd_init(fill_missing_column_mean(data), k)
+        policy = make_policy(PolicyKind.MANIFOLD, data, confinement_manifold(init), 1e-2, 1.0)
+        config = SolverConfig(
+            kind=PolicyKind.MANIFOLD, policy=policy, budget=Budget(max_iterations=2000),
+            seed=1, trace_every=100, adaptive=True,
+        )
+        points = []
+        real_cost = wlra.solvers.cost_unregularized
+
+        def capture(p, d):
+            points.append(p)
+            return real_cost(p, d)
+
+        monkeypatch.setattr(wlra.solvers, "cost_unregularized", capture)
+        sgd_manifold(init, data, config)
+        assert len(points) == 21
+        for p in points:
+            a_t, b_t = adaptive_A_B(PolicyKind.MANIFOLD, p, data, policy)
+            at_t, bt_t = adaptive_A_B_tilde(PolicyKind.MANIFOLD, p, data, policy)
+            assert at_t >= a_t and bt_t >= b_t
 
     @pytest.mark.parametrize("kind", list(PolicyKind))
     def test_blocked_equals_whole_support_formula(self, kind):
