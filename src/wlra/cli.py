@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -115,17 +115,25 @@ def resolve_iota(spec: ExperimentSpec) -> float:
     return preset if preset is not None else DEFAULT_IOTA
 
 
-def run_experiment(spec: ExperimentSpec, tm: TripletMatrix) -> IterTrace:
-    """Impute, initialize from the truncated SVD, run the chosen solver,
-    and (if spec.out is set) export the trace CSV."""
+def _check_lambda(spec: ExperimentSpec) -> None:
     if spec.algorithm not in ("sgd-pw", "als-pw") and (
         spec.lam is None or spec.lam <= 0
     ):
         raise MismatchedData("--lambda must be positive")
-    data = problem_from_triplets(tm, spec.k)
-    dense = fill_missing_column_mean(data)
-    point0, pair0 = truncated_svd_init(dense, spec.k)
-    trace = _dispatch(spec, data, point0, pair0)
+
+
+def _set_up(tm: TripletMatrix, k: int) -> tuple:
+    """Problem data, and the truncated-SVD init (point, pair) of its imputation."""
+    data = problem_from_triplets(tm, k)
+    point0, pair0 = truncated_svd_init(fill_missing_column_mean(data), k)
+    return data, point0, pair0
+
+
+def run_experiment(spec: ExperimentSpec, tm: TripletMatrix) -> IterTrace:
+    """Impute, initialize from the truncated SVD, run the chosen solver,
+    and (if spec.out is set) export the trace CSV."""
+    _check_lambda(spec)
+    trace = _dispatch(spec, *_set_up(tm, spec.k))
     if spec.out is not None:
         write_trace_csv(trace, spec.out, wall_clock=spec.wall_clock)
     return trace
@@ -235,14 +243,15 @@ def compare_experiments(
     align: str = "iterations",
     bin_width: float = 0.1,
 ) -> tuple[list[str], list[list[float]]]:
-    """Run several specs on the same data and write one merged cost CSV."""
+    """Run several specs from one shared set-up and write one merged cost CSV."""
     if not specs:
         raise MismatchedData("compare needs at least one run spec")
     if len({s.k for s in specs}) != 1:
         raise MismatchedData("compare runs must share the same k")
-    traces = []
     for spec in specs:
-        traces.append(run_experiment(replace(spec, out=None), tm))
+        _check_lambda(spec)
+    setup = _set_up(tm, specs[0].k)
+    traces = [_dispatch(spec, *setup) for spec in specs]
     names = [s.label for s in specs]
     if align == "iterations":
         header, rows = merge_on_iterations(traces, names)

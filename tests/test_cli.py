@@ -1,5 +1,6 @@
 import pytest
 
+import wlra.cli
 from wlra.cli import (
     ExperimentSpec,
     compare_experiments,
@@ -135,6 +136,49 @@ class TestCompare:
         assert header == ["t", "x", "x"]
         for row in rows:
             assert row[1] == row[2]
+
+    def test_set_up_once_matches_separate_runs(self, synth_file, tmp_path, monkeypatch):
+        tm = load_triplets(synth_file)
+        specs = [
+            ExperimentSpec(
+                algorithm=algorithm, k=3, seed=4, budget=Budget(max_iterations=40),
+                lam=1e-2, trace_every=10, name=algorithm,
+            )
+            for algorithm in ("sgd-manifold", "sgd-euclidean", "als-manifold")
+        ]
+        # each run with its own set-up, as `wlra run` does
+        header, rows = merge_on_iterations(
+            [run_experiment(spec, tm) for spec in specs], [s.label for s in specs]
+        )
+        expected = ",".join(header) + "\n" + "".join(
+            ",".join([str(int(row[0]))] + [repr(float(v)) for v in row[1:]]) + "\n"
+            for row in rows
+        )
+        svd_calls = []
+        real = wlra.cli.truncated_svd_init
+        monkeypatch.setattr(
+            wlra.cli, "truncated_svd_init",
+            lambda *a: svd_calls.append(1) or real(*a),
+        )
+        out = tmp_path / "cmp.csv"
+        compare_experiments(specs, tm, out)
+        assert len(svd_calls) == 1
+        assert out.read_bytes() == expected.encode()
+
+    def test_bad_lambda_rejected_before_set_up(self, synth_file, tmp_path, monkeypatch):
+        tm = load_triplets(synth_file)
+        good = ExperimentSpec(
+            algorithm="sgd-manifold", k=3, seed=0,
+            budget=Budget(max_iterations=10), lam=1e-2,
+        )
+        bad = ExperimentSpec(
+            algorithm="als-euclidean", k=3, seed=0,
+            budget=Budget(max_iterations=10), lam=0.0,
+        )
+        monkeypatch.setattr(wlra.cli, "truncated_svd_init", None)  # never reached
+        with pytest.raises(MismatchedData):
+            compare_experiments([good, bad], tm, tmp_path / "cmp.csv")
+        assert not (tmp_path / "cmp.csv").exists()
 
     def test_mismatched_k_rejected(self, synth_file, tmp_path):
         tm = load_triplets(synth_file)

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+
+import wlra.model
 
 from wlra.errors import (
     EmptySupport,
@@ -21,6 +25,7 @@ from wlra.geometry import (
 )
 from wlra.data_io import TripletMatrix, binary_weights
 from wlra.model import (
+    DENSE_FILL,
     SUPPORT_BLOCK,
     AliasSampler,
     FactorPair,
@@ -42,6 +47,18 @@ from wlra.model import (
     stoch_grad_manifold,
     stoch_grad_pw,
 )
+
+
+# DENSE_FILL values that send any instance down one route.
+ROUTE_FILL = {"dense": 10**18, "gather": 0}
+
+
+def on_route(data, route, monkeypatch):
+    """A fresh copy of `data` whose support passes take `route`."""
+    monkeypatch.setattr(wlra.model, "DENSE_FILL", ROUTE_FILL[route])
+    copy = dataclasses.replace(data)
+    assert (copy.cells is None) == (route == "gather")
+    return copy
 
 
 def scalar_data(a=2.0, w=1.0):
@@ -126,22 +143,25 @@ class TestCosts:
         with pytest.raises(ShapeMismatch):
             cost_unregularized(np.zeros((4, 5)), data)
 
-    def test_blocked_equals_whole_support_formula(self):
-        # 9600 cells span three blocks, the last one partial.
+    def test_blocked_equals_whole_support_formula(self, monkeypatch):
+        # 9600 cells span three blocks, the last one partial; the dense
+        # route must give the same value.
         rng = np.random.default_rng(5)
-        data = random_data(120, 80, 3, 0, seed=5, full=True)
-        assert data.nnz > 2 * SUPPORT_BLOCK
+        full = random_data(120, 80, 3, 0, seed=5, full=True)
+        assert full.nnz > 2 * SUPPORT_BLOCK
         p = random_point(120, 80, 3, rng)
         f = FactorPair(rng.standard_normal((120, 3)), rng.standard_normal((80, 3)))
         whole = {
-            "point": np.einsum("tk,k,tk->t", p.u[data.rows], p.x, p.v[data.cols]),
-            "pair": np.einsum("tk,tk->t", f.x[data.rows], f.y[data.cols]),
-            "dense": assemble(p)[data.rows, data.cols],
+            "point": np.einsum("tk,k,tk->t", p.u[full.rows], p.x, p.v[full.cols]),
+            "pair": np.einsum("tk,tk->t", f.x[full.rows], f.y[full.cols]),
+            "dense": assemble(p)[full.rows, full.cols],
         }
-        for name, source in (("point", p), ("pair", f), ("dense", assemble(p))):
-            res = data.a_vals - whole[name]
-            ref = float(np.dot(data.w_vals, res**2))
-            assert abs(cost_unregularized(source, data) - ref) <= 1e-14 * ref
+        for route in ROUTE_FILL:
+            data = on_route(full, route, monkeypatch)
+            for name, source in (("point", p), ("pair", f), ("dense", assemble(p))):
+                res = data.a_vals - whole[name]
+                ref = float(np.dot(data.w_vals, res**2))
+                assert abs(cost_unregularized(source, data) - ref) <= 1e-14 * ref
 
 
 class TestSampling:
@@ -343,30 +363,94 @@ def assert_slots_close(got, want):
 
 
 class TestFullGradKernelSwap:
-    @pytest.mark.parametrize("k", [1, 4])
-    def test_manifold_matches_add_at(self, k):
-        data = holey_data(500, 50, k, seed=60 + k)
-        assert data.nnz > 2 * SUPPORT_BLOCK
-        assert np.any(np.diff(data.rows) < 0)  # cells are not sorted
-        p = random_point(500, 50, k, np.random.default_rng(61))
-        p = ProductPoint(p.u, 3.0 * p.x, p.v)
-        got = full_grad_manifold(p, data, 0.05)
-        want = add_at_grad_manifold(p, data, 0.05)
-        assert_slots_close((got.du, got.dx, got.dv), (want.du, want.dx, want.dv))
+    """Both routes of the full gradients against the np.add.at reference."""
 
     @pytest.mark.parametrize("k", [1, 4])
-    def test_euclidean_matches_add_at(self, k):
-        data = holey_data(500, 50, k, seed=70 + k)
-        assert data.nnz > 2 * SUPPORT_BLOCK
+    def test_manifold_matches_add_at(self, monkeypatch, k):
+        holey = holey_data(500, 50, k, seed=60 + k)
+        assert holey.nnz > 2 * SUPPORT_BLOCK
+        assert np.any(np.diff(holey.rows) < 0)  # cells are not sorted
+        p = random_point(500, 50, k, np.random.default_rng(61))
+        p = ProductPoint(p.u, 3.0 * p.x, p.v)
+        want = add_at_grad_manifold(p, holey, 0.05)
+        for route in ROUTE_FILL:
+            got = full_grad_manifold(p, on_route(holey, route, monkeypatch), 0.05)
+            assert_slots_close((got.du, got.dx, got.dv), (want.du, want.dx, want.dv))
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_euclidean_matches_add_at(self, monkeypatch, k):
+        holey = holey_data(500, 50, k, seed=70 + k)
+        assert holey.nnz > 2 * SUPPORT_BLOCK
         rng = np.random.default_rng(71)
         f = FactorPair(rng.standard_normal((500, k)), rng.standard_normal((50, k)))
         lam = 0.05
-        got = full_grad_euclidean(f, data, lam)
-        want = add_at_grad_euclidean(f, data, lam)
+        want = add_at_grad_euclidean(f, holey, lam)
+        for route in ROUTE_FILL:
+            got = full_grad_euclidean(f, on_route(holey, route, monkeypatch), lam)
+            assert_slots_close((got.x, got.y), (want.x, want.y))
+            # no observed cell: only the regularization term remains
+            np.testing.assert_array_equal(got.x[3], 2.0 * lam * f.x[3])
+            np.testing.assert_array_equal(got.y[2], 2.0 * lam * f.y[2])
+
+
+def duplicated_data(seed):
+    """A 60x30 instance, about 40% observed, in which five cells appear twice
+    (with different values and weights) and one cell three times."""
+    rng = np.random.default_rng(seed)
+    flat = rng.choice(60 * 30, size=720, replace=False)
+    flat = np.concatenate([flat, flat[:5], flat[7:8], flat[7:8]])
+    rng.shuffle(flat)
+    w = 0.5 + rng.random(flat.size)
+    w /= w.sum()
+    return ProblemData(
+        m=60, n=30, k=3, rows=flat // 30, cols=flat % 30,
+        a_vals=rng.standard_normal(flat.size), w_vals=w,
+    )
+
+
+class TestRoutes:
+    """The dense-grid and gather routes of the support passes agree."""
+
+    @pytest.mark.parametrize("instance", ["holey", "duplicated"])
+    def test_routes_agree(self, monkeypatch, instance):
+        base = holey_data(300, 40, 3, seed=80) if instance == "holey" else duplicated_data(81)
+        dense, gather = (on_route(base, r, monkeypatch) for r in ("dense", "gather"))
+        m, n, k = base.m, base.n, base.k
+        rng = np.random.default_rng(82)
+        p = random_point(m, n, k, rng)
+        p = ProductPoint(p.u, 3.0 * p.x, p.v)
+        f = FactorPair(rng.standard_normal((m, k)), rng.standard_normal((n, k)))
+        for source in (p, f, assemble(p)):
+            a, b = cost_unregularized(source, dense), cost_unregularized(source, gather)
+            assert abs(a - b) <= KERNEL_SWAP_RTOL * b
+        got, want = full_grad_manifold(p, dense, 0.05), full_grad_manifold(p, gather, 0.05)
+        assert_slots_close((got.du, got.dx, got.dv), (want.du, want.dx, want.dv))
+        got, want = full_grad_euclidean(f, dense, 0.05), full_grad_euclidean(f, gather, 0.05)
         assert_slots_close((got.x, got.y), (want.x, want.y))
-        # no observed cell: only the regularization term remains
-        np.testing.assert_array_equal(got.x[3], 2.0 * lam * f.x[3])
-        np.testing.assert_array_equal(got.y[2], 2.0 * lam * f.y[2])
+
+    def test_duplicated_cells_sum(self, monkeypatch):
+        # np.add.at adds every copy of a cell, so it is the reference here
+        base = duplicated_data(83)
+        p = random_point(60, 30, 3, np.random.default_rng(84))
+        want = add_at_grad_manifold(p, base, 0.05)
+        for route in ROUTE_FILL:
+            got = full_grad_manifold(p, on_route(base, route, monkeypatch), 0.05)
+            assert_slots_close((got.du, got.dx, got.dv), (want.du, want.dx, want.dv))
+
+    @pytest.mark.parametrize("nnz, route", [(8, "dense"), (7, "gather")])
+    def test_rule_boundary(self, nnz, route):
+        # m * n == DENSE_FILL * nnz is dense; one cell fewer is gather
+        m, n = DENSE_FILL, 8
+        data = random_data(m, n, 2, nnz, seed=85)
+        assert m * n == DENSE_FILL * 8
+        assert (data.cells is None) == (route == "gather")
+        assert cost_unregularized(data.dense(), data) == 0.0
+
+    def test_cells_read_only(self):
+        data = random_data(5, 4, 2, 12, seed=86)
+        np.testing.assert_array_equal(data.cells, data.rows * 4 + data.cols)
+        with pytest.raises(ValueError):
+            data.cells[0] = 0
 
 
 class TestFullGradManifold:
@@ -523,7 +607,8 @@ class TestGradPositiveWeights:
         assert diff.norm() <= 1e-12
 
     def test_matches_entrywise_route_at_lambda_zero(self):
-        # dense Hadamard-product route vs the triplet accumulation route
+        # full_grad_pw against the manifold gradient at lam = 0 (the dense
+        # Hadamard-product form is checked in TestFullGradPwKernelSwap)
         rng = np.random.default_rng(36)
         data = random_data(7, 5, 3, 35, seed=36, full=True, min_w=0.5)
         p = random_point(7, 5, 3, rng)
@@ -535,6 +620,30 @@ class TestGradPositiveWeights:
             dense_route.dv - sum_route.dv,
         )
         assert diff.norm() <= 1e-12
+
+
+def hadamard_grad_pw(p, data):
+    """The dense Hadamard-product form of full_grad_pw, kept as the reference
+    for the lam = 0 manifold gradient that replaced it."""
+    w = np.zeros((data.m, data.n))
+    w[data.rows, data.cols] = data.w_vals
+    e = -2.0 * w * (data.dense() - (p.u * p.x) @ p.v.T)
+    gu = e @ (p.v * p.x)
+    gv = e.T @ (p.u * p.x)
+    gx = np.einsum("il,ij,jl->l", p.u, e, p.v)
+    return project_tangent(p, ProductTangent(gu, gx, gv))
+
+
+class TestFullGradPwKernelSwap:
+    def test_matches_hadamard_reference_on_both_routes(self, monkeypatch):
+        full = random_data(40, 25, 3, 0, seed=37, full=True, min_w=0.1)
+        p = random_point(40, 25, 3, np.random.default_rng(38))
+        p = ProductPoint(p.u, 3.0 * p.x, p.v)
+        want = hadamard_grad_pw(p, full)
+        assert full.cells is not None  # a fully observed matrix takes the dense route
+        for route in ROUTE_FILL:
+            got = full_grad_pw(p, on_route(full, route, monkeypatch))
+            assert_slots_close((got.du, got.dx, got.dv), (want.du, want.dx, want.dv))
 
 
 class TestExpectationIdentities:

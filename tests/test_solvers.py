@@ -59,6 +59,9 @@ SGD_PW_PIN_FINAL_COST = 0.007441027302973417
 # when the full gradients still scattered with np.add.at.
 ALS_MANIFOLD_PIN_FINAL_COST = 0.06175735970320347
 ALS_EUCLIDEAN_PIN_FINAL_COST = 0.010616609723167464
+# Final cost of the als_pw pin run below, recorded when full_grad_pw still
+# formed the dense Hadamard product W . (A - P).
+ALS_PW_PIN_FINAL_COST = 0.006828671870361145
 # Largest entrywise difference allowed between the factored SGD iterate and
 # a loop of dense retract(stoch_grad_*) steps; measured 5.8e-15 to 1.3e-14.
 LAZY_VS_DENSE_TOL = 1e-13
@@ -774,6 +777,15 @@ class TestAlsLineSearch:
             trace_every=10,
         )
         pin = ALS_EUCLIDEAN_PIN_FINAL_COST
+        assert abs(trace.final_cost() - pin) <= 1e-10 * pin
+
+    def test_pw_trajectory_pinned(self):
+        point0, data, _ = pw_setup(1)
+        _, trace = als_pw(
+            point0, data, ArmijoParams(iota=1e-4), Budget(max_iterations=200),
+            trace_every=10,
+        )
+        pin = ALS_PW_PIN_FINAL_COST
         assert abs(trace.final_cost() - pin) <= 1e-10 * pin
 
 
