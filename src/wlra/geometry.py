@@ -31,12 +31,6 @@ def orthonormality_defect(x: np.ndarray) -> float:
     return float(np.linalg.norm(x.T @ x - np.eye(k)))
 
 
-def tangent_defect(x: np.ndarray, z: np.ndarray) -> float:
-    """Frobenius norm of X^T Z + Z^T X (zero iff Z is tangent at X)."""
-    s = x.T @ z
-    return float(np.linalg.norm(s + s.T))
-
-
 @dataclass(frozen=True)
 class ProductPoint:
     """An iterate (U, x, V): U is m-by-k, x has length k, V is n-by-k."""
@@ -93,10 +87,6 @@ def tangent_inner(a: ProductTangent, b: ProductTangent) -> float:
     return float(
         np.sum(a.du * b.du) + np.sum(a.dx * b.dx) + np.sum(a.dv * b.dv)
     )
-
-
-def zero_tangent(p: ProductPoint) -> ProductTangent:
-    return ProductTangent(np.zeros_like(p.u), np.zeros_like(p.x), np.zeros_like(p.v))
 
 
 def qf(c) -> np.ndarray:
@@ -277,24 +267,3 @@ class FactoredPoint:
 def assemble(p: ProductPoint) -> np.ndarray:
     """Dense m-by-n matrix U diag(x) V^T represented by a product point."""
     return (p.u * p.x) @ p.v.T
-
-
-def random_stiefel(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    return qf(rng.standard_normal((n, k)))
-
-
-def random_point(m: int, n: int, k: int, rng: np.random.Generator) -> ProductPoint:
-    return ProductPoint(
-        random_stiefel(m, k, rng), rng.standard_normal(k), random_stiefel(n, k, rng)
-    )
-
-
-def random_tangent(
-    p: ProductPoint, rng: np.random.Generator, scale: float = 1.0
-) -> ProductTangent:
-    ambient = ProductTangent(
-        scale * rng.standard_normal(p.u.shape),
-        scale * rng.standard_normal(p.x.shape),
-        scale * rng.standard_normal(p.v.shape),
-    )
-    return project_tangent(p, ambient)

@@ -161,6 +161,50 @@ def pair_inner(a: FactorPair, b: FactorPair) -> float:
     return float(np.sum(a.x * b.x) + np.sum(a.y * b.y))
 
 
+# A ScaledPair step whose scale would fall below FOLD_SCALE is taken densely
+# instead, which folds the scale back into the factors long before a^2, in
+# every residual, could underflow (near 1e-154).
+FOLD_SCALE = 1e-100
+
+
+class ScaledPair:
+    """A factor pair X = a Xb, Y = a Yb kept with one shared scale a.
+
+    The SGD step X + s (2 lam X + e_i g^T), and its Y twin, is
+    a' = a (1 + 2 s lam) with rows i of Xb and j of Yb moved by s / a' times
+    the data rows, so it costs O(k) instead of the O((m + n) k) of a dense
+    step. `pair()` materializes the FactorPair (a Xb, a Yb); it is cached
+    until the next step, and the first one is the pair the state was built
+    from.
+    """
+
+    def __init__(self, f: FactorPair):
+        self.x_base = np.array(f.x, dtype=float)
+        self.y_base = np.array(f.y, dtype=float)
+        self.scale = 1.0
+        self._pair = f
+
+    def pair(self) -> FactorPair:
+        if self._pair is None:
+            self._pair = FactorPair(self.scale * self.x_base, self.scale * self.y_base)
+        return self._pair
+
+    def step(self, i: int, j: int, rows: tuple, s: float, lam: float) -> bool:
+        """Step along s times the gradient with data rows `rows` (X row i,
+        Y row j) and penalty 2 lam (X, Y). Returns False, changing nothing,
+        when the new scale would not be positive, finite and >= FOLD_SCALE."""
+        gx_i, gy_j = rows
+        scale = self.scale * (1.0 + 2.0 * s * lam)
+        if not FOLD_SCALE <= scale < np.inf:  # also a shrink <= 0 or NaN
+            return False
+        c = s / scale
+        self.x_base[i] += c * gx_i
+        self.y_base[j] += c * gy_j
+        self.scale = scale
+        self._pair = None
+        return True
+
+
 class AliasSampler:
     """Walker alias table for sampling an index with fixed probabilities.
 
@@ -216,11 +260,6 @@ class AliasSampler:
             return i
         return int(self.alias[i])
 
-    def draw_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        idx = rng.integers(0, self.accept.size, size=count)
-        take = rng.random(count) < self.accept[idx]
-        return np.where(take, idx, self.alias[idx])
-
 
 def sample_index(data: ProblemData, rng: np.random.Generator) -> int:
     """Draw an observed triplet index t (cell rows[t], cols[t]) with probability w_t."""
@@ -261,15 +300,6 @@ def _grid_entries(source, data: ProblemData) -> np.ndarray:
     return np.ravel(grid).take(data.cells)
 
 
-def predicted_entry(p: ProductPoint, i: int, j: int) -> float:
-    """p_ij = sum_l u_il x_l v_jl, computed without materializing the matrix."""
-    return float(np.dot(p.u[i] * p.x, p.v[j]))
-
-
-def predicted_entry_pair(f: FactorPair, i: int, j: int) -> float:
-    return float(np.dot(f.x[i], f.y[j]))
-
-
 # ---------------------------------------------------------------------------
 # Costs.
 
@@ -304,37 +334,6 @@ def cost_manifold(p: ProductPoint, data: ProblemData, lam: float) -> float:
 def cost_euclidean(f: FactorPair, data: ProblemData, lam: float) -> float:
     """Unregularized cost plus lam * (||X||_F^2 + ||Y||_F^2)."""
     return cost_unregularized(f, data) + lam * confinement_euclidean(f)
-
-
-def sample_cost_manifold(
-    p: ProductPoint, t: int, data: ProblemData, lam: float
-) -> float:
-    """Per-sample objective (a_t - p_ij)^2 + lam * ||x||^2 at triplet index t."""
-    i, j = data.rows[t], data.cols[t]
-    r = data.a_vals[t] - predicted_entry(p, i, j)
-    return r * r + lam * float(np.dot(p.x, p.x))
-
-
-def sample_cost_euclidean(
-    f: FactorPair, t: int, data: ProblemData, lam: float
-) -> float:
-    """Per-sample Euclidean objective at triplet index t."""
-    i, j = data.rows[t], data.cols[t]
-    r = data.a_vals[t] - predicted_entry_pair(f, i, j)
-    return r * r + lam * (float(np.sum(f.x**2)) + float(np.sum(f.y**2)))
-
-
-def sample_cost_pw(
-    p: ProductPoint, t: int, data: ProblemData, lam: float
-) -> float:
-    """Per-sample positive-weights objective at triplet index t; its
-    expectation is the raw cost."""
-    w0 = require_positive_weights(data)
-    check_lambda_pw(lam, w0)
-    i, j = data.rows[t], data.cols[t]
-    pv = predicted_entry(p, i, j)
-    r = data.a_vals[t] - pv
-    return r * r - (lam / data.w_vals[t]) * pv * pv + lam * float(np.dot(p.x, p.x))
 
 
 # ---------------------------------------------------------------------------
@@ -394,17 +393,23 @@ def stoch_grad_manifold(
     return _sample_gradient(p, i, j, u_i, v_j, r, lam)
 
 
-def stoch_grad_euclidean(
-    f: FactorPair, t: int, data: ProblemData, lam: float
-) -> FactorPair:
-    """Gradient of the per-sample Euclidean objective at triplet index t."""
+def stoch_grad_euclidean(f: FactorPair | ScaledPair, t: int, data: ProblemData, lam: float):
+    """Gradient of the per-sample Euclidean objective at triplet index t.
+
+    At a FactorPair, the dense FactorPair. At a ScaledPair, only the data
+    rows (-2 r Y_j, -2 r X_i) in O(k); `ScaledPair.step` applies the
+    penalty term 2 lam (X, Y) to the scale.
+    """
     i, j = data.rows[t], data.cols[t]
-    r = data.a_vals[t] - predicted_entry_pair(f, i, j)
-    gx = 2.0 * lam * f.x.copy()
-    gy = 2.0 * lam * f.y.copy()
-    gx[i] += -2.0 * r * f.y[j]
-    gy[j] += -2.0 * r * f.x[i]
-    return FactorPair(gx, gy)
+    lazy = isinstance(f, ScaledPair)
+    x_i, y_j = (f.scale * f.x_base[i], f.scale * f.y_base[j]) if lazy else (f.x[i], f.y[j])
+    coeff = -2.0 * (data.a_vals[t] - float(np.dot(x_i, y_j)))
+    if lazy:
+        return coeff * y_j, coeff * x_i
+    g = f.scaled(2.0 * lam)
+    g.x[i] += coeff * y_j
+    g.y[j] += coeff * x_i
+    return g
 
 
 def stoch_grad_pw(
@@ -526,6 +531,8 @@ def confinement_manifold(p: ProductPoint) -> float:
     return float(np.dot(p.x, p.x))
 
 
-def confinement_euclidean(f: FactorPair) -> float:
-    """||X||_F^2 + ||Y||_F^2."""
+def confinement_euclidean(f: FactorPair | ScaledPair) -> float:
+    """||X||_F^2 + ||Y||_F^2; at a ScaledPair a^2 (||Xb||^2 + ||Yb||^2), with no m-by-k temporary."""
+    if isinstance(f, ScaledPair):
+        return f.scale**2 * float(np.vdot(f.x_base, f.x_base) + np.vdot(f.y_base, f.y_base))
     return float(np.sum(f.x**2) + np.sum(f.y**2))

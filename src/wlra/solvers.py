@@ -25,6 +25,7 @@ from .geometry import (
 from .model import (
     FactorPair,
     ProblemData,
+    ScaledPair,
     confinement_euclidean,
     confinement_manifold,
     cost_unregularized,
@@ -162,6 +163,23 @@ def _manifold_move(data: ProblemData, grad_fn: Callable) -> Callable:
     return move
 
 
+def _euclidean_move(data: ProblemData, lam: float) -> Callable:
+    """SGD move of `sgd_euclidean`: the data rows of the per-sample gradient
+    at the ScaledPair give an O(k) step; where the scale cannot take the
+    shrink (see `ScaledPair.step`), the dense step is taken at the
+    materialized pair instead and the state restarts from it."""
+    cells_i, cells_j = data.rows, data.cols
+
+    def move(it: ScaledPair, t: int, s: float) -> ScaledPair:
+        rows = stoch_grad_euclidean(it, t, data, lam)
+        if it.step(cells_i[t], cells_j[t], rows, s, lam):
+            return it
+        f = it.pair()
+        return ScaledPair(f.add_scaled(stoch_grad_euclidean(f, t, data, lam), s))
+
+    return move
+
+
 def _run_sgd(
     state,
     data: ProblemData,
@@ -252,17 +270,25 @@ def sgd_manifold(
 def sgd_euclidean(
     init: FactorPair, data: ProblemData, config: SolverConfig
 ) -> tuple[FactorPair, IterTrace]:
-    """Stochastic descent of the factored objective; retraction is addition."""
+    """Stochastic descent of the factored objective; retraction is addition.
+
+    The iterate is kept as a ScaledPair, X = a Xb and Y = a Yb, so the
+    penalty's shrink of both factors is one scalar multiply and a step
+    rewrites only row i of Xb and row j of Yb: O(k) per step, whatever m
+    and n are. A step whose shrink 1 + 2 s lam is not positive, or would take
+    the scale below FOLD_SCALE, is taken densely and restarts the state,
+    which folds the scale back into the factors. (X, Y) is multiplied out
+    only for trace points, for the exact safeguard pass when the bounds do
+    not settle phi_t, and for the returned pair.
+    """
     policy = config.policy
     _check_confined(confinement_euclidean(init), policy.rho0)
     return _run_sgd(
-        init,
+        ScaledPair(init),
         data,
         config,
-        move_fn=lambda f, t, step: f.add_scaled(
-            stoch_grad_euclidean(f, t, data, policy.lam), step
-        ),
-        view_fn=lambda f: f,
+        move_fn=_euclidean_move(data, policy.lam),
+        view_fn=ScaledPair.pair,
         rho_fn=confinement_euclidean,
         full_grad_norm_fn=lambda f: full_grad_euclidean(f, data, policy.lam).norm(),
     )

@@ -15,8 +15,6 @@ from wlra.geometry import (
     ProductPoint,
     ProductTangent,
     orthonormality_defect,
-    random_point,
-    random_tangent,
     retract,
     tangent_inner,
     tangent_project,
@@ -33,9 +31,6 @@ from wlra.model import (
     full_grad_manifold,
     full_grad_pw,
     pair_inner,
-    sample_cost_euclidean,
-    sample_cost_manifold,
-    sample_cost_pw,
     stoch_grad_euclidean,
     stoch_grad_manifold,
     stoch_grad_pw,
@@ -59,6 +54,14 @@ from wlra.step_policy import (
     make_policy,
 )
 from wlra.svd_init import best_rank_k, check_stationarity, fill_missing_column_mean, truncated_svd_init
+
+from helpers import (
+    random_point,
+    random_tangent,
+    sample_cost_euclidean,
+    sample_cost_manifold,
+    sample_cost_pw,
+)
 
 ZETA_1_2 = 5.5915824411777519  # sum of (t + 1)^(-1.2) over t >= 0
 

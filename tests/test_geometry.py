@@ -12,15 +12,12 @@ from wlra.geometry import (
     orthonormality_defect,
     project_tangent,
     qf,
-    random_point,
-    random_stiefel,
-    random_tangent,
     retract,
-    tangent_defect,
     tangent_inner,
     tangent_project,
-    zero_tangent,
 )
+
+from helpers import random_point, random_stiefel, random_tangent, tangent_defect, zero_tangent
 
 
 class TestQf:

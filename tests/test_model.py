@@ -16,11 +16,8 @@ from wlra.geometry import (
     ProductPoint,
     ProductTangent,
     assemble,
-    random_point,
     project_tangent,
-    random_tangent,
     retract,
-    tangent_defect,
     tangent_inner,
 )
 from wlra.data_io import TripletMatrix, binary_weights
@@ -30,6 +27,7 @@ from wlra.model import (
     AliasSampler,
     FactorPair,
     ProblemData,
+    ScaledPair,
     confinement_euclidean,
     confinement_manifold,
     cost_euclidean,
@@ -39,13 +37,20 @@ from wlra.model import (
     full_grad_manifold,
     full_grad_pw,
     pair_inner,
-    sample_cost_euclidean,
-    sample_cost_manifold,
-    sample_cost_pw,
     sample_index,
     stoch_grad_euclidean,
     stoch_grad_manifold,
     stoch_grad_pw,
+)
+
+from helpers import (
+    draw_many,
+    random_point,
+    random_tangent,
+    sample_cost_euclidean,
+    sample_cost_manifold,
+    sample_cost_pw,
+    tangent_defect,
 )
 
 
@@ -179,7 +184,7 @@ class TestSampling:
             a_vals=[1.0, 2.0, 3.0, 4.0], w_vals=[0.25, 0.25, 0.25, 0.25],
         )
         rng = np.random.default_rng(123)
-        draws = data.sampler.draw_many(rng, 100000)
+        draws = draw_many(data.sampler, rng, 100000)
         counts = np.bincount(draws, minlength=4)
         freqs = counts / 100000.0
         assert np.all(np.abs(freqs - 0.25) <= 0.01)
@@ -214,7 +219,7 @@ class TestSampling:
         probs = np.array([0.5, 0.3, 0.2])
         sampler = AliasSampler(probs)
         rng = np.random.default_rng(11)
-        draws = sampler.draw_many(rng, 200000)
+        draws = draw_many(sampler, rng, 200000)
         freqs = np.bincount(draws, minlength=3) / 200000.0
         assert np.all(np.abs(freqs - probs) <= 0.01)
 
@@ -542,6 +547,75 @@ class TestGradEuclidean:
             acc = acc.add_scaled(g, float(data.w_vals[t]))
         full = full_grad_euclidean(f, data, lam)
         assert acc.add_scaled(full, -1.0).norm() <= 1e-12
+
+
+class TestScaledPair:
+    """The shared-scale Euclidean SGD state against the dense FactorPair forms."""
+
+    def stepped(self, seed):
+        """A ScaledPair whose scale is no longer 1, with its data and pair."""
+        rng = np.random.default_rng(seed)
+        data = random_data(8, 6, 2, 20, seed=seed)
+        state = ScaledPair(FactorPair(rng.standard_normal((8, 2)), rng.standard_normal((6, 2))))
+        assert state.step(3, 4, (rng.standard_normal(2), rng.standard_normal(2)), -0.1, 0.3)
+        assert state.scale == 1.0 - 0.06
+        return data, state, state.pair()
+
+    def test_rows_at_scaled_pair_are_the_dense_data_rows(self):
+        data, state, f = self.stepped(40)
+        lam = 0.2
+        for t in range(data.nnz):
+            i, j = data.rows[t], data.cols[t]
+            gx_i, gy_j = stoch_grad_euclidean(state, t, data, lam)
+            assembled = f.scaled(2.0 * lam)
+            assembled.x[i] += gx_i
+            assembled.y[j] += gy_j
+            dense = stoch_grad_euclidean(f, t, data, lam)
+            assert assembled.add_scaled(dense, -1.0).norm() <= 1e-14 * dense.norm()
+
+    def test_step_matches_dense_step(self):
+        data, state, f = self.stepped(41)
+        lam, s = 0.2, -0.3
+        for t in (0, 7, 19):
+            expected = f.add_scaled(stoch_grad_euclidean(f, t, data, lam), s)
+            rows = stoch_grad_euclidean(state, t, data, lam)
+            assert state.step(data.rows[t], data.cols[t], rows, s, lam)
+            f = state.pair()
+            np.testing.assert_allclose(f.x, expected.x, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(f.y, expected.y, rtol=1e-13, atol=1e-15)
+
+    def test_step_leaves_the_start_pair_and_views_alone(self):
+        rng = np.random.default_rng(42)
+        start = FactorPair(rng.standard_normal((5, 2)), rng.standard_normal((4, 2)))
+        before = FactorPair(start.x.copy(), start.y.copy())
+        state = ScaledPair(start)
+        assert state.pair() is start
+        assert state.step(0, 0, (np.ones(2), np.ones(2)), -0.1, 0.5)
+        view = state.pair()
+        assert state.pair() is view  # cached until the next step
+        view_before = FactorPair(view.x.copy(), view.y.copy())
+        assert state.step(1, 1, (np.ones(2), np.ones(2)), -0.1, 0.5)
+        for got, want in ((start, before), (view, view_before)):
+            assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+
+    @pytest.mark.parametrize(
+        "s, lam, fold_scale",
+        [(-1.0, 0.5, None), (-2.0, 0.5, None), (np.nan, 0.5, None), (-0.25, 0.5, 0.8)],
+        ids=["shrink_zero", "shrink_negative", "shrink_nan", "below_fold_scale"],
+    )
+    def test_refused_step_changes_nothing(self, monkeypatch, s, lam, fold_scale):
+        if fold_scale is not None:
+            monkeypatch.setattr(wlra.model, "FOLD_SCALE", fold_scale)
+        data, state, f = self.stepped(43)
+        x_base, y_base, scale = state.x_base.copy(), state.y_base.copy(), state.scale
+        assert not state.step(0, 0, (np.ones(2), np.ones(2)), s, lam)
+        assert np.array_equal(state.x_base, x_base) and np.array_equal(state.y_base, y_base)
+        assert state.scale == scale and state.pair() is f
+
+    def test_confinement_reads_the_scale(self):
+        _, state, f = self.stepped(44)
+        got, want = confinement_euclidean(state), confinement_euclidean(f)
+        assert abs(got - want) <= 1e-14 * want
 
 
 class TestGradPositiveWeights:

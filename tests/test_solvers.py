@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from wlra.geometry import (
     ProductPoint,
     assemble,
     orthonormality_defect,
-    random_point,
     retract,
     tangent_inner,
 )
@@ -47,6 +47,8 @@ from wlra.solvers import (
 )
 from wlra.step_policy import PolicyKind, make_policy, tilde_A_B_of_rho
 from wlra.svd_init import fill_missing_column_mean, truncated_svd_init
+
+from helpers import random_point
 
 # Final cost of the acceptance criterion-8 run recorded with the earlier
 # hand-written kernels (one-sided Jacobi SVD, Gram-Schmidt QR).
@@ -440,8 +442,10 @@ class TestSgdEuclidean:
         t0 = sample_index(data, rng)
         g0 = stoch_grad_euclidean(init, t0, data, lam)
         expected = init.add_scaled(g0, -policy.schedule(0) / policy.phi_min)
-        assert np.array_equal(final.x, expected.x)
-        assert np.array_equal(final.y, expected.y)
+        # The solver shrinks a shared scale and moves two rows, the oracle
+        # adds the dense step: equal up to round-off.
+        np.testing.assert_allclose(final.x, expected.x, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(final.y, expected.y, rtol=1e-13, atol=0)
 
     def test_trajectory_confined(self):
         lam = 1e-2
@@ -493,6 +497,127 @@ class TestSgdEuclidean:
         _, trace = sgd_euclidean(pair0, data, config)
         pin = SGD_EUCLIDEAN_PIN_FINAL_COST
         assert abs(trace.costs[-1] - pin) <= 1e-10 * pin
+
+
+EUCLIDEAN_INSTANCES = {
+    # m, n, k, observed fraction of synth_lowrank(..., seed=0)
+    "pinned": (50, 20, 3, 0.4),  # the instance of TestSgdEuclidean::test_trajectory_pinned
+    "m500_k8": (500, 40, 8, 0.3),
+    "m5000_k8": (5000, 40, 8, 0.3),
+}
+
+
+def euclidean_setup(instance, iters, trace_every=10, **kw):
+    """An sgd_euclidean run from the SVD init, lam = 1e-2, seed 3."""
+    m, n, k, density = EUCLIDEAN_INSTANCES[instance]
+    data = problem_from_triplets(synth_lowrank(m, n, k, density, 0.1, seed=0), k)
+    _, pair0 = truncated_svd_init(fill_missing_column_mean(data), k)
+    policy = make_policy(PolicyKind.EUCLIDEAN, data, confinement_euclidean(pair0), 1e-2, 1.0)
+    config = SolverConfig(
+        kind=PolicyKind.EUCLIDEAN, policy=policy,
+        budget=Budget(max_iterations=iters), seed=3, trace_every=trace_every, **kw,
+    )
+    return pair0, data, config
+
+
+def dense_euclidean_run(init, data, config):
+    """The SGD loop on a FactorPair stepped by add_scaled(stoch_grad_euclidean)."""
+    lam = config.policy.lam
+    return wlra.solvers._run_sgd(
+        init,
+        data,
+        config,
+        move_fn=lambda f, t, s: f.add_scaled(stoch_grad_euclidean(f, t, data, lam), s),
+        view_fn=lambda f: f,
+        rho_fn=confinement_euclidean,
+        full_grad_norm_fn=lambda f: full_grad_euclidean(f, data, lam).norm(),
+    )
+
+
+def assert_pair_close_to_dense(final, reference):
+    for got, want in ((final.x, reference.x), (final.y, reference.y)):
+        assert np.abs(got - want).max() <= LAZY_VS_DENSE_TOL * np.abs(want).max()
+
+
+class TestScaledPairSgd:
+    """Euclidean SGD on the shared-scale pair; the dense loop is the oracle."""
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize("instance", ["m500_k8", "pinned"])
+    def test_matches_dense_steps(self, instance, adaptive):
+        init, data, config = euclidean_setup(instance, iters=2000, adaptive=adaptive)
+        final, _ = sgd_euclidean(init, data, config)
+        reference, _ = dense_euclidean_run(init, data, config)
+        assert np.abs(final.x - init.x).max() > 1e-5  # the iterate did move
+        assert_pair_close_to_dense(final, reference)
+
+    @pytest.mark.parametrize("two_eta_lam", [1.0, 2.0])
+    def test_degenerate_shrink_takes_dense_step(self, monkeypatch, two_eta_lam):
+        # lam = 1/2 and phi_min = 1 / (2 eta_0 lam) make the first shrink
+        # 1 - 2 eta_0 lam exactly 0 or -1; at 2, the second shrink is 0 too.
+        data = observed_instance(9, 7, 2, 0.4, seed=16)
+        rng = np.random.default_rng(17)
+        init = FactorPair(0.5 * rng.standard_normal((9, 2)), 0.5 * rng.standard_normal((7, 2)))
+        policy = make_policy(PolicyKind.EUCLIDEAN, data, confinement_euclidean(init), 0.5, 1.0)
+        config = SolverConfig(
+            kind=PolicyKind.EUCLIDEAN,
+            policy=dataclasses.replace(policy, phi_min=1.0 / two_eta_lam),
+            budget=Budget(max_iterations=6), seed=18, trace_every=1,
+        )
+        reference, _ = dense_euclidean_run(init, data, config)
+        dense_steps = counting(monkeypatch, FactorPair, "add_scaled")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            final, _ = sgd_euclidean(init, data, config)
+        assert len(dense_steps) == int(two_eta_lam)  # the steps with 2 eta lam >= 1
+        assert_pair_close_to_dense(final, reference)
+
+    def test_low_fold_scale_folds_mid_run(self, monkeypatch):
+        # The scale shrinks to about 1 - 2.7e-5 over the 2000 steps, so it
+        # passes 1 - 1e-5 a few times, each time some steps into the run.
+        monkeypatch.setattr(wlra.model, "FOLD_SCALE", 1.0 - 1e-5)
+        init, data, config = euclidean_setup("pinned", iters=2000)
+        reference, _ = dense_euclidean_run(init, data, config)
+        grads = counting(monkeypatch, wlra.solvers, "stoch_grad_euclidean")
+        folds = []
+        real_add_scaled = FactorPair.add_scaled
+
+        def recording_add_scaled(self, d, c):
+            folds.append(len(grads))
+            return real_add_scaled(self, d, c)
+
+        monkeypatch.setattr(FactorPair, "add_scaled", recording_add_scaled)
+        final, _ = sgd_euclidean(init, data, config)
+        assert 2 <= len(folds) <= 5 and folds[0] > 2
+        assert len(grads) == 2000 + len(folds)
+        assert_pair_close_to_dense(final, reference)
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_no_dense_work_per_step(self, monkeypatch, adaptive):
+        init, data, config = euclidean_setup("m5000_k8", iters=2000, adaptive=adaptive)
+        dense_steps = counting(monkeypatch, FactorPair, "add_scaled")
+        grads = counting(monkeypatch, wlra.solvers, "stoch_grad_euclidean")
+        exact = counting(monkeypatch, wlra.solvers, "adaptive_A_B")
+        built = counting(monkeypatch, FactorPair, "__post_init__")
+        _, trace = sgd_euclidean(init, data, config)
+        assert len(dense_steps) == 0 and len(exact) == 0
+        assert len(grads) == 2000
+        # t = 0 records the init pair itself; the returned pair is the last record's.
+        assert len(trace.records) == 201 and len(built) == 200
+
+
+@pytest.mark.parametrize("algorithm", ["manifold", "euclidean"])
+def test_iterates_do_not_depend_on_trace_every(algorithm):
+    finals = []
+    for trace_every in (1, 7, 2000):
+        if algorithm == "manifold":
+            solver, (init, data, config) = sgd_manifold, svd_setup(60, 30, 4, iters=2000)
+        else:
+            solver, (init, data, config) = sgd_euclidean, euclidean_setup("pinned", iters=2000)
+        final, _ = solver(init, data, dataclasses.replace(config, trace_every=trace_every))
+        finals.append([getattr(final, f.name) for f in dataclasses.fields(final)])
+    for other in finals[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(finals[0], other))
 
 
 class TestSgdPositiveWeights:

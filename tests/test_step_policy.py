@@ -7,7 +7,7 @@ import pytest
 import wlra.solvers
 from wlra.data_io import problem_from_triplets, synth_lowrank
 from wlra.errors import LambdaOutOfRange
-from wlra.geometry import ProductPoint, random_point
+from wlra.geometry import ProductPoint
 from wlra.model import FactorPair, ProblemData, confinement_manifold
 from wlra.solvers import Budget, SolverConfig, sgd_manifold
 from wlra.step_policy import (
@@ -25,6 +25,8 @@ from wlra.step_policy import (
     tilde_A_B_of_rho,
 )
 from wlra.svd_init import fill_missing_column_mean, truncated_svd_init
+
+from helpers import random_point
 
 
 def make_data(vals, m=2, n=2):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wlra.errors import ShapeMismatch
-from wlra.geometry import assemble, orthonormality_defect, random_tangent, retract
+from wlra.geometry import assemble, orthonormality_defect, retract
 from wlra.model import ProblemData, cost_unregularized
 from wlra.svd_init import (
     best_rank_k,
@@ -10,6 +10,8 @@ from wlra.svd_init import (
     fill_missing_column_mean,
     truncated_svd_init,
 )
+
+from helpers import random_tangent
 
 
 def refined_candidates_best(a, k, n_candidates, sweeps, seed):
