@@ -159,7 +159,11 @@ class FactoredStiefel:
     the k-by-k Gram matrix G = M^T M + s (M^T u_i a^T + a u_i^T M) +
     s^2 a a^T, which holds because U^T U = I. The new point is B T' with
     T' = T M R^-1 and only row i of B rewritten, so a step costs O(k^3)
-    instead of the O(m k^2) of `retract`.
+    instead of the O(m k^2) of `retract`. Where that update is unavailable
+    (G not numerically positive definite, T' singular) or the fold rule
+    fires, the step folds: B = qf(U M + s e_i a^T) and T = I. The fold is
+    the same point, as qf(A R^-1) = qf(A) for an upper-triangular R with
+    positive diagonal.
     """
 
     def __init__(self, u: np.ndarray):
@@ -175,14 +179,8 @@ class FactoredStiefel:
         """U itself, m-by-k."""
         return self.base @ self.t
 
-    def plan_step(self, i: int, a: np.ndarray, s: float) -> tuple:
-        """Compute the step to qf(U + s Pi_U(e_i a^T)) without applying it.
-
-        Raises RankDeficient when the Cholesky factorization of G fails,
-        when some pivot |R_jj| is at most RANK_TOL * max(sqrt(G_jj), 1) (the
-        rule of `qf`), or when T' is numerically singular, so that row i of
-        B cannot be recovered from the new row of U.
-        """
+    def step(self, i: int, a: np.ndarray, s: float) -> None:
+        """Move U to qf(U + s Pi_U(e_i a^T))."""
         k = self.t.shape[0]
         u_i = self.row(i)
         b = u_i[:, None] * a
@@ -190,46 +188,43 @@ class FactoredStiefel:
         m.flat[:: k + 1] += 1.0
         w = u_i @ m  # M^T u_i, as M is symmetric
         q = w + s * a  # row i of U M + s e_i a^T
+        self.steps += 1
+        update = self._update(m, w, q) if self.steps < FOLD_STEPS else None
+        if update is None:
+            u = self.base @ (self.t @ m)
+            u[i] = q
+            self.base = qf(u)
+            self.t = np.eye(k)
+            self.steps = 0
+        else:
+            self.t, t_inv, row = update
+            self.base[i] = row @ t_inv
+
+    def _update(self, m: np.ndarray, w: np.ndarray, q: np.ndarray) -> tuple | None:
+        """(T', T'^-1, R^-T q), or None when the step must fold: the Cholesky
+        factorization of G fails, some pivot |R_jj| is at most RANK_TOL *
+        max(sqrt(G_jj), 1) (the rule of `qf`), T' cannot be inverted, or
+        cond(T') passes FOLD_COND."""
         # M^T M + s (w a^T + a w^T) + s^2 a a^T, written as M^T M + q q^T - w w^T
         g = m @ m + (q[:, None] * q - w[:, None] * w)
         try:
             l = np.linalg.cholesky(g)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficient(f"Gram matrix of the step is not positive definite: {exc}")
-        pivots = np.diagonal(l) / np.maximum(np.sqrt(np.diagonal(g)), 1.0)
-        if pivots.min() <= RANK_TOL:
-            j = int(np.argmin(pivots))
-            raise RankDeficient(
-                f"column {j} is numerically dependent (pivot {l[j, j]:.3e})"
-            )
+        except np.linalg.LinAlgError:
+            return None
+        if (np.diagonal(l) / np.maximum(np.sqrt(np.diagonal(g)), 1.0)).min() <= RANK_TOL:
+            return None
         r_inv = np.linalg.inv(l).T
         t_new = self.t @ m @ r_inv
-        row_new = q @ r_inv
         try:
             t_new_inv = np.linalg.inv(t_new)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficient(f"T(I - sB) is singular: {exc}")
+        except np.linalg.LinAlgError:
+            return None
         # ||T||_F ||T^-1||_F / k: 1 for orthogonal T, and between cond_2(T) / k
         # and cond_2(T) in general; an SVD would cost more than the step.
-        cond = np.sqrt(np.vdot(t_new, t_new) * np.vdot(t_new_inv, t_new_inv)) / k
-        if not cond * RANK_TOL < 1.0:
-            raise RankDeficient(f"T(I - sB) is numerically singular (cond {cond:.3e})")
-        return t_new, row_new, t_new_inv, cond
-
-    def apply_step(self, i: int, plan: tuple) -> None:
-        """Apply the step planned for row i, folding T into B when the fold
-        rule says so."""
-        t_new, row_new, t_new_inv, cond = plan
-        self.steps += 1
-        if cond > FOLD_COND or self.steps >= FOLD_STEPS:
-            u = self.base @ t_new
-            u[i] = row_new
-            self.base = qf(u)
-            self.t = np.eye(self.t.shape[0])
-            self.steps = 0
-        else:
-            self.base[i] = row_new @ t_new_inv
-            self.t = t_new
+        cond = np.sqrt(np.vdot(t_new, t_new) * np.vdot(t_new_inv, t_new_inv)) / len(q)
+        if not cond <= FOLD_COND:  # NaN folds too
+            return None
+        return t_new, t_new_inv, q @ r_inv
 
 
 class FactoredPoint:
@@ -253,13 +248,10 @@ class FactoredPoint:
 
     def step(self, i: int, j: int, rows: tuple, s: float) -> None:
         """Retract along s times the projection of the ambient direction whose
-        U row i, x slot and V row j are `rows`; raises RankDeficient before
-        changing anything."""
+        U row i, x slot and V row j are `rows`."""
         du_i, dx, dv_j = rows
-        plan_u = self.u.plan_step(i, du_i, s)
-        plan_v = self.v.plan_step(j, dv_j, s)
-        self.u.apply_step(i, plan_u)
-        self.v.apply_step(j, plan_v)
+        self.u.step(i, du_i, s)
+        self.v.step(j, dv_j, s)
         self.x = self.x + s * dx
         self._point = None
 

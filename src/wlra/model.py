@@ -161,9 +161,9 @@ def pair_inner(a: FactorPair, b: FactorPair) -> float:
     return float(np.sum(a.x * b.x) + np.sum(a.y * b.y))
 
 
-# A ScaledPair step whose scale would fall below FOLD_SCALE is taken densely
-# instead, which folds the scale back into the factors long before a^2, in
-# every residual, could underflow (near 1e-154).
+# A ScaledPair step whose scale would fall below FOLD_SCALE folds the scale
+# back into the factors, long before a^2, in every residual, could underflow
+# (near 1e-154).
 FOLD_SCALE = 1e-100
 
 
@@ -173,14 +173,17 @@ class ScaledPair:
     The SGD step X + s (2 lam X + e_i g^T), and its Y twin, is
     a' = a (1 + 2 s lam) with rows i of Xb and j of Yb moved by s / a' times
     the data rows, so it costs O(k) instead of the O((m + n) k) of a dense
-    step. `pair()` materializes the FactorPair (a Xb, a Yb); it is cached
-    until the next step, and the first one is the pair the state was built
-    from.
+    step. When a' is not finite or falls below FOLD_SCALE (a shrink
+    1 + 2 s lam <= 0 included), the step folds: it is taken densely on the
+    bases, Xb = a' Xb plus s times the data row, and a = 1. `pair()`
+    materializes the FactorPair (a Xb, a Yb); it is cached until the next
+    step, and the first one is the pair the state was built from.
     """
 
-    def __init__(self, f: FactorPair):
+    def __init__(self, f: FactorPair, lam: float):
         self.x_base = np.array(f.x, dtype=float)
         self.y_base = np.array(f.y, dtype=float)
+        self.lam = lam
         self.scale = 1.0
         self._pair = f
 
@@ -189,20 +192,21 @@ class ScaledPair:
             self._pair = FactorPair(self.scale * self.x_base, self.scale * self.y_base)
         return self._pair
 
-    def step(self, i: int, j: int, rows: tuple, s: float, lam: float) -> bool:
+    def step(self, i: int, j: int, rows: tuple, s: float) -> None:
         """Step along s times the gradient with data rows `rows` (X row i,
-        Y row j) and penalty 2 lam (X, Y). Returns False, changing nothing,
-        when the new scale would not be positive, finite and >= FOLD_SCALE."""
+        Y row j) and penalty 2 lam (X, Y)."""
         gx_i, gy_j = rows
-        scale = self.scale * (1.0 + 2.0 * s * lam)
-        if not FOLD_SCALE <= scale < np.inf:  # also a shrink <= 0 or NaN
-            return False
-        c = s / scale
-        self.x_base[i] += c * gx_i
-        self.y_base[j] += c * gy_j
-        self.scale = scale
+        scale = self.scale * (1.0 + 2.0 * s * self.lam)
+        if FOLD_SCALE <= scale < np.inf:
+            self.scale = scale
+            s /= scale  # the bases move by s / a' times the data rows
+        else:  # a' outside [FOLD_SCALE, inf), NaN included
+            self.x_base *= scale
+            self.y_base *= scale
+            self.scale = 1.0
+        self.x_base[i] += s * gx_i
+        self.y_base[j] += s * gy_j
         self._pair = None
-        return True
 
 
 class AliasSampler:

@@ -127,9 +127,15 @@ class SolverConfig:
     def __post_init__(self):
         if self.trace_every < 1:
             raise ShapeMismatch("trace_every must be >= 1")
+        if self.kind is not self.policy.kind:
+            raise ShapeMismatch(f"{self.kind.value} config with a {self.policy.kind.value} policy")
 
 
-def _check_confined(rho_init: float, rho0: float) -> None:
+def _check_start(config: SolverConfig, kind: PolicyKind, rho_init: float) -> None:
+    """Reject a config of another solver family and an unconfined init."""
+    if config.kind is not kind:
+        raise ShapeMismatch(f"{kind.value} solver given a {config.kind.value} config")
+    rho0 = config.policy.rho0
     if rho_init > rho0 * (1.0 + 1e-12) + 1e-12:
         raise InitNotConfined(f"initial confinement {rho_init} exceeds rho0 {rho0}")
 
@@ -143,56 +149,20 @@ def _retract_with_retry(p: ProductPoint, v: ProductTangent) -> ProductPoint:
         return retract(p, project_tangent(p, v))
 
 
-def _manifold_move(data: ProblemData, grad_fn: Callable) -> Callable:
-    """SGD move of the manifold solvers. `grad_fn(p, t)` is the per-sample
-    gradient: at the FactoredPoint its rows give an O(k^3) factored step; if
-    that raises RankDeficient, the dense retraction of the gradient at the
-    materialized point is taken instead and the factored state restarts
-    from it."""
-    cells_i, cells_j = data.rows, data.cols
-
-    def move(it: FactoredPoint, t: int, s: float) -> FactoredPoint:
-        rows = grad_fn(it, t)
-        try:
-            it.step(cells_i[t], cells_j[t], rows, s)
-            return it
-        except RankDeficient:
-            p = it.point()
-            return FactoredPoint(_retract_with_retry(p, grad_fn(p, t).scaled(s)))
-
-    return move
-
-
-def _euclidean_move(data: ProblemData, lam: float) -> Callable:
-    """SGD move of `sgd_euclidean`: the data rows of the per-sample gradient
-    at the ScaledPair give an O(k) step; where the scale cannot take the
-    shrink (see `ScaledPair.step`), the dense step is taken at the
-    materialized pair instead and the state restarts from it."""
-    cells_i, cells_j = data.rows, data.cols
-
-    def move(it: ScaledPair, t: int, s: float) -> ScaledPair:
-        rows = stoch_grad_euclidean(it, t, data, lam)
-        if it.step(cells_i[t], cells_j[t], rows, s, lam):
-            return it
-        f = it.pair()
-        return ScaledPair(f.add_scaled(stoch_grad_euclidean(f, t, data, lam), s))
-
-    return move
-
-
 def _run_sgd(
     state,
     data: ProblemData,
     config: SolverConfig,
-    move_fn: Callable,
+    grad_fn: Callable,
     view_fn: Callable,
     rho_fn: Callable,
     full_grad_norm_fn: Callable,
 ) -> tuple[object, IterTrace]:
-    """The SGD loop. `move_fn(state, t, step)` takes one step on sample t and
-    returns the new state; `view_fn(state)` gives the iterate that traces,
-    the exact safeguards and the caller see; `rho_fn` reads the confinement
-    of the state and of its view alike."""
+    """The SGD loop. `grad_fn(state, t)` is the per-sample gradient at
+    triplet index t, and `state.step(i, j, grad, step)` moves the state in
+    place along it at cell (i, j); `view_fn(state)` gives the iterate that
+    traces, the exact safeguards and the caller see; `rho_fn` reads the
+    confinement of the state and of its view alike."""
     policy = config.policy
     rng = np.random.default_rng(config.seed)
     trace = IterTrace()
@@ -229,7 +199,7 @@ def _run_sgd(
             phi = phi_t(policy, a_t, b_t, t)
         else:
             phi = policy.phi_min
-        state = move_fn(state, s, -policy.schedule(t) / phi)
+        state.step(data.rows[s], data.cols[s], grad_fn(state, s), -policy.schedule(t) / phi)
         t += 1
         if t % config.trace_every == 0:
             elapsed = emit(t, view_fn(state), phi)
@@ -252,15 +222,18 @@ def sgd_manifold(
     the floor max{c_t / theta, phi_min}. With `make_policy`'s scales that
     happens only past the confinement ceiling rho1, so a confined adaptive
     run takes the same steps as the exact safeguard without the pass.
+
+    The iterate is kept as a FactoredPoint: each step is an O(k^3) update of
+    the factored U and V, or a fold that re-orthonormalizes the factor
+    (see `FactoredStiefel`), and makes one per-sample gradient call.
     """
-    policy = config.policy
-    lam = policy.lam
-    _check_confined(confinement_manifold(init), policy.rho0)
+    lam = config.policy.lam
+    _check_start(config, PolicyKind.MANIFOLD, confinement_manifold(init))
     return _run_sgd(
         FactoredPoint(init),
         data,
         config,
-        move_fn=_manifold_move(data, lambda p, t: stoch_grad_manifold(p, t, data, lam)),
+        grad_fn=lambda p, t: stoch_grad_manifold(p, t, data, lam),
         view_fn=FactoredPoint.point,
         rho_fn=confinement_manifold,
         full_grad_norm_fn=lambda p: full_grad_manifold(p, data, lam).norm(),
@@ -276,18 +249,18 @@ def sgd_euclidean(
     penalty's shrink of both factors is one scalar multiply and a step
     rewrites only row i of Xb and row j of Yb: O(k) per step, whatever m
     and n are. A step whose shrink 1 + 2 s lam is not positive, or would take
-    the scale below FOLD_SCALE, is taken densely and restarts the state,
-    which folds the scale back into the factors. (X, Y) is multiplied out
+    the scale below FOLD_SCALE, folds the scale back into the factors and
+    is taken densely there (see `ScaledPair`). (X, Y) is multiplied out
     only for trace points, for the exact safeguard pass when the bounds do
     not settle phi_t, and for the returned pair.
     """
     policy = config.policy
-    _check_confined(confinement_euclidean(init), policy.rho0)
+    _check_start(config, PolicyKind.EUCLIDEAN, confinement_euclidean(init))
     return _run_sgd(
-        ScaledPair(init),
+        ScaledPair(init, policy.lam),
         data,
         config,
-        move_fn=_euclidean_move(data, policy.lam),
+        grad_fn=lambda f, t: stoch_grad_euclidean(f, t, data, policy.lam),
         view_fn=ScaledPair.pair,
         rho_fn=confinement_euclidean,
         full_grad_norm_fn=lambda f: full_grad_euclidean(f, data, policy.lam).norm(),
@@ -299,14 +272,13 @@ def sgd_pw(
 ) -> tuple[ProductPoint, IterTrace]:
     """Positive-weights stochastic descent; the traced objective is the raw cost."""
     require_positive_weights(data)
-    policy = config.policy
-    lam = policy.lam
-    _check_confined(confinement_manifold(init), policy.rho0)
+    lam = config.policy.lam
+    _check_start(config, PolicyKind.POSITIVE_WEIGHTS, confinement_manifold(init))
     return _run_sgd(
         FactoredPoint(init),
         data,
         config,
-        move_fn=_manifold_move(data, lambda p, t: stoch_grad_pw(p, t, data, lam)),
+        grad_fn=lambda p, t: stoch_grad_pw(p, t, data, lam),
         view_fn=FactoredPoint.point,
         rho_fn=confinement_manifold,
         full_grad_norm_fn=lambda p: full_grad_pw(p, data).norm(),

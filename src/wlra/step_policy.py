@@ -23,7 +23,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import EmptySupport, LambdaOutOfRange, ShapeMismatch
+from .errors import LambdaOutOfRange, ShapeMismatch
 from .geometry import ProductPoint
 from .model import (
     SUPPORT_BLOCK,
@@ -55,8 +55,6 @@ Iterate = Union[ProductPoint, FactorPair]
 
 def alpha_of(data: ProblemData) -> float:
     """Maximum squared observed entry; missing cells never contribute."""
-    if data.nnz == 0:
-        raise EmptySupport("no observed entries")
     return float(np.max(data.a_vals**2))
 
 
@@ -91,13 +89,12 @@ def compute_phi_min(
 ) -> float:
     """Constant step-size safeguard, scaled by the tuning factor K >= 1.
 
-    The default-schedule values (c = 1, sigma = pi^2 / 6) reproduce the
-    closed forms with the (pi^2 + 12)/6 and (pi^2 + 6)/6 constants; other
-    schedules fall through to the general expressions in c and sigma.
+    The schedule enters through the tail 2 c + sigma (c + sigma for the
+    positive-weights kind); the default schedule (c = 1, sigma = pi^2 / 6)
+    gives the paper's (pi^2 + 12)/6 and (pi^2 + 6)/6 constants.
     """
-    is_default = abs(c - DEFAULT_C) < 1e-15 and abs(sigma - DEFAULT_SIGMA) < 1e-15
+    tail = 2.0 * c + sigma
     if kind is PolicyKind.MANIFOLD:
-        tail = (math.pi**2 + 12.0) / 6.0 if is_default else 2.0 * c + sigma
         return big_k * max(
             (lam + 2.0 * math.sqrt(lam) + 1.0) * alpha,
             math.sqrt(
@@ -106,7 +103,6 @@ def compute_phi_min(
             ),
         )
     if kind is PolicyKind.EUCLIDEAN:
-        tail = (12.0 + math.pi**2) / 6.0 if is_default else 2.0 * c + sigma
         return big_k * max(
             2.0 * alpha * math.sqrt(alpha) + alpha**2 / (2.0 * lam) + 2.0 * lam * alpha,
             math.sqrt(
@@ -117,11 +113,10 @@ def compute_phi_min(
     if w0 is None:
         raise LambdaOutOfRange("positive-weights mode needs w0")
     check_lambda_pw(lam, w0)
-    tail = (6.0 + math.pi**2) / 6.0 if is_default else c + sigma
     return big_k * max(
         4.0 * alpha * (w0 / 2.0 + 2.0 * math.sqrt(w0 / 2.0) + 1.0),
         math.sqrt(
-            16.0 * k * (2.0 * alpha * w0 + (2.0 + w0**2 / 4.0) * (w0 * rho0 + tail))
+            16.0 * k * (2.0 * alpha * w0 + (2.0 + w0**2 / 4.0) * (w0 * rho0 + (c + sigma)))
         ),
     )
 

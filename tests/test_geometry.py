@@ -143,10 +143,6 @@ def dense_row_step(u, i, a, s):
     return qf(u + s * tangent_project(u, xi))
 
 
-def factored_row_step(f, i, a, s):
-    f.apply_step(i, f.plan_step(i, a, s))
-
-
 class TestFactoredStiefel:
     def test_steps_match_dense_retraction(self):
         # 2000 steps at m=500, k=8 against Householder QR of the full factor.
@@ -157,25 +153,27 @@ class TestFactoredStiefel:
         for step in range(2000):
             i, a, s = int(rng.integers(500)), rng.standard_normal(8), 0.5 / (step + 1)
             u = dense_row_step(u, i, a, s)
-            factored_row_step(f, i, a, s)
+            f.step(i, a, s)
             worst = max(worst, float(np.abs(f.dense() - u).max()))
         assert worst <= 1e-13
         assert orthonormality_defect(f.dense()) <= 1e-13
         np.testing.assert_array_equal(f.row(17), f.base[17] @ f.t)
 
-    def test_near_singular_m_raises_and_leaves_state(self):
+    def test_near_singular_m_folds(self):
         rng = np.random.default_rng(41)
         f = FactoredStiefel(random_stiefel(30, 4, rng))
-        factored_row_step(f, 3, rng.standard_normal(4), 0.1)
-        base, t = f.base.copy(), f.t.copy()
-        u_i, a = f.row(5), rng.standard_normal(4)
+        f.step(3, rng.standard_normal(4), 0.1)
+        assert f.steps == 1 and not np.array_equal(f.t, np.eye(4))
+        u, u_i, a = f.dense(), f.row(5), rng.standard_normal(4)
         # M = I - s (u_i a^T + a u_i^T) / 2 has the eigenvalue 1 - s beta with
-        # beta = (u_i . a + |u_i| |a|) / 2; this s makes it zero.
+        # beta = (u_i . a + |u_i| |a|) / 2; this s makes it zero, so T' = T M R^-1
+        # is singular and the step folds to the dense retraction.
         beta = 0.5 * (u_i @ a + np.linalg.norm(u_i) * np.linalg.norm(a))
-        with pytest.raises(RankDeficient):
-            factored_row_step(f, 5, a, 1.0 / beta)
-        np.testing.assert_array_equal(f.base, base)
-        np.testing.assert_array_equal(f.t, t)
+        f.step(5, a, 1.0 / beta)
+        assert f.steps == 0
+        np.testing.assert_array_equal(f.t, np.eye(4))
+        assert np.abs(f.base - dense_row_step(u, 5, a, 1.0 / beta)).max() <= 1e-13
+        assert orthonormality_defect(f.base) <= 1e-13
 
     def test_low_fold_threshold_folds_every_step(self, monkeypatch):
         monkeypatch.setattr(wlra.geometry, "FOLD_COND", 0.0)
@@ -185,7 +183,7 @@ class TestFactoredStiefel:
         for step in range(50):
             i, a, s = int(rng.integers(40)), rng.standard_normal(3), 0.3
             u = dense_row_step(u, i, a, s)
-            factored_row_step(f, i, a, s)
+            f.step(i, a, s)
             np.testing.assert_array_equal(f.t, np.eye(3))
             assert f.steps == 0
         np.testing.assert_allclose(f.base, u, rtol=0, atol=1e-13)
@@ -194,9 +192,9 @@ class TestFactoredStiefel:
         rng = np.random.default_rng(43)
         f = FactoredStiefel(random_stiefel(60, 3, rng))
         for _ in range(FOLD_STEPS - 1):
-            factored_row_step(f, int(rng.integers(60)), rng.standard_normal(3), 1e-4)
+            f.step(int(rng.integers(60)), rng.standard_normal(3), 1e-4)
         assert f.steps == FOLD_STEPS - 1 and not np.array_equal(f.t, np.eye(3))
-        factored_row_step(f, 0, rng.standard_normal(3), 1e-4)
+        f.step(0, rng.standard_normal(3), 1e-4)
         assert f.steps == 0
         np.testing.assert_array_equal(f.t, np.eye(3))
         assert orthonormality_defect(f.base) <= 1e-14

@@ -552,13 +552,14 @@ class TestGradEuclidean:
 class TestScaledPair:
     """The shared-scale Euclidean SGD state against the dense FactorPair forms."""
 
-    def stepped(self, seed):
+    def stepped(self, seed, lam=0.3):
         """A ScaledPair whose scale is no longer 1, with its data and pair."""
         rng = np.random.default_rng(seed)
         data = random_data(8, 6, 2, 20, seed=seed)
-        state = ScaledPair(FactorPair(rng.standard_normal((8, 2)), rng.standard_normal((6, 2))))
-        assert state.step(3, 4, (rng.standard_normal(2), rng.standard_normal(2)), -0.1, 0.3)
-        assert state.scale == 1.0 - 0.06
+        start = FactorPair(rng.standard_normal((8, 2)), rng.standard_normal((6, 2)))
+        state = ScaledPair(start, lam)
+        state.step(3, 4, (rng.standard_normal(2), rng.standard_normal(2)), -0.1)
+        assert state.scale == 1.0 - 0.2 * lam
         return data, state, state.pair()
 
     def test_rows_at_scaled_pair_are_the_dense_data_rows(self):
@@ -574,12 +575,12 @@ class TestScaledPair:
             assert assembled.add_scaled(dense, -1.0).norm() <= 1e-14 * dense.norm()
 
     def test_step_matches_dense_step(self):
-        data, state, f = self.stepped(41)
         lam, s = 0.2, -0.3
+        data, state, f = self.stepped(41, lam)
         for t in (0, 7, 19):
             expected = f.add_scaled(stoch_grad_euclidean(f, t, data, lam), s)
             rows = stoch_grad_euclidean(state, t, data, lam)
-            assert state.step(data.rows[t], data.cols[t], rows, s, lam)
+            state.step(data.rows[t], data.cols[t], rows, s)
             f = state.pair()
             np.testing.assert_allclose(f.x, expected.x, rtol=1e-13, atol=1e-15)
             np.testing.assert_allclose(f.y, expected.y, rtol=1e-13, atol=1e-15)
@@ -588,13 +589,13 @@ class TestScaledPair:
         rng = np.random.default_rng(42)
         start = FactorPair(rng.standard_normal((5, 2)), rng.standard_normal((4, 2)))
         before = FactorPair(start.x.copy(), start.y.copy())
-        state = ScaledPair(start)
+        state = ScaledPair(start, 0.5)
         assert state.pair() is start
-        assert state.step(0, 0, (np.ones(2), np.ones(2)), -0.1, 0.5)
+        state.step(0, 0, (np.ones(2), np.ones(2)), -0.1)
         view = state.pair()
         assert state.pair() is view  # cached until the next step
         view_before = FactorPair(view.x.copy(), view.y.copy())
-        assert state.step(1, 1, (np.ones(2), np.ones(2)), -0.1, 0.5)
+        state.step(1, 1, (np.ones(2), np.ones(2)), -0.1)
         for got, want in ((start, before), (view, view_before)):
             assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
 
@@ -603,14 +604,24 @@ class TestScaledPair:
         [(-1.0, 0.5, None), (-2.0, 0.5, None), (np.nan, 0.5, None), (-0.25, 0.5, 0.8)],
         ids=["shrink_zero", "shrink_negative", "shrink_nan", "below_fold_scale"],
     )
-    def test_refused_step_changes_nothing(self, monkeypatch, s, lam, fold_scale):
+    def test_fold_takes_the_dense_step(self, monkeypatch, s, lam, fold_scale):
         if fold_scale is not None:
             monkeypatch.setattr(wlra.model, "FOLD_SCALE", fold_scale)
-        data, state, f = self.stepped(43)
-        x_base, y_base, scale = state.x_base.copy(), state.y_base.copy(), state.scale
-        assert not state.step(0, 0, (np.ones(2), np.ones(2)), s, lam)
-        assert np.array_equal(state.x_base, x_base) and np.array_equal(state.y_base, y_base)
-        assert state.scale == scale and state.pair() is f
+        _, state, f = self.stepped(43, lam)
+        # The dense step along data rows of ones at cell (0, 0).
+        g = f.scaled(2.0 * lam)
+        g.x[0] += 1.0
+        g.y[0] += 1.0
+        expected = f.add_scaled(g, s)
+        state.step(0, 0, (np.ones(2), np.ones(2)), s)
+        got = state.pair()
+        assert state.scale == 1.0
+        if np.isnan(s):
+            assert np.isnan(expected.x).all() and np.isnan(expected.y).all()
+            assert np.isnan(got.x).all() and np.isnan(got.y).all()
+            return
+        np.testing.assert_allclose(got.x, expected.x, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(got.y, expected.y, rtol=1e-13, atol=1e-15)
 
     def test_confinement_reads_the_scale(self):
         _, state, f = self.stepped(44)

@@ -8,10 +8,9 @@ import pytest
 import wlra.geometry
 import wlra.solvers
 from wlra.data_io import problem_from_triplets, synth_lowrank
-from wlra.errors import BacktrackLimit, InitNotConfined, RankDeficient, ShapeMismatch
+from wlra.errors import BacktrackLimit, InitNotConfined, ShapeMismatch
 from wlra.geometry import (
     FOLD_STEPS,
-    FactoredStiefel,
     ProductPoint,
     assemble,
     orthonormality_defect,
@@ -21,6 +20,7 @@ from wlra.geometry import (
 from wlra.model import (
     FactorPair,
     ProblemData,
+    ScaledPair,
     confinement_euclidean,
     confinement_manifold,
     cost_euclidean,
@@ -197,55 +197,27 @@ class TestFactoredSgd:
         )
         assert_close_to_dense(final, reference)
 
-    def test_forced_rank_deficient_takes_dense_fallback(self, monkeypatch):
+    def test_forced_cholesky_failures_fold(self, monkeypatch):
         init, data, config = svd_setup(60, 30, 4, iters=300)
         lam = config.policy.lam
         reference = dense_sgd_reference(
             init, data, config, lambda p, s: stoch_grad_manifold(p, s, data, lam)
         )
-        real = FactoredStiefel.plan_step
-        planned = []
+        real = np.linalg.cholesky
+        factorizations = []
 
-        def every_seventh_fails(self, i, a, s):
-            planned.append(1)
-            if len(planned) % 7 == 0:
-                raise RankDeficient("forced")
-            return real(self, i, a, s)
+        def every_seventh_fails(g):
+            factorizations.append(1)
+            if len(factorizations) % 7 == 0:
+                raise np.linalg.LinAlgError("forced")
+            return real(g)
 
-        monkeypatch.setattr(FactoredStiefel, "plan_step", every_seventh_fails)
+        monkeypatch.setattr(np.linalg, "cholesky", every_seventh_fails)
+        qr_calls = counting(monkeypatch, wlra.geometry, "qf")
         retracts = counting(monkeypatch, wlra.solvers, "retract")
         final, _ = sgd_manifold(init, data, config)
-        assert len(retracts) > 30  # one dense step per forced failure
-        assert_close_to_dense(final, reference)
-
-    def test_near_singular_m_takes_dense_fallback(self, monkeypatch):
-        init, data, config = svd_setup(60, 30, 4, iters=300)
-        lam = config.policy.lam
-        reference = dense_sgd_reference(
-            init, data, config, lambda p, s: stoch_grad_manifold(p, s, data, lam)
-        )
-        real = FactoredStiefel.plan_step
-        planned, raised = [], []
-
-        def singular_m_on_call_100(self, i, a, s):
-            # On one call, plan the step with the s that makes M singular;
-            # plan_step must reject it and the solver must take the dense step
-            # with the true s instead.
-            planned.append(1)
-            if len(planned) == 100:
-                u_i = self.row(i)
-                s = 2.0 / (u_i @ a + np.linalg.norm(u_i) * np.linalg.norm(a))
-                try:
-                    return real(self, i, a, s)
-                except RankDeficient:
-                    raised.append(1)
-                    raise
-            return real(self, i, a, s)
-
-        monkeypatch.setattr(FactoredStiefel, "plan_step", singular_m_on_call_100)
-        retracts = counting(monkeypatch, wlra.solvers, "retract")
-        final, _ = sgd_manifold(init, data, config)
-        assert len(raised) == 1 and len(retracts) == 1
+        assert len(retracts) == 0
+        assert len(qr_calls) == len(factorizations) // 7 > 30  # one fold per failure
         assert_close_to_dense(final, reference)
 
     def test_low_fold_threshold_refolds(self, monkeypatch):
@@ -263,30 +235,24 @@ class TestFactoredSgd:
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_one_gradient_call_per_step(self, monkeypatch, adaptive):
         # The factored step takes its rows from the per-sample gradient, so
-        # each step calls it once; the dense fallback calls it once more.
+        # each step calls it once, folds included.
         init, data, config = svd_setup(60, 30, 4, iters=300)
         config = dataclasses.replace(config, adaptive=adaptive)
         grads = counting(monkeypatch, wlra.solvers, "stoch_grad_manifold")
         sgd_manifold(init, data, config)
         assert len(grads) == 300
-        real = FactoredStiefel.plan_step
-        planned = []
-
-        def every_seventh_fails(self, i, a, s):
-            planned.append(1)
-            if len(planned) % 7 == 0:
-                raise RankDeficient("forced")
-            return real(self, i, a, s)
-
-        monkeypatch.setattr(FactoredStiefel, "plan_step", every_seventh_fails)
-        retracts = counting(monkeypatch, wlra.solvers, "retract")
+        monkeypatch.setattr(wlra.geometry, "FOLD_COND", 0.0)  # every step folds
         grads.clear()
         sgd_manifold(init, data, config)
-        assert len(grads) == 300 + len(retracts)
+        assert len(grads) == 300
 
     def test_pw_one_gradient_call_per_step(self, monkeypatch):
         init, data, config = pw_setup(iters=300)
         grads = counting(monkeypatch, wlra.solvers, "stoch_grad_pw")
+        sgd_pw(init, data, config)
+        assert len(grads) == 300
+        monkeypatch.setattr(wlra.geometry, "FOLD_COND", 0.0)
+        grads.clear()
         sgd_pw(init, data, config)
         assert len(grads) == 300
 
@@ -520,18 +486,46 @@ def euclidean_setup(instance, iters, trace_every=10, **kw):
     return pair0, data, config
 
 
+class DensePair:
+    """A Euclidean SGD state stepped densely, f + s stoch_grad_euclidean(f)."""
+
+    def __init__(self, f):
+        self.f = f
+
+    x = property(lambda self: self.f.x)
+    y = property(lambda self: self.f.y)
+
+    def step(self, i, j, grad, s):
+        self.f = self.f.add_scaled(grad, s)
+
+
 def dense_euclidean_run(init, data, config):
-    """The SGD loop on a FactorPair stepped by add_scaled(stoch_grad_euclidean)."""
+    """The SGD loop on a DensePair: the oracle of the ScaledPair steps."""
     lam = config.policy.lam
     return wlra.solvers._run_sgd(
-        init,
+        DensePair(init),
         data,
         config,
-        move_fn=lambda f, t, s: f.add_scaled(stoch_grad_euclidean(f, t, data, lam), s),
-        view_fn=lambda f: f,
+        grad_fn=lambda state, t: stoch_grad_euclidean(state.f, t, data, lam),
+        view_fn=lambda state: state.f,
         rho_fn=confinement_euclidean,
         full_grad_norm_fn=lambda f: full_grad_euclidean(f, data, lam).norm(),
     )
+
+
+def recording_folds(monkeypatch):
+    """Wrap ScaledPair.step; returns the list of 1-based steps that folded."""
+    folds, steps = [], []
+    real = ScaledPair.step
+
+    def step(self, *args):
+        real(self, *args)
+        steps.append(1)
+        if self.scale == 1.0:
+            folds.append(len(steps))
+
+    monkeypatch.setattr(ScaledPair, "step", step)
+    return folds
 
 
 def assert_pair_close_to_dense(final, reference):
@@ -565,11 +559,13 @@ class TestScaledPairSgd:
             budget=Budget(max_iterations=6), seed=18, trace_every=1,
         )
         reference, _ = dense_euclidean_run(init, data, config)
-        dense_steps = counting(monkeypatch, FactorPair, "add_scaled")
+        folds = recording_folds(monkeypatch)
+        grads = counting(monkeypatch, wlra.solvers, "stoch_grad_euclidean")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             final, _ = sgd_euclidean(init, data, config)
-        assert len(dense_steps) == int(two_eta_lam)  # the steps with 2 eta lam >= 1
+        assert folds == list(range(1, int(two_eta_lam) + 1))  # the steps with 2 eta lam >= 1
+        assert len(grads) == 6
         assert_pair_close_to_dense(final, reference)
 
     def test_low_fold_scale_folds_mid_run(self, monkeypatch):
@@ -579,17 +575,10 @@ class TestScaledPairSgd:
         init, data, config = euclidean_setup("pinned", iters=2000)
         reference, _ = dense_euclidean_run(init, data, config)
         grads = counting(monkeypatch, wlra.solvers, "stoch_grad_euclidean")
-        folds = []
-        real_add_scaled = FactorPair.add_scaled
-
-        def recording_add_scaled(self, d, c):
-            folds.append(len(grads))
-            return real_add_scaled(self, d, c)
-
-        monkeypatch.setattr(FactorPair, "add_scaled", recording_add_scaled)
+        folds = recording_folds(monkeypatch)
         final, _ = sgd_euclidean(init, data, config)
         assert 2 <= len(folds) <= 5 and folds[0] > 2
-        assert len(grads) == 2000 + len(folds)
+        assert len(grads) == 2000
         assert_pair_close_to_dense(final, reference)
 
     @pytest.mark.parametrize("adaptive", [False, True])
@@ -604,6 +593,50 @@ class TestScaledPairSgd:
         assert len(grads) == 2000
         # t = 0 records the init pair itself; the returned pair is the last record's.
         assert len(trace.records) == 201 and len(built) == 200
+
+
+class TestConfigFamily:
+    """A config whose kind disagrees with its policy, or with the solver's
+    family, is rejected before any step."""
+
+    def manifold_and_euclidean(self):
+        point0, data, manifold_config = svd_setup(60, 30, 4, iters=200)
+        _, pair0 = truncated_svd_init(fill_missing_column_mean(data), 4)
+        pair_policy = make_policy(
+            PolicyKind.EUCLIDEAN, data, confinement_euclidean(pair0), 1e-2, 1.0
+        )
+        euclidean_config = dataclasses.replace(
+            manifold_config, kind=PolicyKind.EUCLIDEAN, policy=pair_policy
+        )
+        return point0, pair0, data, manifold_config, euclidean_config
+
+    def test_kind_must_match_policy(self):
+        _, _, _, manifold_config, euclidean_config = self.manifold_and_euclidean()
+        with pytest.raises(ShapeMismatch):
+            dataclasses.replace(manifold_config, policy=euclidean_config.policy)
+        with pytest.raises(ShapeMismatch):
+            dataclasses.replace(euclidean_config, policy=manifold_config.policy)
+
+    def test_solver_rejects_another_family(self, monkeypatch):
+        point0, pair0, data, manifold_config, euclidean_config = self.manifold_and_euclidean()
+        pw_init, pw_data, pw_config = pw_setup(iters=200)
+        pw_as_manifold = dataclasses.replace(
+            pw_config,
+            kind=PolicyKind.MANIFOLD,
+            policy=make_policy(
+                PolicyKind.MANIFOLD, pw_data, confinement_manifold(pw_init), 1e-2, 1.0
+            ),
+        )
+        samples = counting(monkeypatch, wlra.solvers, "sample_index")
+        for solver, init, problem, config in (
+            (sgd_manifold, point0, data, euclidean_config),
+            (sgd_manifold, pw_init, pw_data, pw_config),
+            (sgd_euclidean, pair0, data, manifold_config),
+            (sgd_pw, pw_init, pw_data, pw_as_manifold),
+        ):
+            with pytest.raises(ShapeMismatch):
+                solver(init, problem, config)
+        assert samples == []
 
 
 @pytest.mark.parametrize("algorithm", ["manifold", "euclidean"])
