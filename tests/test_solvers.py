@@ -11,6 +11,7 @@ from wlra.data_io import problem_from_triplets, synth_lowrank
 from wlra.errors import BacktrackLimit, InitNotConfined, ShapeMismatch
 from wlra.geometry import (
     FOLD_STEPS,
+    FactoredStiefel,
     ProductPoint,
     assemble,
     orthonormality_defect,
@@ -218,6 +219,48 @@ class TestFactoredSgd:
         final, _ = sgd_manifold(init, data, config)
         assert len(retracts) == 0
         assert len(qr_calls) == len(factorizations) // 7 > 30  # one fold per failure
+        assert_close_to_dense(final, reference)
+
+    def test_near_singular_m_takes_dense_fallback(self, monkeypatch):
+        init, data, config = svd_setup(60, 30, 4, iters=300)
+        lam = config.policy.lam
+        reference = dense_sgd_reference(
+            init, data, config, lambda p, s: stoch_grad_manifold(p, s, data, lam)
+        )
+        real_step, real_update = FactoredStiefel.step, FactoredStiefel._update
+        stepped, singular, refused = [], [], []
+
+        def singular_m_on_call_100(self, i, a, s):
+            # On one call, hand the Cholesky-QR update the M of the s that makes
+            # it singular; the update must be refused and the step must fold to
+            # the dense retraction with the true s instead.
+            stepped.append(1)
+            if len(stepped) == 100:
+                singular.append((self.row(i), a))
+                real_step(self, i, a, s)
+                assert not singular  # the update was tried
+                assert self.steps == 0
+                np.testing.assert_array_equal(self.t, np.eye(len(a)))
+            else:
+                real_step(self, i, a, s)
+
+        def update(self, m, w, q):
+            if singular:
+                u_i, a = singular.pop()
+                s = 2.0 / (u_i @ a + np.linalg.norm(u_i) * np.linalg.norm(a))
+                b = u_i[:, None] * a
+                m = np.eye(len(a)) - 0.5 * s * (b + b.T)
+                w = u_i @ m
+                q = w + s * a
+                result = real_update(self, m, w, q)
+                refused.append(result is None)
+                return result
+            return real_update(self, m, w, q)
+
+        monkeypatch.setattr(FactoredStiefel, "step", singular_m_on_call_100)
+        monkeypatch.setattr(FactoredStiefel, "_update", update)
+        final, _ = sgd_manifold(init, data, config)
+        assert len(stepped) == 2 * 300 and refused == [True]
         assert_close_to_dense(final, reference)
 
     def test_low_fold_threshold_refolds(self, monkeypatch):
