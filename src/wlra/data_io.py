@@ -7,6 +7,7 @@ The on-disk format is a CSV with the exact header ``row,col,value``,
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .errors import (
 from .model import ProblemData
 
 HEADER = "row,col,value"
+_TABLE = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -46,13 +48,85 @@ class TripletMatrix:
 def load_triplets(
     path, one_based: bool = False, m: int | None = None, n: int | None = None
 ) -> TripletMatrix:
-    """Parse a triplet CSV; dimensions are inferred as max index + 1 unless given."""
-    lines = Path(path).read_text().splitlines()
+    """Parse a triplet CSV into a TripletMatrix.
+
+    The file starts with the header ``row,col,value``; every further line
+    holds one observation ``i,j,value``: two integer indices, 0-based (or
+    1-based with ``one_based``), and a finite float. Blank lines are skipped;
+    a cell may appear only once. Dimensions are inferred as max index + 1
+    unless given, and given ones must cover every index.
+
+    A clean file is parsed in one ``np.loadtxt`` pass and checked with
+    vectorized passes. Any other file goes through the per-line scan, which
+    raises at the first bad line: ``ParseError`` (with ``.line``) for a bad
+    header, field count or number, ``IndexOutOfBounds`` for a negative index
+    and ``DuplicateEntry`` for a repeated cell, both naming the line. A file
+    without observations raises ``EmptySupport``; an index outside a
+    declared shape raises ``IndexOutOfBounds``.
+    """
+    text = Path(path).read_text()
+    lines = text.splitlines()
     if not lines or lines[0].strip() != HEADER:
         raise ParseError(f"expected header {HEADER!r}", line=1)
+    shift = 1 if one_based else 0
+    parsed = _parse_table(text, lines, shift)
+    rows, cols, vals = parsed if parsed is not None else _scan_lines(lines, shift)
+    if rows.size == 0:
+        raise EmptySupport(f"{path} holds no observations")
+    m = m if m is not None else int(rows.max()) + 1
+    n = n if n is not None else int(cols.max()) + 1
+    if rows.max() >= m or cols.max() >= n:
+        raise IndexOutOfBounds(
+            f"index exceeds declared shape ({m}, {n})"
+        )
+    return TripletMatrix(m=m, n=n, rows=rows, cols=cols, vals=vals)
+
+
+def _parse_table(text: str, lines: list[str], shift: int):
+    """Rows, cols and values of a clean file in one C pass, or None when
+    the per-line scan has to decide: on a parse failure, an empty, negative,
+    non-finite or duplicate entry, and on the valid lines np.loadtxt rejects
+    (whitespace-only lines, ``1_0``, non-ASCII digits).
+
+    The parser sees the same lines as the scan, and for every field it
+    accepts, int() and float() return the same number."""
+    if "\x1f" in text:
+        # np.loadtxt strips U+001F around a field like a space; int() and
+        # float() reject it.
+        return None
+    try:
+        with warnings.catch_warnings():
+            # Some numpy versions (1.23 among them) only warn on an index
+            # written as a float, such as 3.0.
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                lines, dtype=_TABLE, delimiter=",", comments=None, skiprows=1, ndmin=1
+            )
+    except (ValueError, Warning):
+        return None
+    if (
+        table.size == 0
+        or table["row"].min() < shift
+        or table["col"].min() < shift
+        or not np.isfinite(table["value"]).all()
+    ):
+        return None
+    rows = table["row"] - shift
+    cols = table["col"] - shift
+    width = int(cols.max()) + 1
+    if int(rows.max()) >= np.iinfo(np.int64).max // width:
+        return None  # the cell codes below would overflow int64
+    cells = np.sort(rows * width + cols)
+    if (cells[1:] == cells[:-1]).any():
+        return None
+    return rows, cols, np.ascontiguousarray(table["value"])
+
+
+def _scan_lines(lines: list[str], shift: int):
+    """Rows, cols and values, checked line by line; raises at the first
+    bad line. The reference the one-pass parse is tested against."""
     rows, cols, vals = [], [], []
     seen: set[tuple[int, int]] = set()
-    shift = 1 if one_based else 0
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -75,17 +149,11 @@ def load_triplets(
         rows.append(i)
         cols.append(j)
         vals.append(v)
-    if not rows:
-        raise EmptySupport(f"{path} holds no observations")
-    rows_a = np.array(rows, dtype=np.int64)
-    cols_a = np.array(cols, dtype=np.int64)
-    m = m if m is not None else int(rows_a.max()) + 1
-    n = n if n is not None else int(cols_a.max()) + 1
-    if rows_a.max() >= m or cols_a.max() >= n:
-        raise IndexOutOfBounds(
-            f"index exceeds declared shape ({m}, {n})"
-        )
-    return TripletMatrix(m=m, n=n, rows=rows_a, cols=cols_a, vals=np.array(vals))
+    return (
+        np.array(rows, dtype=np.int64),
+        np.array(cols, dtype=np.int64),
+        np.array(vals, dtype=np.float64),
+    )
 
 
 def write_triplets(tm: TripletMatrix, path) -> None:

@@ -19,10 +19,8 @@ from .model import FactorPair, ProblemData
 def fill_missing_column_mean(data: ProblemData) -> np.ndarray:
     """Dense copy of the observations with each missing cell set to its
     column's observed mean (zero for all-missing columns)."""
-    counts = np.zeros(data.n)
-    sums = np.zeros(data.n)
-    np.add.at(counts, data.cols, 1.0)
-    np.add.at(sums, data.cols, data.a_vals)
+    counts = np.bincount(data.cols, minlength=data.n)
+    sums = np.bincount(data.cols, weights=data.a_vals, minlength=data.n)
     means = np.divide(sums, counts, out=np.zeros(data.n), where=counts > 0)
     out = np.tile(means, (data.m, 1))
     out[data.rows, data.cols] = data.a_vals

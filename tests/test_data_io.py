@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wlra import data_io
 from wlra.data_io import (
     TripletMatrix,
     binary_weights,
@@ -69,6 +70,154 @@ class TestLoadTriplets:
         assert back.rows.tolist() == tm.rows.tolist()
         assert back.cols.tolist() == tm.cols.tolist()
         assert back.vals.tolist() == tm.vals.tolist()
+
+
+def write_file(tmp_path, text):
+    path = tmp_path / "m.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+def scanned(path, **kw):
+    """load_triplets with the one-pass parse turned off: the per-line scan
+    decides, as it did for every file before the parse existed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_io, "_parse_table", lambda *args: None)
+        return load_triplets(path, **kw)
+
+
+def assert_same_triplets(got, want):
+    assert (got.m, got.n) == (want.m, want.n)
+    for a, b in ((got.rows, want.rows), (got.cols, want.cols), (got.vals, want.vals)):
+        assert a.dtype == b.dtype and a.flags.c_contiguous
+        assert np.array_equal(a, b)
+
+
+# id, whole file, load_triplets keywords, expected (m, n, rows, cols, vals),
+# and whether the per-line scan reads the file (the one-pass parse rejects it).
+ACCEPTED = [
+    ("blank_line", "row,col,value\n0,0,5\n\n1,2,3\n", {},
+     (2, 3, [0, 1], [0, 2], [5.0, 3.0]), False),
+    ("whitespace_only_line", "row,col,value\n0,0,5\n \t \n1,2,3\n", {},
+     (2, 3, [0, 1], [0, 2], [5.0, 3.0]), True),
+    ("crlf", "row,col,value\r\n0,0,5\r\n1,2,3\r\n", {},
+     (2, 3, [0, 1], [0, 2], [5.0, 3.0]), False),
+    ("plus_sign", "row,col,value\n+3,0,+1.5\n0,+1,-2\n", {},
+     (4, 2, [3, 0], [0, 1], [1.5, -2.0]), False),
+    ("padded", "row,col,value\n 3 ,\t0, 1.5 \n", {}, (4, 1, [3], [0], [1.5]), False),
+    ("underscore", "row,col,value\n1_0,0,1\n0,0,2_5\n", {},
+     (11, 1, [10, 0], [0, 0], [1.0, 25.0]), True),
+    ("non_ascii_digits", "row,col,value\n\u0663,0,\u0661.5\n", {},
+     (4, 1, [3], [0], [1.5]), True),
+    ("one_based", "row,col,value\n1,1,5\n2,3,1\n", {"one_based": True},
+     (2, 3, [0, 1], [0, 2], [5.0, 1.0]), False),
+    ("declared_shape", "row,col,value\n0,0,5\n1,2,3\n", {"m": 4, "n": 5},
+     (4, 5, [0, 1], [0, 2], [5.0, 3.0]), False),
+]
+
+# id, whole file, load_triplets keywords, error class, line (None when the
+# error has no line attribute), message.
+REJECTED = [
+    ("bad_header", "row,col,val\n0,0,5\n", {}, ParseError, 1,
+     "line 1: expected header 'row,col,value'"),
+    ("empty_file", "", {}, ParseError, 1, "line 1: expected header 'row,col,value'"),
+    ("two_fields", "row,col,value\n0,0,5\n1,2\n", {}, ParseError, 3,
+     "line 3: expected 3 fields, got 2"),
+    ("four_fields", "row,col,value\n0,0,5\n1,2,3,4\n", {}, ParseError, 3,
+     "line 3: expected 3 fields, got 4"),
+    ("float_index", "row,col,value\n0,0,5\n3.0,1,1\n", {}, ParseError, 3,
+     "line 3: invalid literal for int() with base 10: '3.0'"),
+    ("non_numeric_value", "row,col,value\n0,0,5\n1,1,abc\n", {}, ParseError, 3,
+     "line 3: could not convert string to float: 'abc'"),
+    ("nan", "row,col,value\n0,0,nan\n1,1,1\n", {}, ParseError, 2,
+     "line 2: non-finite value 'nan'"),
+    ("inf", "row,col,value\n0,0,5\n1,1,-inf\n", {}, ParseError, 3,
+     "line 3: non-finite value '-inf'"),
+    ("negative_index", "row,col,value\n0,0,5\n1,-2,3\n", {}, IndexOutOfBounds, None,
+     "negative index at line 3"),
+    ("negative_after_one_based", "row,col,value\n1,1,5\n0,2,3\n", {"one_based": True},
+     IndexOutOfBounds, None, "negative index at line 3"),
+    ("duplicate", "row,col,value\n0,0,5\n1,1,2\n0,0,1\n", {}, DuplicateEntry, None,
+     "duplicate entry (0, 0) at line 4"),
+    ("beyond_declared_shape", "row,col,value\n0,0,5\n1,3,3\n", {"m": 2, "n": 3},
+     IndexOutOfBounds, None, "index exceeds declared shape (2, 3)"),
+    ("header_only", "row,col,value\n", {}, EmptySupport, None, "{path} holds no observations"),
+]
+
+
+class TestLoaderPaths:
+    """The one-pass parse and the per-line scan agree on every file: what
+    loads, loads to the same arrays; what fails, fails with the same error."""
+
+    @pytest.mark.parametrize(
+        "text, kw, expected, scan_only", [case[1:] for case in ACCEPTED],
+        ids=[case[0] for case in ACCEPTED],
+    )
+    def test_accepted(self, tmp_path, monkeypatch, text, kw, expected, scan_only):
+        path = write_file(tmp_path, text)
+        want = scanned(path, **kw)
+        scans = []
+        real_scan = data_io._scan_lines
+
+        def counted_scan(*args):
+            scans.append(args)
+            return real_scan(*args)
+
+        monkeypatch.setattr(data_io, "_scan_lines", counted_scan)
+        got = load_triplets(path, **kw)
+        assert_same_triplets(got, want)
+        m, n, rows, cols, vals = expected
+        assert (got.m, got.n) == (m, n)
+        assert got.rows.tolist() == rows and got.cols.tolist() == cols
+        assert got.vals.tolist() == vals
+        assert bool(scans) == scan_only
+
+    @pytest.mark.parametrize(
+        "text, kw, exc, line, message", [case[1:] for case in REJECTED],
+        ids=[case[0] for case in REJECTED],
+    )
+    def test_rejected(self, tmp_path, text, kw, exc, line, message):
+        path = write_file(tmp_path, text)
+        with pytest.raises(exc) as want:
+            scanned(path, **kw)
+        with pytest.raises(exc) as got:
+            load_triplets(path, **kw)
+        assert str(got.value) == str(want.value) == message.format(path=path)
+        assert getattr(got.value, "line", None) == getattr(want.value, "line", None) == line
+
+    def test_every_ascii_character_beside_a_field(self, tmp_path):
+        # np.loadtxt strips some characters around a field (U+001F among
+        # them) that int() and float() reject, and str.splitlines breaks
+        # lines at some the parser does not; the outcome must not depend on it.
+        line = "1,0,2.5"
+        cuts = [0, 1, 2, 3, 4, len(line)]
+        for code in range(128):
+            for cut in cuts:
+                text = f"row,col,value\n0,1,3\n{line[:cut]}{chr(code)}{line[cut:]}\n"
+                path = write_file(tmp_path, text)
+                outcomes = []
+                for load in (load_triplets, scanned):
+                    try:
+                        tm = load(path)
+                        outcomes.append((tm.m, tm.n, tm.rows.tolist(), tm.cols.tolist(),
+                                         tm.vals.tolist()))
+                    except (ParseError, IndexOutOfBounds, DuplicateEntry) as exc:
+                        outcomes.append((type(exc), str(exc)))
+                assert outcomes[0] == outcomes[1], repr(text)
+
+    def test_clean_file_skips_the_scan(self, tmp_path, monkeypatch):
+        tm = synth_lowrank(60, 40, 3, 0.5, 0.1, seed=4)
+        assert tm.nnz >= 1000
+        path = tmp_path / "clean.csv"
+        write_triplets(tm, path)
+
+        def no_scan(*args):
+            raise AssertionError("a clean file entered the per-line scan")
+
+        monkeypatch.setattr(data_io, "_scan_lines", no_scan)
+        back = load_triplets(path)
+        assert_same_triplets(back, tm)
 
 
 class TestSampleSubmatrix:

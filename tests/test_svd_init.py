@@ -124,6 +124,27 @@ class TestFillMissing:
         assert np.all(out[:, 1] == 0.0) and np.all(out[:, 2] == 0.0)
         np.testing.assert_allclose(out[:, 0], [1.0, 3.0])
 
+    def test_matches_add_at_sums(self):
+        # The column sums and counts come from np.bincount; it accumulates in
+        # index order, as np.add.at does, so the result is bit-identical.
+        rng = np.random.default_rng(8)
+        m, n = 300, 40
+        mask = rng.random((m, n)) < 0.2
+        mask[:, 7] = False
+        rows, cols = np.nonzero(mask)
+        vals = rng.standard_normal(rows.size) * 10.0 ** rng.integers(-3, 4, rows.size)
+        w = np.full(rows.size, 1.0 / rows.size)
+        w[-1] = 1.0 - w[:-1].sum()
+        data = ProblemData(m=m, n=n, k=2, rows=rows, cols=cols, a_vals=vals, w_vals=w)
+        counts = np.zeros(n)
+        sums = np.zeros(n)
+        np.add.at(counts, cols, 1.0)
+        np.add.at(sums, cols, vals)
+        means = np.divide(sums, counts, out=np.zeros(n), where=counts > 0)
+        want = np.tile(means, (m, 1))
+        want[rows, cols] = vals
+        assert np.array_equal(fill_missing_column_mean(data), want)
+
 
 class TestTruncatedInit:
     def test_diagonal_hand_case(self):
