@@ -11,7 +11,6 @@ from .errors import (
     InvalidDimensions,
     LambdaOutOfRange,
     MismatchedData,
-    NegativeSingularValue,
     NonPositiveWeight,
     ParseError,
     RankDeficient,

@@ -24,6 +24,7 @@ from .model import ProblemData
 
 HEADER = "row,col,value"
 _TABLE = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
+_INDEX_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,10 @@ def load_triplets(
     vectorized passes. Any other file goes through the per-line scan, which
     raises at the first bad line: ``ParseError`` (with ``.line``) for a bad
     header, field count or number, ``IndexOutOfBounds`` for a negative index
-    and ``DuplicateEntry`` for a repeated cell, both naming the line. A file
-    without observations raises ``EmptySupport``; an index outside a
-    declared shape raises ``IndexOutOfBounds``.
+    or one beyond the int64 range, and ``DuplicateEntry`` for a repeated
+    cell, each naming the line. A file without observations raises
+    ``EmptySupport``; an index outside a declared shape raises
+    ``IndexOutOfBounds``.
     """
     text = Path(path).read_text()
     lines = text.splitlines()
@@ -143,6 +145,8 @@ def _scan_lines(lines: list[str], shift: int):
             raise ParseError(f"non-finite value {parts[2]!r}", line=lineno)
         if i < 0 or j < 0:
             raise IndexOutOfBounds(f"negative index at line {lineno}")
+        if max(i, j) > _INDEX_MAX:
+            raise IndexOutOfBounds(f"index beyond the int64 range at line {lineno}")
         if (i, j) in seen:
             raise DuplicateEntry(f"duplicate entry ({i}, {j}) at line {lineno}")
         seen.add((i, j))

@@ -33,10 +33,6 @@ class BacktrackLimit(WlraError):
     pass
 
 
-class NegativeSingularValue(WlraError):
-    pass
-
-
 class ParseError(WlraError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")

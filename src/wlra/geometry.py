@@ -141,94 +141,37 @@ def retract(p: ProductPoint, v: ProductTangent) -> ProductPoint:
     return ProductPoint(qf(p.u + v.du), p.x + v.dx, qf(p.v + v.dv))
 
 
-# FactoredStiefel folds T back into its base, re-orthonormalizing with `qf`,
-# when the condition number of T passes FOLD_COND (row updates divide by T,
-# so their round-off grows with it) or after FOLD_STEPS steps. The Cholesky-QR
-# step does not restore orthonormality the way Householder QR does: under
-# tiny steps ||U^T U - I||_F drifts up by about 1.5e-16 per step.
+# A factor of a FactoredPoint folds T back into its base, re-orthonormalizing
+# with `qf`, when the condition number of T passes FOLD_COND (row updates
+# divide by T, so their round-off grows with it) or after FOLD_STEPS steps.
+# The Cholesky-QR step does not restore orthonormality the way Householder QR
+# does: under tiny steps ||U^T U - I||_F drifts up by about 1.5e-16 per step.
 FOLD_COND = 100.0
 FOLD_STEPS = 1000
 
 
-class FactoredStiefel:
-    """A Stiefel point U = B T kept in factored form for single-row steps.
-
-    B is m-by-k and T is k-by-k. The step U + s Pi_U(e_i a^T) equals
-    U M + s e_i a^T with M = I - s (u_i a^T + a u_i^T) / 2, and its QR
-    retraction (U M + s e_i a^T) R^-1 comes from the Cholesky factor R of
-    the k-by-k Gram matrix G = M^T M + s (M^T u_i a^T + a u_i^T M) +
-    s^2 a a^T, which holds because U^T U = I. The new point is B T' with
-    T' = T M R^-1 and only row i of B rewritten, so a step costs O(k^3)
-    instead of the O(m k^2) of `retract`. Where that update is unavailable
-    (G not numerically positive definite, T' singular) or the fold rule
-    fires, the step folds: B = qf(U M + s e_i a^T) and T = I. The fold is
-    the same point, as qf(A R^-1) = qf(A) for an upper-triangular R with
-    positive diagonal.
-    """
-
-    def __init__(self, u: np.ndarray):
-        self.base = np.array(u, dtype=float)
-        self.t = np.eye(self.base.shape[1])
-        self.steps = 0  # since the last fold
-
-    def row(self, i: int) -> np.ndarray:
-        """Row i of U."""
-        return self.base[i] @ self.t
-
-    def dense(self) -> np.ndarray:
-        """U itself, m-by-k."""
-        return self.base @ self.t
-
-    def step(self, i: int, a: np.ndarray, s: float) -> None:
-        """Move U to qf(U + s Pi_U(e_i a^T))."""
-        k = self.t.shape[0]
-        u_i = self.row(i)
-        b = u_i[:, None] * a
-        m = (-0.5 * s) * (b + b.T)
-        m.flat[:: k + 1] += 1.0
-        w = u_i @ m  # M^T u_i, as M is symmetric
-        q = w + s * a  # row i of U M + s e_i a^T
-        self.steps += 1
-        update = self._update(m, w, q) if self.steps < FOLD_STEPS else None
-        if update is None:
-            u = self.base @ (self.t @ m)
-            u[i] = q
-            self.base = qf(u)
-            self.t = np.eye(k)
-            self.steps = 0
-        else:
-            self.t, t_inv, row = update
-            self.base[i] = row @ t_inv
-
-    def _update(self, m: np.ndarray, w: np.ndarray, q: np.ndarray) -> tuple | None:
-        """(T', T'^-1, R^-T q), or None when the step must fold: the Cholesky
-        factorization of G fails, some pivot |R_jj| is at most RANK_TOL *
-        max(sqrt(G_jj), 1) (the rule of `qf`), T' cannot be inverted, or
-        cond(T') passes FOLD_COND."""
-        # M^T M + s (w a^T + a w^T) + s^2 a a^T, written as M^T M + q q^T - w w^T
-        g = m @ m + (q[:, None] * q - w[:, None] * w)
-        try:
-            l = np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            return None
-        if (np.diagonal(l) / np.maximum(np.sqrt(np.diagonal(g)), 1.0)).min() <= RANK_TOL:
-            return None
-        r_inv = np.linalg.inv(l).T
-        t_new = self.t @ m @ r_inv
-        try:
-            t_new_inv = np.linalg.inv(t_new)
-        except np.linalg.LinAlgError:
-            return None
-        # ||T||_F ||T^-1||_F / k: 1 for orthogonal T, and between cond_2(T) / k
-        # and cond_2(T) in general; an SVD would cost more than the step.
-        cond = np.sqrt(np.vdot(t_new, t_new) * np.vdot(t_new_inv, t_new_inv)) / len(q)
-        if not cond <= FOLD_COND:  # NaN folds too
-            return None
-        return t_new, t_new_inv, q @ r_inv
-
-
 class FactoredPoint:
-    """A product point (U, x, V) with U and V kept as FactoredStiefel.
+    """A product point (U, x, V) with U = B_u T_u and V = B_v T_v kept in
+    factored form for single-sample steps.
+
+    The bases B_u (m-by-k) and B_v (n-by-k) are `bases`; T_u and T_v are
+    stacked in the (2, k, k) array `t`, so that every k-by-k operation of a
+    step is one numpy call for both factors. For one factor U, the step
+    U + s Pi_U(e_i a^T) equals U M + s e_i a^T with
+    M = I - s (u_i a^T + a u_i^T) / 2, and its QR retraction
+    (U M + s e_i a^T) R^-1 comes from the Cholesky factor R of the k-by-k
+    Gram matrix G = M^T M + s (M^T u_i a^T + a u_i^T M) + s^2 a a^T, which
+    holds because U^T U = I. The new point is B T' with T' = T M R^-1 and
+    only row i of B rewritten, so a step costs O(k^3) instead of the
+    O(m k^2) of `retract`. V takes the same step at row j.
+
+    Each factor folds on its own, B = qf(U M + s e_i a^T) and T = I, when
+    its update is unavailable (some Cholesky pivot R_jj is at most
+    RANK_TOL * max(sqrt(G_jj), 1), the rule of `qf`, or cond(T') passes
+    FOLD_COND) or after FOLD_STEPS steps since its last fold. A LinAlgError
+    of a batched factorization or inverse does not say which factor failed,
+    so both fold. A fold is the same point, as qf(A R^-1) = qf(A) for an
+    upper-triangular R with positive diagonal.
 
     `point()` materializes the ProductPoint, O((m + n) k^2); it is cached
     until the next step, and the first one is the point the state was built
@@ -236,24 +179,78 @@ class FactoredPoint:
     """
 
     def __init__(self, p: ProductPoint):
-        self.u = FactoredStiefel(p.u)
+        k = p.x.size
+        self.bases = [np.array(p.u, dtype=float), np.array(p.v, dtype=float)]
+        self.t = np.tile(np.eye(k), (2, 1, 1))
+        self.steps = [0, 0]  # per factor, since its last fold
         self.x = p.x
-        self.v = FactoredStiefel(p.v)
+        self._eye = np.eye(k)
+        self._base_rows = np.empty((2, 1, k))
         self._point = p
+
+    def rows(self, i: int, j: int) -> np.ndarray:
+        """Row i of U and row j of V, as one (2, k) array."""
+        buf = self._base_rows
+        buf[0, 0] = self.bases[0][i]
+        buf[1, 0] = self.bases[1][j]
+        return (buf @ self.t)[:, 0]
 
     def point(self) -> ProductPoint:
         if self._point is None:
-            self._point = ProductPoint(self.u.dense(), self.x, self.v.dense())
+            u, v = (base @ t for base, t in zip(self.bases, self.t))
+            self._point = ProductPoint(u, self.x, v)
         return self._point
 
-    def step(self, i: int, j: int, rows: tuple, s: float) -> None:
-        """Retract along s times the projection of the ambient direction whose
-        U row i, x slot and V row j are `rows`."""
-        du_i, dx, dv_j = rows
-        self.u.step(i, du_i, s)
-        self.v.step(j, dv_j, s)
+    def step(self, i: int, j: int, grad: tuple, s: float) -> None:
+        """Retract along s times the projection of an ambient direction.
+
+        `grad` is (rows, a, dx): `rows` the (2, k) array of row i of U and
+        row j of V, as `rows(i, j)` read them, `a` the (2, k) array of the
+        direction's U row i and V row j, and `dx` its x slot.
+        """
+        rows, a, dx = grad
+        b = rows[:, :, None] * a[:, None, :]
+        m = self._eye - (0.5 * s) * (b + b.transpose(0, 2, 1))
+        w = (rows[:, None] @ m)[:, 0]  # M^T u_i, as M is symmetric
+        q = w + s * a  # row i of U M + s e_i a^T
+        tm = self.t @ m
+        steps = self.steps = [n + 1 for n in self.steps]
+        t_new, ok = self.t, (False, False)
+        if min(steps) < FOLD_STEPS:
+            try:
+                t_new, new_rows, ok = self._update(tm, m, w, q)
+            except np.linalg.LinAlgError:
+                pass  # which factor failed is unknown, so both fold
+        self.t = t_new
+        for f, cell in enumerate((i, j)):
+            if ok[f] and steps[f] < FOLD_STEPS:
+                self.bases[f][cell] = new_rows[f]
+            else:
+                u = self.bases[f] @ tm[f]
+                u[cell] = q[f]
+                self.bases[f] = qf(u)
+                self.t[f] = self._eye
+                steps[f] = 0
         self.x = self.x + s * dx
         self._point = None
+
+    def _update(self, tm, m, w, q) -> tuple:
+        """(T', R^-T q T'^-1, ok) for both factors; ok[f] is False where
+        factor f fails the pivot or the FOLD_COND rule. Raises LinAlgError
+        when a batched Cholesky factorization or inverse fails."""
+        # M^T M + s (w a^T + a w^T) + s^2 a a^T, written as M^T M + q q^T - w w^T
+        g = m @ m + (q[:, :, None] * q[:, None, :] - w[:, :, None] * w[:, None, :])
+        l = np.linalg.cholesky(g)
+        pivots = l.diagonal(0, 1, 2) / np.maximum(np.sqrt(g.diagonal(0, 1, 2)), 1.0)
+        r_inv = np.linalg.inv(l).transpose(0, 2, 1)
+        t_new = tm @ r_inv
+        t_new_inv = np.linalg.inv(t_new)
+        # cond(T') as ||T'||_F ||T'^-1||_F / k: 1 for orthogonal T', and between
+        # cond_2(T') / k and cond_2(T') in general; an SVD would cost more than
+        # the step. Compared squared; NaN folds too.
+        cond_sq = np.square(t_new).sum((1, 2)) * np.square(t_new_inv).sum((1, 2))
+        ok = (pivots.min(1) > RANK_TOL) & (cond_sq <= (FOLD_COND * q.shape[1]) ** 2)
+        return t_new, (q[:, None] @ r_inv @ t_new_inv)[:, 0], ok
 
 
 def assemble(p: ProductPoint) -> np.ndarray:

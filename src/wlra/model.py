@@ -165,6 +165,9 @@ def pair_inner(a: FactorPair, b: FactorPair) -> float:
 # back into the factors, long before a^2, in every residual, could underflow
 # (near 1e-154).
 FOLD_SCALE = 1e-100
+# A ScaledPair recomputes its running ||Xb||^2 + ||Yb||^2 from the bases
+# after SYNC_STEPS row-by-row updates, which bounds their round-off.
+SYNC_STEPS = 1000
 
 
 class ScaledPair:
@@ -178,6 +181,10 @@ class ScaledPair:
     bases, Xb = a' Xb plus s times the data row, and a = 1. `pair()`
     materializes the FactorPair (a Xb, a Yb); it is cached until the next
     step, and the first one is the pair the state was built from.
+
+    `sq_norm()` is ||Xb||_F^2 + ||Yb||_F^2, computed from the bases on the
+    first read, after a fold and after SYNC_STEPS steps; in between, each
+    step adds the change of its two rows, O(k).
     """
 
     def __init__(self, f: FactorPair, lam: float):
@@ -186,11 +193,20 @@ class ScaledPair:
         self.lam = lam
         self.scale = 1.0
         self._pair = f
+        self._sq_norm = 0.0
+        self._sq_left = 0  # row-by-row updates left before a recompute
 
     def pair(self) -> FactorPair:
         if self._pair is None:
             self._pair = FactorPair(self.scale * self.x_base, self.scale * self.y_base)
         return self._pair
+
+    def sq_norm(self) -> float:
+        if not self._sq_left:
+            x, y = self.x_base, self.y_base
+            self._sq_norm = float(np.vdot(x, x) + np.vdot(y, y))
+            self._sq_left = SYNC_STEPS
+        return self._sq_norm
 
     def step(self, i: int, j: int, rows: tuple, s: float) -> None:
         """Step along s times the gradient with data rows `rows` (X row i,
@@ -204,8 +220,15 @@ class ScaledPair:
             self.x_base *= scale
             self.y_base *= scale
             self.scale = 1.0
-        self.x_base[i] += s * gx_i
-        self.y_base[j] += s * gy_j
+            self._sq_left = 0
+        dx, dy = s * gx_i, s * gy_j
+        if self._sq_left:  # ||r + d||^2 - ||r||^2 = d . (2 r + d) for each moved row r
+            self._sq_left -= 1
+            self._sq_norm += float(
+                np.dot(dx, 2.0 * self.x_base[i] + dx) + np.dot(dy, 2.0 * self.y_base[j] + dy)
+            )
+        self.x_base[i] += dx
+        self.y_base[j] += dy
         self._pair = None
 
 
@@ -346,40 +369,35 @@ def cost_euclidean(f: FactorPair, data: ProblemData, lam: float) -> float:
 
 def _sample_rows(
     p: ProductPoint | FactoredPoint, t: int, data: ProblemData
-) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """Cell (i, j) of triplet index t, with row i of U and row j of V."""
+) -> tuple[int, int, np.ndarray]:
+    """Cell (i, j) of triplet index t, with row i of U and row j of V as one
+    (2, k) array."""
     i, j = data.rows[t], data.cols[t]
     if isinstance(p, FactoredPoint):
-        return i, j, p.u.row(i), p.v.row(j)
-    return i, j, p.u[i], p.v[j]
+        return i, j, p.rows(i, j)
+    return i, j, np.stack((p.u[i], p.v[j]))
 
 
 def _sample_gradient(
-    p: ProductPoint | FactoredPoint,
-    i: int,
-    j: int,
-    u_i: np.ndarray,
-    v_j: np.ndarray,
-    r: float,
-    lam: float,
+    p: ProductPoint | FactoredPoint, i: int, j: int, rows: np.ndarray, r: float, lam: float
 ):
     """Gradient whose only data term sits at (i, j), with residual r.
 
-    With coefficient c = -2 * r, the ambient U gradient has the single row
-    c * (x * V_j), the V gradient the single row c * (x * U_i), and the x
-    gradient is c * (U_i * V_j) + 2 * lam * x. At a FactoredPoint these
-    three rows are returned as they are; at a ProductPoint they are placed
-    in dense factors and projected onto the tangent space.
+    With coefficient c = -2 * r and rows = (U_i, V_j), the ambient U and V
+    gradients have the single rows (c x) * (V_j, U_i), and the x gradient
+    is c * (U_i * V_j) + 2 * lam * x. At a ProductPoint they are placed in
+    dense factors and projected onto the tangent space.
     """
     coeff = -2.0 * r
     x = p.x
-    gu_i, gx, gv_j = coeff * (x * v_j), coeff * (u_i * v_j) + 2.0 * lam * x, coeff * (x * u_i)
+    g = (coeff * x) * rows[::-1]
+    gx = coeff * (rows[0] * rows[1]) + 2.0 * lam * x
     if isinstance(p, FactoredPoint):
-        return gu_i, gx, gv_j
+        return rows, g, gx
     gu = np.zeros_like(p.u)
     gv = np.zeros_like(p.v)
-    gu[i] = gu_i
-    gv[j] = gv_j
+    gu[i] = g[0]
+    gv[j] = g[1]
     return project_tangent(p, ProductTangent(gu, gx, gv))
 
 
@@ -388,13 +406,15 @@ def stoch_grad_manifold(
 ):
     """Gradient of the per-sample regularized objective at triplet index t.
 
-    At a ProductPoint, the projected ProductTangent. At a FactoredPoint, the
-    non-zero ambient rows (U row, x gradient, V row) in O(k), which
-    `FactoredPoint.step` projects and retracts.
+    At a ProductPoint, the projected ProductTangent. At a FactoredPoint, in
+    O(k) after one read of U row i and V row j: the tuple (those rows as a
+    (2, k) array, the (2, k) array of the non-zero ambient U and V gradient
+    rows, the x gradient), which `FactoredPoint.step` projects and retracts
+    without reading the rows again.
     """
-    i, j, u_i, v_j = _sample_rows(p, t, data)
-    r = data.a_vals[t] - float(np.dot(u_i * p.x, v_j))
-    return _sample_gradient(p, i, j, u_i, v_j, r, lam)
+    i, j, rows = _sample_rows(p, t, data)
+    r = data.a_vals[t] - float(np.dot(rows[0] * p.x, rows[1]))
+    return _sample_gradient(p, i, j, rows, r, lam)
 
 
 def stoch_grad_euclidean(f: FactorPair | ScaledPair, t: int, data: ProblemData, lam: float):
@@ -423,10 +443,10 @@ def stoch_grad_pw(
     uses a tilted prediction. Returns what `stoch_grad_manifold` returns for
     the same kind of point."""
     check_lambda_pw(lam, require_positive_weights(data))
-    i, j, u_i, v_j = _sample_rows(p, t, data)
-    pv = float(np.dot(u_i * p.x, v_j))
+    i, j, rows = _sample_rows(p, t, data)
+    pv = float(np.dot(rows[0] * p.x, rows[1]))
     r = data.a_vals[t] - (1.0 - lam * data.inv_w[t]) * pv
-    return _sample_gradient(p, i, j, u_i, v_j, r, lam)
+    return _sample_gradient(p, i, j, rows, r, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +556,8 @@ def confinement_manifold(p: ProductPoint) -> float:
 
 
 def confinement_euclidean(f: FactorPair | ScaledPair) -> float:
-    """||X||_F^2 + ||Y||_F^2; at a ScaledPair a^2 (||Xb||^2 + ||Yb||^2), with no m-by-k temporary."""
+    """||X||_F^2 + ||Y||_F^2; at a ScaledPair a^2 (||Xb||^2 + ||Yb||^2) from
+    its running `sq_norm`, O(k) per step."""
     if isinstance(f, ScaledPair):
-        return f.scale**2 * float(np.vdot(f.x_base, f.x_base) + np.vdot(f.y_base, f.y_base))
+        return f.scale**2 * f.sq_norm()
     return float(np.sum(f.x**2) + np.sum(f.y**2))

@@ -223,9 +223,11 @@ def sgd_manifold(
     happens only past the confinement ceiling rho1, so a confined adaptive
     run takes the same steps as the exact safeguard without the pass.
 
-    The iterate is kept as a FactoredPoint: each step is an O(k^3) update of
-    the factored U and V, or a fold that re-orthonormalizes the factor
-    (see `FactoredStiefel`), and makes one per-sample gradient call.
+    The iterate is kept as a FactoredPoint: each step makes one per-sample
+    gradient call, which reads row i of U and row j of V once as a (2, k)
+    array, and one stacked O(k^3) Cholesky-QR update of the factored U and
+    V. A factor whose update is refused folds on its own, re-orthonormalizing
+    its base (see `FactoredPoint`).
     """
     lam = config.policy.lam
     _check_start(config, PolicyKind.MANIFOLD, confinement_manifold(init))

@@ -114,6 +114,9 @@ ACCEPTED = [
      (2, 3, [0, 1], [0, 2], [5.0, 1.0]), False),
     ("declared_shape", "row,col,value\n0,0,5\n1,2,3\n", {"m": 4, "n": 5},
      (4, 5, [0, 1], [0, 2], [5.0, 3.0]), False),
+    # 2^63 overflows the one-pass parse; one-based it is the largest int64.
+    ("int64_max_one_based", "row,col,value\n9223372036854775808,1,5\n", {"one_based": True},
+     (2**63, 1, [2**63 - 1], [0], [5.0]), True),
 ]
 
 # id, whole file, load_triplets keywords, error class, line (None when the
@@ -140,6 +143,12 @@ REJECTED = [
      IndexOutOfBounds, None, "negative index at line 3"),
     ("duplicate", "row,col,value\n0,0,5\n1,1,2\n0,0,1\n", {}, DuplicateEntry, None,
      "duplicate entry (0, 0) at line 4"),
+    ("row_beyond_int64", "row,col,value\n0,0,5\n9223372036854775808,0,1\n", {},
+     IndexOutOfBounds, None, "index beyond the int64 range at line 3"),
+    ("col_beyond_int64", "row,col,value\n0,0,5\n1,99999999999999999999,1\n", {},
+     IndexOutOfBounds, None, "index beyond the int64 range at line 3"),
+    ("beyond_int64_after_one_based", "row,col,value\n1,1,5\n1,9223372036854775809,1\n",
+     {"one_based": True}, IndexOutOfBounds, None, "index beyond the int64 range at line 3"),
     ("beyond_declared_shape", "row,col,value\n0,0,5\n1,3,3\n", {"m": 2, "n": 3},
      IndexOutOfBounds, None, "index exceeds declared shape (2, 3)"),
     ("header_only", "row,col,value\n", {}, EmptySupport, None, "{path} holds no observations"),

@@ -5,7 +5,7 @@ import wlra.geometry
 from wlra.errors import RankDeficient, ShapeMismatch
 from wlra.geometry import (
     FOLD_STEPS,
-    FactoredStiefel,
+    FactoredPoint,
     ProductPoint,
     ProductTangent,
     assemble,
@@ -137,67 +137,150 @@ class TestRetract:
 
 
 def dense_row_step(u, i, a, s):
-    """qf(U + s Pi_U(e_i a^T)), the step FactoredStiefel takes in factored form."""
+    """qf(U + s Pi_U(e_i a^T)), the step FactoredPoint takes on each factor in factored form."""
     xi = np.zeros_like(u)
     xi[i] = a
     return qf(u + s * tangent_project(u, xi))
 
 
+def factored_step(f, i, j, a, s, dx=None):
+    """One FactoredPoint step along the direction with U row i a[0], V row j
+    a[1] and x slot dx (zero by default), reading the rows as the solvers do."""
+    f.step(i, j, (f.rows(i, j), a, np.zeros(f.x.size) if dx is None else dx), s)
+
+
+def assert_folded(f, factor):
+    assert f.steps[factor] == 0
+    np.testing.assert_array_equal(f.t[factor], np.eye(f.t.shape[1]))
+    assert orthonormality_defect(f.bases[factor]) <= 1e-13
+
+
 class TestFactoredStiefel:
+    """The Stiefel factor steps of FactoredPoint, one stacked Cholesky-QR
+    step for U and V, against the dense retraction of each factor."""
+
     def test_steps_match_dense_retraction(self):
-        # 2000 steps at m=500, k=8 against Householder QR of the full factor.
+        # 2000 steps at m=500, n=300, k=8 against Householder QR of the full factors.
         rng = np.random.default_rng(40)
-        u = random_stiefel(500, 8, rng)
-        f = FactoredStiefel(u)
+        p = random_point(500, 300, 8, rng)
+        f = FactoredPoint(p)
+        u, x, v = p.u, p.x, p.v
         worst = 0.0
         for step in range(2000):
-            i, a, s = int(rng.integers(500)), rng.standard_normal(8), 0.5 / (step + 1)
-            u = dense_row_step(u, i, a, s)
-            f.step(i, a, s)
-            worst = max(worst, float(np.abs(f.dense() - u).max()))
+            i, j, s = int(rng.integers(500)), int(rng.integers(300)), 0.5 / (step + 1)
+            a, dx = rng.standard_normal((2, 8)), rng.standard_normal(8)
+            u, x, v = dense_row_step(u, i, a[0], s), x + s * dx, dense_row_step(v, j, a[1], s)
+            factored_step(f, i, j, a, s, dx)
+            q = f.point()
+            worst = max(worst, float(np.abs(q.u - u).max()), float(np.abs(q.v - v).max()))
+            if step == 1500:  # a lazy state, 501 steps past the periodic fold
+                assert f.steps == [501, 501]
+                np.testing.assert_allclose(f.rows(17, 5), [q.u[17], q.v[5]], rtol=0, atol=1e-15)
         assert worst <= 1e-13
-        assert orthonormality_defect(f.dense()) <= 1e-13
-        np.testing.assert_array_equal(f.row(17), f.base[17] @ f.t)
+        np.testing.assert_array_equal(f.x, x)
+        assert orthonormality_defect(q.u) <= 1e-13 and orthonormality_defect(q.v) <= 1e-13
 
     def test_near_singular_m_folds(self):
         rng = np.random.default_rng(41)
-        f = FactoredStiefel(random_stiefel(30, 4, rng))
-        f.step(3, rng.standard_normal(4), 0.1)
-        assert f.steps == 1 and not np.array_equal(f.t, np.eye(4))
-        u, u_i, a = f.dense(), f.row(5), rng.standard_normal(4)
+        f = FactoredPoint(random_point(30, 20, 4, rng))
+        factored_step(f, 3, 2, rng.standard_normal((2, 4)), 0.1)
+        assert f.steps == [1, 1] and not np.array_equal(f.t[0], np.eye(4))
+        p, (u_i, v_j), a = f.point(), f.rows(5, 7), rng.standard_normal((2, 4))
         # M = I - s (u_i a^T + a u_i^T) / 2 has the eigenvalue 1 - s beta with
-        # beta = (u_i . a + |u_i| |a|) / 2; this s makes it zero, so T' = T M R^-1
-        # is singular and the step folds to the dense retraction.
-        beta = 0.5 * (u_i @ a + np.linalg.norm(u_i) * np.linalg.norm(a))
-        f.step(5, a, 1.0 / beta)
-        assert f.steps == 0
-        np.testing.assert_array_equal(f.t, np.eye(4))
-        assert np.abs(f.base - dense_row_step(u, 5, a, 1.0 / beta)).max() <= 1e-13
-        assert orthonormality_defect(f.base) <= 1e-13
+        # beta = (u_i . a + |u_i| |a|) / 2; this s makes it zero for U, so
+        # T' = T M R^-1 is singular and U folds to the dense retraction, while
+        # V takes its Cholesky-QR update.
+        beta = 0.5 * (u_i @ a[0] + np.linalg.norm(u_i) * np.linalg.norm(a[0]))
+        factored_step(f, 5, 7, a, 1.0 / beta)
+        assert_folded(f, 0)
+        assert f.steps == [0, 2]
+        assert np.abs(f.bases[0] - dense_row_step(p.u, 5, a[0], 1.0 / beta)).max() <= 1e-13
+        assert np.abs(f.point().v - dense_row_step(p.v, 7, a[1], 1.0 / beta)).max() <= 1e-13
+
+    def test_cond_fold_of_one_factor_leaves_the_other(self):
+        # U's step puts M's eigenvalue 1 - s beta at 1e-3, so cond(T'_u) passes
+        # FOLD_COND and U folds; V, stepping along a small direction, keeps its
+        # update. Batched calls work matrix by matrix, so V's T and base come
+        # out exactly as in a twin step in which U does not move at all.
+        rng = np.random.default_rng(44)
+        p = random_point(30, 20, 4, rng)
+        f, twin = FactoredPoint(p), FactoredPoint(p)
+        first = rng.standard_normal((2, 4))
+        factored_step(f, 3, 2, first, 0.1)
+        factored_step(twin, 3, 2, first, 0.1)
+        u_i, a = f.rows(5, 7)[0], rng.standard_normal((2, 4))
+        a[1] *= 1e-3
+        s = (1.0 - 1e-3) / (0.5 * (u_i @ a[0] + np.linalg.norm(u_i) * np.linalg.norm(a[0])))
+        u, v_base = f.point().u, f.bases[1]
+        factored_step(f, 5, 7, a, s)
+        factored_step(twin, 5, 7, np.stack((np.zeros(4), a[1])), s)
+        assert_folded(f, 0)
+        assert np.abs(f.bases[0] - dense_row_step(u, 5, a[0], s)).max() <= 1e-13
+        assert f.steps == [0, 2] and twin.steps == [2, 2]
+        assert f.bases[1] is v_base  # the base was written in place, not refolded
+        np.testing.assert_array_equal(f.bases[1], twin.bases[1])
+        np.testing.assert_array_equal(f.t[1], twin.t[1])
+        assert not np.array_equal(f.t[1], np.eye(4))
+
+    def test_batched_linalg_error_folds_both_factors(self, monkeypatch):
+        # np.linalg.inv fails on every 9th call. A LinAlgError does not name
+        # the factor, so both fold, and the point still follows the dense steps.
+        rng = np.random.default_rng(45)
+        p = random_point(40, 25, 3, rng)
+        f = FactoredPoint(p)
+        u, v = p.u, p.v
+        real, inverses, folds = np.linalg.inv, [], []
+
+        def every_ninth_fails(a):
+            inverses.append(1)
+            if len(inverses) % 9 == 0:
+                raise np.linalg.LinAlgError("forced")
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "inv", every_ninth_fails)
+        for step in range(60):
+            i, j, s = int(rng.integers(40)), int(rng.integers(25)), 0.3 / (step + 1)
+            a = rng.standard_normal((2, 3))
+            u, v = dense_row_step(u, i, a[0], s), dense_row_step(v, j, a[1], s)
+            calls = len(inverses)
+            factored_step(f, i, j, a, s)
+            if len(inverses) // 9 > calls // 9:
+                folds.append(step)
+                assert_folded(f, 0)
+                assert_folded(f, 1)
+            else:
+                assert f.steps[0] == f.steps[1] > 0
+        assert len(folds) >= 6
+        q = f.point()
+        assert np.abs(q.u - u).max() <= 1e-13 and np.abs(q.v - v).max() <= 1e-13
 
     def test_low_fold_threshold_folds_every_step(self, monkeypatch):
         monkeypatch.setattr(wlra.geometry, "FOLD_COND", 0.0)
         rng = np.random.default_rng(42)
-        u = random_stiefel(40, 3, rng)
-        f = FactoredStiefel(u)
+        p = random_point(40, 30, 3, rng)
+        f = FactoredPoint(p)
+        u, v = p.u, p.v
         for step in range(50):
-            i, a, s = int(rng.integers(40)), rng.standard_normal(3), 0.3
-            u = dense_row_step(u, i, a, s)
-            f.step(i, a, s)
-            np.testing.assert_array_equal(f.t, np.eye(3))
-            assert f.steps == 0
-        np.testing.assert_allclose(f.base, u, rtol=0, atol=1e-13)
+            i, j, s = int(rng.integers(40)), int(rng.integers(30)), 0.3
+            a = rng.standard_normal((2, 3))
+            u, v = dense_row_step(u, i, a[0], s), dense_row_step(v, j, a[1], s)
+            factored_step(f, i, j, a, s)
+            np.testing.assert_array_equal(f.t, np.tile(np.eye(3), (2, 1, 1)))
+            assert f.steps == [0, 0]
+        np.testing.assert_allclose(f.bases[0], u, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(f.bases[1], v, rtol=0, atol=1e-13)
 
     def test_folds_after_fold_steps(self):
         rng = np.random.default_rng(43)
-        f = FactoredStiefel(random_stiefel(60, 3, rng))
+        f = FactoredPoint(random_point(60, 50, 3, rng))
         for _ in range(FOLD_STEPS - 1):
-            f.step(int(rng.integers(60)), rng.standard_normal(3), 1e-4)
-        assert f.steps == FOLD_STEPS - 1 and not np.array_equal(f.t, np.eye(3))
-        f.step(0, rng.standard_normal(3), 1e-4)
-        assert f.steps == 0
-        np.testing.assert_array_equal(f.t, np.eye(3))
-        assert orthonormality_defect(f.base) <= 1e-14
+            i, j = int(rng.integers(60)), int(rng.integers(50))
+            factored_step(f, i, j, rng.standard_normal((2, 3)), 1e-4)
+        assert f.steps == [FOLD_STEPS - 1] * 2 and not np.array_equal(f.t[0], np.eye(3))
+        factored_step(f, 0, 0, rng.standard_normal((2, 3)), 1e-4)
+        for factor in (0, 1):
+            assert_folded(f, factor)
+            assert orthonormality_defect(f.bases[factor]) <= 1e-14
 
 
 class TestAssemble:

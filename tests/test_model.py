@@ -292,8 +292,9 @@ class TestStochGradManifold:
 
 
 class TestStochGradAtFactoredPoint:
-    """At a FactoredPoint the per-sample gradients return their non-zero
-    ambient rows; placed and projected, they are the dense tangent."""
+    """At a FactoredPoint the per-sample gradients return the point's rows
+    and their non-zero ambient rows; placed and projected, the latter are the
+    dense tangent."""
 
     @pytest.mark.parametrize("grad, full", [(stoch_grad_manifold, False), (stoch_grad_pw, True)])
     def test_rows_project_to_dense_tangent(self, grad, full):
@@ -302,11 +303,12 @@ class TestStochGradAtFactoredPoint:
         p = random_point(8, 6, 2, rng)
         lam = 0.2 * float(data.w_vals.min())
         for t in (0, 5, data.nnz - 1):
-            du_i, dx, dv_j = grad(FactoredPoint(p), t, data, lam)
+            rows, g, dx = grad(FactoredPoint(p), t, data, lam)
             i, j = data.rows[t], data.cols[t]
+            np.testing.assert_array_equal(rows, [p.u[i], p.v[j]])
             ambient = ProductTangent(np.zeros_like(p.u), dx, np.zeros_like(p.v))
-            ambient.du[i] = du_i
-            ambient.dv[j] = dv_j
+            ambient.du[i] = g[0]
+            ambient.dv[j] = g[1]
             dense = grad(p, t, data, lam)
             projected = project_tangent(p, ambient)
             np.testing.assert_array_equal(projected.du, dense.du)
@@ -627,6 +629,29 @@ class TestScaledPair:
         _, state, f = self.stepped(44)
         got, want = confinement_euclidean(state), confinement_euclidean(f)
         assert abs(got - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("sync_steps", [None, 10**5], ids=["synced", "never_synced"])
+    def test_running_sq_norm_tracks_the_bases(self, monkeypatch, sync_steps):
+        # 10^4 steps with a read before each, as the adaptive gate reads it;
+        # the row-by-row value stays within 1e-12 of the exact one even when
+        # it is never recomputed, and a fold makes it exact.
+        if sync_steps is not None:
+            monkeypatch.setattr(wlra.model, "SYNC_STEPS", sync_steps)
+        rng = np.random.default_rng(45)
+        start = FactorPair(rng.standard_normal((300, 4)), rng.standard_normal((40, 4)))
+        state = ScaledPair(start, 0.1)
+        worst = 0.0
+        for step in range(10**4):
+            exact = float(np.vdot(state.x_base, state.x_base) + np.vdot(state.y_base, state.y_base))
+            worst = max(worst, abs(state.sq_norm() - exact) / exact)
+            i, j = int(rng.integers(300)), int(rng.integers(40))
+            state.step(i, j, rng.standard_normal((2, 4)), -0.5 / (step + 10))
+        assert worst <= 1e-12
+        state.sq_norm()
+        state.step(0, 0, np.ones((2, 4)), -100.0)  # the shrink 1 - 20 is negative: a fold
+        assert state.scale == 1.0
+        exact = float(np.vdot(state.x_base, state.x_base) + np.vdot(state.y_base, state.y_base))
+        assert state.sq_norm() == exact
 
 
 class TestGradPositiveWeights:

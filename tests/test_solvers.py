@@ -11,7 +11,7 @@ from wlra.data_io import problem_from_triplets, synth_lowrank
 from wlra.errors import BacktrackLimit, InitNotConfined, ShapeMismatch
 from wlra.geometry import (
     FOLD_STEPS,
-    FactoredStiefel,
+    FactoredPoint,
     ProductPoint,
     assemble,
     orthonormality_defect,
@@ -218,7 +218,10 @@ class TestFactoredSgd:
         retracts = counting(monkeypatch, wlra.solvers, "retract")
         final, _ = sgd_manifold(init, data, config)
         assert len(retracts) == 0
-        assert len(qr_calls) == len(factorizations) // 7 > 30  # one fold per failure
+        # One batched factorization per step; a failure does not name the
+        # factor, so U and V both fold.
+        assert len(factorizations) == 300
+        assert len(qr_calls) == 2 * (len(factorizations) // 7) and len(qr_calls) > 60
         assert_close_to_dense(final, reference)
 
     def test_near_singular_m_takes_dense_fallback(self, monkeypatch):
@@ -227,40 +230,47 @@ class TestFactoredSgd:
         reference = dense_sgd_reference(
             init, data, config, lambda p, s: stoch_grad_manifold(p, s, data, lam)
         )
-        real_step, real_update = FactoredStiefel.step, FactoredStiefel._update
+        real_step, real_update = FactoredPoint.step, FactoredPoint._update
         stepped, singular, refused = [], [], []
 
-        def singular_m_on_call_100(self, i, a, s):
-            # On one call, hand the Cholesky-QR update the M of the s that makes
-            # it singular; the update must be refused and the step must fold to
-            # the dense retraction with the true s instead.
+        def singular_m_on_step_100(self, i, j, grad, s):
+            # On one step, hand the Cholesky-QR update of U the M of the s that
+            # makes it singular; the update must be refused for U and U must
+            # fold to the dense retraction with the true s instead.
             stepped.append(1)
             if len(stepped) == 100:
-                singular.append((self.row(i), a))
-                real_step(self, i, a, s)
+                rows, a, _ = grad
+                singular.append((rows[0], a[0]))
+                real_step(self, i, j, grad, s)
                 assert not singular  # the update was tried
-                assert self.steps == 0
-                np.testing.assert_array_equal(self.t, np.eye(len(a)))
+                assert self.steps[0] == 0
+                np.testing.assert_array_equal(self.t[0], np.eye(len(a[0])))
             else:
-                real_step(self, i, a, s)
+                real_step(self, i, j, grad, s)
 
-        def update(self, m, w, q):
+        def update(self, tm, m, w, q):
             if singular:
                 u_i, a = singular.pop()
                 s = 2.0 / (u_i @ a + np.linalg.norm(u_i) * np.linalg.norm(a))
                 b = u_i[:, None] * a
-                m = np.eye(len(a)) - 0.5 * s * (b + b.T)
-                w = u_i @ m
-                q = w + s * a
-                result = real_update(self, m, w, q)
-                refused.append(result is None)
+                tm, m, w, q = tm.copy(), m.copy(), w.copy(), q.copy()
+                m[0] = np.eye(len(a)) - 0.5 * s * (b + b.T)
+                tm[0] = self.t[0] @ m[0]
+                w[0] = u_i @ m[0]
+                q[0] = w[0] + s * a
+                try:
+                    result = real_update(self, tm, m, w, q)
+                except np.linalg.LinAlgError:
+                    refused.append(True)
+                    raise
+                refused.append(not result[2][0])
                 return result
-            return real_update(self, m, w, q)
+            return real_update(self, tm, m, w, q)
 
-        monkeypatch.setattr(FactoredStiefel, "step", singular_m_on_call_100)
-        monkeypatch.setattr(FactoredStiefel, "_update", update)
+        monkeypatch.setattr(FactoredPoint, "step", singular_m_on_step_100)
+        monkeypatch.setattr(FactoredPoint, "_update", update)
         final, _ = sgd_manifold(init, data, config)
-        assert len(stepped) == 2 * 300 and refused == [True]
+        assert len(stepped) == 300 and refused == [True]
         assert_close_to_dense(final, reference)
 
     def test_low_fold_threshold_refolds(self, monkeypatch):
@@ -288,6 +298,20 @@ class TestFactoredSgd:
         grads.clear()
         sgd_manifold(init, data, config)
         assert len(grads) == 300
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_one_row_read_per_step(self, monkeypatch, adaptive):
+        # The gradient reads row i of U and row j of V once, and the step
+        # reuses them; folds read none.
+        init, data, config = svd_setup(60, 30, 4, iters=300)
+        config = dataclasses.replace(config, adaptive=adaptive)
+        reads = counting(monkeypatch, FactoredPoint, "rows")
+        sgd_manifold(init, data, config)
+        assert len(reads) == 300
+        monkeypatch.setattr(wlra.geometry, "FOLD_COND", 0.0)  # every step folds
+        reads.clear()
+        sgd_manifold(init, data, config)
+        assert len(reads) == 300
 
     def test_pw_one_gradient_call_per_step(self, monkeypatch):
         init, data, config = pw_setup(iters=300)
@@ -631,8 +655,12 @@ class TestScaledPairSgd:
         grads = counting(monkeypatch, wlra.solvers, "stoch_grad_euclidean")
         exact = counting(monkeypatch, wlra.solvers, "adaptive_A_B")
         built = counting(monkeypatch, FactorPair, "__post_init__")
+        # The adaptive gate reads a running squared norm, computed from the
+        # bases at t = 0 and once SYNC_STEPS steps later.
+        norms = counting(monkeypatch, np, "vdot")
         _, trace = sgd_euclidean(init, data, config)
         assert len(dense_steps) == 0 and len(exact) == 0
+        assert len(norms) == (2 * 2 if adaptive else 0)
         assert len(grads) == 2000
         # t = 0 records the init pair itself; the returned pair is the last record's.
         assert len(trace.records) == 201 and len(built) == 200
