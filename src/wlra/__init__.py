@@ -30,8 +30,6 @@ from .model import (
     ProblemData,
     confinement_euclidean,
     confinement_manifold,
-    cost_euclidean,
-    cost_manifold,
     cost_unregularized,
     full_grad_euclidean,
     full_grad_manifold,
@@ -58,7 +56,6 @@ from .step_policy import (
     PolicyKind,
     StepPolicy,
     adaptive_A_B,
-    adaptive_A_B_tilde,
     alpha_of,
     compute_phi_min,
     compute_rho0,

@@ -81,12 +81,11 @@ class ProductTangent:
             )
         )
 
-
-def tangent_inner(a: ProductTangent, b: ProductTangent) -> float:
-    """Riemannian (embedded Euclidean) inner product of two product tangents."""
-    return float(
-        np.sum(a.du * b.du) + np.sum(a.dx * b.dx) + np.sum(a.dv * b.dv)
-    )
+    def inner(self, other: "ProductTangent") -> float:
+        """Riemannian (embedded Euclidean) inner product with another tangent."""
+        return float(
+            np.sum(self.du * other.du) + np.sum(self.dx * other.dx) + np.sum(self.dv * other.dv)
+        )
 
 
 def qf(c) -> np.ndarray:

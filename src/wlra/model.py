@@ -63,10 +63,14 @@ class ProblemData:
             raise ShapeMismatch(f"need 1 <= k <= min(m, n), got k={self.k}")
         if rows.min() < 0 or rows.max() >= self.m or cols.min() < 0 or cols.max() >= self.n:
             raise ShapeMismatch("triplet indices out of range")
-        if w_vals.min() < 0:
+        # Written so that NaN fails each check. A min or max is NaN when any
+        # value is, so the checks make no temporary the size of the support.
+        if not w_vals.min() >= 0:
             raise NonPositiveWeight("weights must be non-negative")
-        if abs(w_vals.sum() - 1.0) > 1e-12:
+        if not abs(w_vals.sum() - 1.0) <= 1e-12:
             raise ShapeMismatch(f"weights sum to {w_vals.sum()!r}, expected 1")
+        if not (np.isfinite(a_vals.min()) and np.isfinite(a_vals.max())):
+            raise ShapeMismatch("observed values must be finite")
         for name, arr in (("rows", rows), ("cols", cols), ("a_vals", a_vals), ("w_vals", w_vals)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -156,9 +160,8 @@ class FactorPair:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.x**2) + np.sum(self.y**2)))
 
-
-def pair_inner(a: FactorPair, b: FactorPair) -> float:
-    return float(np.sum(a.x * b.x) + np.sum(a.y * b.y))
+    def inner(self, other: "FactorPair") -> float:
+        return float(np.sum(self.x * other.x) + np.sum(self.y * other.y))
 
 
 # A ScaledPair step whose scale would fall below FOLD_SCALE folds the scale
@@ -311,19 +314,15 @@ def _pair_entries(f: FactorPair, rows: np.ndarray, cols: np.ndarray) -> np.ndarr
 def _entries(source, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     if isinstance(source, ProductPoint):
         return _point_entries(source, rows, cols)
-    if isinstance(source, FactorPair):
-        return _pair_entries(source, rows, cols)
-    return source[rows, cols]
+    return _pair_entries(source, rows, cols)
 
 
 def _grid_entries(source, data: ProblemData) -> np.ndarray:
-    """Dense route: one m-by-n GEMM (a dense source as is) read at `data.cells`."""
+    """Dense route: one m-by-n GEMM read at `data.cells`."""
     if isinstance(source, ProductPoint):
         grid = (source.u * source.x) @ source.v.T
-    elif isinstance(source, FactorPair):
-        grid = source.x @ source.y.T
     else:
-        grid = source
+        grid = source.x @ source.y.T
     return np.ravel(grid).take(data.cells)
 
 
@@ -331,16 +330,11 @@ def _grid_entries(source, data: ProblemData) -> np.ndarray:
 # Costs.
 
 
-def cost_unregularized(source, data: ProblemData) -> float:
+def cost_unregularized(source: ProductPoint | FactorPair, data: ProblemData) -> float:
     """Weighted squared error over the observed support.
 
-    `source` may be a ProductPoint, a FactorPair, or a dense m-by-n matrix.
     The dense route makes one GEMM; else the cells go in SUPPORT_BLOCK blocks.
     """
-    if not isinstance(source, (ProductPoint, FactorPair)):
-        source = np.asarray(source, dtype=float)
-        if source.shape != (data.m, data.n):
-            raise ShapeMismatch(f"matrix shape {source.shape} != ({data.m}, {data.n})")
     if data.cells is not None:
         res = _grid_entries(source, data)
         np.subtract(data.a_vals, res, out=res)
@@ -351,16 +345,6 @@ def cost_unregularized(source, data: ProblemData) -> float:
         res = data.a_vals[cells] - _entries(source, data.rows[cells], data.cols[cells])
         total += float(np.dot(data.w_vals[cells], res**2))
     return total
-
-
-def cost_manifold(p: ProductPoint, data: ProblemData, lam: float) -> float:
-    """Unregularized cost plus lam * ||x||^2 (the regularized manifold objective)."""
-    return cost_unregularized(p, data) + lam * confinement_manifold(p)
-
-
-def cost_euclidean(f: FactorPair, data: ProblemData, lam: float) -> float:
-    """Unregularized cost plus lam * (||X||_F^2 + ||Y||_F^2)."""
-    return cost_unregularized(f, data) + lam * confinement_euclidean(f)
 
 
 # ---------------------------------------------------------------------------

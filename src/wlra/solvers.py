@@ -20,7 +20,6 @@ from .geometry import (
     ProductTangent,
     project_tangent,
     retract,
-    tangent_inner,
 )
 from .model import (
     FactorPair,
@@ -32,7 +31,6 @@ from .model import (
     full_grad_euclidean,
     full_grad_manifold,
     full_grad_pw,
-    pair_inner,
     require_positive_weights,
     sample_index,
     stoch_grad_euclidean,
@@ -190,12 +188,12 @@ def _run_sgd(
         if config.adaptive:
             floor = max(policy.schedule(t) / policy.theta, policy.phi_min)
             limit = floor * (1.0 - BOUND_GATE_MARGIN)
-            a_t, b_t = tilde_A_B_of_rho(config.kind, rho_fn(state), data.k, policy)
+            a_t, b_t = tilde_A_B_of_rho(rho_fn(state), data.k, policy)
             # Below the floor, phi_t is the floor whatever A_t <= A~_t and
             # B_t <= B~_t are. Each bound is tested on its own so that NaN
             # takes the exact pass.
             if not (a_t <= limit and b_t <= limit):
-                a_t, b_t = adaptive_A_B(config.kind, view_fn(state), data, policy)
+                a_t, b_t = adaptive_A_B(view_fn(state), data, policy)
             phi = phi_t(policy, a_t, b_t, t)
         else:
             phi = policy.phi_min
@@ -291,25 +289,11 @@ def sgd_pw(
 # Armijo backtracking and accelerated line search.
 
 
-def _generic_inner(a, b) -> float:
-    if isinstance(a, ProductTangent):
-        return tangent_inner(a, b)
-    if isinstance(a, FactorPair):
-        return pair_inner(a, b)
-    return float(np.sum(np.asarray(a, dtype=float) * np.asarray(b, dtype=float)))
-
-
-def _generic_scale(d, c: float):
-    if isinstance(d, (ProductTangent, FactorPair)):
-        return d.scaled(c)
-    return c * np.asarray(d, dtype=float)
-
-
 def armijo_step(
     cost: Callable,
-    grad,
+    grad: ProductTangent | FactorPair,
     point,
-    direction,
+    direction: ProductTangent | FactorPair,
     params: ArmijoParams,
     retractor: Callable,
     f0: float | None = None,
@@ -319,17 +303,18 @@ def armijo_step(
     Returns (tau, m, trial, f_trial) with tau = beta^m * alpha_bar, trial =
     R_x(tau eta) and f_trial its cost; the accepted trial is the last point
     `cost` is called on. `f0`, when given, is f(x) and is not evaluated
-    again. The direction must be a descent direction or zero; a zero
-    direction accepts immediately with trial x and cost f0.
+    again. `grad` and `direction` are ProductTangents or FactorPairs. The
+    direction must be a descent direction or zero; a zero direction accepts
+    immediately with trial x and cost f0.
     """
-    if _generic_inner(direction, direction) == 0.0:
+    if direction.norm() == 0.0:
         return params.alpha_bar, 0, point, f0
-    slope = _generic_inner(grad, direction)
+    slope = grad.inner(direction)
     if f0 is None:
         f0 = cost(point)
     tau = params.alpha_bar
     for m in range(params.max_backtracks + 1):
-        trial = retractor(point, _generic_scale(direction, tau))
+        trial = retractor(point, direction.scaled(tau))
         f_trial = cost(trial)
         if f0 - f_trial >= -params.iota * tau * slope:
             return tau, m, trial, f_trial
@@ -386,34 +371,28 @@ def _run_als(
 
     f = objective(point)
     g = grad_fn(point)
-    emit(0, point, _norm_of(g))
+    emit(0, point, g.norm())
     t = 0
     eps = np.finfo(float).eps
     while budget.max_iterations is None or t < budget.max_iterations:
         # Once the full-step sufficient decrease drops below float noise no
         # backtracked step can satisfy the Armijo test, so the iterate is
         # numerically stationary; freeze it instead of exhausting backtracks.
-        decrease_scale = params.iota * params.alpha_bar * _norm_of(g) ** 2
+        decrease_scale = params.iota * params.alpha_bar * g.norm() ** 2
         if decrease_scale > 1024.0 * eps * max(1.0, abs(f)):
-            eta = _generic_scale(g, -1.0)
+            eta = g.scaled(-1.0)
             # `objective` saw the accepted trial last, so `unreg` is its cost.
             _, m, point, f = armijo_step(objective, g, point, eta, params, retract_fn, f0=f)
             backtracks += m
             g = grad_fn(point)
         t += 1
         if t % trace_every == 0:
-            elapsed = emit(t, point, _norm_of(g))
+            elapsed = emit(t, point, g.norm())
             if budget.max_seconds is not None and elapsed > budget.max_seconds:
                 break
     if trace.records[-1].t != t:
-        emit(t, point, _norm_of(g))
+        emit(t, point, g.norm())
     return point, trace
-
-
-def _norm_of(g) -> float:
-    if isinstance(g, (ProductTangent, FactorPair)):
-        return g.norm()
-    return float(np.linalg.norm(g))
 
 
 def als_manifold(

@@ -197,11 +197,10 @@ def make_policy(
     )
 
 
-def adaptive_A_B(
-    kind: PolicyKind, iterate: Iterate, data: ProblemData, policy: StepPolicy
-) -> tuple[float, float]:
-    """Exact per-iteration safeguards, maximized over the weighted support."""
-    lam = policy.lam
+def adaptive_A_B(iterate: Iterate, data: ProblemData, policy: StepPolicy) -> tuple[float, float]:
+    """Exact per-iteration safeguards of the policy's kind, maximized over the
+    weighted support."""
+    kind, lam = policy.kind, policy.lam
     if kind is PolicyKind.EUCLIDEAN:
         if not isinstance(iterate, FactorPair):
             raise ShapeMismatch("euclidean policy needs a FactorPair iterate")
@@ -247,30 +246,14 @@ def adaptive_A_B(
     return a_max / policy.a, b_max / policy.b
 
 
-def adaptive_A_B_tilde(
-    kind: PolicyKind, iterate: Iterate, data: ProblemData, policy: StepPolicy
-) -> tuple[float, float]:
-    """Closed-form upper bounds on A_t and B_t needing only norms and alpha."""
-    if kind is PolicyKind.EUCLIDEAN:
-        if not isinstance(iterate, FactorPair):
-            raise ShapeMismatch("euclidean policy needs a FactorPair iterate")
-        rho = confinement_euclidean(iterate)
-    else:
-        if not isinstance(iterate, ProductPoint):
-            raise ShapeMismatch("manifold policy needs a ProductPoint iterate")
-        rho = confinement_manifold(iterate)
-    return tilde_A_B_of_rho(kind, rho, data.k, policy)
-
-
-def tilde_A_B_of_rho(
-    kind: PolicyKind, rho: float, k: int, policy: StepPolicy
-) -> tuple[float, float]:
-    """The bounds of `adaptive_A_B_tilde` from rho itself, in O(1).
+def tilde_A_B_of_rho(rho: float, k: int, policy: StepPolicy) -> tuple[float, float]:
+    """Closed-form upper bounds on the policy's A_t and B_t from rho, alpha
+    and k alone, in O(1).
 
     rho is ||x||^2 for the manifold kinds and ||X||^2 + ||Y||^2 for the
     Euclidean kind. A non-finite rho gives a non-finite bound.
     """
-    lam, alpha = policy.lam, policy.alpha
+    kind, lam, alpha = policy.kind, policy.lam, policy.alpha
     if kind is PolicyKind.EUCLIDEAN:
         if rho >= alpha / (2.0 * lam):
             a_t = 0.0

@@ -11,18 +11,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import InvalidDimensions, ShapeMismatch
 from .geometry import ProductPoint
 from .model import FactorPair, ProblemData
 
 
 def fill_missing_column_mean(data: ProblemData) -> np.ndarray:
     """Dense copy of the observations with each missing cell set to its
-    column's observed mean (zero for all-missing columns)."""
+    column's observed mean (zero for all-missing columns). Raises
+    InvalidDimensions when numpy cannot form the m-by-n grid."""
     counts = np.bincount(data.cols, minlength=data.n)
     sums = np.bincount(data.cols, weights=data.a_vals, minlength=data.n)
     means = np.divide(sums, counts, out=np.zeros(data.n), where=counts > 0)
-    out = np.tile(means, (data.m, 1))
+    try:
+        out = np.tile(means, (data.m, 1))
+    except (MemoryError, ValueError, OverflowError) as exc:
+        raise InvalidDimensions(
+            f"cannot form the dense {data.m}x{data.n} imputation: {exc}"
+        ) from exc
     out[data.rows, data.cols] = data.a_vals
     return out
 

@@ -1,5 +1,5 @@
-"""Random points, tangents and draws, a tangency check, and the per-sample
-objectives whose gradients the solvers step along, for the tests."""
+"""Random points, tangents and draws, a tangency check, and the full and
+per-sample objectives whose gradients the solvers step along, for the tests."""
 
 import numpy as np
 
@@ -9,6 +9,9 @@ from wlra.model import (
     FactorPair,
     ProblemData,
     check_lambda_pw,
+    confinement_euclidean,
+    confinement_manifold,
+    cost_unregularized,
     require_positive_weights,
 )
 
@@ -54,6 +57,14 @@ def draw_many(sampler: AliasSampler, rng: np.random.Generator, count: int) -> np
 def predicted_entry(p: ProductPoint, i: int, j: int) -> float:
     """p_ij = sum_l u_il x_l v_jl, computed without materializing the matrix."""
     return float(np.dot(p.u[i] * p.x, p.v[j]))
+
+
+def regularized_cost(source: ProductPoint | FactorPair, data: ProblemData, lam: float) -> float:
+    """The objective the manifold and Euclidean solvers descend: the
+    unregularized cost plus lam times the confinement of `source`."""
+    if isinstance(source, FactorPair):
+        return cost_unregularized(source, data) + lam * confinement_euclidean(source)
+    return cost_unregularized(source, data) + lam * confinement_manifold(source)
 
 
 def sample_cost_manifold(p: ProductPoint, t: int, data: ProblemData, lam: float) -> float:

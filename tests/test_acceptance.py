@@ -16,7 +16,6 @@ from wlra.geometry import (
     ProductTangent,
     orthonormality_defect,
     retract,
-    tangent_inner,
     tangent_project,
 )
 from wlra.model import (
@@ -24,13 +23,10 @@ from wlra.model import (
     ProblemData,
     confinement_euclidean,
     confinement_manifold,
-    cost_euclidean,
-    cost_manifold,
     cost_unregularized,
     full_grad_euclidean,
     full_grad_manifold,
     full_grad_pw,
-    pair_inner,
     stoch_grad_euclidean,
     stoch_grad_manifold,
     stoch_grad_pw,
@@ -48,16 +44,17 @@ from wlra.solvers import (
 from wlra.step_policy import (
     PolicyKind,
     adaptive_A_B,
-    adaptive_A_B_tilde,
     compute_phi_min,
     compute_rho0,
     make_policy,
+    tilde_A_B_of_rho,
 )
 from wlra.svd_init import best_rank_k, check_stationarity, fill_missing_column_mean, truncated_svd_init
 
 from helpers import (
     random_point,
     random_tangent,
+    regularized_cost,
     sample_cost_euclidean,
     sample_cost_manifold,
     sample_cost_pw,
@@ -148,7 +145,7 @@ def _fd_err_manifold(cost, p, grad, rng, n_dirs=20, h=1e-6):
     for _ in range(n_dirs):
         d = random_tangent(p, rng)
         num = (cost(retract(p, d.scaled(h))) - cost(retract(p, d.scaled(-h)))) / (2 * h)
-        ana = tangent_inner(grad, d)
+        ana = grad.inner(d)
         worst = max(worst, abs(num - ana) / max(1.0, abs(ana)))
     return worst
 
@@ -158,7 +155,7 @@ def _fd_err_euclidean(cost, f, grad, rng, n_dirs=20, h=1e-6):
     for _ in range(n_dirs):
         d = FactorPair(rng.standard_normal(f.x.shape), rng.standard_normal(f.y.shape))
         num = (cost(f.add_scaled(d, h)) - cost(f.add_scaled(d, -h))) / (2 * h)
-        ana = pair_inner(grad, d)
+        ana = grad.inner(d)
         worst = max(worst, abs(num - ana) / max(1.0, abs(ana)))
     return worst
 
@@ -179,7 +176,7 @@ def test_criterion_2_gradient_correctness():
             stoch_grad_manifold(p, t, data, lam), rng,
         ),
         "full-manifold": _fd_err_manifold(
-            lambda q: cost_manifold(q, data, lam), p,
+            lambda q: regularized_cost(q, data, lam), p,
             full_grad_manifold(p, data, lam), rng,
         ),
         "stoch-euclidean": _fd_err_euclidean(
@@ -187,7 +184,7 @@ def test_criterion_2_gradient_correctness():
             stoch_grad_euclidean(f, t, data, lam), rng,
         ),
         "full-euclidean": _fd_err_euclidean(
-            lambda q: cost_euclidean(q, data, lam), f,
+            lambda q: regularized_cost(q, data, lam), f,
             full_grad_euclidean(f, data, lam), rng,
         ),
         "stoch-pw": _fd_err_manifold(
@@ -261,11 +258,13 @@ def test_criterion_4_step_policy_formulas():
         for _ in range(100):
             if kind is PolicyKind.EUCLIDEAN:
                 it = FactorPair(rng.standard_normal((8, 2)), rng.standard_normal((6, 2)))
+                rho = confinement_euclidean(it)
             else:
                 q = random_point(8, 6, 2, rng)
                 it = ProductPoint(q.u, q.x * rng.uniform(0.1, 3.0), q.v)
-            a_t, b_t = adaptive_A_B(kind, it, data, policy)
-            at, bt = adaptive_A_B_tilde(kind, it, data, policy)
+                rho = confinement_manifold(it)
+            a_t, b_t = adaptive_A_B(it, data, policy)
+            at, bt = tilde_A_B_of_rho(rho, data.k, policy)
             dominance &= at >= a_t - 1e-12 and bt >= b_t - 1e-12
 
     man_vals, euc_vals = [], []

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import wlra.cli
@@ -12,7 +13,6 @@ from wlra.cli import (
 )
 from wlra.data_io import load_triplets, problem_from_triplets, synth_lowrank, write_triplets
 from wlra.errors import MismatchedData
-from wlra.model import cost_unregularized
 from wlra.solvers import Budget, IterTrace, TraceRecord
 from wlra.svd_init import best_rank_k, fill_missing_column_mean
 
@@ -75,7 +75,8 @@ class TestRunExperiment:
         assert len(lines) == 1 + 1000 // 10 + 1
         data = problem_from_triplets(tm, 3)
         p_best, _ = best_rank_k(fill_missing_column_mean(data), 3)
-        oracle = cost_unregularized(p_best, data)
+        res = data.a_vals - p_best[data.rows, data.cols]
+        oracle = float(np.dot(data.w_vals, res**2))
         first_cost = float(lines[1].split(",")[2])
         assert abs(first_cost - oracle) <= 1e-10 * max(1.0, oracle)
         assert trace.records[0].cost_unregularized == first_cost
@@ -241,6 +242,26 @@ class TestCommandLine:
         ]) == 0
         rows_b = out2.read_text().splitlines()
         assert len(rows_a) == 1 + 3 + 1 and len(rows_b) == 1 + 1 + 1
+
+    @pytest.mark.parametrize("command", ["run", "compare", "init-svd"])
+    @pytest.mark.parametrize("row", [2**60, 2**63 - 1])
+    def test_grid_too_large_to_impute(self, tmp_path, capsys, command, row):
+        # A valid file whose m-by-n imputation numpy refuses before
+        # allocating: "array is too big" at m = 2^60 + 1, a shape beyond
+        # int64 at m = 2^63.
+        src = tmp_path / "big.csv"
+        src.write_text(f"row,col,value\n0,0,1\n{row},0,2\n")
+        out = tmp_path / "out.csv"
+        extra = {
+            "run": ["--algorithm", "sgd-manifold", "--lambda", "1e-2", "--iters", "10"],
+            "compare": ["--run", "name=m,algorithm=sgd-manifold,lambda=1e-2,iters=10"],
+            "init-svd": [],
+        }[command]
+        if command != "init-svd":
+            extra += ["--out", str(out)]
+        assert main([command, "--in", str(src), "--k", "1", *extra]) == 2
+        assert f"{row + 1}x1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sample_subcommand(self, synth_file, tmp_path):
         out = tmp_path / "sub.csv"

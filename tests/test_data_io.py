@@ -17,6 +17,7 @@ from wlra.errors import (
     EmptySupport,
     IndexOutOfBounds,
     InvalidDimensions,
+    NonPositiveWeight,
     ParseError,
 )
 
@@ -284,6 +285,14 @@ class TestWeights:
         assert w.sum() == 1.0
         with pytest.raises(EmptySupport):
             normalize_weights(np.zeros(3))
+
+    def test_nan_weight_refused(self):
+        # normalize_weights spreads the NaN over every weight; ProblemData
+        # then refuses them.
+        tm = TripletMatrix(1, 2, np.zeros(2, dtype=np.int64), np.arange(2), np.ones(2))
+        assert np.isnan(normalize_weights(np.array([1.0, np.nan]))).all()
+        with pytest.raises(NonPositiveWeight):
+            problem_from_triplets(tm, 1, np.array([1.0, np.nan]))
 
     def test_zero_last_weight_stays_zero(self):
         rng = np.random.default_rng(21)

@@ -18,7 +18,6 @@ from wlra.geometry import (
     assemble,
     project_tangent,
     retract,
-    tangent_inner,
 )
 from wlra.data_io import TripletMatrix, binary_weights
 from wlra.model import (
@@ -30,13 +29,10 @@ from wlra.model import (
     ScaledPair,
     confinement_euclidean,
     confinement_manifold,
-    cost_euclidean,
-    cost_manifold,
     cost_unregularized,
     full_grad_euclidean,
     full_grad_manifold,
     full_grad_pw,
-    pair_inner,
     sample_index,
     stoch_grad_euclidean,
     stoch_grad_manifold,
@@ -47,6 +43,7 @@ from helpers import (
     draw_many,
     random_point,
     random_tangent,
+    regularized_cost,
     sample_cost_euclidean,
     sample_cost_manifold,
     sample_cost_pw,
@@ -108,6 +105,21 @@ class TestProblemData:
         with pytest.raises(EmptySupport):
             ProblemData(m=2, n=2, k=1, rows=[], cols=[], a_vals=[], w_vals=[])
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(NonPositiveWeight):
+            ProblemData(
+                m=2, n=2, k=1, rows=[0, 1], cols=[0, 1],
+                a_vals=[1.0, 2.0], w_vals=[np.nan, 1.0],
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ShapeMismatch):
+            ProblemData(
+                m=2, n=2, k=1, rows=[0, 1], cols=[0, 1],
+                a_vals=[bad, 2.0], w_vals=[0.5, 0.5],
+            )
+
 
 class TestCosts:
     def test_zero_iterate_gives_weighted_energy(self):
@@ -117,36 +129,35 @@ class TestCosts:
         assert abs(cost_unregularized(p, data) - expected) <= 1e-14
 
     def test_perfect_fit_is_zero(self):
+        # integer factors, so the fitted values are exact
+        rng = np.random.default_rng(1)
+        f = FactorPair(rng.integers(-3, 4, (5, 2)), rng.integers(-3, 4, (4, 2)))
         data = random_data(5, 4, 2, 12, seed=1)
-        assert cost_unregularized(data.dense(), data) == 0.0
+        data = dataclasses.replace(data, a_vals=(f.x @ f.y.T)[data.rows, data.cols])
+        assert cost_unregularized(f, data) == 0.0
 
     def test_scalar_hand_values(self):
         data = scalar_data()
         assert cost_unregularized(scalar_point(), data) == 1.0
-        assert cost_manifold(scalar_point(), data, 0.5) == 1.5
+        assert confinement_manifold(scalar_point()) == 1.0
         f = FactorPair(np.array([[1.0]]), np.array([[1.0]]))
-        assert cost_euclidean(f, data, 0.5) == 2.0
+        assert cost_unregularized(f, data) == 1.0
+        assert confinement_euclidean(f) == 2.0
 
     def test_factored_zero_gives_weighted_energy(self):
         data = random_data(5, 4, 2, 12, seed=2)
         f = FactorPair(np.zeros((5, 2)), np.zeros((4, 2)))
         expected = float(np.dot(data.w_vals, data.a_vals**2))
-        assert abs(cost_euclidean(f, data, 0.0) - expected) <= 1e-14
+        assert abs(cost_unregularized(f, data) - expected) <= 1e-14
 
     def test_manifold_cost_matches_dense_route(self):
         rng = np.random.default_rng(3)
         data = random_data(6, 5, 2, 15, seed=3)
         p = random_point(6, 5, 2, rng)
-        lam = 0.2
-        dense_route = cost_unregularized(assemble(p), data) + lam * float(
-            np.linalg.norm(assemble(p)) ** 2
-        )
-        assert abs(cost_manifold(p, data, lam) - dense_route) <= 1e-12
-
-    def test_shape_mismatch(self):
-        data = random_data(5, 4, 2, 12, seed=4)
-        with pytest.raises(ShapeMismatch):
-            cost_unregularized(np.zeros((4, 5)), data)
+        dense = assemble(p)
+        res = data.a_vals - dense[data.rows, data.cols]
+        assert abs(cost_unregularized(p, data) - float(np.dot(data.w_vals, res**2))) <= 1e-12
+        assert abs(confinement_manifold(p) - float(np.linalg.norm(dense)) ** 2) <= 1e-12
 
     def test_blocked_equals_whole_support_formula(self, monkeypatch):
         # 9600 cells span three blocks, the last one partial; the dense
@@ -159,11 +170,10 @@ class TestCosts:
         whole = {
             "point": np.einsum("tk,k,tk->t", p.u[full.rows], p.x, p.v[full.cols]),
             "pair": np.einsum("tk,tk->t", f.x[full.rows], f.y[full.cols]),
-            "dense": assemble(p)[full.rows, full.cols],
         }
         for route in ROUTE_FILL:
             data = on_route(full, route, monkeypatch)
-            for name, source in (("point", p), ("pair", f), ("dense", assemble(p))):
+            for name, source in (("point", p), ("pair", f)):
                 res = data.a_vals - whole[name]
                 ref = float(np.dot(data.w_vals, res**2))
                 assert abs(cost_unregularized(source, data) - ref) <= 1e-14 * ref
@@ -250,7 +260,7 @@ def fd_manifold(cost, p, grad, rng, n_dirs=20, h=1e-6, rel_tol=1e-5):
     for _ in range(n_dirs):
         d = random_tangent(p, rng)
         num = (cost(retract(p, d.scaled(h))) - cost(retract(p, d.scaled(-h)))) / (2 * h)
-        ana = tangent_inner(grad, d)
+        ana = grad.inner(d)
         assert abs(num - ana) <= rel_tol * max(1.0, abs(ana))
 
 
@@ -258,7 +268,7 @@ def fd_euclidean(cost, f, grad, rng, n_dirs=20, h=1e-6, rel_tol=1e-5):
     for _ in range(n_dirs):
         d = FactorPair(rng.standard_normal(f.x.shape), rng.standard_normal(f.y.shape))
         num = (cost(f.add_scaled(d, h)) - cost(f.add_scaled(d, -h))) / (2 * h)
-        ana = pair_inner(grad, d)
+        ana = grad.inner(d)
         assert abs(num - ana) <= rel_tol * max(1.0, abs(ana))
 
 
@@ -427,7 +437,7 @@ class TestRoutes:
         p = random_point(m, n, k, rng)
         p = ProductPoint(p.u, 3.0 * p.x, p.v)
         f = FactorPair(rng.standard_normal((m, k)), rng.standard_normal((n, k)))
-        for source in (p, f, assemble(p)):
+        for source in (p, f):
             a, b = cost_unregularized(source, dense), cost_unregularized(source, gather)
             assert abs(a - b) <= KERNEL_SWAP_RTOL * b
         got, want = full_grad_manifold(p, dense, 0.05), full_grad_manifold(p, gather, 0.05)
@@ -451,7 +461,8 @@ class TestRoutes:
         data = random_data(m, n, 2, nnz, seed=85)
         assert m * n == DENSE_FILL * 8
         assert (data.cells is None) == (route == "gather")
-        assert cost_unregularized(data.dense(), data) == 0.0
+        zero = FactorPair(np.zeros((m, 2)), np.zeros((n, 2)))
+        assert cost_unregularized(zero, data) == float(np.dot(data.w_vals, data.a_vals**2))
 
     def test_cells_read_only(self):
         data = random_data(5, 4, 2, 12, seed=86)
@@ -467,7 +478,7 @@ class TestFullGradManifold:
         p = random_point(8, 6, 2, rng)
         lam = 0.05
         g = full_grad_manifold(p, data, lam)
-        fd_manifold(lambda q: cost_manifold(q, data, lam), p, g, rng)
+        fd_manifold(lambda q: regularized_cost(q, data, lam), p, g, rng)
 
     def test_zero_at_representable_fit(self):
         rng = np.random.default_rng(24)
@@ -524,7 +535,7 @@ class TestGradEuclidean:
         f = FactorPair(rng.standard_normal((8, 2)), rng.standard_normal((6, 2)))
         lam = 0.2
         g = full_grad_euclidean(f, data, lam)
-        fd_euclidean(lambda q: cost_euclidean(q, data, lam), f, g, rng)
+        fd_euclidean(lambda q: regularized_cost(q, data, lam), f, g, rng)
 
     def test_full_zero_at_representable_fit(self):
         rng = np.random.default_rng(28)
@@ -767,12 +778,12 @@ class TestExpectationIdentities:
             w * sample_cost_manifold(p, t, data, lam)
             for t, w in enumerate(data.w_vals)
         )
-        assert abs(g_mean - cost_manifold(p, data, lam)) <= 1e-12
+        assert abs(g_mean - regularized_cost(p, data, lam)) <= 1e-12
         h_mean = sum(
             w * sample_cost_euclidean(f, t, data, lam)
             for t, w in enumerate(data.w_vals)
         )
-        assert abs(h_mean - cost_euclidean(f, data, lam)) <= 1e-12
+        assert abs(h_mean - regularized_cost(f, data, lam)) <= 1e-12
 
     def test_pw_per_sample_cost_averages_to_raw_cost(self):
         rng = np.random.default_rng(38)
@@ -813,7 +824,7 @@ class TestConfinement:
             t = int(rng.integers(data.nnz))
             g = stoch_grad_manifold(p, t, data, lam)
             rho_grad = ProductTangent(np.zeros_like(p.u), 2.0 * p.x, np.zeros_like(p.v))
-            assert tangent_inner(rho_grad, g) >= -1e-10
+            assert rho_grad.inner(g) >= -1e-10
 
     def test_euclidean_outward_slope(self):
         rng = np.random.default_rng(41)
@@ -828,4 +839,4 @@ class TestConfinement:
             t = int(rng.integers(data.nnz))
             g = stoch_grad_euclidean(f, t, data, lam)
             rho_grad = FactorPair(2.0 * f.x, 2.0 * f.y)
-            assert pair_inner(rho_grad, g) >= -1e-10
+            assert rho_grad.inner(g) >= -1e-10

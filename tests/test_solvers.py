@@ -16,7 +16,6 @@ from wlra.geometry import (
     assemble,
     orthonormality_defect,
     retract,
-    tangent_inner,
 )
 from wlra.model import (
     FactorPair,
@@ -24,8 +23,6 @@ from wlra.model import (
     ScaledPair,
     confinement_euclidean,
     confinement_manifold,
-    cost_euclidean,
-    cost_manifold,
     cost_unregularized,
     full_grad_euclidean,
     full_grad_manifold,
@@ -49,7 +46,7 @@ from wlra.solvers import (
 from wlra.step_policy import PolicyKind, make_policy, tilde_A_B_of_rho
 from wlra.svd_init import fill_missing_column_mean, truncated_svd_init
 
-from helpers import random_point
+from helpers import random_point, regularized_cost
 
 # Final cost of the acceptance criterion-8 run recorded with the earlier
 # hand-written kernels (one-sided Jacobi SVD, Gram-Schmidt QR).
@@ -817,8 +814,8 @@ FORCED_BOUNDS = {
     "inf": lambda *args: (math.inf, math.inf),
     "nan_A": lambda *args: (math.nan, 0.0),
     "nan_B": lambda *args: (0.0, math.nan),
-    "rho_nan": lambda kind, _, k, policy: tilde_A_B_of_rho(kind, math.nan, k, policy),
-    "rho_inf": lambda kind, _, k, policy: tilde_A_B_of_rho(kind, math.inf, k, policy),
+    "rho_nan": lambda _, k, policy: tilde_A_B_of_rho(math.nan, k, policy),
+    "rho_inf": lambda _, k, policy: tilde_A_B_of_rho(math.inf, k, policy),
 }
 
 
@@ -846,7 +843,7 @@ class TestAdaptiveGate:
         iters = 200
         solver, init, data, config = adaptive_setup(algorithm, iters, trace_every=1)
         policy = config.policy
-        _, b_least = tilde_A_B_of_rho(config.kind, 0.0, data.k, policy)
+        _, b_least = tilde_A_B_of_rho(0.0, data.k, policy)
         phi_min = 0.5 * b_least
         policy = dataclasses.replace(policy, phi_min=phi_min, theta=policy.c / phi_min)
         config = dataclasses.replace(config, policy=policy)
@@ -859,39 +856,34 @@ class TestAdaptiveGate:
             assert rec.phi == max(a_t, b_t, floor)
 
 
+def scalar_pair(x: float) -> FactorPair:
+    """The 1x1 factor pair (x, 0), on which f = X_11^2 is a scalar quadratic."""
+    return FactorPair(np.array([[x]]), np.array([[0.0]]))
+
+
+def scalar_armijo(grad: float, direction: float, **params):
+    return armijo_step(
+        lambda f: float(f.x[0, 0]) ** 2,
+        scalar_pair(grad),
+        scalar_pair(1.0),
+        scalar_pair(direction),
+        ArmijoParams(iota=0.5, alpha_bar=1.0, beta=0.5, **params),
+        lambda f, d: f.add_scaled(d, 1.0),
+    )
+
+
 class TestArmijo:
     def test_quadratic_hand_case(self):
-        tau, m, _, _ = armijo_step(
-            lambda x: float(x) ** 2,
-            2.0,
-            1.0,
-            -2.0,
-            ArmijoParams(iota=0.5, alpha_bar=1.0, beta=0.5),
-            lambda x, d: x + d,
-        )
+        tau, m, _, _ = scalar_armijo(2.0, -2.0)
         assert m == 1 and tau == 0.5
 
     def test_zero_direction_accepts_immediately(self):
-        tau, m, _, _ = armijo_step(
-            lambda x: float(x) ** 2,
-            0.0,
-            1.0,
-            0.0,
-            ArmijoParams(iota=0.5, alpha_bar=1.0, beta=0.5),
-            lambda x, d: x + d,
-        )
+        tau, m, _, _ = scalar_armijo(0.0, 0.0)
         assert m == 0 and tau == 1.0
 
     def test_inconsistent_gradient_exhausts_backtracks(self):
         with pytest.raises(BacktrackLimit):
-            armijo_step(
-                lambda x: float(x) ** 2,
-                2.0,
-                1.0,
-                2.0,
-                ArmijoParams(iota=0.5, alpha_bar=1.0, beta=0.5, max_backtracks=20),
-                lambda x, d: x + d,
-            )
+            scalar_armijo(2.0, 2.0, max_backtracks=20)
 
     def test_inequality_holds_and_m_is_minimal(self):
         data = observed_instance(10, 8, 2, 0.5, seed=30)
@@ -901,9 +893,9 @@ class TestArmijo:
         params = ArmijoParams(iota=1e-4)
         g = full_grad_manifold(p, data, lam)
         eta = g.scaled(-1.0)
-        cost = lambda q: cost_manifold(q, data, lam)
+        cost = lambda q: regularized_cost(q, data, lam)
         tau, m, _, _ = armijo_step(cost, g, p, eta, params, retract)
-        slope = tangent_inner(g, eta)
+        slope = g.inner(eta)
         assert cost(p) - cost(retract(p, eta.scaled(tau))) >= -params.iota * tau * slope
         if m > 0:
             prev = tau / params.beta
@@ -1070,7 +1062,7 @@ class TestAlsEuclidean:
         )
         objs = np.array([r.objective for r in trace.records])
         assert np.all(np.diff(objs) <= 1e-12 * max(1.0, objs[0]))
-        bound = cost_euclidean(init, data, lam) / lam
+        bound = regularized_cost(init, data, lam) / lam
         assert all(r.rho <= bound + 1e-12 for r in trace.records)
 
     def test_zero_gradient_fixed_point(self):

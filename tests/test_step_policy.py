@@ -6,16 +6,15 @@ import pytest
 
 import wlra.solvers
 from wlra.data_io import problem_from_triplets, synth_lowrank
-from wlra.errors import LambdaOutOfRange
+from wlra.errors import LambdaOutOfRange, ShapeMismatch
 from wlra.geometry import ProductPoint
-from wlra.model import FactorPair, ProblemData, confinement_manifold
+from wlra.model import FactorPair, ProblemData, confinement_euclidean, confinement_manifold
 from wlra.solvers import Budget, SolverConfig, sgd_manifold
 from wlra.step_policy import (
     DEFAULT_SIGMA,
     PolicyKind,
     StepPolicy,
     adaptive_A_B,
-    adaptive_A_B_tilde,
     alpha_of,
     compute_phi_min,
     compute_rho0,
@@ -138,9 +137,19 @@ class TestAdaptive:
     def test_scalar_hand_case(self):
         data = ProblemData(m=1, n=1, k=1, rows=[0], cols=[0], a_vals=[2.0], w_vals=[1.0])
         p = ProductPoint(np.array([[1.0]]), [1.0], np.array([[1.0]]))
-        a_t, b_t = adaptive_A_B(PolicyKind.MANIFOLD, p, data, scalar_policy())
+        a_t, b_t = adaptive_A_B(p, data, scalar_policy())
         assert abs(a_t - 1.0) <= 1e-14
         assert abs(b_t - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    def test_iterate_of_another_family_rejected(self, kind):
+        data = full_data(5, 4, 2, seed=1)
+        lam = None if kind is PolicyKind.POSITIVE_WEIGHTS else 0.1
+        policy = make_policy(kind, data, 0.0, lam, 1.0)
+        p = random_point(5, 4, 2, np.random.default_rng(0))
+        wrong = p if kind is PolicyKind.EUCLIDEAN else FactorPair(p.u, p.v)
+        with pytest.raises(ShapeMismatch):
+            adaptive_A_B(wrong, data, policy)
 
     def test_A_vanishes_beyond_rho0(self):
         rng = np.random.default_rng(0)
@@ -152,7 +161,7 @@ class TestAdaptive:
             p = random_point(5, 4, 2, rng)
             scale = math.sqrt(1.5 * alpha / (4 * lam) / confinement_manifold(p))
             p = ProductPoint(p.u, p.x * scale, p.v)
-            a_t, _ = adaptive_A_B(PolicyKind.MANIFOLD, p, data, policy)
+            a_t, _ = adaptive_A_B(p, data, policy)
             assert a_t == 0.0
 
     def test_tilde_zero_branch(self):
@@ -163,7 +172,7 @@ class TestAdaptive:
         p = random_point(5, 4, 2, rng)
         scale = math.sqrt(2.0 * policy.alpha / (4 * lam) / confinement_manifold(p))
         p = ProductPoint(p.u, p.x * scale, p.v)
-        a_t, _ = adaptive_A_B_tilde(PolicyKind.MANIFOLD, p, data, policy)
+        a_t, _ = tilde_A_B_of_rho(confinement_manifold(p), data.k, policy)
         assert a_t == 0.0
 
     def test_tilde_hand_value_at_origin(self):
@@ -173,7 +182,7 @@ class TestAdaptive:
             phi_min=1.0, big_k=1.0, alpha=1.0, rho0=1.0,
         )
         p = ProductPoint(np.array([[1.0]]), [0.0], np.array([[1.0], [0.0]]))
-        _, b_t = adaptive_A_B_tilde(PolicyKind.MANIFOLD, p, data, policy)
+        _, b_t = tilde_A_B_of_rho(confinement_manifold(p), data.k, policy)
         assert abs(b_t - math.sqrt(32.0)) <= 1e-12
 
     @pytest.mark.parametrize("kind", [PolicyKind.MANIFOLD, PolicyKind.EUCLIDEAN, PolicyKind.POSITIVE_WEIGHTS])
@@ -186,11 +195,13 @@ class TestAdaptive:
         for _ in range(100):
             if kind is PolicyKind.EUCLIDEAN:
                 it = FactorPair(rng.standard_normal((m, k)), rng.standard_normal((n, k)))
+                rho = confinement_euclidean(it)
             else:
                 p = random_point(m, n, k, rng)
                 it = ProductPoint(p.u, p.x * rng.uniform(0.1, 3.0), p.v)
-            a_t, b_t = adaptive_A_B(kind, it, data, policy)
-            at_t, bt_t = adaptive_A_B_tilde(kind, it, data, policy)
+                rho = confinement_manifold(it)
+            a_t, b_t = adaptive_A_B(it, data, policy)
+            at_t, bt_t = tilde_A_B_of_rho(rho, data.k, policy)
             assert at_t >= a_t - 1e-12
             assert bt_t >= b_t - 1e-12
 
@@ -215,7 +226,7 @@ class TestAdaptive:
             )
             policy = make_policy(kind, data, init_sq, lam, big_k)
             for rho in np.linspace(0.0, policy.rho1, 21):
-                a_t, b_t = tilde_A_B_of_rho(kind, float(rho), k, policy)
+                a_t, b_t = tilde_A_B_of_rho(float(rho), k, policy)
                 worst = max(worst, a_t / policy.phi_min * big_k, b_t / policy.phi_min * big_k)
         assert worst <= 1.0 + 1e-12
 
@@ -241,8 +252,8 @@ class TestAdaptive:
         sgd_manifold(init, data, config)
         assert len(points) == 21
         for p in points:
-            a_t, b_t = adaptive_A_B(PolicyKind.MANIFOLD, p, data, policy)
-            at_t, bt_t = adaptive_A_B_tilde(PolicyKind.MANIFOLD, p, data, policy)
+            a_t, b_t = adaptive_A_B(p, data, policy)
+            at_t, bt_t = tilde_A_B_of_rho(confinement_manifold(p), data.k, policy)
             assert at_t >= a_t and bt_t >= b_t
 
     @pytest.mark.parametrize("kind", list(PolicyKind))
@@ -276,7 +287,7 @@ class TestAdaptive:
             )
             lam = None if kind is PolicyKind.POSITIVE_WEIGHTS else 0.05
             policy = make_policy(kind, data, 0.0, lam, 1.0)
-            a_t, b_t = adaptive_A_B(kind, it, data, policy)
+            a_t, b_t = adaptive_A_B(it, data, policy)
             a_ref, b_ref = whole_support_A_B(kind, it, data, policy)
             assert a_t == a_ref and b_t == b_ref
             assert a_t > 0.0
