@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 
@@ -40,14 +41,16 @@ from .solvers import (
 from .step_policy import PolicyKind, make_policy
 from .svd_init import best_rank_k, fill_missing_column_mean, truncated_svd_init
 
-ALGORITHMS = (
-    "sgd-manifold",
-    "sgd-euclidean",
-    "sgd-pw",
-    "als-manifold",
-    "als-euclidean",
-    "als-pw",
-)
+# Each algorithm's solver, and the step-policy kind that names its family.
+_SOLVERS = {
+    "sgd-manifold": (sgd_manifold, PolicyKind.MANIFOLD),
+    "sgd-euclidean": (sgd_euclidean, PolicyKind.EUCLIDEAN),
+    "sgd-pw": (sgd_pw, PolicyKind.POSITIVE_WEIGHTS),
+    "als-manifold": (als_manifold, PolicyKind.MANIFOLD),
+    "als-euclidean": (als_euclidean, PolicyKind.EUCLIDEAN),
+    "als-pw": (als_pw, PolicyKind.POSITIVE_WEIGHTS),
+}
+ALGORITHMS = tuple(_SOLVERS)
 
 # Line-search iota values tuned for lambda in {1e-2, 1e-4, 1e-6}; they were
 # fitted to one specific ratings sample and are only starting points.
@@ -88,6 +91,10 @@ class ExperimentSpec:
             raise MismatchedData(
                 f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
             )
+        family = _SOLVERS[self.algorithm][1]
+        # `or 0.0` refuses None; the chained test refuses nan as well.
+        if family is not PolicyKind.POSITIVE_WEIGHTS and not 0 < (self.lam or 0.0) < math.inf:
+            raise MismatchedData(f"--lambda must be positive and finite, got {self.lam}")
 
     @property
     def label(self) -> str:
@@ -115,13 +122,6 @@ def resolve_iota(spec: ExperimentSpec) -> float:
     return preset if preset is not None else DEFAULT_IOTA
 
 
-def _check_lambda(spec: ExperimentSpec) -> None:
-    if spec.algorithm not in ("sgd-pw", "als-pw") and (
-        spec.lam is None or spec.lam <= 0
-    ):
-        raise MismatchedData("--lambda must be positive")
-
-
 def _set_up(tm: TripletMatrix, k: int) -> tuple:
     """Problem data, and the truncated-SVD init (point, pair) of its imputation."""
     data = problem_from_triplets(tm, k)
@@ -132,7 +132,6 @@ def _set_up(tm: TripletMatrix, k: int) -> tuple:
 def run_experiment(spec: ExperimentSpec, tm: TripletMatrix) -> IterTrace:
     """Impute, initialize from the truncated SVD, run the chosen solver,
     and (if spec.out is set) export the trace CSV."""
-    _check_lambda(spec)
     trace = _dispatch(spec, *_set_up(tm, spec.k))
     if spec.out is not None:
         write_trace_csv(trace, spec.out, wall_clock=spec.wall_clock)
@@ -140,38 +139,25 @@ def run_experiment(spec: ExperimentSpec, tm: TripletMatrix) -> IterTrace:
 
 
 def _dispatch(spec: ExperimentSpec, data: ProblemData, point0, pair0) -> IterTrace:
+    solver, kind = _SOLVERS[spec.algorithm]
+    euclidean = kind is PolicyKind.EUCLIDEAN
+    init = pair0 if euclidean else point0
+    every = spec.effective_trace_every()
     if spec.algorithm.startswith("als"):
-        params = ArmijoParams(
-            iota=resolve_iota(spec), alpha_bar=spec.alpha_bar, beta=spec.beta
-        )
-        every = spec.effective_trace_every()
-        if spec.algorithm == "als-manifold":
-            _, trace = als_manifold(point0, data, spec.lam, params, spec.budget, every)
-        elif spec.algorithm == "als-euclidean":
-            _, trace = als_euclidean(pair0, data, spec.lam, params, spec.budget, every)
-        else:
-            _, trace = als_pw(point0, data, params, spec.budget, every)
+        params = ArmijoParams(iota=resolve_iota(spec), alpha_bar=spec.alpha_bar, beta=spec.beta)
+        lam = () if kind is PolicyKind.POSITIVE_WEIGHTS else (spec.lam,)
+        _, trace = solver(init, data, *lam, params, spec.budget, every)
         return trace
-
-    if spec.algorithm == "sgd-manifold":
-        kind, init, runner = PolicyKind.MANIFOLD, point0, sgd_manifold
-        init_sq = confinement_manifold(point0)
-    elif spec.algorithm == "sgd-euclidean":
-        kind, init, runner = PolicyKind.EUCLIDEAN, pair0, sgd_euclidean
-        init_sq = confinement_euclidean(pair0)
-    else:
-        kind, init, runner = PolicyKind.POSITIVE_WEIGHTS, point0, sgd_pw
-        init_sq = confinement_manifold(point0)
-    policy = make_policy(kind, data, init_sq, spec.lam, spec.big_k)
+    init_sq = confinement_euclidean(init) if euclidean else confinement_manifold(init)
     config = SolverConfig(
         kind=kind,
-        policy=policy,
+        policy=make_policy(kind, data, init_sq, spec.lam, spec.big_k),
         budget=spec.budget,
         seed=spec.seed,
-        trace_every=spec.effective_trace_every(),
+        trace_every=every,
         adaptive=spec.adaptive,
     )
-    _, trace = runner(init, data, config)
+    _, trace = solver(init, data, config)
     return trace
 
 
@@ -193,14 +179,7 @@ def merge_on_iterations(
 ) -> tuple[list[str], list[list[float]]]:
     """Align traces on iteration number; missing rows carry the last cost forward."""
     grid = sorted({int(rec.t) for tr in traces for rec in tr.records})
-    header = ["t"] + list(names)
-    rows = []
-    for t in grid:
-        row: list[float] = [t]
-        for tr in traces:
-            row.append(_locf(tr, key=lambda r: r.t, limit=t))
-        rows.append(row)
-    return header, rows
+    return ["t"] + list(names), _carried_forward(traces, lambda r: r.t, grid)
 
 
 def merge_on_time(
@@ -215,25 +194,19 @@ def merge_on_time(
     if horizon is None:
         horizon = max(tr.records[-1].elapsed_seconds for tr in traces)
     nbins = int(math.floor(horizon / bin_width + 1e-9))
-    header = ["seconds"] + list(names)
-    rows = []
-    for b in range(1, nbins + 1):
-        edge = b * bin_width
-        row: list[float] = [edge]
-        for tr in traces:
-            row.append(_locf(tr, key=lambda r: r.elapsed_seconds, limit=edge))
-        rows.append(row)
-    return header, rows
+    edges = [b * bin_width for b in range(1, nbins + 1)]
+    return ["seconds"] + list(names), _carried_forward(traces, lambda r: r.elapsed_seconds, edges)
 
 
-def _locf(trace: IterTrace, key, limit) -> float:
-    value = trace.records[0].cost_unregularized
-    for rec in trace.records:
-        if key(rec) <= limit:
-            value = rec.cost_unregularized
-        else:
-            break
-    return value
+def _carried_forward(traces: list[IterTrace], key, grid: list) -> list[list[float]]:
+    """One row per grid value: the value, then each trace's cost at its last
+    record with key <= the value (its first record if none is that small).
+    `IterTrace.append` keeps both keys non-decreasing, so one bisection finds it."""
+    keyed = [([key(rec) for rec in tr.records], tr.records) for tr in traces]
+    return [
+        [g] + [recs[max(bisect_right(keys, g) - 1, 0)].cost_unregularized for keys, recs in keyed]
+        for g in grid
+    ]
 
 
 def compare_experiments(
@@ -248,8 +221,6 @@ def compare_experiments(
         raise MismatchedData("compare needs at least one run spec")
     if len({s.k for s in specs}) != 1:
         raise MismatchedData("compare runs must share the same k")
-    for spec in specs:
-        _check_lambda(spec)
     setup = _set_up(tm, specs[0].k)
     traces = [_dispatch(spec, *setup) for spec in specs]
     names = [s.label for s in specs]
@@ -284,6 +255,8 @@ def _read_config(path) -> dict[str, str]:
     return values
 
 
+# Keys of `run` flags, config lines and `--run` specs, with their casts.
+# Each but `name` (a `compare` label) is also the `run` flag --<key>.
 _RUN_KEYS = {
     "algorithm": str,
     "k": int,
@@ -301,6 +274,14 @@ _RUN_KEYS = {
 }
 
 
+def _cast(key: str, raw: str, cast=None):
+    """`raw` cast to `key`'s type (or by `cast`); a malformed value names the key."""
+    try:
+        return (cast or _RUN_KEYS[key])(raw.strip())
+    except ValueError:
+        raise MismatchedData(f"bad value {raw!r} for {key}") from None
+
+
 def _parse_kv_spec(text: str) -> dict:
     out = {}
     for part in text.split(","):
@@ -313,26 +294,26 @@ def _parse_kv_spec(text: str) -> dict:
         key = key.strip()
         if key not in _RUN_KEYS:
             raise MismatchedData(f"unknown run-spec key {key!r}")
-        out[key] = _RUN_KEYS[key](value.strip())
+        out[key] = _cast(key, value)
     return out
 
 
-def _resolve_bigk(raw, algorithm: str, lam: float | None) -> float:
+def _resolve_bigk(raw: str | None, spec: ExperimentSpec) -> float:
     if raw is None:
         return 1.0
-    if isinstance(raw, str) and raw.strip().lower() == "preset":
-        preset = _lookup_preset(BIGK_PRESETS.get(algorithm, {}), lam)
-        if preset is None:
-            raise MismatchedData(
-                f"no K preset for {algorithm} at lambda={lam}; pass a number"
-            )
-        print(
-            f"warning: K preset {preset:g} was tuned on one specific ratings "
-            "sample and may not transfer",
-            file=sys.stderr,
+    if raw.strip().lower() != "preset":
+        return _cast("bigK", raw, float)
+    preset = _lookup_preset(BIGK_PRESETS.get(spec.algorithm, {}), spec.lam)
+    if preset is None:
+        raise MismatchedData(
+            f"no K preset for {spec.algorithm} at lambda={spec.lam}; pass a number"
         )
-        return preset
-    return float(raw)
+    print(
+        f"warning: K preset {preset:g} was tuned on one specific ratings "
+        "sample and may not transfer",
+        file=sys.stderr,
+    )
+    return preset
 
 
 def _spec_from_values(values: dict) -> ExperimentSpec:
@@ -348,16 +329,12 @@ def _spec_from_values(values: dict) -> ExperimentSpec:
         if values.get("iters") is not None
         else Budget(max_seconds=values["seconds"])
     )
-    lam = values.get("lambda")
-    if algorithm not in ("sgd-pw", "als-pw") and (lam is None or lam <= 0):
-        raise MismatchedData("--lambda must be positive")
-    return ExperimentSpec(
+    spec = ExperimentSpec(
         algorithm=algorithm,
         k=values["k"],
         seed=values.get("seed", 0),
         budget=budget,
-        lam=lam,
-        big_k=_resolve_bigk(values.get("bigK"), algorithm, lam),
+        lam=values.get("lambda"),
         iota=values.get("iota"),
         alpha_bar=values.get("alpha-bar", 1.0),
         beta=values.get("beta", 0.5),
@@ -367,38 +344,17 @@ def _spec_from_values(values: dict) -> ExperimentSpec:
         out=values.get("out"),
         name=values.get("name"),
     )
+    return replace(spec, big_k=_resolve_bigk(values.get("bigK"), spec))
 
 
 def _merge_flag_values(args, config: dict[str, str]) -> dict:
     """Config supplies defaults; explicitly passed flags win."""
-    values: dict = {}
-    for key, cast in _RUN_KEYS.items():
-        if key in config:
-            values[key] = cast(config[key])
-    flag_map = {
-        "algorithm": args.algorithm,
-        "k": args.k,
-        "lambda": getattr(args, "lam"),
-        "bigK": args.bigK,
-        "iota": args.iota,
-        "alpha-bar": args.alpha_bar,
-        "beta": args.beta,
-        "seed": args.seed,
-        "iters": args.iters,
-        "seconds": args.seconds,
-        "trace-every": args.trace_every,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            values[key] = value
-    if args.adaptive:
-        values["adaptive"] = True
-    if args.wall_clock:
-        values["wall-clock"] = True
+    values = {key: _cast(key, raw) for key, raw in config.items() if key in _RUN_KEYS}
+    values.update((key, v) for key, v in vars(args).items() if key in _RUN_KEYS)
+    values["wall-clock"] = args.wall_clock
     values["out"] = args.out
-    if "k" not in values or values["k"] is None:
+    if "k" not in values:
         raise MismatchedData("--k is required")
-    values.setdefault("seed", 0)
     return values
 
 
@@ -441,18 +397,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one algorithm and export its trace")
     add_input(p)
-    p.add_argument("--algorithm", choices=ALGORITHMS, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--bigK", default=None, help="K >= 1, or 'preset'")
-    p.add_argument("--iota", type=float, default=None)
-    p.add_argument("--alpha-bar", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--seconds", type=float, default=None)
-    p.add_argument("--trace-every", type=int, default=None)
-    p.add_argument("--adaptive", action="store_true")
+    extra = {"algorithm": {"choices": ALGORITHMS}, "bigK": {"help": "K >= 1, or 'preset'"}}
+    for key, cast in _RUN_KEYS.items():
+        if key == "adaptive":
+            p.add_argument("--adaptive", action="store_true", default=argparse.SUPPRESS)
+        elif key != "name":
+            p.add_argument(
+                f"--{key}", dest=key, type=cast, default=argparse.SUPPRESS, **extra.get(key, {})
+            )
     p.add_argument("--wall-clock", action="store_true", help="export measured times")
     p.add_argument("--config", default=None, help="key=value defaults file")
     p.add_argument("--out", required=True)

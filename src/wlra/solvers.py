@@ -371,27 +371,29 @@ def _run_als(
 
     f = objective(point)
     g = grad_fn(point)
-    emit(0, point, g.norm())
+    gnorm = g.norm()
+    emit(0, point, gnorm)
     t = 0
     eps = np.finfo(float).eps
     while budget.max_iterations is None or t < budget.max_iterations:
         # Once the full-step sufficient decrease drops below float noise no
         # backtracked step can satisfy the Armijo test, so the iterate is
         # numerically stationary; freeze it instead of exhausting backtracks.
-        decrease_scale = params.iota * params.alpha_bar * g.norm() ** 2
+        decrease_scale = params.iota * params.alpha_bar * gnorm**2
         if decrease_scale > 1024.0 * eps * max(1.0, abs(f)):
             eta = g.scaled(-1.0)
             # `objective` saw the accepted trial last, so `unreg` is its cost.
             _, m, point, f = armijo_step(objective, g, point, eta, params, retract_fn, f0=f)
             backtracks += m
             g = grad_fn(point)
+            gnorm = g.norm()
         t += 1
         if t % trace_every == 0:
-            elapsed = emit(t, point, g.norm())
+            elapsed = emit(t, point, gnorm)
             if budget.max_seconds is not None and elapsed > budget.max_seconds:
                 break
     if trace.records[-1].t != t:
-        emit(t, point, g.norm())
+        emit(t, point, gnorm)
     return point, trace
 
 

@@ -140,9 +140,10 @@ class StepPolicy:
     w0: float | None = None
 
     def __post_init__(self):
-        if self.big_k < 1.0:
+        # Written so that nan fails them: nan compares False.
+        if not self.big_k >= 1.0:
             raise LambdaOutOfRange(f"need K >= 1, got {self.big_k}")
-        if min(self.lam, self.a, self.b, self.theta, self.phi_min) <= 0:
+        if not all(v > 0 for v in (self.lam, self.a, self.b, self.theta, self.phi_min)):
             raise LambdaOutOfRange("policy scalars must be positive")
 
     @property
@@ -175,7 +176,7 @@ def make_policy(
             lam = w0 / 2.0
         a, b = 1.0 / w0, 1.0 / math.sqrt(w0)
     else:
-        if lam is None or lam <= 0:
+        if lam is None or not lam > 0:
             raise LambdaOutOfRange("lam must be positive")
         a, b = 1.0 / lam, 1.0 / math.sqrt(lam)
     rho0 = compute_rho0(kind, init_norm_sq, alpha, lam, w0)

@@ -59,6 +59,29 @@ class TestMerging:
         # at 1.0 s trace a has reached t=20, trace b t=40
         assert rows[9] == [pytest.approx(1.0), 30.0, 60.0]
 
+    def test_merges_match_brute_force_carry_forward(self):
+        # Tied elapsed times, including ties on a bin edge (0.5), and grid
+        # values before the first record of trace a.
+        a = make_trace([(2, 0.3, 5.0), (4, 0.3, 4.0), (7, 0.3, 3.5), (9, 0.8, 2.0)])
+        b = make_trace([(0, 0.0, 9.0), (1, 0.5, 8.0), (5, 0.5, 7.0), (6, 1.2, 6.0), (9, 1.2, 5.5)])
+
+        def oracle(trace, key, value):
+            cost = trace.records[0].cost_unregularized
+            for rec in trace.records:
+                if key(rec) <= value:
+                    cost = rec.cost_unregularized
+            return cost
+
+        def expected(key, grid):
+            return [[g, oracle(a, key, g), oracle(b, key, g)] for g in grid]
+
+        _, rows = merge_on_iterations([a, b], ["a", "b"])
+        assert rows == expected(lambda r: r.t, [0, 1, 2, 4, 5, 6, 7, 9])
+        for width, nbins in ((0.25, 5), (0.1, 13)):
+            _, rows = merge_on_time([a, b], ["a", "b"], bin_width=width, horizon=1.3)
+            edges = [i * width for i in range(1, nbins + 1)]
+            assert rows == expected(lambda r: r.elapsed_seconds, edges)
+
 
 class TestRunExperiment:
     def test_first_row_matches_truncation_oracle(self, synth_file, tmp_path):
@@ -94,11 +117,11 @@ class TestRunExperiment:
 
     def test_invalid_lambda_rejected(self, synth_file):
         tm = load_triplets(synth_file)
-        spec = ExperimentSpec(
-            algorithm="sgd-manifold", k=3, seed=1,
-            budget=Budget(max_iterations=1), lam=-1.0,
-        )
         with pytest.raises(MismatchedData, match="--lambda"):
+            spec = ExperimentSpec(
+                algorithm="sgd-manifold", k=3, seed=1,
+                budget=Budget(max_iterations=1), lam=-1.0,
+            )
             run_experiment(spec, tm)
 
     def test_unknown_algorithm_rejected(self):
@@ -172,12 +195,12 @@ class TestCompare:
             algorithm="sgd-manifold", k=3, seed=0,
             budget=Budget(max_iterations=10), lam=1e-2,
         )
-        bad = ExperimentSpec(
-            algorithm="als-euclidean", k=3, seed=0,
-            budget=Budget(max_iterations=10), lam=0.0,
-        )
         monkeypatch.setattr(wlra.cli, "truncated_svd_init", None)  # never reached
         with pytest.raises(MismatchedData):
+            bad = ExperimentSpec(
+                algorithm="als-euclidean", k=3, seed=0,
+                budget=Budget(max_iterations=10), lam=0.0,
+            )
             compare_experiments([good, bad], tm, tmp_path / "cmp.csv")
         assert not (tmp_path / "cmp.csv").exists()
 
@@ -242,6 +265,63 @@ class TestCommandLine:
         ]) == 0
         rows_b = out2.read_text().splitlines()
         assert len(rows_a) == 1 + 3 + 1 and len(rows_b) == 1 + 1 + 1
+
+    @pytest.mark.parametrize("algorithm", ["sgd-euclidean", "als-manifold"])
+    def test_config_only_run_matches_flags(self, synth_file, tmp_path, algorithm):
+        # Every run key but `name` (a compare label) and `seconds` (the
+        # alternative budget to `iters`).
+        settings = {
+            "algorithm": algorithm, "k": "3", "lambda": "1e-2", "bigK": "2.5",
+            "iota": "1e-3", "alpha-bar": "2", "beta": "0.6", "seed": "4",
+            "iters": "60", "trace-every": "5", "adaptive": "yes",
+        }
+        assert set(settings) == set(wlra.cli._RUN_KEYS) - {"name", "seconds"}
+        cfg = tmp_path / "cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in settings.items()))
+        flags = [
+            arg
+            for key, value in settings.items()
+            for arg in (["--adaptive"] if key == "adaptive" else [f"--{key}", value])
+        ]
+        by_config, by_flags = tmp_path / "config.csv", tmp_path / "flags.csv"
+        base = ["run", "--in", str(synth_file)]
+        assert main([*base, "--config", str(cfg), "--out", str(by_config)]) == 0
+        assert main([*base, *flags, "--out", str(by_flags)]) == 0
+        assert by_config.read_bytes() == by_flags.read_bytes()
+
+    @pytest.mark.parametrize(
+        "command, extra, config, named",
+        [
+            ("run", [], "lambda=abc\n", "bad value 'abc' for lambda"),
+            (
+                "compare",
+                ["--run", "name=m,algorithm=sgd-manifold,lambda=1e-2,iters=ten"],
+                None,
+                "bad value 'ten' for iters",
+            ),
+            ("run", ["--lambda", "1e-2", "--bigK", "abc"], None, "bad value 'abc' for bigK"),
+            ("run", ["--lambda", "nan"], None, "--lambda"),
+            ("run", ["--lambda", "inf"], None, "--lambda"),
+            ("run", [], "lambda=nan\n", "--lambda"),
+        ],
+        ids=[
+            "config-lambda-abc", "run-spec-iters-ten", "bigK-abc",
+            "lambda-nan", "lambda-inf", "config-lambda-nan",
+        ],
+    )
+    def test_malformed_value_exits_2(
+        self, synth_file, tmp_path, capsys, command, extra, config, named
+    ):
+        out = tmp_path / "out.csv"
+        if command == "run":
+            extra = ["--algorithm", "sgd-manifold", "--iters", "10", *extra]
+        if config is not None:
+            cfg = tmp_path / "cfg"
+            cfg.write_text(config)
+            extra = [*extra, "--config", str(cfg)]
+        assert main([command, "--in", str(synth_file), "--k", "3", *extra, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "compare", "init-svd"])
     @pytest.mark.parametrize("row", [2**60, 2**63 - 1])

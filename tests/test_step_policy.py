@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -361,6 +362,22 @@ class TestPolicyAssembly:
         assert policy.lam == w0 / 2.0
         assert policy.a == 1.0 / w0
         assert policy.b == 1.0 / math.sqrt(w0)
+
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    def test_nan_lambda_rejected(self, kind):
+        data = full_data(5, 4, 2, seed=11)
+        with pytest.raises(LambdaOutOfRange):
+            make_policy(kind, data, 0.0, math.nan, 1.0)
+
+    def test_nan_k_rejected(self):
+        data = full_data(5, 4, 2, seed=12)
+        with pytest.raises(LambdaOutOfRange):
+            make_policy(PolicyKind.MANIFOLD, data, 0.0, 0.05, math.nan)
+
+    @pytest.mark.parametrize("field", ["lam", "a", "b", "theta", "phi_min", "big_k"])
+    def test_nan_scalar_rejected(self, field):
+        with pytest.raises(LambdaOutOfRange):
+            dataclasses.replace(scalar_policy(), **{field: math.nan})
 
     def test_k_below_one_rejected(self):
         data = full_data(5, 4, 2, seed=10)
