@@ -13,14 +13,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import BacktrackLimit, InitNotConfined, RankDeficient, ShapeMismatch
-from .geometry import (
-    FactoredPoint,
-    ProductPoint,
-    ProductTangent,
-    project_tangent,
-    retract,
-)
+from .errors import BacktrackLimit, InitNotConfined, ShapeMismatch
+from .geometry import FactoredPoint, ProductPoint, ProductTangent, retract
 from .model import (
     FactorPair,
     ProblemData,
@@ -47,7 +41,7 @@ BOUND_GATE_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class Budget:
-    """Either an iteration count or a wall-clock limit; exactly one is set."""
+    """Either an iteration count or a limit on algorithm seconds; exactly one is set."""
 
     max_iterations: int | None = None
     max_seconds: float | None = None
@@ -57,8 +51,8 @@ class Budget:
             raise ShapeMismatch("set exactly one of max_iterations / max_seconds")
         if self.max_iterations is not None and self.max_iterations < 0:
             raise ShapeMismatch("max_iterations must be >= 0")
-        if self.max_seconds is not None and self.max_seconds <= 0:
-            raise ShapeMismatch("max_seconds must be positive")
+        if self.max_seconds is not None and not 0 < self.max_seconds < np.inf:
+            raise ShapeMismatch(f"need 0 < max_seconds < inf, got {self.max_seconds}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +65,10 @@ class ArmijoParams:
     max_backtracks: int = 60
 
     def __post_init__(self):
-        if self.alpha_bar <= 0 or not 0 < self.beta < 1 or not 0 < self.iota < 1:
-            raise ShapeMismatch("need alpha_bar > 0 and beta, iota in (0, 1)")
+        if not 0 < self.alpha_bar < np.inf:
+            raise ShapeMismatch(f"need 0 < alpha_bar < inf, got {self.alpha_bar}")
+        if not 0 < self.beta < 1 or not 0 < self.iota < 1:
+            raise ShapeMismatch("need beta, iota in (0, 1)")
 
 
 class TraceRecord(NamedTuple):
@@ -88,7 +84,11 @@ class TraceRecord(NamedTuple):
 
 @dataclass
 class IterTrace:
+    """Trace records in iteration order. `elapsed_seconds` counts algorithm
+    time only; the time spent building the records is `bookkeeping_seconds`."""
+
     records: list[TraceRecord] = field(default_factory=list)
+    bookkeeping_seconds: float = 0.0
 
     def append(self, rec: TraceRecord) -> None:
         if self.records:
@@ -138,13 +138,36 @@ def _check_start(config: SolverConfig, kind: PolicyKind, rho_init: float) -> Non
         raise InitNotConfined(f"initial confinement {rho_init} exceeds rho0 {rho0}")
 
 
-def _retract_with_retry(p: ProductPoint, v: ProductTangent) -> ProductPoint:
-    # A true tangent cannot make U + dU rank deficient; if round-off ever
-    # does, re-project once and retry before giving up.
-    try:
-        return retract(p, v)
-    except RankDeficient:
-        return retract(p, project_tangent(p, v))
+def _iterate(advance: Callable, record: Callable, budget: Budget, trace_every: int) -> IterTrace:
+    """The iteration loop of every solver: `advance(t)` takes step t, and
+    `record(t, elapsed)` builds the trace record after t steps, at t = 0,
+    every `trace_every` steps and after the last step. Time spent in
+    `record` is left out of later `elapsed_seconds` and of the `max_seconds`
+    test (made at trace points), and summed in `bookkeeping_seconds`."""
+    if trace_every < 1:
+        raise ShapeMismatch("trace_every must be >= 1")
+    trace = IterTrace()
+    start = time.perf_counter()
+
+    def emit(t: int) -> float:
+        mark = time.perf_counter()
+        elapsed = mark - start - trace.bookkeeping_seconds
+        trace.append(record(t, elapsed))
+        trace.bookkeeping_seconds += time.perf_counter() - mark
+        return elapsed
+
+    emit(0)
+    t = 0
+    while budget.max_iterations is None or t < budget.max_iterations:
+        advance(t)
+        t += 1
+        if t % trace_every == 0:
+            elapsed = emit(t)
+            if budget.max_seconds is not None and elapsed > budget.max_seconds:
+                break
+    if trace.records[-1].t != t:
+        emit(t)
+    return trace
 
 
 def _run_sgd(
@@ -156,34 +179,18 @@ def _run_sgd(
     rho_fn: Callable,
     full_grad_norm_fn: Callable,
 ) -> tuple[object, IterTrace]:
-    """The SGD loop. `grad_fn(state, t)` is the per-sample gradient at
+    """The SGD step. `grad_fn(state, t)` is the per-sample gradient at
     triplet index t, and `state.step(i, j, grad, step)` moves the state in
     place along it at cell (i, j); `view_fn(state)` gives the iterate that
     traces, the exact safeguards and the caller see; `rho_fn` reads the
-    confinement of the state and of its view alike."""
+    confinement of the state and of its view alike. A record carries the
+    phi_t of the step before it."""
     policy = config.policy
     rng = np.random.default_rng(config.seed)
-    trace = IterTrace()
-    start = time.perf_counter()
+    phi = None
 
-    def emit(t, pt, phi=None) -> float:
-        elapsed = time.perf_counter() - start
-        trace.append(
-            TraceRecord(
-                t=t,
-                elapsed_seconds=elapsed,
-                cost_unregularized=cost_unregularized(pt, data),
-                grad_norm=full_grad_norm_fn(pt) if config.record_grad_norm else None,
-                phi=phi,
-                rho=rho_fn(pt) if config.record_rho else None,
-            )
-        )
-        return elapsed
-
-    emit(0, view_fn(state))
-    budget = config.budget
-    t = 0
-    while budget.max_iterations is None or t < budget.max_iterations:
+    def advance(t: int) -> None:
+        nonlocal phi
         s = sample_index(data, rng)
         if config.adaptive:
             floor = max(policy.schedule(t) / policy.theta, policy.phi_min)
@@ -198,15 +205,20 @@ def _run_sgd(
         else:
             phi = policy.phi_min
         state.step(data.rows[s], data.cols[s], grad_fn(state, s), -policy.schedule(t) / phi)
-        t += 1
-        if t % config.trace_every == 0:
-            elapsed = emit(t, view_fn(state), phi)
-            if budget.max_seconds is not None and elapsed > budget.max_seconds:
-                break
-    point = view_fn(state)
-    if trace.records[-1].t != t:
-        emit(t, point)
-    return point, trace
+
+    def record(t: int, elapsed: float) -> TraceRecord:
+        pt = view_fn(state)
+        return TraceRecord(
+            t=t,
+            elapsed_seconds=elapsed,
+            cost_unregularized=cost_unregularized(pt, data),
+            grad_norm=full_grad_norm_fn(pt) if config.record_grad_norm else None,
+            phi=phi,
+            rho=rho_fn(pt) if config.record_rho else None,
+        )
+
+    trace = _iterate(advance, record, config.budget, config.trace_every)
+    return view_fn(state), trace
 
 
 def sgd_manifold(
@@ -327,8 +339,8 @@ def armijo_step(
 
 def _run_als(
     point,
-    trace_cost_fn: Callable,
-    penalty_fn: Callable,
+    data: ProblemData,
+    lam: float,
     grad_fn: Callable,
     retract_fn: Callable,
     rho_fn: Callable,
@@ -336,46 +348,26 @@ def _run_als(
     budget: Budget,
     trace_every: int,
 ) -> tuple[object, IterTrace]:
-    """The line-search loop. The objective is trace_cost_fn + penalty_fn, so
-    each point's unregularized cost and objective come from one evaluation;
-    both are kept for the current point, and an iteration costs one
-    gradient and one evaluation per Armijo trial."""
-    if trace_every < 1:
-        raise ShapeMismatch("trace_every must be >= 1")
-    trace = IterTrace()
-    start = time.perf_counter()
+    """The line-search step. The objective is the unregularized cost plus
+    lam * rho_fn, so each point's cost and objective come from one
+    evaluation; both are kept for the current point, and an iteration costs
+    one gradient and one evaluation per Armijo trial. The initial
+    evaluations are set-up, before the trace clock starts."""
     unreg = 0.0
     backtracks = 0
 
     def objective(pt) -> float:
         nonlocal unreg
-        unreg = trace_cost_fn(pt)
-        return unreg + penalty_fn(pt)
-
-    def emit(t, pt, gnorm) -> float:
-        nonlocal backtracks
-        elapsed = time.perf_counter() - start
-        trace.append(
-            TraceRecord(
-                t=t,
-                elapsed_seconds=elapsed,
-                cost_unregularized=unreg,
-                grad_norm=gnorm,
-                rho=rho_fn(pt),
-                objective=f,
-                backtracks=backtracks,
-            )
-        )
-        backtracks = 0
-        return elapsed
+        unreg = cost_unregularized(pt, data)
+        return unreg + lam * rho_fn(pt)
 
     f = objective(point)
     g = grad_fn(point)
     gnorm = g.norm()
-    emit(0, point, gnorm)
-    t = 0
     eps = np.finfo(float).eps
-    while budget.max_iterations is None or t < budget.max_iterations:
+
+    def advance(t: int) -> None:
+        nonlocal point, f, g, gnorm, backtracks
         # Once the full-step sufficient decrease drops below float noise no
         # backtracked step can satisfy the Armijo test, so the iterate is
         # numerically stationary; freeze it instead of exhausting backtracks.
@@ -387,13 +379,21 @@ def _run_als(
             backtracks += m
             g = grad_fn(point)
             gnorm = g.norm()
-        t += 1
-        if t % trace_every == 0:
-            elapsed = emit(t, point, gnorm)
-            if budget.max_seconds is not None and elapsed > budget.max_seconds:
-                break
-    if trace.records[-1].t != t:
-        emit(t, point, gnorm)
+
+    def record(t: int, elapsed: float) -> TraceRecord:
+        nonlocal backtracks
+        m, backtracks = backtracks, 0
+        return TraceRecord(
+            t=t,
+            elapsed_seconds=elapsed,
+            cost_unregularized=unreg,
+            grad_norm=gnorm,
+            rho=rho_fn(point),
+            objective=f,
+            backtracks=m,
+        )
+
+    trace = _iterate(advance, record, budget, trace_every)
     return point, trace
 
 
@@ -407,11 +407,9 @@ def als_manifold(
 ) -> tuple[ProductPoint, IterTrace]:
     """Line search along the negative full gradient of the regularized objective."""
     return _run_als(
-        init,
-        trace_cost_fn=lambda p: cost_unregularized(p, data),
-        penalty_fn=lambda p: lam * confinement_manifold(p),
+        init, data, lam,
         grad_fn=lambda p: full_grad_manifold(p, data, lam),
-        retract_fn=_retract_with_retry,
+        retract_fn=retract,
         rho_fn=confinement_manifold,
         params=params,
         budget=budget,
@@ -429,9 +427,7 @@ def als_euclidean(
 ) -> tuple[FactorPair, IterTrace]:
     """Line search on the factor pair with the additive retraction."""
     return _run_als(
-        init,
-        trace_cost_fn=lambda f: cost_unregularized(f, data),
-        penalty_fn=lambda f: lam * confinement_euclidean(f),
+        init, data, lam,
         grad_fn=lambda f: full_grad_euclidean(f, data, lam),
         retract_fn=lambda f, d: f.add_scaled(d, 1.0),
         rho_fn=confinement_euclidean,
@@ -451,11 +447,9 @@ def als_pw(
     """Positive-weights line search; the objective is the raw cost itself."""
     require_positive_weights(data)
     return _run_als(
-        init,
-        trace_cost_fn=lambda p: cost_unregularized(p, data),
-        penalty_fn=lambda p: 0.0,
+        init, data, 0.0,
         grad_fn=lambda p: full_grad_pw(p, data),
-        retract_fn=_retract_with_retry,
+        retract_fn=retract,
         rho_fn=confinement_manifold,
         params=params,
         budget=budget,

@@ -248,6 +248,17 @@ class TestCommandLine:
         assert code != 0
         assert "--lambda" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha_bar", ["nan", "inf"])
+    def test_run_rejects_non_finite_alpha_bar(self, synth_file, tmp_path, capsys, alpha_bar):
+        out = tmp_path / "x.csv"
+        code = main([
+            "run", "--in", str(synth_file), "--algorithm", "als-manifold", "--k", "3",
+            "--lambda", "1e-2", "--alpha-bar", alpha_bar, "--iters", "20", "--out", str(out),
+        ])
+        assert code == 2
+        assert f"0 < alpha_bar < inf, got {alpha_bar}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_defaults_and_flag_override(self, synth_file, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("algorithm=sgd-manifold\nlambda=1e-2\nk=3\niters=30\nseed=2\n")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import warnings
 
 import numpy as np
@@ -707,15 +708,43 @@ class TestConfigFamily:
         assert samples == []
 
 
-@pytest.mark.parametrize("algorithm", ["manifold", "euclidean"])
+def run_als(algorithm, budget, trace_every):
+    """An als_* run of the line-search pin instances."""
+    data, point0, pair0 = als_pin_setup()
+    params = ArmijoParams(iota=1e-4)
+    if algorithm == "manifold":
+        return als_manifold(point0, data, 1e-4, params, budget, trace_every)
+    if algorithm == "euclidean":
+        return als_euclidean(pair0, data, 1e-4, params, budget, trace_every)
+    pw_init, pw_data, _ = pw_setup(1)
+    return als_pw(pw_init, pw_data, params, budget, trace_every)
+
+
+def sgd_run_setup(algorithm, iters, trace_every):
+    """A constant-step run of one SGD solver from an SVD init."""
+    if algorithm == "manifold":
+        init, data, config = svd_setup(60, 30, 4, iters=iters)
+        solver = sgd_manifold
+    elif algorithm == "euclidean":
+        init, data, config = euclidean_setup("pinned", iters=iters)
+        solver = sgd_euclidean
+    else:
+        init, data, config = pw_setup(iters)
+        solver = sgd_pw
+    return solver, init, data, dataclasses.replace(config, trace_every=trace_every)
+
+
+@pytest.mark.parametrize(
+    "algorithm", ["manifold", "euclidean", "pw", "als_manifold", "als_euclidean", "als_pw"]
+)
 def test_iterates_do_not_depend_on_trace_every(algorithm):
     finals = []
     for trace_every in (1, 7, 2000):
-        if algorithm == "manifold":
-            solver, (init, data, config) = sgd_manifold, svd_setup(60, 30, 4, iters=2000)
+        if algorithm.startswith("als_"):
+            final, _ = run_als(algorithm[4:], Budget(max_iterations=200), trace_every)
         else:
-            solver, (init, data, config) = sgd_euclidean, euclidean_setup("pinned", iters=2000)
-        final, _ = solver(init, data, dataclasses.replace(config, trace_every=trace_every))
+            solver, init, data, config = sgd_run_setup(algorithm, 2000, trace_every)
+            final, _ = solver(init, data, config)
         finals.append([getattr(final, f.name) for f in dataclasses.fields(final)])
     for other in finals[1:]:
         assert all(np.array_equal(a, b) for a, b in zip(finals[0], other))
@@ -906,6 +935,11 @@ class TestArmijo:
             ArmijoParams(iota=1.5)
         with pytest.raises(ShapeMismatch):
             ArmijoParams(iota=0.5, beta=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_alpha_bar_must_be_positive_and_finite(self, value):
+        with pytest.raises(ShapeMismatch, match="alpha_bar"):
+            ArmijoParams(iota=1e-4, alpha_bar=value)
 
 
 def als_pin_setup():
@@ -1105,3 +1139,48 @@ class TestAlsPositiveWeights:
         assert cost_unregularized(p, data) <= 1e-25
         final, _ = als_pw(p, data, ArmijoParams(iota=1e-4), Budget(max_iterations=10))
         assert np.array_equal(final.x, p.x)
+
+
+class TestIterationLoop:
+    """Budget, trace cadence and trace clock, which every solver shares."""
+
+    @pytest.mark.parametrize("algorithm", ["manifold", "euclidean", "pw"])
+    def test_als_time_budget_stops_at_first_late_trace_point(self, algorithm):
+        _, trace = run_als(algorithm, Budget(max_seconds=1e-9), trace_every=5)
+        assert [r.t for r in trace.records] == [0, 5]
+
+    @pytest.mark.parametrize("algorithm", ["manifold", "euclidean", "pw"])
+    def test_off_cadence_record_carries_last_phi(self, algorithm):
+        solver, init, data, config = sgd_run_setup(algorithm, iters=7, trace_every=5)
+        _, trace = solver(init, data, config)
+        assert [r.t for r in trace.records] == [0, 5, 7]
+        assert trace.records[0].phi is None
+        assert trace.records[-1].phi == config.policy.phi_min
+
+    def test_trace_every_zero_refused(self):
+        _, _, _, config = sgd_run_setup("manifold", iters=10, trace_every=1)
+        with pytest.raises(ShapeMismatch, match="trace_every"):
+            dataclasses.replace(config, trace_every=0)
+        for algorithm in ("manifold", "euclidean", "pw"):
+            with pytest.raises(ShapeMismatch, match="trace_every"):
+                run_als(algorithm, Budget(max_iterations=10), trace_every=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_budget_refuses_non_positive_or_non_finite_seconds(self, value):
+        with pytest.raises(ShapeMismatch, match="max_seconds"):
+            Budget(max_seconds=value)
+
+    def test_trace_points_are_left_out_of_elapsed_time(self, monkeypatch):
+        nap = 0.002
+        real = wlra.solvers.cost_unregularized
+
+        def slow_cost(*args):
+            time.sleep(nap)
+            return real(*args)
+
+        monkeypatch.setattr(wlra.solvers, "cost_unregularized", slow_cost)
+        solver, init, data, config = sgd_run_setup("euclidean", iters=100, trace_every=10)
+        _, trace = solver(init, data, config)
+        assert len(trace.records) == 11
+        assert trace.bookkeeping_seconds >= 11 * nap
+        assert trace.records[-1].elapsed_seconds < trace.bookkeeping_seconds
