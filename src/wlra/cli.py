@@ -39,7 +39,7 @@ from .solvers import (
     sgd_pw,
 )
 from .step_policy import PolicyKind, make_policy
-from .svd_init import best_rank_k, fill_missing_column_mean, truncated_svd_init
+from .svd_init import fill_missing_column_mean, truncated_svd_init
 
 # Each algorithm's solver, and the step-policy kind that names its family.
 _SOLVERS = {
@@ -320,15 +320,17 @@ def _spec_from_values(values: dict) -> ExperimentSpec:
     algorithm = values.get("algorithm")
     if algorithm is None:
         raise MismatchedData("--algorithm is required")
-    if values.get("iters") is None and values.get("seconds") is None:
+    iters, seconds = values.get("iters"), values.get("seconds")
+    if iters is None and seconds is None:
         raise MismatchedData("set a budget with --iters or --seconds")
-    if values.get("iters") is not None and values.get("seconds") is not None:
+    if iters is not None and seconds is not None:
         raise MismatchedData("--iters and --seconds are mutually exclusive")
-    budget = (
-        Budget(max_iterations=values["iters"])
-        if values.get("iters") is not None
-        else Budget(max_seconds=values["seconds"])
-    )
+    # Checked here as well as by Budget, so that the error names the flag.
+    if iters is not None and iters < 0:
+        raise MismatchedData(f"--iters must be >= 0, got {iters}")
+    if seconds is not None and not 0 < seconds < math.inf:
+        raise MismatchedData(f"--seconds must be positive and finite, got {seconds}")
+    budget = Budget(max_iterations=iters) if iters is not None else Budget(max_seconds=seconds)
     spec = ExperimentSpec(
         algorithm=algorithm,
         k=values["k"],
@@ -455,8 +457,7 @@ def _cmd_init_svd(args) -> int:
     tm = load_triplets(args.infile, args.one_based, args.rows, args.cols)
     data = problem_from_triplets(tm, args.k)
     dense = fill_missing_column_mean(data)
-    point0, pair0 = truncated_svd_init(dense, args.k)
-    _, trunc_err = best_rank_k(dense, args.k)
+    point0, pair0, trunc_err = truncated_svd_init(dense, args.k, with_error=True)
     print(f"weighted_init_cost={cost_unregularized(point0, data)!r}")
     print(f"factored_init_cost={cost_unregularized(pair0, data)!r}")
     print(f"imputed_truncation_error={trunc_err!r}")

@@ -74,12 +74,11 @@ class ProductTangent:
     def scaled(self, c: float) -> "ProductTangent":
         return ProductTangent(c * self.du, c * self.dx, c * self.dv)
 
+    def sq_norm(self) -> float:
+        return float(np.sum(self.du**2) + np.sum(self.dx**2) + np.sum(self.dv**2))
+
     def norm(self) -> float:
-        return float(
-            np.sqrt(
-                np.sum(self.du**2) + np.sum(self.dx**2) + np.sum(self.dv**2)
-            )
-        )
+        return float(np.sqrt(self.sq_norm()))
 
     def inner(self, other: "ProductTangent") -> float:
         """Riemannian (embedded Euclidean) inner product with another tangent."""

@@ -157,8 +157,11 @@ class FactorPair:
     def scaled(self, c: float) -> "FactorPair":
         return FactorPair(c * self.x, c * self.y)
 
+    def sq_norm(self) -> float:
+        return float(np.sum(self.x**2) + np.sum(self.y**2))
+
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.x**2) + np.sum(self.y**2)))
+        return float(np.sqrt(self.sq_norm()))
 
     def inner(self, other: "FactorPair") -> float:
         return float(np.sum(self.x * other.x) + np.sum(self.y * other.y))
@@ -317,32 +320,40 @@ def _entries(source, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return _pair_entries(source, rows, cols)
 
 
-def _grid_entries(source, data: ProblemData) -> np.ndarray:
-    """Dense route: one m-by-n GEMM read at `data.cells`."""
+def _grid_entries(source, data: ProblemData, out: np.ndarray | None = None) -> np.ndarray:
+    """Dense route: one m-by-n GEMM read at `data.cells` (into `out`, when given)."""
     if isinstance(source, ProductPoint):
         grid = (source.u * source.x) @ source.v.T
     else:
         grid = source.x @ source.y.T
-    return np.ravel(grid).take(data.cells)
+    # The cells are in range by construction; mode "raise" would buffer `out`.
+    return np.ravel(grid).take(data.cells, out=out, mode="clip")
 
 
 # ---------------------------------------------------------------------------
 # Costs.
 
 
-def cost_unregularized(source: ProductPoint | FactorPair, data: ProblemData) -> float:
+def cost_unregularized(
+    source: ProductPoint | FactorPair, data: ProblemData, residual: np.ndarray | None = None
+) -> float:
     """Weighted squared error over the observed support.
 
     The dense route makes one GEMM; else the cells go in SUPPORT_BLOCK blocks.
+    `residual`, when given, is an array of nnz floats that receives
+    a_t - p_t, which the full gradients take instead of forming the
+    predictions again.
     """
     if data.cells is not None:
-        res = _grid_entries(source, data)
+        res = _grid_entries(source, data, residual)
         np.subtract(data.a_vals, res, out=res)
-        return float(np.dot(data.w_vals, np.square(res, out=res)))
+        return float(np.dot(data.w_vals, np.square(res, out=res if residual is None else None)))
     total = 0.0
     for start in range(0, data.nnz, SUPPORT_BLOCK):
         cells = slice(start, start + SUPPORT_BLOCK)
-        res = data.a_vals[cells] - _entries(source, data.rows[cells], data.cols[cells])
+        pred = _entries(source, data.rows[cells], data.cols[cells])
+        out = None if residual is None else residual[cells]
+        res = np.subtract(data.a_vals[cells], pred, out=out)
         total += float(np.dot(data.w_vals[cells], res**2))
     return total
 
@@ -437,8 +448,11 @@ def stoch_grad_pw(
 # Full gradients (sums over the observed support).
 
 
-def _residual_weights(source, data: ProblemData) -> np.ndarray:
-    """e_t = -2 w_t (a_t - p_t) on every observed cell (dense route or blocks)."""
+def _residual_weights(source, data: ProblemData, residual: np.ndarray | None) -> np.ndarray:
+    """e_t = -2 w_t (a_t - p_t) on every observed cell (dense route or blocks);
+    from `residual`, a_t - p_t at `source`, when it is given."""
+    if residual is not None:
+        return residual * (-2.0 * data.w_vals)
     if data.cells is not None:
         e = _grid_entries(source, data)
         np.subtract(data.a_vals, e, out=e)
@@ -487,7 +501,7 @@ def _support_sums(
 
 
 def full_grad_manifold(
-    p: ProductPoint, data: ProblemData, lam: float
+    p: ProductPoint, data: ProblemData, lam: float, residual: np.ndarray | None = None
 ) -> ProductTangent:
     """Gradient of the regularized manifold objective, O(nnz * k) (dense route: O(mnk)).
 
@@ -496,8 +510,9 @@ def full_grad_manifold(
     (sum over the cells of column j of e_t U_i) * x, and the x slot is
     sum_t e_t (U_i * V_j) + 2 lam x; the sums are GEMMs or column-wise
     bincounts (`_support_sums`). The result is projected onto the tangent space.
+    `residual`, when given, is a_t - p_t at p (see `cost_unregularized`).
     """
-    e = _residual_weights(p, data)
+    e = _residual_weights(p, data, residual)
     gu, gv, gx = _support_sums(e, p.u, p.v, data, diag=True)
     gu *= p.x
     gv *= p.x
@@ -505,27 +520,30 @@ def full_grad_manifold(
 
 
 def full_grad_euclidean(
-    f: FactorPair, data: ProblemData, lam: float
+    f: FactorPair, data: ProblemData, lam: float, residual: np.ndarray | None = None
 ) -> FactorPair:
     """Gradient of the regularized Euclidean objective, O(nnz * k) (dense route: O(mnk)).
 
     With residual weights e_t = -2 w_t (a_t - p_t), the X slot is the sum
     over the cells of row i of e_t Y_j, plus 2 lam X, and the Y slot the sum
     over the cells of column j of e_t X_i, plus 2 lam Y; the sums are GEMMs
-    or column-wise bincounts (`_support_sums`).
+    or column-wise bincounts (`_support_sums`). `residual`, when given, is
+    a_t - p_t at f (see `cost_unregularized`).
     """
-    e = _residual_weights(f, data)
+    e = _residual_weights(f, data, residual)
     gx, gy, _ = _support_sums(e, f.x, f.y, data, diag=False)
     gx += 2.0 * lam * f.x
     gy += 2.0 * lam * f.y
     return FactorPair(gx, gy)
 
 
-def full_grad_pw(p: ProductPoint, data: ProblemData) -> ProductTangent:
+def full_grad_pw(
+    p: ProductPoint, data: ProblemData, residual: np.ndarray | None = None
+) -> ProductTangent:
     """Gradient of the raw (unregularized) cost on the manifold: the lam = 0
     manifold gradient of a fully observed matrix (always the dense route)."""
     require_positive_weights(data)
-    return full_grad_manifold(p, data, 0.0)
+    return full_grad_manifold(p, data, 0.0, residual)
 
 
 # ---------------------------------------------------------------------------

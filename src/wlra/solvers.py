@@ -7,6 +7,7 @@ regardless of which regularized objective the solver descends.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -184,7 +185,8 @@ def _run_sgd(
     place along it at cell (i, j); `view_fn(state)` gives the iterate that
     traces, the exact safeguards and the caller see; `rho_fn` reads the
     confinement of the state and of its view alike. A record carries the
-    phi_t of the step before it."""
+    phi_t of the step before it; `full_grad_norm_fn(point, residual)` reads
+    the residual the record's cost evaluation leaves."""
     policy = config.policy
     rng = np.random.default_rng(config.seed)
     phi = None
@@ -208,11 +210,17 @@ def _run_sgd(
 
     def record(t: int, elapsed: float) -> TraceRecord:
         pt = view_fn(state)
+        if config.record_grad_norm:
+            residual = np.empty(data.nnz)
+            cost = cost_unregularized(pt, data, residual)
+            grad_norm = full_grad_norm_fn(pt, residual)
+        else:
+            cost, grad_norm = cost_unregularized(pt, data), None
         return TraceRecord(
             t=t,
             elapsed_seconds=elapsed,
-            cost_unregularized=cost_unregularized(pt, data),
-            grad_norm=full_grad_norm_fn(pt) if config.record_grad_norm else None,
+            cost_unregularized=cost,
+            grad_norm=grad_norm,
             phi=phi,
             rho=rho_fn(pt) if config.record_rho else None,
         )
@@ -248,7 +256,7 @@ def sgd_manifold(
         grad_fn=lambda p, t: stoch_grad_manifold(p, t, data, lam),
         view_fn=FactoredPoint.point,
         rho_fn=confinement_manifold,
-        full_grad_norm_fn=lambda p: full_grad_manifold(p, data, lam).norm(),
+        full_grad_norm_fn=lambda p, r: full_grad_manifold(p, data, lam, r).norm(),
     )
 
 
@@ -275,7 +283,7 @@ def sgd_euclidean(
         grad_fn=lambda f, t: stoch_grad_euclidean(f, t, data, policy.lam),
         view_fn=ScaledPair.pair,
         rho_fn=confinement_euclidean,
-        full_grad_norm_fn=lambda f: full_grad_euclidean(f, data, policy.lam).norm(),
+        full_grad_norm_fn=lambda f, r: full_grad_euclidean(f, data, policy.lam, r).norm(),
     )
 
 
@@ -293,7 +301,7 @@ def sgd_pw(
         grad_fn=lambda p, t: stoch_grad_pw(p, t, data, lam),
         view_fn=FactoredPoint.point,
         rho_fn=confinement_manifold,
-        full_grad_norm_fn=lambda p: full_grad_pw(p, data).norm(),
+        full_grad_norm_fn=lambda p, r: full_grad_pw(p, data, r).norm(),
     )
 
 
@@ -305,10 +313,11 @@ def armijo_step(
     cost: Callable,
     grad: ProductTangent | FactorPair,
     point,
-    direction: ProductTangent | FactorPair,
+    direction: ProductTangent | FactorPair | None,
     params: ArmijoParams,
     retractor: Callable,
     f0: float | None = None,
+    grad_sq: float | None = None,
 ) -> tuple[float, int, object, float | None]:
     """Smallest m with f(x) - f(R_x(beta^m abar eta)) >= -iota <grad, beta^m abar eta>.
 
@@ -317,16 +326,22 @@ def armijo_step(
     `cost` is called on. `f0`, when given, is f(x) and is not evaluated
     again. `grad` and `direction` are ProductTangents or FactorPairs. The
     direction must be a descent direction or zero; a zero direction accepts
-    immediately with trial x and cost f0.
+    immediately with trial x and cost f0. `direction` None is the steepest
+    descent eta = -grad, given with grad_sq = ||grad||^2: its slope
+    <grad, eta> is -grad_sq exactly, and trials step by grad.scaled(-tau),
+    so eta is never formed.
     """
-    if direction.norm() == 0.0:
+    if direction is None:
+        zero, slope, step = grad_sq == 0.0, -grad_sq, lambda tau: grad.scaled(-tau)
+    else:
+        zero, slope, step = direction.norm() == 0.0, grad.inner(direction), direction.scaled
+    if zero:
         return params.alpha_bar, 0, point, f0
-    slope = grad.inner(direction)
     if f0 is None:
         f0 = cost(point)
     tau = params.alpha_bar
     for m in range(params.max_backtracks + 1):
-        trial = retractor(point, direction.scaled(tau))
+        trial = retractor(point, step(tau))
         f_trial = cost(trial)
         if f0 - f_trial >= -params.iota * tau * slope:
             return tau, m, trial, f_trial
@@ -350,35 +365,41 @@ def _run_als(
 ) -> tuple[object, IterTrace]:
     """The line-search step. The objective is the unregularized cost plus
     lam * rho_fn, so each point's cost and objective come from one
-    evaluation; both are kept for the current point, and an iteration costs
-    one gradient and one evaluation per Armijo trial. The initial
+    evaluation; both are kept for the current point, and so is its residual
+    a - p, which `grad_fn(point, residual)` takes. An iteration forms
+    predictions once per Armijo trial and for nothing else. The initial
     evaluations are set-up, before the trace clock starts."""
     unreg = 0.0
     backtracks = 0
+    residual = np.empty(data.nnz)
 
     def objective(pt) -> float:
         nonlocal unreg
-        unreg = cost_unregularized(pt, data)
+        unreg = cost_unregularized(pt, data, residual)
         return unreg + lam * rho_fn(pt)
 
     f = objective(point)
-    g = grad_fn(point)
-    gnorm = g.norm()
+    g = grad_fn(point, residual)
+    g_sq = g.sq_norm()
+    gnorm = math.sqrt(g_sq)
     eps = np.finfo(float).eps
 
     def advance(t: int) -> None:
-        nonlocal point, f, g, gnorm, backtracks
+        nonlocal point, f, g, g_sq, gnorm, backtracks
         # Once the full-step sufficient decrease drops below float noise no
         # backtracked step can satisfy the Armijo test, so the iterate is
         # numerically stationary; freeze it instead of exhausting backtracks.
         decrease_scale = params.iota * params.alpha_bar * gnorm**2
         if decrease_scale > 1024.0 * eps * max(1.0, abs(f)):
-            eta = g.scaled(-1.0)
-            # `objective` saw the accepted trial last, so `unreg` is its cost.
-            _, m, point, f = armijo_step(objective, g, point, eta, params, retract_fn, f0=f)
+            # `objective` saw the accepted trial last, so `unreg` and
+            # `residual` are its own.
+            _, m, point, f = armijo_step(
+                objective, g, point, None, params, retract_fn, f0=f, grad_sq=g_sq
+            )
             backtracks += m
-            g = grad_fn(point)
-            gnorm = g.norm()
+            g = grad_fn(point, residual)
+            g_sq = g.sq_norm()
+            gnorm = math.sqrt(g_sq)
 
     def record(t: int, elapsed: float) -> TraceRecord:
         nonlocal backtracks
@@ -408,7 +429,7 @@ def als_manifold(
     """Line search along the negative full gradient of the regularized objective."""
     return _run_als(
         init, data, lam,
-        grad_fn=lambda p: full_grad_manifold(p, data, lam),
+        grad_fn=lambda p, r: full_grad_manifold(p, data, lam, r),
         retract_fn=retract,
         rho_fn=confinement_manifold,
         params=params,
@@ -428,7 +449,7 @@ def als_euclidean(
     """Line search on the factor pair with the additive retraction."""
     return _run_als(
         init, data, lam,
-        grad_fn=lambda f: full_grad_euclidean(f, data, lam),
+        grad_fn=lambda f, r: full_grad_euclidean(f, data, lam, r),
         retract_fn=lambda f, d: f.add_scaled(d, 1.0),
         rho_fn=confinement_euclidean,
         params=params,
@@ -448,7 +469,7 @@ def als_pw(
     require_positive_weights(data)
     return _run_als(
         init, data, 0.0,
-        grad_fn=lambda p: full_grad_pw(p, data),
+        grad_fn=lambda p, r: full_grad_pw(p, data, r),
         retract_fn=retract,
         rho_fn=confinement_manifold,
         params=params,

@@ -33,11 +33,14 @@ def fill_missing_column_mean(data: ProblemData) -> np.ndarray:
     return out
 
 
-def truncated_svd_init(dense, k: int) -> tuple[ProductPoint, FactorPair]:
+def truncated_svd_init(dense, k: int, with_error: bool = False) -> tuple:
     """Rank-k truncated SVD as starting iterates for both parametrizations.
 
     The factor pair splits the singular values evenly: X0 = U0 sqrt(diag(x0))
     and Y0 = V0 sqrt(diag(x0)), so X0 Y0^T equals the assembled product point.
+    Returns (point, pair); with `with_error`, (point, pair, error), where
+    error is the squared Frobenius error of the truncation, the sum of the
+    trailing squared singular values of the same SVD (`best_rank_k`'s error).
     """
     dense = np.asarray(dense, dtype=float)
     m, n = dense.shape
@@ -49,6 +52,8 @@ def truncated_svd_init(dense, k: int) -> tuple[ProductPoint, FactorPair]:
     point = ProductPoint(u.copy(), lead.copy(), v.copy())
     root = np.sqrt(lead)
     pair = FactorPair(u * root, v * root)
+    if with_error:
+        return point, pair, float(np.sum(s[k:] ** 2))
     return point, pair
 
 

@@ -259,6 +259,21 @@ class TestCommandLine:
         assert f"0 < alpha_bar < inf, got {alpha_bar}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--seconds", "nan"), ("--seconds", "inf"), ("--seconds", "0"), ("--iters", "-1")],
+    )
+    def test_run_rejects_bad_budget_naming_flag(self, synth_file, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        code = main([
+            "run", "--in", str(synth_file), "--algorithm", "sgd-manifold", "--k", "3",
+            "--lambda", "1e-2", flag, value, "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "max_seconds" not in err
+        assert not out.exists()
+
     def test_config_file_defaults_and_flag_override(self, synth_file, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("algorithm=sgd-manifold\nlambda=1e-2\nk=3\niters=30\nseed=2\n")
@@ -363,10 +378,17 @@ class TestCommandLine:
         tm = load_triplets(out)
         assert (tm.m, tm.n) == (20, 10)
 
-    def test_init_svd_report(self, synth_file, capsys):
+    def test_init_svd_report(self, synth_file, capsys, monkeypatch):
+        svds = []
+        real = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svds.append(1) or real(*a, **kw))
         assert main(["init-svd", "--in", str(synth_file), "--k", "3"]) == 0
+        assert len(svds) == 1
         out = capsys.readouterr().out
         assert "weighted_init_cost=" in out and "factored_init_cost=" in out
+        dense = fill_missing_column_mean(problem_from_triplets(load_triplets(synth_file), 3))
+        _, err = best_rank_k(dense, 3)
+        assert out.splitlines()[2] == f"imputed_truncation_error={err!r}"
 
     def test_compare_subcommand(self, synth_file, tmp_path):
         out = tmp_path / "cmp.csv"

@@ -445,6 +445,40 @@ class TestRoutes:
         got, want = full_grad_euclidean(f, dense, 0.05), full_grad_euclidean(f, gather, 0.05)
         assert_slots_close((got.x, got.y), (want.x, want.y))
 
+    @pytest.mark.parametrize("route", ["dense", "gather"])
+    @pytest.mark.parametrize("instance", ["holey", "duplicated", "full"])
+    def test_residual_fed_gradients_are_bit_identical(self, monkeypatch, instance, route):
+        # The residual a - p that a cost evaluation leaves stands in for the
+        # gradient's own prediction pass, with zero-weight and repeated cells.
+        base = {
+            "holey": lambda: holey_data(300, 40, 3, seed=87),
+            "duplicated": lambda: duplicated_data(88),
+            "full": lambda: random_data(12, 9, 3, 0, seed=89, full=True, min_w=0.5),
+        }[instance]()
+        data = on_route(base, route, monkeypatch)
+        m, n, k = base.m, base.n, base.k
+        rng = np.random.default_rng(90)
+        p = random_point(m, n, k, rng)
+        p = ProductPoint(p.u, 3.0 * p.x, p.v)
+        f = FactorPair(rng.standard_normal((m, k)), rng.standard_normal((n, k)))
+        grads = [
+            (p, lambda r: full_grad_manifold(p, data, 0.05, r)),
+            (f, lambda r: full_grad_euclidean(f, data, 0.05, r)),
+        ]
+        if instance == "full":
+            grads.append((p, lambda r: full_grad_pw(p, data, r)))
+        for source, grad in grads:
+            residual = np.full(data.nnz, np.nan)
+            assert cost_unregularized(source, data, residual) == cost_unregularized(source, data)
+            pred = np.einsum("tk,tk->t", *(
+                (source.u[data.rows] * source.x, source.v[data.cols])
+                if source is p else (source.x[data.rows], source.y[data.cols])
+            ))
+            np.testing.assert_allclose(residual, data.a_vals - pred, rtol=1e-12, atol=1e-12)
+            got, want = grad(residual), grad(None)
+            for a, b in zip(dataclasses.astuple(got), dataclasses.astuple(want)):
+                np.testing.assert_array_equal(a, b)
+
     def test_duplicated_cells_sum(self, monkeypatch):
         # np.add.at adds every copy of a cell, so it is the reference here
         base = duplicated_data(83)

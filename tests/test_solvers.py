@@ -436,15 +436,19 @@ class TestSgdManifold:
         _, trace_flipped = sgd_manifold(flipped, data, config)
         np.testing.assert_allclose(trace_flipped.costs, trace.costs, rtol=1e-12, atol=0)
 
-    def test_records_full_gradient_norm(self):
+    def test_records_full_gradient_norm(self, monkeypatch):
         data = observed_instance(10, 8, 2, 0.4, seed=12)
+        assert data.cells is not None
         lam = 1e-2
         init, _, config = manifold_setup(
             data, lam, seed=13, iters=50, trace_every=10, record_grad_norm=True
         )
+        passes = counting(monkeypatch, wlra.model, "_grid_entries")
         _, trace = sgd_manifold(init, data, config)
         norms = [r.grad_norm for r in trace.records]
         assert len(norms) == 6
+        # the gradient norm reads the residual of the record's cost evaluation
+        assert len(passes) == 6
         assert all(g is not None and math.isfinite(g) for g in norms)
         assert norms[0] == full_grad_manifold(init, data, lam).norm()
 
@@ -963,9 +967,60 @@ def count_calls(monkeypatch, name):
     return results
 
 
+def line_search_run(algorithm, route, monkeypatch):
+    """An als_* run of the `test_one_cost_per_trial` instances, with the
+    support passes sent down `route` ("dense" or "gather")."""
+    if algorithm == "pw":
+        data = observed_instance(8, 6, 2, 1.0, seed=40, full=True)
+        point0 = random_point(8, 6, 2, np.random.default_rng(41))
+    else:
+        data, point0, pair0 = als_pin_setup()
+    monkeypatch.setattr(wlra.model, "DENSE_FILL", 10**18 if route == "dense" else 0)
+    data = dataclasses.replace(data)
+    assert (data.cells is None) == (route == "gather")
+    params = ArmijoParams(iota=1e-4, alpha_bar=1000.0, beta=0.3)
+    budget = Budget(max_iterations=40)
+    if algorithm == "manifold":
+        return als_manifold(point0, data, 1e-4, params, budget)
+    if algorithm == "euclidean":
+        return als_euclidean(pair0, data, 1e-4, params, budget)
+    return als_pw(point0, data, params, budget)
+
+
 class TestAlsLineSearch:
     """One gradient and one cost evaluation per Armijo trial, and the
     accepted trial is the next iterate."""
+
+    @pytest.mark.parametrize("route", ["dense", "gather"])
+    @pytest.mark.parametrize("algorithm", ["manifold", "euclidean", "pw"])
+    def test_predictions_formed_once_per_point(self, monkeypatch, algorithm, route):
+        # the gradient reads the residual of the accepted trial's cost
+        # evaluation, so predictions are formed for the start and per trial
+        passes = counting(monkeypatch, wlra.model, "_grid_entries")
+        blocks = counting(monkeypatch, wlra.model, "_entries")
+        steps = count_calls(monkeypatch, "armijo_step")
+        _, trace = line_search_run(algorithm, route, monkeypatch)
+        trials = sum(1 + m for _, m, _, _ in steps)
+        assert len(steps) == 40 and trials > 40
+        # each instance fits in one SUPPORT_BLOCK: one gather call per pass
+        assert len(passes) + len(blocks) == 1 + trials
+        assert not (passes if route == "gather" else blocks)
+
+    @pytest.mark.parametrize("route", ["dense", "gather"])
+    @pytest.mark.parametrize("algorithm", ["manifold", "euclidean", "pw"])
+    def test_traces_match_recomputed_residual(self, monkeypatch, algorithm, route):
+        final, trace = line_search_run(algorithm, route, monkeypatch)
+        name = {"manifold": "full_grad_manifold", "euclidean": "full_grad_euclidean",
+                "pw": "full_grad_pw"}[algorithm]
+        real = getattr(wlra.solvers, name)
+        # the gradient drops the residual it is given and forms its own
+        monkeypatch.setattr(wlra.solvers, name, lambda *args: real(*args[:-1]))
+        ref_final, ref_trace = line_search_run(algorithm, route, monkeypatch)
+        untimed = lambda tr: [r._replace(elapsed_seconds=None) for r in tr.records]
+        assert untimed(trace) == untimed(ref_trace)
+        assert sum(r.backtracks for r in trace.records) > 0
+        for got, want in zip(dataclasses.astuple(final), dataclasses.astuple(ref_final)):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("algorithm", ["manifold", "euclidean", "pw"])
     def test_one_cost_per_trial(self, monkeypatch, algorithm):

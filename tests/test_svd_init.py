@@ -82,6 +82,8 @@ class TestSvdProperties:
         for k in range(7):
             _, cost = best_rank_k(a, k)
             assert abs(cost - eig[k:].sum()) <= 1e-10 * eig.sum()
+            if k:  # the init's own SVD gives the same error
+                assert truncated_svd_init(a, k, with_error=True)[2] == cost
 
 
 def sparse_instance(m, n, k, nnz, seed):
