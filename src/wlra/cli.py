@@ -24,7 +24,7 @@ from .data_io import (
     synth_lowrank,
     write_triplets,
 )
-from .errors import MismatchedData, WlraError
+from .errors import MismatchedData, ShapeMismatch, WlraError
 from .model import ProblemData, confinement_euclidean, confinement_manifold, cost_unregularized
 from .solvers import (
     ArmijoParams,
@@ -320,17 +320,12 @@ def _spec_from_values(values: dict) -> ExperimentSpec:
     algorithm = values.get("algorithm")
     if algorithm is None:
         raise MismatchedData("--algorithm is required")
-    iters, seconds = values.get("iters"), values.get("seconds")
-    if iters is None and seconds is None:
-        raise MismatchedData("set a budget with --iters or --seconds")
-    if iters is not None and seconds is not None:
-        raise MismatchedData("--iters and --seconds are mutually exclusive")
-    # Checked here as well as by Budget, so that the error names the flag.
-    if iters is not None and iters < 0:
-        raise MismatchedData(f"--iters must be >= 0, got {iters}")
-    if seconds is not None and not 0 < seconds < math.inf:
-        raise MismatchedData(f"--seconds must be positive and finite, got {seconds}")
-    budget = Budget(max_iterations=iters) if iters is not None else Budget(max_seconds=seconds)
+    try:
+        budget = Budget(max_iterations=values.get("iters"), max_seconds=values.get("seconds"))
+    except ShapeMismatch as exc:
+        # Budget checks the values; the message names the flags the user typed.
+        message = str(exc).replace("max_iterations", "--iters")
+        raise MismatchedData(message.replace("max_seconds", "--seconds")) from None
     spec = ExperimentSpec(
         algorithm=algorithm,
         k=values["k"],

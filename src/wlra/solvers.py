@@ -51,7 +51,7 @@ class Budget:
         if (self.max_iterations is None) == (self.max_seconds is None):
             raise ShapeMismatch("set exactly one of max_iterations / max_seconds")
         if self.max_iterations is not None and self.max_iterations < 0:
-            raise ShapeMismatch("max_iterations must be >= 0")
+            raise ShapeMismatch(f"max_iterations must be >= 0, got {self.max_iterations}")
         if self.max_seconds is not None and not 0 < self.max_seconds < np.inf:
             raise ShapeMismatch(f"need 0 < max_seconds < inf, got {self.max_seconds}")
 
@@ -185,8 +185,7 @@ def _run_sgd(
     place along it at cell (i, j); `view_fn(state)` gives the iterate that
     traces, the exact safeguards and the caller see; `rho_fn` reads the
     confinement of the state and of its view alike. A record carries the
-    phi_t of the step before it; `full_grad_norm_fn(point, residual)` reads
-    the residual the record's cost evaluation leaves."""
+    phi_t of the step before it."""
     policy = config.policy
     rng = np.random.default_rng(config.seed)
     phi = None
@@ -210,17 +209,11 @@ def _run_sgd(
 
     def record(t: int, elapsed: float) -> TraceRecord:
         pt = view_fn(state)
-        if config.record_grad_norm:
-            residual = np.empty(data.nnz)
-            cost = cost_unregularized(pt, data, residual)
-            grad_norm = full_grad_norm_fn(pt, residual)
-        else:
-            cost, grad_norm = cost_unregularized(pt, data), None
         return TraceRecord(
             t=t,
             elapsed_seconds=elapsed,
-            cost_unregularized=cost,
-            grad_norm=grad_norm,
+            cost_unregularized=cost_unregularized(pt, data),
+            grad_norm=full_grad_norm_fn(pt) if config.record_grad_norm else None,
             phi=phi,
             rho=rho_fn(pt) if config.record_rho else None,
         )
@@ -256,7 +249,7 @@ def sgd_manifold(
         grad_fn=lambda p, t: stoch_grad_manifold(p, t, data, lam),
         view_fn=FactoredPoint.point,
         rho_fn=confinement_manifold,
-        full_grad_norm_fn=lambda p, r: full_grad_manifold(p, data, lam, r).norm(),
+        full_grad_norm_fn=lambda p: full_grad_manifold(p, data, lam).norm(),
     )
 
 
@@ -283,7 +276,7 @@ def sgd_euclidean(
         grad_fn=lambda f, t: stoch_grad_euclidean(f, t, data, policy.lam),
         view_fn=ScaledPair.pair,
         rho_fn=confinement_euclidean,
-        full_grad_norm_fn=lambda f, r: full_grad_euclidean(f, data, policy.lam, r).norm(),
+        full_grad_norm_fn=lambda f: full_grad_euclidean(f, data, policy.lam).norm(),
     )
 
 
@@ -301,7 +294,7 @@ def sgd_pw(
         grad_fn=lambda p, t: stoch_grad_pw(p, t, data, lam),
         view_fn=FactoredPoint.point,
         rho_fn=confinement_manifold,
-        full_grad_norm_fn=lambda p, r: full_grad_pw(p, data, r).norm(),
+        full_grad_norm_fn=lambda p: full_grad_pw(p, data).norm(),
     )
 
 
@@ -327,11 +320,13 @@ def armijo_step(
     again. `grad` and `direction` are ProductTangents or FactorPairs. The
     direction must be a descent direction or zero; a zero direction accepts
     immediately with trial x and cost f0. `direction` None is the steepest
-    descent eta = -grad, given with grad_sq = ||grad||^2: its slope
-    <grad, eta> is -grad_sq exactly, and trials step by grad.scaled(-tau),
-    so eta is never formed.
+    descent eta = -grad: its slope <grad, eta> is -||grad||^2 exactly, and
+    trials step by grad.scaled(-tau), so eta is never formed. `grad_sq`,
+    when given, is ||grad||^2 and is not computed again.
     """
     if direction is None:
+        if grad_sq is None:
+            grad_sq = grad.sq_norm()
         zero, slope, step = grad_sq == 0.0, -grad_sq, lambda tau: grad.scaled(-tau)
     else:
         zero, slope, step = direction.norm() == 0.0, grad.inner(direction), direction.scaled

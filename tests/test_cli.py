@@ -271,7 +271,18 @@ class TestCommandLine:
         ])
         assert code == 2
         err = capsys.readouterr().err
-        assert flag in err and "max_seconds" not in err
+        assert flag in err and value in err and "max_" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("budget", [[], ["--iters", "10", "--seconds", "1"]])
+    def test_run_needs_exactly_one_budget_flag(self, synth_file, tmp_path, capsys, budget):
+        out = tmp_path / "x.csv"
+        code = main([
+            "run", "--in", str(synth_file), "--algorithm", "sgd-manifold", "--k", "3",
+            "--lambda", "1e-2", *budget, "--out", str(out),
+        ])
+        assert code == 2
+        assert "set exactly one of --iters / --seconds" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_file_defaults_and_flag_override(self, synth_file, tmp_path):
