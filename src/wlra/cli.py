@@ -242,19 +242,6 @@ def compare_experiments(
 # Command line.
 
 
-def _read_config(path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise MismatchedData(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
-
-
 # Keys of `run` flags, config lines and `--run` specs, with their casts.
 # Each but `name` (a `compare` label) is also the `run` flag --<key>.
 _RUN_KEYS = {
@@ -274,28 +261,38 @@ _RUN_KEYS = {
 }
 
 
-def _cast(key: str, raw: str, cast=None):
-    """`raw` cast to `key`'s type (or by `cast`); a malformed value names the key."""
+def _cast(key: str, raw: str, cast=None, where: str = "") -> object:
+    """`raw` cast to `key`'s type (or by `cast`); a malformed value names the
+    key, after the prefix `where`."""
     try:
         return (cast or _RUN_KEYS[key])(raw.strip())
     except ValueError:
-        raise MismatchedData(f"bad value {raw!r} for {key}") from None
+        raise MismatchedData(f"{where}bad value {raw!r} for {key}") from None
 
 
-def _parse_kv_spec(text: str) -> dict:
-    out = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise MismatchedData(f"expected key=value in run spec, got {part!r}")
-        key, _, value = part.partition("=")
+def _read_pairs(parts) -> dict:
+    """Values of (where, "key=value") parts, cast by `_RUN_KEYS`. A part
+    without "=" or with an unknown key is refused; messages begin with `where`."""
+    values = {}
+    for where, part in parts:
+        key, eq, raw = part.partition("=")
         key = key.strip()
+        if not eq:
+            raise MismatchedData(f"{where}: expected key=value, got {part!r}")
         if key not in _RUN_KEYS:
-            raise MismatchedData(f"unknown run-spec key {key!r}")
-        out[key] = _cast(key, value)
-    return out
+            raise MismatchedData(f"{where}: unknown key {key!r}")
+        values[key] = _cast(key, raw, where=f"{where}: ")
+    return values
+
+
+def _read_config(path) -> dict:
+    """A config file's key=value lines; blank lines and # comments are skipped."""
+    lines = (line.strip() for line in Path(path).read_text().splitlines())
+    return _read_pairs(
+        (f"{path}:{n}", line)
+        for n, line in enumerate(lines, start=1)
+        if line and not line.startswith("#")
+    )
 
 
 def _resolve_bigk(raw: str | None, spec: ExperimentSpec) -> float:
@@ -344,10 +341,9 @@ def _spec_from_values(values: dict) -> ExperimentSpec:
     return replace(spec, big_k=_resolve_bigk(values.get("bigK"), spec))
 
 
-def _merge_flag_values(args, config: dict[str, str]) -> dict:
+def _merge_flag_values(args, config: dict) -> dict:
     """Config supplies defaults; explicitly passed flags win."""
-    values = {key: _cast(key, raw) for key, raw in config.items() if key in _RUN_KEYS}
-    values.update((key, v) for key, v in vars(args).items() if key in _RUN_KEYS)
+    values = {**config, **{key: v for key, v in vars(args).items() if key in _RUN_KEYS}}
     values["wall-clock"] = args.wall_clock
     values["out"] = args.out
     if "k" not in values:
@@ -472,7 +468,7 @@ def _cmd_compare(args) -> int:
     tm = load_triplets(args.infile, args.one_based, args.rows, args.cols)
     specs = []
     for text in args.run:
-        values = _parse_kv_spec(text)
+        values = _read_pairs(("--run", part.strip()) for part in text.split(",") if part.strip())
         values.setdefault("k", args.k)
         spec = _spec_from_values(values)
         if spec.k != args.k:
@@ -497,10 +493,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except WlraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (WlraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

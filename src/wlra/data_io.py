@@ -233,8 +233,12 @@ def synth_lowrank(
 ) -> TripletMatrix:
     """Low-rank ground truth plus Gaussian noise, observed through a
     Bernoulli mask. Entries are scaled to unit variance regardless of rank."""
-    if not 0 < observe_prob <= 1 or rank < 1:
-        raise InvalidDimensions("need rank >= 1 and observe_prob in (0, 1]")
+    # Written so that NaN fails the check.
+    if not (m >= 1 and n >= 1 and rank >= 1 and 0 < observe_prob <= 1 and np.isfinite(noise)):
+        raise InvalidDimensions(
+            "need rows, cols and rank >= 1, observe_prob in (0, 1] and a finite noise, got "
+            f"{m}x{n}, rank {rank}, observe_prob {observe_prob}, noise {noise}"
+        )
     rng = np.random.default_rng(seed)
     base = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
     full = base / np.sqrt(rank) + noise * rng.standard_normal((m, n))

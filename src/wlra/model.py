@@ -95,6 +95,13 @@ class ProblemData:
         return inv
 
     @cached_property
+    def neg_2w(self) -> np.ndarray:
+        """-2 w_t, the factor that turns residuals into the full gradients' weights."""
+        neg = -2.0 * self.w_vals
+        neg.setflags(write=False)
+        return neg
+
+    @cached_property
     def min_weight(self) -> float:
         """Smallest weight over all observed cells."""
         return float(self.w_vals.min())
@@ -449,20 +456,12 @@ def stoch_grad_pw(
 
 
 def _residual_weights(source, data: ProblemData, residual: np.ndarray | None) -> np.ndarray:
-    """e_t = -2 w_t (a_t - p_t) on every observed cell (dense route or blocks);
-    from `residual`, a_t - p_t at `source`, when it is given."""
-    if residual is not None:
-        return residual * (-2.0 * data.w_vals)
-    if data.cells is not None:
-        e = _grid_entries(source, data)
-        np.subtract(data.a_vals, e, out=e)
-        return np.multiply(e, -2.0 * data.w_vals, out=e)
-    e = np.empty(data.nnz)
-    for start in range(0, data.nnz, SUPPORT_BLOCK):
-        cells = slice(start, start + SUPPORT_BLOCK)
-        pred = _entries(source, data.rows[cells], data.cols[cells])
-        e[cells] = -2.0 * data.w_vals[cells] * (data.a_vals[cells] - pred)
-    return e
+    """e_t = -2 w_t (a_t - p_t) on every observed cell, written over
+    `residual` (a_t - p_t at `source`) when it is given, else from a cost pass."""
+    if residual is None:
+        residual = np.empty(data.nnz)
+        cost_unregularized(source, data, residual)
+    return np.multiply(residual, data.neg_2w, out=residual)
 
 
 def _support_sums(
@@ -510,7 +509,8 @@ def full_grad_manifold(
     (sum over the cells of column j of e_t U_i) * x, and the x slot is
     sum_t e_t (U_i * V_j) + 2 lam x; the sums are GEMMs or column-wise
     bincounts (`_support_sums`). The result is projected onto the tangent space.
-    `residual`, when given, is a_t - p_t at p (see `cost_unregularized`).
+    `residual`, when given, is a_t - p_t at p (see `cost_unregularized`);
+    the call overwrites it with e.
     """
     e = _residual_weights(p, data, residual)
     gu, gv, gx = _support_sums(e, p.u, p.v, data, diag=True)
@@ -528,7 +528,7 @@ def full_grad_euclidean(
     over the cells of row i of e_t Y_j, plus 2 lam X, and the Y slot the sum
     over the cells of column j of e_t X_i, plus 2 lam Y; the sums are GEMMs
     or column-wise bincounts (`_support_sums`). `residual`, when given, is
-    a_t - p_t at f (see `cost_unregularized`).
+    a_t - p_t at f (see `cost_unregularized`); the call overwrites it with e.
     """
     e = _residual_weights(f, data, residual)
     gx, gy, _ = _support_sums(e, f.x, f.y, data, diag=False)
@@ -562,4 +562,4 @@ def confinement_euclidean(f: FactorPair | ScaledPair) -> float:
     its running `sq_norm`, O(k) per step."""
     if isinstance(f, ScaledPair):
         return f.scale**2 * f.sq_norm()
-    return float(np.sum(f.x**2) + np.sum(f.y**2))
+    return f.sq_norm()

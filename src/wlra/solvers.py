@@ -361,7 +361,8 @@ def _run_als(
     """The line-search step. The objective is the unregularized cost plus
     lam * rho_fn, so each point's cost and objective come from one
     evaluation; both are kept for the current point, and so is its residual
-    a - p, which `grad_fn(point, residual)` takes. An iteration forms
+    a - p, which `grad_fn(point, residual)` takes and overwrites (the next
+    evaluation refills the buffer). An iteration forms
     predictions once per Armijo trial and for nothing else. The initial
     evaluations are set-up, before the trace clock starts."""
     unreg = 0.0
@@ -376,16 +377,15 @@ def _run_als(
     f = objective(point)
     g = grad_fn(point, residual)
     g_sq = g.sq_norm()
-    gnorm = math.sqrt(g_sq)
     eps = np.finfo(float).eps
 
     def advance(t: int) -> None:
-        nonlocal point, f, g, g_sq, gnorm, backtracks
-        # Once the full-step sufficient decrease drops below float noise no
-        # backtracked step can satisfy the Armijo test, so the iterate is
-        # numerically stationary; freeze it instead of exhausting backtracks.
-        decrease_scale = params.iota * params.alpha_bar * gnorm**2
-        if decrease_scale > 1024.0 * eps * max(1.0, abs(f)):
+        nonlocal point, f, g, g_sq, backtracks
+        # Once the full step's first-order decrease alpha_bar ||g||^2 is
+        # below float noise in f, no trial's decrease can be told from
+        # round-off: freeze the iterate instead of exhausting backtracks.
+        # iota only sets the share of that decrease the Armijo test demands.
+        if params.alpha_bar * g_sq > 1024.0 * eps * max(1.0, abs(f)):
             # `objective` saw the accepted trial last, so `unreg` and
             # `residual` are its own.
             _, m, point, f = armijo_step(
@@ -394,7 +394,6 @@ def _run_als(
             backtracks += m
             g = grad_fn(point, residual)
             g_sq = g.sq_norm()
-            gnorm = math.sqrt(g_sq)
 
     def record(t: int, elapsed: float) -> TraceRecord:
         nonlocal backtracks
@@ -403,7 +402,7 @@ def _run_als(
             t=t,
             elapsed_seconds=elapsed,
             cost_unregularized=unreg,
-            grad_norm=gnorm,
+            grad_norm=math.sqrt(g_sq),
             rho=rho_fn(point),
             objective=f,
             backtracks=m,

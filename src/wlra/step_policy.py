@@ -58,6 +58,18 @@ def alpha_of(data: ProblemData) -> float:
     return float(np.max(data.a_vals**2))
 
 
+def _rho_floor(kind: PolicyKind, alpha: float, lam: float, w0: float | None) -> float:
+    """The lam-based floor of rho0; at or above it the A_t bound is 0."""
+    if kind is PolicyKind.MANIFOLD:
+        return alpha / (4.0 * lam)
+    if kind is PolicyKind.EUCLIDEAN:
+        return alpha / (2.0 * lam)
+    if w0 is None:
+        raise LambdaOutOfRange("positive-weights mode needs w0")
+    check_lambda_pw(lam, w0)
+    return alpha / (4.0 * lam * (1.0 - lam / w0))
+
+
 def compute_rho0(
     kind: PolicyKind,
     init_norm_sq: float,
@@ -66,14 +78,7 @@ def compute_rho0(
     w0: float | None = None,
 ) -> float:
     """Confinement threshold: the larger of the initial size and a lam-based floor."""
-    if kind is PolicyKind.MANIFOLD:
-        return max(init_norm_sq, alpha / (4.0 * lam))
-    if kind is PolicyKind.EUCLIDEAN:
-        return max(init_norm_sq, alpha / (2.0 * lam))
-    if w0 is None:
-        raise LambdaOutOfRange("positive-weights mode needs w0")
-    check_lambda_pw(lam, w0)
-    return max(init_norm_sq, alpha / (4.0 * lam * (1.0 - lam / w0)))
+    return max(init_norm_sq, _rho_floor(kind, alpha, lam, w0))
 
 
 def compute_phi_min(
@@ -255,26 +260,16 @@ def tilde_A_B_of_rho(rho: float, k: int, policy: StepPolicy) -> tuple[float, flo
     Euclidean kind. A non-finite rho gives a non-finite bound.
     """
     kind, lam, alpha = policy.kind, policy.lam, policy.alpha
+    # Written so that a NaN rho, which compares False, gets a NaN A_t.
+    floored = rho >= _rho_floor(kind, alpha, lam, policy.w0)
     if kind is PolicyKind.EUCLIDEAN:
-        if rho >= alpha / (2.0 * lam):
-            a_t = 0.0
-        else:
-            a_t = 4.0 * ((math.sqrt(alpha) + rho / 2.0) * rho + lam * rho) / policy.a
-        # h * h, not h ** 2: float ** raises OverflowError on a diverging rho
         h = math.sqrt(alpha) + rho / 2.0
+        a_t = 0.0 if floored else 4.0 * (h * rho + lam * rho) / policy.a
+        # h * h, not h ** 2: float ** raises OverflowError on a diverging rho
         b_t = math.sqrt(8.0 * h * h * rho + 8.0 * lam**2 * rho) / policy.b
         return a_t, b_t
     xn = math.sqrt(rho)
-    if kind is PolicyKind.POSITIVE_WEIGHTS:
-        if policy.w0 is None:
-            raise LambdaOutOfRange("positive-weights policy needs w0")
-        floor = alpha / (4.0 * lam * (1.0 - lam / policy.w0))
-    else:
-        floor = alpha / (4.0 * lam)
-    if rho >= floor:
-        a_t = 0.0
-    else:
-        a_t = (4.0 * (math.sqrt(alpha) + xn) * xn + 4.0 * lam * rho) / policy.a
+    a_t = 0.0 if floored else (4.0 * (math.sqrt(alpha) + xn) * xn + 4.0 * lam * rho) / policy.a
     b_t = math.sqrt(16.0 * k * (2.0 * alpha + (2.0 + lam**2) * rho)) / policy.b
     return a_t, b_t
 

@@ -239,6 +239,21 @@ class TestCommandLine:
         assert lines[0] == "t,elapsed_seconds,cost_unregularized"
         assert len(lines) == 12
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--rows", "0"), ("--rows", "-3"), ("--cols", "0"),
+                        ("--noise", "inf"), ("--noise", "nan")],
+    )
+    def test_synth_rejects_bad_shape_or_noise(self, tmp_path, capsys, flag, value):
+        args = {"--rows": "30", "--cols": "12", "--noise": "0.1", flag: value}
+        out = tmp_path / "s.csv"
+        code = main([
+            "synth", *(a for kv in args.items() for a in kv), "--rank", "2",
+            "--observe-prob", "0.5", "--out", str(out),
+        ])
+        assert code == 2
+        assert "need rows, cols and rank >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_rejects_bad_lambda(self, synth_file, tmp_path, capsys):
         code = main([
             "run", "--in", str(synth_file), "--algorithm", "sgd-manifold",
@@ -340,10 +355,29 @@ class TestCommandLine:
             ("run", ["--lambda", "nan"], None, "--lambda"),
             ("run", ["--lambda", "inf"], None, "--lambda"),
             ("run", [], "lambda=nan\n", "--lambda"),
+            # config files and --run specs share one reader, which refuses a
+            # key no run flag has and a part without "="
+            ("run", ["--lambda", "1e-2"], "trace-evry=100\n", "unknown key 'trace-evry'"),
+            ("run", ["--lambda", "1e-2"], "out=elsewhere.csv\n", "unknown key 'out'"),
+            ("run", ["--lambda", "1e-2"], "# k\n\nk=3\nlambda\n", "cfg:4: expected key=value"),
+            (
+                "compare",
+                ["--run", "name=m,algorithm=sgd-manifold,lambda=1e-2,iters=10,trace-evry=5"],
+                None,
+                "--run: unknown key 'trace-evry'",
+            ),
+            (
+                "compare",
+                ["--run", "name=m,algorithm=sgd-manifold,lambda=1e-2,iters"],
+                None,
+                "--run: expected key=value",
+            ),
         ],
         ids=[
             "config-lambda-abc", "run-spec-iters-ten", "bigK-abc",
             "lambda-nan", "lambda-inf", "config-lambda-nan",
+            "config-unknown-key", "config-out-key", "config-no-equals",
+            "run-spec-unknown-key", "run-spec-no-equals",
         ],
     )
     def test_malformed_value_exits_2(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -337,3 +339,8 @@ class TestSynth:
             synth_lowrank(4, 4, 0, 0.5, 0.0, seed=13)
         with pytest.raises(InvalidDimensions):
             synth_lowrank(4, 4, 2, 0.0, 0.0, seed=13)
+        # an empty or negative shape, or a noise that writes non-finite values
+        bad = [(0, 4, 0.1), (-3, 4, 0.1), (4, 0, 0.1), (4, 4, math.inf), (4, 4, math.nan)]
+        for m, n, noise in bad:
+            with pytest.raises(InvalidDimensions):
+                synth_lowrank(m, n, 2, 0.5, noise, seed=13)

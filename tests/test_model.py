@@ -425,6 +425,44 @@ def duplicated_data(seed):
     )
 
 
+def residual_case(instance, route, monkeypatch):
+    """A `TestRoutes` instance on `route`, a point p and the full gradients
+    at p and at a factor pair, each as (source, grad(residual))."""
+    base = {
+        "holey": lambda: holey_data(300, 40, 3, seed=87),
+        "duplicated": lambda: duplicated_data(88),
+        "full": lambda: random_data(12, 9, 3, 0, seed=89, full=True, min_w=0.5),
+    }[instance]()
+    data = on_route(base, route, monkeypatch)
+    m, n, k = base.m, base.n, base.k
+    rng = np.random.default_rng(90)
+    p = random_point(m, n, k, rng)
+    p = ProductPoint(p.u, 3.0 * p.x, p.v)
+    f = FactorPair(rng.standard_normal((m, k)), rng.standard_normal((n, k)))
+    grads = [
+        (p, lambda r: full_grad_manifold(p, data, 0.05, r)),
+        (f, lambda r: full_grad_euclidean(f, data, 0.05, r)),
+    ]
+    if instance == "full":
+        grads.append((p, lambda r: full_grad_pw(p, data, r)))
+    return data, p, grads
+
+
+def own_residual_weights(source, data):
+    """e_t = -2 w_t (a_t - p_t) from the gradient's own prediction pass: the
+    full gradients' residual weights before they took a cost pass's residual."""
+    if data.cells is not None:
+        e = wlra.model._grid_entries(source, data)
+        np.subtract(data.a_vals, e, out=e)
+        return np.multiply(e, -2.0 * data.w_vals, out=e)
+    e = np.empty(data.nnz)
+    for start in range(0, data.nnz, SUPPORT_BLOCK):
+        cells = slice(start, start + SUPPORT_BLOCK)
+        pred = wlra.model._entries(source, data.rows[cells], data.cols[cells])
+        e[cells] = -2.0 * data.w_vals[cells] * (data.a_vals[cells] - pred)
+    return e
+
+
 class TestRoutes:
     """The dense-grid and gather routes of the support passes agree."""
 
@@ -450,23 +488,7 @@ class TestRoutes:
     def test_residual_fed_gradients_are_bit_identical(self, monkeypatch, instance, route):
         # The residual a - p that a cost evaluation leaves stands in for the
         # gradient's own prediction pass, with zero-weight and repeated cells.
-        base = {
-            "holey": lambda: holey_data(300, 40, 3, seed=87),
-            "duplicated": lambda: duplicated_data(88),
-            "full": lambda: random_data(12, 9, 3, 0, seed=89, full=True, min_w=0.5),
-        }[instance]()
-        data = on_route(base, route, monkeypatch)
-        m, n, k = base.m, base.n, base.k
-        rng = np.random.default_rng(90)
-        p = random_point(m, n, k, rng)
-        p = ProductPoint(p.u, 3.0 * p.x, p.v)
-        f = FactorPair(rng.standard_normal((m, k)), rng.standard_normal((n, k)))
-        grads = [
-            (p, lambda r: full_grad_manifold(p, data, 0.05, r)),
-            (f, lambda r: full_grad_euclidean(f, data, 0.05, r)),
-        ]
-        if instance == "full":
-            grads.append((p, lambda r: full_grad_pw(p, data, r)))
+        data, p, grads = residual_case(instance, route, monkeypatch)
         for source, grad in grads:
             residual = np.full(data.nnz, np.nan)
             assert cost_unregularized(source, data, residual) == cost_unregularized(source, data)
@@ -478,6 +500,20 @@ class TestRoutes:
             got, want = grad(residual), grad(None)
             for a, b in zip(dataclasses.astuple(got), dataclasses.astuple(want)):
                 np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("route", ["dense", "gather"])
+    @pytest.mark.parametrize("instance", ["holey", "duplicated", "full"])
+    def test_gradients_match_own_prediction_pass(self, monkeypatch, instance, route):
+        # With no residual given, a gradient takes one from a cost pass; it
+        # equals the gradient whose residual weights formed the predictions
+        # themselves, on both routes.
+        data, _, grads = residual_case(instance, route, monkeypatch)
+        got = [grad(None) for _, grad in grads]
+        own = lambda source, data, _: own_residual_weights(source, data)
+        monkeypatch.setattr(wlra.model, "_residual_weights", own)
+        for a, (_, grad) in zip(got, grads):
+            for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(grad(None))):
+                np.testing.assert_array_equal(x, y)
 
     def test_duplicated_cells_sum(self, monkeypatch):
         # np.add.at adds every copy of a cell, so it is the reference here
@@ -503,6 +539,13 @@ class TestRoutes:
         np.testing.assert_array_equal(data.cells, data.rows * 4 + data.cols)
         with pytest.raises(ValueError):
             data.cells[0] = 0
+
+    def test_neg_2w_cached_and_read_only(self):
+        data = random_data(5, 4, 2, 12, seed=86)
+        np.testing.assert_array_equal(data.neg_2w, -2.0 * data.w_vals)
+        assert data.neg_2w is data.neg_2w
+        with pytest.raises(ValueError):
+            data.neg_2w[0] = 0
 
 
 class TestFullGradManifold:

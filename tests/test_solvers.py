@@ -8,6 +8,7 @@ import pytest
 
 import wlra.geometry
 import wlra.solvers
+from wlra.cli import IOTA_PRESETS
 from wlra.data_io import problem_from_triplets, synth_lowrank
 from wlra.errors import BacktrackLimit, InitNotConfined, ShapeMismatch
 from wlra.geometry import (
@@ -573,7 +574,7 @@ def dense_euclidean_run(init, data, config):
         config,
         grad_fn=lambda state, t: stoch_grad_euclidean(state.f, t, data, lam),
         view_fn=lambda state: state.f,
-        rho_fn=confinement_euclidean,
+        rho_fn=lambda state: confinement_euclidean(state.f),
         full_grad_norm_fn=lambda f: full_grad_euclidean(f, data, lam).norm(),
     )
 
@@ -1208,6 +1209,40 @@ class TestAlsPositiveWeights:
         assert cost_unregularized(p, data) <= 1e-25
         final, _ = als_pw(p, data, ArmijoParams(iota=1e-4), Budget(max_iterations=10))
         assert np.array_equal(final.x, p.x)
+
+
+class TestFreezeRule:
+    """The line search freezes when the full step's first-order decrease
+    alpha_bar ||g||^2 is below float noise in f; iota does not enter."""
+
+    @pytest.mark.parametrize("algorithm", ["manifold", "euclidean"])
+    def test_steps_at_small_lambda_with_preset_iota(self, algorithm):
+        data = problem_from_triplets(synth_lowrank(300, 100, 5, 0.3, 0.1, seed=1), 5)
+        point0, pair0 = truncated_svd_init(fill_missing_column_mean(data), 5)
+        params = ArmijoParams(iota=IOTA_PRESETS[1e-6])
+        solver, init = (als_manifold, point0) if algorithm == "manifold" else (als_euclidean, pair0)
+        _, trace = solver(init, data, 1e-6, params, Budget(max_iterations=20))
+        first = trace.records[0]
+        # a rule scaled by iota would freeze here at t = 0
+        noise = 1024.0 * np.finfo(float).eps * max(1.0, abs(first.objective))
+        assert params.iota * params.alpha_bar * first.grad_norm**2 <= noise
+        objectives = [r.objective for r in trace.records]
+        assert len(objectives) == 21
+        assert all(b < a for a, b in zip(objectives, objectives[1:]))
+
+    @pytest.mark.parametrize("alpha_bar", [1.0, 1e3])
+    def test_eckart_young_optimum_freezes(self, alpha_bar):
+        # Fully observed with uniform weights, the SVD init is the optimum
+        # of the positive-weights cost: the search freezes there, without
+        # exhausting its backtracks.
+        data = problem_from_triplets(synth_lowrank(40, 16, 3, 1.0, 0.1, seed=3), 3)
+        point0, _ = truncated_svd_init(fill_missing_column_mean(data), 3)
+        params = ArmijoParams(iota=1e-4, alpha_bar=alpha_bar)
+        final, trace = als_pw(point0, data, params, Budget(max_iterations=20))
+        for got, want in zip(dataclasses.astuple(final), dataclasses.astuple(point0)):
+            np.testing.assert_array_equal(got, want)
+        assert len(trace.records) == 21
+        assert {r.backtracks for r in trace.records} == {0}
 
 
 class TestIterationLoop:

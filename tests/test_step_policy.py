@@ -176,6 +176,17 @@ class TestAdaptive:
         a_t, _ = tilde_A_B_of_rho(confinement_manifold(p), data.k, policy)
         assert a_t == 0.0
 
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    def test_tilde_a_switches_off_at_rho0_floor(self, kind):
+        # compute_rho0 and the tilde bound share one lam-based floor: A_t is
+        # 0 from the floor up and positive one ulp below it.
+        data = full_data(5, 4, 2, seed=6)
+        lam = None if kind is PolicyKind.POSITIVE_WEIGHTS else 0.1
+        policy = make_policy(kind, data, 0.0, lam, 1.0)
+        floor = compute_rho0(kind, 0.0, policy.alpha, policy.lam, policy.w0)
+        assert tilde_A_B_of_rho(floor, data.k, policy)[0] == 0.0
+        assert tilde_A_B_of_rho(math.nextafter(floor, 0.0), data.k, policy)[0] > 0.0
+
     def test_tilde_hand_value_at_origin(self):
         data = make_data([1.0, 0.5], m=1, n=2)
         policy = StepPolicy(
