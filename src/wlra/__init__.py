@@ -20,7 +20,6 @@ from .errors import (
 from .geometry import (
     ProductPoint,
     ProductTangent,
-    assemble,
     qf,
     retract,
     tangent_project,
@@ -63,8 +62,6 @@ from .step_policy import (
     phi_t,
 )
 from .svd_init import (
-    best_rank_k,
-    check_stationarity,
     fill_missing_column_mean,
     truncated_svd_init,
 )

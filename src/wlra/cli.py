@@ -95,6 +95,8 @@ class ExperimentSpec:
         # `or 0.0` refuses None; the chained test refuses nan as well.
         if family is not PolicyKind.POSITIVE_WEIGHTS and not 0 < (self.lam or 0.0) < math.inf:
             raise MismatchedData(f"--lambda must be positive and finite, got {self.lam}")
+        if self.seed < 0:
+            raise MismatchedData(f"--seed must be non-negative, got {self.seed}")
 
     @property
     def label(self) -> str:
@@ -189,8 +191,9 @@ def merge_on_time(
     horizon: float | None = None,
 ) -> tuple[list[str], list[list[float]]]:
     """Align traces on elapsed-time bins (last observation carried forward)."""
-    if bin_width <= 0:
-        raise MismatchedData("--bin must be positive")
+    # Written so that NaN fails the check.
+    if not 0 < bin_width < math.inf:
+        raise MismatchedData(f"--bin must be positive and finite, got {bin_width}")
     if horizon is None:
         horizon = max(tr.records[-1].elapsed_seconds for tr in traces)
     nbins = int(math.floor(horizon / bin_width + 1e-9))
@@ -303,7 +306,7 @@ def _resolve_bigk(raw: str | None, spec: ExperimentSpec) -> float:
     preset = _lookup_preset(BIGK_PRESETS.get(spec.algorithm, {}), spec.lam)
     if preset is None:
         raise MismatchedData(
-            f"no K preset for {spec.algorithm} at lambda={spec.lam}; pass a number"
+            f"--bigK preset: no preset for {spec.algorithm} at lambda={spec.lam}; pass a number"
         )
     print(
         f"warning: K preset {preset:g} was tuned on one specific ratings "
@@ -472,7 +475,7 @@ def _cmd_compare(args) -> int:
         values.setdefault("k", args.k)
         spec = _spec_from_values(values)
         if spec.k != args.k:
-            raise MismatchedData("compare runs must share the same k")
+            raise MismatchedData(f"--run: k={spec.k} differs from --k {args.k}")
         specs.append(spec)
     header, rows = compare_experiments(specs, tm, args.out, args.align, args.bin)
     print(f"wrote {args.out} ({len(rows)} rows, columns {header})")

@@ -173,6 +173,8 @@ def sample_submatrix(tm: TripletMatrix, rows: int, cols: int, seed: int) -> Trip
         raise InvalidDimensions(
             f"cannot sample {rows}x{cols} from a {tm.m}x{tm.n} matrix"
         )
+    if seed < 0:
+        raise InvalidDimensions(f"need a seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     keep_rows = np.sort(rng.choice(tm.m, size=rows, replace=False))
     keep_cols = np.sort(rng.choice(tm.n, size=cols, replace=False))
@@ -234,10 +236,14 @@ def synth_lowrank(
     """Low-rank ground truth plus Gaussian noise, observed through a
     Bernoulli mask. Entries are scaled to unit variance regardless of rank."""
     # Written so that NaN fails the check.
-    if not (m >= 1 and n >= 1 and rank >= 1 and 0 < observe_prob <= 1 and np.isfinite(noise)):
+    if not (
+        m >= 1 and n >= 1 and rank >= 1 and 0 < observe_prob <= 1 and np.isfinite(noise)
+        and seed >= 0
+    ):
         raise InvalidDimensions(
-            "need rows, cols and rank >= 1, observe_prob in (0, 1] and a finite noise, got "
-            f"{m}x{n}, rank {rank}, observe_prob {observe_prob}, noise {noise}"
+            "need rows, cols and rank >= 1, observe_prob in (0, 1], a finite noise and a "
+            f"seed >= 0, got {m}x{n}, rank {rank}, observe_prob {observe_prob}, noise {noise}, "
+            f"seed {seed}"
         )
     rng = np.random.default_rng(seed)
     base = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))

@@ -53,10 +53,6 @@ class ProductPoint:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "v", v)
 
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.u.shape[0], self.v.shape[0], self.x.size
-
 
 @dataclass(frozen=True)
 class ProductTangent:
@@ -249,8 +245,3 @@ class FactoredPoint:
         cond_sq = np.square(t_new).sum((1, 2)) * np.square(t_new_inv).sum((1, 2))
         ok = (pivots.min(1) > RANK_TOL) & (cond_sq <= (FOLD_COND * q.shape[1]) ** 2)
         return t_new, (q[:, None] @ r_inv @ t_new_inv)[:, 0], ok
-
-
-def assemble(p: ProductPoint) -> np.ndarray:
-    """Dense m-by-n matrix U diag(x) V^T represented by a product point."""
-    return (p.u * p.x) @ p.v.T

@@ -369,86 +369,52 @@ def cost_unregularized(
 # Stochastic gradients (single sampled entry).
 
 
-def _sample_rows(
-    p: ProductPoint | FactoredPoint, t: int, data: ProblemData
-) -> tuple[int, int, np.ndarray]:
-    """Cell (i, j) of triplet index t, with row i of U and row j of V as one
-    (2, k) array."""
-    i, j = data.rows[t], data.cols[t]
-    if isinstance(p, FactoredPoint):
-        return i, j, p.rows(i, j)
-    return i, j, np.stack((p.u[i], p.v[j]))
-
-
-def _sample_gradient(
-    p: ProductPoint | FactoredPoint, i: int, j: int, rows: np.ndarray, r: float, lam: float
-):
-    """Gradient whose only data term sits at (i, j), with residual r.
+def _sample_gradient(p: FactoredPoint, rows: np.ndarray, r: float, lam: float) -> tuple:
+    """Gradient whose only data term sits at the sampled cell (i, j), with
+    residual r, as (rows, ambient rows, x slot).
 
     With coefficient c = -2 * r and rows = (U_i, V_j), the ambient U and V
     gradients have the single rows (c x) * (V_j, U_i), and the x gradient
-    is c * (U_i * V_j) + 2 * lam * x. At a ProductPoint they are placed in
-    dense factors and projected onto the tangent space.
+    is c * (U_i * V_j) + 2 * lam * x.
     """
     coeff = -2.0 * r
     x = p.x
     g = (coeff * x) * rows[::-1]
     gx = coeff * (rows[0] * rows[1]) + 2.0 * lam * x
-    if isinstance(p, FactoredPoint):
-        return rows, g, gx
-    gu = np.zeros_like(p.u)
-    gv = np.zeros_like(p.v)
-    gu[i] = g[0]
-    gv[j] = g[1]
-    return project_tangent(p, ProductTangent(gu, gx, gv))
+    return rows, g, gx
 
 
-def stoch_grad_manifold(
-    p: ProductPoint | FactoredPoint, t: int, data: ProblemData, lam: float
-):
+def stoch_grad_manifold(p: FactoredPoint, t: int, data: ProblemData, lam: float) -> tuple:
     """Gradient of the per-sample regularized objective at triplet index t.
 
-    At a ProductPoint, the projected ProductTangent. At a FactoredPoint, in
-    O(k) after one read of U row i and V row j: the tuple (those rows as a
-    (2, k) array, the (2, k) array of the non-zero ambient U and V gradient
-    rows, the x gradient), which `FactoredPoint.step` projects and retracts
-    without reading the rows again.
+    In O(k) after one read of U row i and V row j, (i, j) the cell of t: the
+    tuple (those rows as a (2, k) array, the (2, k) array of the non-zero
+    ambient U and V gradient rows, the x gradient), which
+    `FactoredPoint.step` projects and retracts without reading the rows again.
     """
-    i, j, rows = _sample_rows(p, t, data)
+    rows = p.rows(data.rows[t], data.cols[t])
     r = data.a_vals[t] - float(np.dot(rows[0] * p.x, rows[1]))
-    return _sample_gradient(p, i, j, rows, r, lam)
+    return _sample_gradient(p, rows, r, lam)
 
 
-def stoch_grad_euclidean(f: FactorPair | ScaledPair, t: int, data: ProblemData, lam: float):
-    """Gradient of the per-sample Euclidean objective at triplet index t.
-
-    At a FactorPair, the dense FactorPair. At a ScaledPair, only the data
-    rows (-2 r Y_j, -2 r X_i) in O(k); `ScaledPair.step` applies the
-    penalty term 2 lam (X, Y) to the scale.
-    """
+def stoch_grad_euclidean(f: ScaledPair, t: int, data: ProblemData) -> tuple:
+    """Data rows (-2 r Y_j, -2 r X_i) of the per-sample Euclidean gradient at
+    triplet index t, (i, j) its cell, in O(k); `ScaledPair.step` applies the
+    penalty term 2 lam (X, Y) to the scale."""
     i, j = data.rows[t], data.cols[t]
-    lazy = isinstance(f, ScaledPair)
-    x_i, y_j = (f.scale * f.x_base[i], f.scale * f.y_base[j]) if lazy else (f.x[i], f.y[j])
+    x_i, y_j = f.scale * f.x_base[i], f.scale * f.y_base[j]
     coeff = -2.0 * (data.a_vals[t] - float(np.dot(x_i, y_j)))
-    if lazy:
-        return coeff * y_j, coeff * x_i
-    g = f.scaled(2.0 * lam)
-    g.x[i] += coeff * y_j
-    g.y[j] += coeff * x_i
-    return g
+    return coeff * y_j, coeff * x_i
 
 
-def stoch_grad_pw(
-    p: ProductPoint | FactoredPoint, t: int, data: ProblemData, lam: float
-):
+def stoch_grad_pw(p: FactoredPoint, t: int, data: ProblemData, lam: float) -> tuple:
     """Positive-weights per-sample gradient at triplet index t: the residual
-    uses a tilted prediction. Returns what `stoch_grad_manifold` returns for
-    the same kind of point."""
+    uses a tilted prediction. Returns what `stoch_grad_manifold` returns."""
     check_lambda_pw(lam, require_positive_weights(data))
-    i, j, rows = _sample_rows(p, t, data)
+    rows = p.rows(data.rows[t], data.cols[t])
     pv = float(np.dot(rows[0] * p.x, rows[1]))
     r = data.a_vals[t] - (1.0 - lam * data.inv_w[t]) * pv
-    return _sample_gradient(p, i, j, rows, r, lam)
+    return _sample_gradient(p, rows, r, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,7 @@ def sgd_euclidean(
         ScaledPair(init, policy.lam),
         data,
         config,
-        grad_fn=lambda f, t: stoch_grad_euclidean(f, t, data, policy.lam),
+        grad_fn=lambda f, t: stoch_grad_euclidean(f, t, data),
         view_fn=ScaledPair.pair,
         rho_fn=confinement_euclidean,
         full_grad_norm_fn=lambda f: full_grad_euclidean(f, data, policy.lam).norm(),

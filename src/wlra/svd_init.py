@@ -1,7 +1,6 @@
-"""Column-mean imputation, truncated-SVD initialization, and the best
-rank-k approximation used as a test oracle.
+"""Column-mean imputation and truncated-SVD initialization.
 
-Both SVDs are LAPACK thin SVDs (``np.linalg.svd``). No sign convention is
+The SVD is LAPACK's thin SVD (``np.linalg.svd``). No sign convention is
 imposed on the singular vectors: flipping a pair (u_j, v_j) leaves
 U diag(x) V^T unchanged, and the QR retraction commutes with column sign
 flips, so the solvers' costs do not depend on the signs LAPACK returns.
@@ -40,7 +39,7 @@ def truncated_svd_init(dense, k: int, with_error: bool = False) -> tuple:
     and Y0 = V0 sqrt(diag(x0)), so X0 Y0^T equals the assembled product point.
     Returns (point, pair); with `with_error`, (point, pair, error), where
     error is the squared Frobenius error of the truncation, the sum of the
-    trailing squared singular values of the same SVD (`best_rank_k`'s error).
+    trailing squared singular values of the same SVD.
     """
     dense = np.asarray(dense, dtype=float)
     m, n = dense.shape
@@ -55,33 +54,3 @@ def truncated_svd_init(dense, k: int, with_error: bool = False) -> tuple:
     if with_error:
         return point, pair, float(np.sum(s[k:] ** 2))
     return point, pair
-
-
-def best_rank_k(a, k: int) -> tuple[np.ndarray, float]:
-    """Best rank-<=k approximation in Frobenius norm and its squared error.
-
-    The optimum is the truncation of the SVD; the error is the sum of the
-    squared trailing singular values. When the k-th and (k+1)-th singular
-    values tie, the minimizer is not unique and the truncation of this
-    deterministic SVD is returned.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ShapeMismatch(f"expected a matrix, got shape {a.shape}")
-    if k < 0:
-        raise ShapeMismatch("k must be >= 0")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    k = min(k, s.size)
-    p = (u[:, :k] * s[:k]) @ vt[:k]
-    return p, float(np.sum(s[k:] ** 2))
-
-
-def check_stationarity(a, p, tol: float) -> bool:
-    """True iff A^T P = P^T P and P A^T = P P^T hold within tol (Frobenius)."""
-    a = np.asarray(a, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if a.shape != p.shape:
-        raise ShapeMismatch(f"shapes {a.shape} and {p.shape} disagree")
-    left = np.linalg.norm(a.T @ p - p.T @ p)
-    right = np.linalg.norm(p @ a.T - p @ p.T)
-    return bool(left <= tol and right <= tol)

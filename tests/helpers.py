@@ -1,18 +1,22 @@
-"""Random points, tangents and draws, a tangency check, and the full and
-per-sample objectives whose gradients the solvers step along, for the tests."""
+"""Random points, tangents and draws, a tangency check, the full and
+per-sample objectives whose gradients the solvers step along, and the dense
+references the library is checked against, for the tests."""
 
 import numpy as np
 
-from wlra.geometry import ProductPoint, ProductTangent, project_tangent, qf
+from wlra.errors import ShapeMismatch
+from wlra.geometry import FactoredPoint, ProductPoint, ProductTangent, project_tangent, qf
 from wlra.model import (
     AliasSampler,
     FactorPair,
     ProblemData,
+    ScaledPair,
     check_lambda_pw,
     confinement_euclidean,
     confinement_manifold,
     cost_unregularized,
     require_positive_weights,
+    stoch_grad_euclidean,
 )
 
 
@@ -86,3 +90,128 @@ def sample_cost_pw(p: ProductPoint, t: int, data: ProblemData, lam: float) -> fl
     pv = predicted_entry(p, data.rows[t], data.cols[t])
     r = data.a_vals[t] - pv
     return r * r - (lam / data.w_vals[t]) * pv * pv + lam * float(np.dot(p.x, p.x))
+
+
+def assemble(p: ProductPoint) -> np.ndarray:
+    """Dense m-by-n matrix U diag(x) V^T represented by a product point."""
+    return (p.u * p.x) @ p.v.T
+
+
+def best_rank_k(a, k: int) -> tuple[np.ndarray, float]:
+    """Best rank-<=k approximation in Frobenius norm and its squared error.
+
+    The optimum is the truncation of the SVD; the error is the sum of the
+    squared trailing singular values. When the k-th and (k+1)-th singular
+    values tie, the minimizer is not unique and the truncation of this
+    deterministic SVD is returned.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise ShapeMismatch(f"expected a matrix, got shape {a.shape}")
+    if k < 0:
+        raise ShapeMismatch("k must be >= 0")
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    k = min(k, s.size)
+    p = (u[:, :k] * s[:k]) @ vt[:k]
+    return p, float(np.sum(s[k:] ** 2))
+
+
+def check_stationarity(a, p, tol: float) -> bool:
+    """True iff A^T P = P^T P and P A^T = P P^T hold within tol (Frobenius)."""
+    a = np.asarray(a, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if a.shape != p.shape:
+        raise ShapeMismatch(f"shapes {a.shape} and {p.shape} disagree")
+    left = np.linalg.norm(a.T @ p - p.T @ p)
+    right = np.linalg.norm(p @ a.T - p @ p.T)
+    return bool(left <= tol and right <= tol)
+
+
+# Dense per-sample gradients: the references for the library's row forms
+# at a FactoredPoint and a ScaledPair.
+
+
+def _placed_tangent(
+    p: ProductPoint, i: int, j: int, g: np.ndarray, gx: np.ndarray
+) -> ProductTangent:
+    """The ambient direction with U row i g[0], V row j g[1] and x slot gx,
+    zero elsewhere, projected onto the tangent space at p."""
+    gu = np.zeros_like(p.u)
+    gv = np.zeros_like(p.v)
+    gu[i] = g[0]
+    gv[j] = g[1]
+    return project_tangent(p, ProductTangent(gu, gx, gv))
+
+
+def _placed_pair(f: FactorPair, i: int, j: int, lam: float, gx_i, gy_j) -> FactorPair:
+    """2 lam (X, Y) with gx_i added to row i of X and gy_j to row j of Y."""
+    g = f.scaled(2.0 * lam)
+    g.x[i] += gx_i
+    g.y[j] += gy_j
+    return g
+
+
+def _dense_sample_gradient(
+    p: ProductPoint, i: int, j: int, rows: np.ndarray, r: float, lam: float
+) -> ProductTangent:
+    """Gradient whose only data term sits at (i, j), with residual r.
+
+    With coefficient c = -2 * r and rows = (U_i, V_j), the ambient U and V
+    gradients have the single rows (c x) * (V_j, U_i), and the x gradient
+    is c * (U_i * V_j) + 2 * lam * x. They are placed in dense factors and
+    projected onto the tangent space.
+    """
+    coeff = -2.0 * r
+    x = p.x
+    g = (coeff * x) * rows[::-1]
+    gx = coeff * (rows[0] * rows[1]) + 2.0 * lam * x
+    return _placed_tangent(p, i, j, g, gx)
+
+
+def dense_stoch_grad_manifold(
+    p: ProductPoint, t: int, data: ProblemData, lam: float
+) -> ProductTangent:
+    """Projected gradient of the per-sample regularized objective at triplet index t."""
+    i, j = data.rows[t], data.cols[t]
+    rows = np.stack((p.u[i], p.v[j]))
+    r = data.a_vals[t] - float(np.dot(rows[0] * p.x, rows[1]))
+    return _dense_sample_gradient(p, i, j, rows, r, lam)
+
+
+def dense_stoch_grad_pw(p: ProductPoint, t: int, data: ProblemData, lam: float) -> ProductTangent:
+    """Projected positive-weights per-sample gradient at triplet index t: the
+    residual uses a tilted prediction."""
+    check_lambda_pw(lam, require_positive_weights(data))
+    i, j = data.rows[t], data.cols[t]
+    rows = np.stack((p.u[i], p.v[j]))
+    pv = float(np.dot(rows[0] * p.x, rows[1]))
+    r = data.a_vals[t] - (1.0 - lam * data.inv_w[t]) * pv
+    return _dense_sample_gradient(p, i, j, rows, r, lam)
+
+
+def dense_stoch_grad_euclidean(f: FactorPair, t: int, data: ProblemData, lam: float) -> FactorPair:
+    """Gradient of the per-sample Euclidean objective at triplet index t."""
+    i, j = data.rows[t], data.cols[t]
+    x_i, y_j = f.x[i], f.y[j]
+    coeff = -2.0 * (data.a_vals[t] - float(np.dot(x_i, y_j)))
+    return _placed_pair(f, i, j, lam, coeff * y_j, coeff * x_i)
+
+
+# The library's per-sample gradients at a fresh SGD state, placed in the
+# dense forms above. A fresh state reads the point's own rows, so these
+# equal the dense references bit for bit.
+
+
+def sampled_tangent(grad, p: ProductPoint, t: int, data: ProblemData, lam: float) -> ProductTangent:
+    """`grad` (stoch_grad_manifold or stoch_grad_pw) at FactoredPoint(p), its
+    ambient rows placed at row i of U and row j of V, (i, j) the cell of t,
+    and projected onto the tangent space at p."""
+    _, g, gx = grad(FactoredPoint(p), t, data, lam)
+    return _placed_tangent(p, data.rows[t], data.cols[t], g, gx)
+
+
+def sampled_pair(f: FactorPair, t: int, data: ProblemData, lam: float) -> FactorPair:
+    """stoch_grad_euclidean at ScaledPair(f, lam), its data rows added at
+    row i of 2 lam X and row j of 2 lam Y, (i, j) the cell of t."""
+    rows = stoch_grad_euclidean(ScaledPair(f, lam), t, data)
+    return _placed_pair(f, data.rows[t], data.cols[t], lam, *rows)

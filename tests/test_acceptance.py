@@ -27,9 +27,6 @@ from wlra.model import (
     full_grad_euclidean,
     full_grad_manifold,
     full_grad_pw,
-    stoch_grad_euclidean,
-    stoch_grad_manifold,
-    stoch_grad_pw,
 )
 from wlra.solvers import (
     ArmijoParams,
@@ -49,9 +46,14 @@ from wlra.step_policy import (
     make_policy,
     tilde_A_B_of_rho,
 )
-from wlra.svd_init import best_rank_k, check_stationarity, fill_missing_column_mean, truncated_svd_init
+from wlra.svd_init import fill_missing_column_mean, truncated_svd_init
 
 from helpers import (
+    best_rank_k,
+    check_stationarity,
+    dense_stoch_grad_euclidean,
+    dense_stoch_grad_manifold,
+    dense_stoch_grad_pw,
     random_point,
     random_tangent,
     regularized_cost,
@@ -173,7 +175,7 @@ def test_criterion_2_gradient_correctness():
     errs = {
         "stoch-manifold": _fd_err_manifold(
             lambda q: sample_cost_manifold(q, t, data, lam), p,
-            stoch_grad_manifold(p, t, data, lam), rng,
+            dense_stoch_grad_manifold(p, t, data, lam), rng,
         ),
         "full-manifold": _fd_err_manifold(
             lambda q: regularized_cost(q, data, lam), p,
@@ -181,7 +183,7 @@ def test_criterion_2_gradient_correctness():
         ),
         "stoch-euclidean": _fd_err_euclidean(
             lambda q: sample_cost_euclidean(q, t, data, lam), f,
-            stoch_grad_euclidean(f, t, data, lam), rng,
+            dense_stoch_grad_euclidean(f, t, data, lam), rng,
         ),
         "full-euclidean": _fd_err_euclidean(
             lambda q: regularized_cost(q, data, lam), f,
@@ -189,7 +191,7 @@ def test_criterion_2_gradient_correctness():
         ),
         "stoch-pw": _fd_err_manifold(
             lambda q: sample_cost_pw(q, tf, full, lam_pw), p,
-            stoch_grad_pw(p, tf, full, lam_pw), rng,
+            dense_stoch_grad_pw(p, tf, full, lam_pw), rng,
         ),
         "full-pw": _fd_err_manifold(
             lambda q: cost_unregularized(q, full), p, full_grad_pw(p, full), rng
@@ -213,7 +215,7 @@ def test_criterion_3_unbiasedness():
     p = random_point(8, 7, 2, rng)
     acc = ProductTangent(np.zeros((8, 2)), np.zeros(2), np.zeros((7, 2)))
     for t in range(data.nnz):
-        g = stoch_grad_manifold(p, t, data, lam)
+        g = dense_stoch_grad_manifold(p, t, data, lam)
         w = data.w_vals[t]
         acc = ProductTangent(acc.du + w * g.du, acc.dx + w * g.dx, acc.dv + w * g.dv)
     gm = full_grad_manifold(p, data, lam)
@@ -222,14 +224,14 @@ def test_criterion_3_unbiasedness():
     f = FactorPair(rng.standard_normal((8, 2)), rng.standard_normal((7, 2)))
     acc_f = FactorPair(np.zeros((8, 2)), np.zeros((7, 2)))
     for t in range(data.nnz):
-        g = stoch_grad_euclidean(f, t, data, lam)
+        g = dense_stoch_grad_euclidean(f, t, data, lam)
         acc_f = acc_f.add_scaled(g, float(data.w_vals[t]))
     err_e = acc_f.add_scaled(full_grad_euclidean(f, data, lam), -1.0).norm()
 
     pp = random_point(7, 6, 2, rng)
     acc_p = ProductTangent(np.zeros((7, 2)), np.zeros(2), np.zeros((6, 2)))
     for t in range(full.nnz):
-        g = stoch_grad_pw(pp, t, full, lam_pw)
+        g = dense_stoch_grad_pw(pp, t, full, lam_pw)
         w = full.w_vals[t]
         acc_p = ProductTangent(acc_p.du + w * g.du, acc_p.dx + w * g.dx, acc_p.dv + w * g.dv)
     gp = full_grad_pw(pp, full)

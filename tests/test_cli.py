@@ -14,7 +14,9 @@ from wlra.cli import (
 from wlra.data_io import load_triplets, problem_from_triplets, synth_lowrank, write_triplets
 from wlra.errors import MismatchedData
 from wlra.solvers import Budget, IterTrace, TraceRecord
-from wlra.svd_init import best_rank_k, fill_missing_column_mean
+from wlra.svd_init import fill_missing_column_mean
+
+from helpers import best_rank_k
 
 
 @pytest.fixture(scope="module")
@@ -241,7 +243,7 @@ class TestCommandLine:
 
     @pytest.mark.parametrize(
         "flag, value", [("--rows", "0"), ("--rows", "-3"), ("--cols", "0"),
-                        ("--noise", "inf"), ("--noise", "nan")],
+                        ("--noise", "inf"), ("--noise", "nan"), ("--seed", "-2")],
     )
     def test_synth_rejects_bad_shape_or_noise(self, tmp_path, capsys, flag, value):
         args = {"--rows": "30", "--cols": "12", "--noise": "0.1", flag: value}
@@ -251,7 +253,8 @@ class TestCommandLine:
             "--observe-prob", "0.5", "--out", str(out),
         ])
         assert code == 2
-        assert "need rows, cols and rank >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "need rows, cols and rank >= 1" in err and value in err
         assert not out.exists()
 
     def test_run_rejects_bad_lambda(self, synth_file, tmp_path, capsys):
@@ -287,6 +290,16 @@ class TestCommandLine:
         assert code == 2
         err = capsys.readouterr().err
         assert flag in err and value in err and "max_" not in err
+        assert not out.exists()
+
+    def test_run_needs_k(self, synth_file, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main([
+            "run", "--in", str(synth_file), "--algorithm", "sgd-manifold",
+            "--lambda", "1e-2", "--iters", "10", "--out", str(out),
+        ])
+        assert code == 2
+        assert "--k is required" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("budget", [[], ["--iters", "10", "--seconds", "1"]])
@@ -372,12 +385,40 @@ class TestCommandLine:
                 None,
                 "--run: expected key=value",
             ),
+            ("run", ["--lambda", "1e-3", "--bigK", "preset"], None, "--bigK preset: no preset"),
+            ("run", ["--lambda", "1e-2", "--seed", "-1"], None, "--seed must be non-negative"),
+            (
+                "compare",
+                ["--run", "name=m,algorithm=sgd-manifold,lambda=1e-2,iters=10,seed=-1"],
+                None,
+                "--seed must be non-negative, got -1",
+            ),
+            ("compare", ["--run", "name=m,lambda=1e-2,iters=10"], None, "--algorithm is required"),
+            (
+                "compare",
+                ["--run", "name=m,algorithm=sgd-manifold,lambda=1e-2,iters=10,k=2"],
+                None,
+                "--run: k=2 differs from --k 3",
+            ),
+            *(
+                (
+                    "compare",
+                    ["--align", "seconds", "--bin", width,
+                     "--run", "name=m,algorithm=sgd-manifold,lambda=1e-2,iters=10"],
+                    None,
+                    f"--bin must be positive and finite, got {width}",
+                )
+                for width in ("0.0", "nan", "inf")
+            ),
         ],
         ids=[
             "config-lambda-abc", "run-spec-iters-ten", "bigK-abc",
             "lambda-nan", "lambda-inf", "config-lambda-nan",
             "config-unknown-key", "config-out-key", "config-no-equals",
             "run-spec-unknown-key", "run-spec-no-equals",
+            "bigK-preset-without-preset", "seed-negative", "run-spec-seed-negative",
+            "run-spec-no-algorithm", "run-spec-k-differs",
+            "bin-zero", "bin-nan", "bin-inf",
         ],
     )
     def test_malformed_value_exits_2(
@@ -422,6 +463,21 @@ class TestCommandLine:
         ]) == 0
         tm = load_triplets(out)
         assert (tm.m, tm.n) == (20, 10)
+
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [("--sample-rows", "0", "cannot sample 0x10"), ("--seed", "-2", "seed >= 0, got -2")],
+    )
+    def test_sample_rejects_bad_size_or_seed(self, synth_file, tmp_path, capsys, flag, value, named):
+        args = {"--sample-rows": "20", "--sample-cols": "10", "--seed": "3", flag: value}
+        out = tmp_path / "sub.csv"
+        code = main([
+            "sample", "--in", str(synth_file), *(a for kv in args.items() for a in kv),
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_init_svd_report(self, synth_file, capsys, monkeypatch):
         svds = []

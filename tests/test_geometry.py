@@ -8,7 +8,6 @@ from wlra.geometry import (
     FactoredPoint,
     ProductPoint,
     ProductTangent,
-    assemble,
     orthonormality_defect,
     project_tangent,
     qf,
@@ -16,7 +15,14 @@ from wlra.geometry import (
     tangent_project,
 )
 
-from helpers import random_point, random_stiefel, random_tangent, tangent_defect, zero_tangent
+from helpers import (
+    assemble,
+    random_point,
+    random_stiefel,
+    random_tangent,
+    tangent_defect,
+    zero_tangent,
+)
 
 
 class TestQf:

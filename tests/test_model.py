@@ -15,7 +15,6 @@ from wlra.geometry import (
     FactoredPoint,
     ProductPoint,
     ProductTangent,
-    assemble,
     project_tangent,
     retract,
 )
@@ -40,6 +39,10 @@ from wlra.model import (
 )
 
 from helpers import (
+    assemble,
+    dense_stoch_grad_euclidean,
+    dense_stoch_grad_manifold,
+    dense_stoch_grad_pw,
     draw_many,
     random_point,
     random_tangent,
@@ -47,6 +50,8 @@ from helpers import (
     sample_cost_euclidean,
     sample_cost_manifold,
     sample_cost_pw,
+    sampled_pair,
+    sampled_tangent,
     tangent_defect,
 )
 
@@ -274,14 +279,14 @@ def fd_euclidean(cost, f, grad, rng, n_dirs=20, h=1e-6, rel_tol=1e-5):
 
 class TestStochGradManifold:
     def test_scalar_hand_case(self):
-        g = stoch_grad_manifold(scalar_point(), 0, scalar_data(), 0.5)
+        g = sampled_tangent(stoch_grad_manifold, scalar_point(), 0, scalar_data(), 0.5)
         assert g.du[0, 0] == 0.0 and g.dv[0, 0] == 0.0
         np.testing.assert_allclose(g.dx, [-1.0])
 
     def test_zero_at_interpolation_without_reg(self):
         data = scalar_data(a=2.0)
         p = scalar_point(x=2.0)
-        g = stoch_grad_manifold(p, 0, data, 0.0)
+        g = sampled_tangent(stoch_grad_manifold, p, 0, data, 0.0)
         assert g.norm() == 0.0
 
     def test_finite_differences(self):
@@ -289,14 +294,14 @@ class TestStochGradManifold:
         data = random_data(8, 6, 2, 20, seed=21)
         p = random_point(8, 6, 2, rng)
         lam = 0.3
-        g = stoch_grad_manifold(p, 3, data, lam)
+        g = sampled_tangent(stoch_grad_manifold, p, 3, data, lam)
         fd_manifold(lambda q: sample_cost_manifold(q, 3, data, lam), p, g, rng)
 
     def test_lives_in_tangent_space(self):
         rng = np.random.default_rng(22)
         data = random_data(8, 6, 2, 20, seed=22)
         p = random_point(8, 6, 2, rng)
-        g = stoch_grad_manifold(p, 0, data, 0.1)
+        g = sampled_tangent(stoch_grad_manifold, p, 0, data, 0.1)
         assert tangent_defect(p.u, g.du) <= 1e-10
         assert tangent_defect(p.v, g.dv) <= 1e-10
 
@@ -304,23 +309,25 @@ class TestStochGradManifold:
 class TestStochGradAtFactoredPoint:
     """At a FactoredPoint the per-sample gradients return the point's rows
     and their non-zero ambient rows; placed and projected, the latter are the
-    dense tangent."""
+    dense reference's tangent."""
 
-    @pytest.mark.parametrize("grad, full", [(stoch_grad_manifold, False), (stoch_grad_pw, True)])
-    def test_rows_project_to_dense_tangent(self, grad, full):
+    @pytest.mark.parametrize(
+        "grad, dense_grad, full",
+        [(stoch_grad_manifold, dense_stoch_grad_manifold, False),
+         (stoch_grad_pw, dense_stoch_grad_pw, True)],
+        ids=["stoch_grad_manifold-False", "stoch_grad_pw-True"],
+    )
+    def test_rows_project_to_dense_tangent(self, grad, dense_grad, full):
         rng = np.random.default_rng(26)
         data = random_data(8, 6, 2, 48 if full else 20, seed=26, full=full, min_w=0.5)
         p = random_point(8, 6, 2, rng)
         lam = 0.2 * float(data.w_vals.min())
         for t in (0, 5, data.nnz - 1):
-            rows, g, dx = grad(FactoredPoint(p), t, data, lam)
+            rows, _, _ = grad(FactoredPoint(p), t, data, lam)
             i, j = data.rows[t], data.cols[t]
             np.testing.assert_array_equal(rows, [p.u[i], p.v[j]])
-            ambient = ProductTangent(np.zeros_like(p.u), dx, np.zeros_like(p.v))
-            ambient.du[i] = g[0]
-            ambient.dv[j] = g[1]
-            dense = grad(p, t, data, lam)
-            projected = project_tangent(p, ambient)
+            dense = dense_grad(p, t, data, lam)
+            projected = sampled_tangent(grad, p, t, data, lam)
             np.testing.assert_array_equal(projected.du, dense.du)
             np.testing.assert_array_equal(projected.dx, dense.dx)
             np.testing.assert_array_equal(projected.dv, dense.dv)
@@ -577,7 +584,7 @@ class TestFullGradManifold:
         lam = 0.4
         acc = ProductTangent(np.zeros((4, 2)), np.zeros(2), np.zeros((3, 2)))
         for t in range(data.nnz):
-            g = stoch_grad_manifold(p, t, data, lam)
+            g = sampled_tangent(stoch_grad_manifold, p, t, data, lam)
             w = data.w_vals[t]
             acc = ProductTangent(acc.du + w * g.du, acc.dx + w * g.dx, acc.dv + w * g.dv)
         full = full_grad_manifold(p, data, lam)
@@ -588,14 +595,14 @@ class TestFullGradManifold:
 class TestGradEuclidean:
     def test_scalar_hand_case(self):
         f = FactorPair(np.array([[1.0]]), np.array([[1.0]]))
-        g = stoch_grad_euclidean(f, 0, scalar_data(), 0.5)
+        g = sampled_pair(f, 0, scalar_data(), 0.5)
         np.testing.assert_allclose(g.x, [[-1.0]])
         np.testing.assert_allclose(g.y, [[-1.0]])
 
     def test_zero_at_fit_without_reg(self):
         data = scalar_data(a=2.0)
         f = FactorPair(np.array([[1.0]]), np.array([[2.0]]))
-        g = stoch_grad_euclidean(f, 0, data, 0.0)
+        g = sampled_pair(f, 0, data, 0.0)
         assert g.norm() == 0.0
 
     def test_stoch_finite_differences(self):
@@ -603,7 +610,7 @@ class TestGradEuclidean:
         data = random_data(8, 6, 2, 20, seed=26)
         f = FactorPair(rng.standard_normal((8, 2)), rng.standard_normal((6, 2)))
         lam = 0.2
-        g = stoch_grad_euclidean(f, 5, data, lam)
+        g = sampled_pair(f, 5, data, lam)
         fd_euclidean(lambda q: sample_cost_euclidean(q, 5, data, lam), f, g, rng)
 
     def test_full_finite_differences(self):
@@ -633,7 +640,7 @@ class TestGradEuclidean:
         lam = 0.15
         acc = FactorPair(np.zeros((4, 2)), np.zeros((3, 2)))
         for t in range(data.nnz):
-            g = stoch_grad_euclidean(f, t, data, lam)
+            g = sampled_pair(f, t, data, lam)
             acc = acc.add_scaled(g, float(data.w_vals[t]))
         full = full_grad_euclidean(f, data, lam)
         assert acc.add_scaled(full, -1.0).norm() <= 1e-12
@@ -657,19 +664,19 @@ class TestScaledPair:
         lam = 0.2
         for t in range(data.nnz):
             i, j = data.rows[t], data.cols[t]
-            gx_i, gy_j = stoch_grad_euclidean(state, t, data, lam)
+            gx_i, gy_j = stoch_grad_euclidean(state, t, data)
             assembled = f.scaled(2.0 * lam)
             assembled.x[i] += gx_i
             assembled.y[j] += gy_j
-            dense = stoch_grad_euclidean(f, t, data, lam)
+            dense = dense_stoch_grad_euclidean(f, t, data, lam)
             assert assembled.add_scaled(dense, -1.0).norm() <= 1e-14 * dense.norm()
 
     def test_step_matches_dense_step(self):
         lam, s = 0.2, -0.3
         data, state, f = self.stepped(41, lam)
         for t in (0, 7, 19):
-            expected = f.add_scaled(stoch_grad_euclidean(f, t, data, lam), s)
-            rows = stoch_grad_euclidean(state, t, data, lam)
+            expected = f.add_scaled(dense_stoch_grad_euclidean(f, t, data, lam), s)
+            rows = stoch_grad_euclidean(state, t, data)
             state.step(data.rows[t], data.cols[t], rows, s)
             f = state.pair()
             np.testing.assert_allclose(f.x, expected.x, rtol=1e-13, atol=1e-15)
@@ -744,7 +751,7 @@ class TestScaledPair:
 
 class TestGradPositiveWeights:
     def test_scalar_hand_case(self):
-        g = stoch_grad_pw(scalar_point(), 0, scalar_data(), 0.5)
+        g = sampled_tangent(stoch_grad_pw, scalar_point(), 0, scalar_data(), 0.5)
         np.testing.assert_allclose(g.dx, [-2.0])
 
     def test_lambda_at_boundary_rejected(self):
@@ -752,20 +759,20 @@ class TestGradPositiveWeights:
         p = random_point(4, 3, 2, np.random.default_rng(30))
         w0 = float(data.w_vals.min())
         with pytest.raises(LambdaOutOfRange):
-            stoch_grad_pw(p, 0, data, w0)
+            stoch_grad_pw(FactoredPoint(p), 0, data, w0)
 
     def test_partial_support_rejected(self):
         data = random_data(4, 3, 2, 6, seed=31)
         p = random_point(4, 3, 2, np.random.default_rng(31))
         with pytest.raises(NonPositiveWeight):
-            stoch_grad_pw(p, 0, data, 1e-3)
+            stoch_grad_pw(FactoredPoint(p), 0, data, 1e-3)
 
     def test_stoch_finite_differences(self):
         rng = np.random.default_rng(32)
         data = random_data(8, 6, 2, 48, seed=32, full=True, min_w=0.5)
         p = random_point(8, 6, 2, rng)
         lam = 0.3 * float(data.w_vals.min())
-        g = stoch_grad_pw(p, 7, data, lam)
+        g = sampled_tangent(stoch_grad_pw, p, 7, data, lam)
         fd_manifold(lambda q: sample_cost_pw(q, 7, data, lam), p, g, rng)
 
     def test_full_finite_differences(self):
@@ -797,7 +804,7 @@ class TestGradPositiveWeights:
         lam = 0.4 * float(data.w_vals.min())
         acc = ProductTangent(np.zeros((4, 2)), np.zeros(2), np.zeros((3, 2)))
         for t in range(data.nnz):
-            g = stoch_grad_pw(p, t, data, lam)
+            g = sampled_tangent(stoch_grad_pw, p, t, data, lam)
             w = data.w_vals[t]
             acc = ProductTangent(acc.du + w * g.du, acc.dx + w * g.dx, acc.dv + w * g.dv)
         full = full_grad_pw(p, data)
@@ -899,7 +906,7 @@ class TestConfinement:
             scale = np.sqrt(rho0 / confinement_manifold(p))
             p = ProductPoint(p.u, p.x * scale, p.v)
             t = int(rng.integers(data.nnz))
-            g = stoch_grad_manifold(p, t, data, lam)
+            g = sampled_tangent(stoch_grad_manifold, p, t, data, lam)
             rho_grad = ProductTangent(np.zeros_like(p.u), 2.0 * p.x, np.zeros_like(p.v))
             assert rho_grad.inner(g) >= -1e-10
 
@@ -914,6 +921,6 @@ class TestConfinement:
             scale = np.sqrt(rho0 / confinement_euclidean(f))
             f = f.scaled(scale)
             t = int(rng.integers(data.nnz))
-            g = stoch_grad_euclidean(f, t, data, lam)
+            g = sampled_pair(f, t, data, lam)
             rho_grad = FactorPair(2.0 * f.x, 2.0 * f.y)
             assert rho_grad.inner(g) >= -1e-10

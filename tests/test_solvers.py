@@ -15,7 +15,6 @@ from wlra.geometry import (
     FOLD_STEPS,
     FactoredPoint,
     ProductPoint,
-    assemble,
     orthonormality_defect,
     retract,
 )
@@ -29,9 +28,6 @@ from wlra.model import (
     full_grad_euclidean,
     full_grad_manifold,
     sample_index,
-    stoch_grad_euclidean,
-    stoch_grad_manifold,
-    stoch_grad_pw,
 )
 from wlra.solvers import (
     ArmijoParams,
@@ -48,7 +44,14 @@ from wlra.solvers import (
 from wlra.step_policy import PolicyKind, make_policy, tilde_A_B_of_rho
 from wlra.svd_init import fill_missing_column_mean, truncated_svd_init
 
-from helpers import random_point, regularized_cost
+from helpers import (
+    assemble,
+    dense_stoch_grad_euclidean,
+    dense_stoch_grad_manifold,
+    dense_stoch_grad_pw,
+    random_point,
+    regularized_cost,
+)
 
 # Final cost of the acceptance criterion-8 run recorded with the earlier
 # hand-written kernels (one-sided Jacobi SVD, Gram-Schmidt QR).
@@ -65,7 +68,7 @@ ALS_EUCLIDEAN_PIN_FINAL_COST = 0.010616609723167464
 # formed the dense Hadamard product W . (A - P).
 ALS_PW_PIN_FINAL_COST = 0.006828671870361145
 # Largest entrywise difference allowed between the factored SGD iterate and
-# a loop of dense retract(stoch_grad_*) steps; measured 5.8e-15 to 1.3e-14.
+# a loop of retract(dense_stoch_grad_*) steps; measured 5.8e-15 to 1.3e-14.
 LAZY_VS_DENSE_TOL = 1e-13
 
 
@@ -183,7 +186,7 @@ class TestFactoredSgd:
         lam = config.policy.lam
         final, _ = sgd_manifold(init, data, config)
         reference = dense_sgd_reference(
-            init, data, config, lambda p, s: stoch_grad_manifold(p, s, data, lam)
+            init, data, config, lambda p, s: dense_stoch_grad_manifold(p, s, data, lam)
         )
         assert np.abs(final.u - init.u).max() > 1e-2  # the iterate did move
         assert_close_to_dense(final, reference)
@@ -193,7 +196,7 @@ class TestFactoredSgd:
         policy = config.policy
         final, _ = sgd_pw(init, data, config)
         reference = dense_sgd_reference(
-            init, data, config, lambda p, s: stoch_grad_pw(p, s, data, policy.lam)
+            init, data, config, lambda p, s: dense_stoch_grad_pw(p, s, data, policy.lam)
         )
         assert_close_to_dense(final, reference)
 
@@ -201,7 +204,7 @@ class TestFactoredSgd:
         init, data, config = svd_setup(60, 30, 4, iters=300)
         lam = config.policy.lam
         reference = dense_sgd_reference(
-            init, data, config, lambda p, s: stoch_grad_manifold(p, s, data, lam)
+            init, data, config, lambda p, s: dense_stoch_grad_manifold(p, s, data, lam)
         )
         real = np.linalg.cholesky
         factorizations = []
@@ -227,7 +230,7 @@ class TestFactoredSgd:
         init, data, config = svd_setup(60, 30, 4, iters=300)
         lam = config.policy.lam
         reference = dense_sgd_reference(
-            init, data, config, lambda p, s: stoch_grad_manifold(p, s, data, lam)
+            init, data, config, lambda p, s: dense_stoch_grad_manifold(p, s, data, lam)
         )
         real_step, real_update = FactoredPoint.step, FactoredPoint._update
         stepped, singular, refused = [], [], []
@@ -280,7 +283,7 @@ class TestFactoredSgd:
         final, _ = sgd_manifold(init, data, config)
         assert len(qr_calls) == 2 * 300  # both factors, every step
         reference = dense_sgd_reference(
-            init, data, config, lambda p, s: stoch_grad_manifold(p, s, data, lam)
+            init, data, config, lambda p, s: dense_stoch_grad_manifold(p, s, data, lam)
         )
         assert_close_to_dense(final, reference)
 
@@ -342,7 +345,7 @@ class TestSgdManifold:
         final, _ = sgd_manifold(init, data, config)
         rng = np.random.default_rng(7)
         t0 = sample_index(data, rng)
-        g0 = stoch_grad_manifold(init, t0, data, lam)
+        g0 = dense_stoch_grad_manifold(init, t0, data, lam)
         expected = retract(init, g0.scaled(-policy.schedule(0) / policy.phi_min))
         # The solver retracts by Cholesky-QR of a k-by-k Gram matrix, the
         # oracle by Householder QR of the full factors: equal up to round-off.
@@ -472,7 +475,7 @@ class TestSgdEuclidean:
         final, _ = sgd_euclidean(init, data, config)
         rng = np.random.default_rng(18)
         t0 = sample_index(data, rng)
-        g0 = stoch_grad_euclidean(init, t0, data, lam)
+        g0 = dense_stoch_grad_euclidean(init, t0, data, lam)
         expected = init.add_scaled(g0, -policy.schedule(0) / policy.phi_min)
         # The solver shrinks a shared scale and moves two rows, the oracle
         # adds the dense step: equal up to round-off.
@@ -553,7 +556,7 @@ def euclidean_setup(instance, iters, trace_every=10, **kw):
 
 
 class DensePair:
-    """A Euclidean SGD state stepped densely, f + s stoch_grad_euclidean(f)."""
+    """A Euclidean SGD state stepped densely, f + s dense_stoch_grad_euclidean(f)."""
 
     def __init__(self, f):
         self.f = f
@@ -572,7 +575,7 @@ def dense_euclidean_run(init, data, config):
         DensePair(init),
         data,
         config,
-        grad_fn=lambda state, t: stoch_grad_euclidean(state.f, t, data, lam),
+        grad_fn=lambda state, t: dense_stoch_grad_euclidean(state.f, t, data, lam),
         view_fn=lambda state: state.f,
         rho_fn=lambda state: confinement_euclidean(state.f),
         full_grad_norm_fn=lambda f: full_grad_euclidean(f, data, lam).norm(),
@@ -769,7 +772,7 @@ class TestSgdPositiveWeights:
         final, _ = sgd_pw(init, data, config)
         rng2 = np.random.default_rng(26)
         t0 = sample_index(data, rng2)
-        g0 = stoch_grad_pw(init, t0, data, policy.lam)
+        g0 = dense_stoch_grad_pw(init, t0, data, policy.lam)
         expected = retract(init, g0.scaled(-policy.schedule(0) / policy.phi_min))
         np.testing.assert_allclose(final.u, expected.u, rtol=1e-13, atol=1e-15)
         assert np.array_equal(final.x, expected.x)

@@ -2,16 +2,11 @@ import numpy as np
 import pytest
 
 from wlra.errors import ShapeMismatch
-from wlra.geometry import assemble, orthonormality_defect, retract
+from wlra.geometry import orthonormality_defect, retract
 from wlra.model import ProblemData, cost_unregularized
-from wlra.svd_init import (
-    best_rank_k,
-    check_stationarity,
-    fill_missing_column_mean,
-    truncated_svd_init,
-)
+from wlra.svd_init import fill_missing_column_mean, truncated_svd_init
 
-from helpers import random_tangent
+from helpers import assemble, best_rank_k, check_stationarity, random_tangent
 
 
 def refined_candidates_best(a, k, n_candidates, sweeps, seed):
