@@ -97,6 +97,8 @@ class ExperimentSpec:
             raise MismatchedData(f"--lambda must be positive and finite, got {self.lam}")
         if self.seed < 0:
             raise MismatchedData(f"--seed must be non-negative, got {self.seed}")
+        if self.trace_every is not None and self.trace_every < 1:
+            raise MismatchedData(f"--trace-every must be >= 1, got {self.trace_every}")
 
     @property
     def label(self) -> str:
@@ -176,6 +178,14 @@ def write_trace_csv(trace: IterTrace, path, wall_clock: bool = False) -> None:
 # Trace merging for `compare`.
 
 
+def check_alignment(align: str, bin_width: float) -> None:
+    """Refuse an unknown alignment, or a bin not positive and finite (NaN too) under seconds."""
+    if align not in ("iterations", "seconds"):
+        raise MismatchedData(f"unknown alignment {align!r}")
+    if align == "seconds" and not 0 < bin_width < math.inf:
+        raise MismatchedData(f"--bin must be positive and finite, got {bin_width}")
+
+
 def merge_on_iterations(
     traces: list[IterTrace], names: list[str]
 ) -> tuple[list[str], list[list[float]]]:
@@ -191,9 +201,7 @@ def merge_on_time(
     horizon: float | None = None,
 ) -> tuple[list[str], list[list[float]]]:
     """Align traces on elapsed-time bins (last observation carried forward)."""
-    # Written so that NaN fails the check.
-    if not 0 < bin_width < math.inf:
-        raise MismatchedData(f"--bin must be positive and finite, got {bin_width}")
+    check_alignment("seconds", bin_width)
     if horizon is None:
         horizon = max(tr.records[-1].elapsed_seconds for tr in traces)
     nbins = int(math.floor(horizon / bin_width + 1e-9))
@@ -220,6 +228,7 @@ def compare_experiments(
     bin_width: float = 0.1,
 ) -> tuple[list[str], list[list[float]]]:
     """Run several specs from one shared set-up and write one merged cost CSV."""
+    check_alignment(align, bin_width)
     if not specs:
         raise MismatchedData("compare needs at least one run spec")
     if len({s.k for s in specs}) != 1:
@@ -229,10 +238,8 @@ def compare_experiments(
     names = [s.label for s in specs]
     if align == "iterations":
         header, rows = merge_on_iterations(traces, names)
-    elif align == "seconds":
-        header, rows = merge_on_time(traces, names, bin_width)
     else:
-        raise MismatchedData(f"unknown alignment {align!r}")
+        header, rows = merge_on_time(traces, names, bin_width)
     with open(out, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:

@@ -185,7 +185,8 @@ def _run_sgd(
     place along it at cell (i, j); `view_fn(state)` gives the iterate that
     traces, the exact safeguards and the caller see; `rho_fn` reads the
     confinement of the state and of its view alike. A record carries the
-    phi_t of the step before it."""
+    phi_t of the step before it. The alias table is built before the clock."""
+    data.sampler
     policy = config.policy
     rng = np.random.default_rng(config.seed)
     phi = None

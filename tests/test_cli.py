@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,29 @@ class TestCompare:
             compare_experiments([good, bad], tm, tmp_path / "cmp.csv")
         assert not (tmp_path / "cmp.csv").exists()
 
+    @pytest.mark.parametrize(
+        "align, bin_width, named",
+        [
+            ("diagonal", 0.1, "unknown alignment 'diagonal'"),
+            ("seconds", float("nan"), "--bin must be positive and finite, got nan"),
+            ("seconds", float("inf"), "--bin must be positive and finite, got inf"),
+            ("seconds", 0.0, "--bin must be positive and finite, got 0.0"),
+        ],
+        ids=["align-diagonal", "bin-nan", "bin-inf", "bin-zero"],
+    )
+    def test_bad_alignment_rejected_before_set_up(
+        self, synth_file, tmp_path, monkeypatch, align, bin_width, named
+    ):
+        tm = load_triplets(synth_file)
+        spec = ExperimentSpec(
+            algorithm="sgd-manifold", k=3, seed=0,
+            budget=Budget(max_iterations=10), lam=1e-2,
+        )
+        monkeypatch.setattr(wlra.cli, "_set_up", None)  # never reached
+        with pytest.raises(MismatchedData, match=re.escape(named)):
+            compare_experiments([spec], tm, tmp_path / "cmp.csv", align, bin_width)
+        assert not (tmp_path / "cmp.csv").exists()
+
     def test_mismatched_k_rejected(self, synth_file, tmp_path):
         tm = load_triplets(synth_file)
         a = ExperimentSpec(
@@ -400,6 +425,13 @@ class TestCommandLine:
                 None,
                 "--run: k=2 differs from --k 3",
             ),
+            ("run", ["--lambda", "1e-2", "--trace-every", "0"], None, "--trace-every must be >= 1"),
+            (
+                "compare",
+                ["--run", "name=m,algorithm=sgd-manifold,lambda=1e-2,iters=10,trace-every=0"],
+                None,
+                "--trace-every must be >= 1, got 0",
+            ),
             *(
                 (
                     "compare",
@@ -418,6 +450,7 @@ class TestCommandLine:
             "run-spec-unknown-key", "run-spec-no-equals",
             "bigK-preset-without-preset", "seed-negative", "run-spec-seed-negative",
             "run-spec-no-algorithm", "run-spec-k-differs",
+            "trace-every-zero", "run-spec-trace-every-zero",
             "bin-zero", "bin-nan", "bin-inf",
         ],
     )
@@ -433,6 +466,35 @@ class TestCommandLine:
             extra = [*extra, "--config", str(cfg)]
         assert main([command, "--in", str(synth_file), "--k", "3", *extra, "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--align", "seconds", "--bin", "nan"], "--bin"),
+            (["--run", "name=z,algorithm=sgd-euclidean,lambda=1e-2,iters=10,trace-every=0"],
+             "--trace-every"),
+        ],
+        ids=["bin-nan", "run-spec-trace-every-zero"],
+    )
+    def test_compare_refuses_before_any_run(
+        self, synth_file, tmp_path, capsys, monkeypatch, extra, named
+    ):
+        calls = []
+        for name in ("_set_up", "_dispatch"):
+            real = getattr(wlra.cli, name)
+            monkeypatch.setattr(
+                wlra.cli, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            )
+        out = tmp_path / "out.csv"
+        code = main([
+            "compare", "--in", str(synth_file), "--k", "3", "--out", str(out),
+            "--run", "name=long,algorithm=sgd-manifold,lambda=1e-2,iters=100000000",
+            *extra,
+        ])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert calls == []
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "compare", "init-svd"])

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,45 @@ class TestCosts:
                 assert abs(cost_unregularized(source, data) - ref) <= 1e-14 * ref
 
 
+def binary_probs(n):
+    tm = TripletMatrix(1, n, np.zeros(n, int), np.arange(n), np.zeros(n))
+    return binary_weights(tm)
+
+
+def one_heavy(n, share=0.3):
+    probs = np.ones(n)
+    probs[n // 3] = share * n
+    return probs
+
+
+def zipf_probs(n, exponent=0.9):
+    return np.random.default_rng(12).permutation(1.0 / np.arange(1, n + 1) ** exponent)
+
+
+def two_tiers(n):
+    # 1% of cells weigh 200: each absorbs a run of about 100 small cells.
+    return np.where(np.random.default_rng(12).random(n) < 0.01, 200.0, 1.0)
+
+
+# Weight patterns for the alias build. Binary weights put the rounding
+# remainder in the last cell: at 46228 cells it scales above 1 and every other
+# cell to 1 - 2^-53 (one run through all of them); at 45000 it scales below 1
+# and every other cell to 1.0 (a chain, one pair per large cell).
+ALIAS_PATTERNS = {
+    "uniform": lambda: np.full(5000, 0.5),
+    "binary": lambda: binary_probs(5000),
+    "random": lambda: np.random.default_rng(12).uniform(0.1, 10.0, 5000),
+    "binary-remainder-large": lambda: binary_probs(46228),
+    "binary-remainder-small": lambda: binary_probs(45000),
+    "one-heavy": lambda: one_heavy(2000),
+    "zipf": lambda: zipf_probs(5000),
+    "two-tiers": lambda: two_tiers(20000),
+    "run-beyond-block": lambda: one_heavy(3 * SUPPORT_BLOCK + 5),
+    "n1": lambda: np.array([0.7]),
+    "n2": lambda: np.array([0.3, 0.7]),
+}
+
+
 class TestSampling:
     def test_single_positive_entry_always_drawn(self):
         data = ProblemData(
@@ -214,21 +254,46 @@ class TestSampling:
         seq2 = [sample_index(data, rng2) for _ in range(30)]
         assert seq1 == seq2
 
-    @pytest.mark.parametrize("pattern", ["uniform", "binary", "random"])
+    @pytest.mark.parametrize("pattern", sorted(ALIAS_PATTERNS))
     def test_alias_table_equals_reference_build(self, pattern):
-        n = 5000
-        rng = np.random.default_rng(12)
-        if pattern == "uniform":
-            probs = np.full(n, 0.5)
-        elif pattern == "binary":
-            tm = TripletMatrix(1, n, np.zeros(n, int), np.arange(n), np.zeros(n))
-            probs = binary_weights(tm)
-        else:
-            probs = rng.uniform(0.1, 10.0, n)
+        probs = ALIAS_PATTERNS[pattern]()
         sampler = AliasSampler(probs)
         accept, alias = reference_alias_table(probs)
         assert np.array_equal(sampler.accept, accept)
         assert np.array_equal(sampler.alias, alias)
+
+    def test_draws_equal_reference_table_draws(self):
+        # Remainder-large binary weights: one large cell takes a run of
+        # 46227 small ones, which the build pairs in blocks.
+        probs = ALIAS_PATTERNS["binary-remainder-large"]()
+        n = probs.size
+        data = ProblemData(
+            m=1, n=n, k=1, rows=np.zeros(n, int), cols=np.arange(n),
+            a_vals=np.zeros(n), w_vals=probs,
+        )
+        accept, alias = reference_alias_table(probs)
+        rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+        draws = [sample_index(data, rng) for _ in range(10000)]
+        expected = []
+        for _ in range(10000):
+            i = int(ref_rng.integers(0, n))
+            expected.append(i if ref_rng.random() < accept[i] else int(alias[i]))
+        assert draws == expected
+
+    def test_alias_build_temporaries_are_block_sized(self):
+        # The table's own arrays (left/accept, the stack and alias at 8
+        # bytes a cell, the 1-byte small mask) plus O(SUPPORT_BLOCK): a
+        # temporary the size of the run would add 8 bytes a cell.
+        probs = binary_probs(200003)
+        assert np.count_nonzero(probs * (probs.size / probs.sum()) < 1.0) == probs.size - 1
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            AliasSampler(probs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25 * probs.size + 32 * SUPPORT_BLOCK
 
     def test_alias_table_matches_probabilities(self):
         probs = np.array([0.5, 0.3, 0.2])

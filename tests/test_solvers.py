@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import wlra.geometry
+import wlra.model
 import wlra.solvers
 from wlra.cli import IOTA_PRESETS
 from wlra.data_io import problem_from_triplets, synth_lowrank
@@ -19,6 +20,7 @@ from wlra.geometry import (
     retract,
 )
 from wlra.model import (
+    AliasSampler,
     FactorPair,
     ProblemData,
     ScaledPair,
@@ -1291,3 +1293,19 @@ class TestIterationLoop:
         assert len(trace.records) == 11
         assert trace.bookkeeping_seconds >= 11 * nap
         assert trace.records[-1].elapsed_seconds < trace.bookkeeping_seconds
+
+    @pytest.mark.parametrize("algorithm", ["manifold", "euclidean", "pw"])
+    def test_alias_build_is_left_out_of_elapsed_time(self, algorithm, monkeypatch):
+        nap = 0.2
+
+        class SlowSampler(AliasSampler):
+            def __init__(self, probs):
+                time.sleep(nap)
+                super().__init__(probs)
+
+        monkeypatch.setattr(wlra.model, "AliasSampler", SlowSampler)
+        solver, init, data, config = sgd_run_setup(algorithm, iters=10, trace_every=5)
+        _, trace = solver(init, data, config)
+        assert isinstance(data.sampler, SlowSampler)
+        assert [r.t for r in trace.records] == [0, 5, 10]
+        assert trace.records[1].elapsed_seconds < nap / 4
