@@ -177,6 +177,9 @@ def write_trace_csv(trace: IterTrace, path, wall_clock: bool = False) -> None:
 # ---------------------------------------------------------------------------
 # Trace merging for `compare`.
 
+# Rows a time-aligned merge may build: 10^6 rows of two runs take about 6 s to form and write.
+MAX_TIME_ROWS = 10**6
+
 
 def check_alignment(align: str, bin_width: float) -> None:
     """Refuse an unknown alignment, or a bin not positive and finite (NaN too) under seconds."""
@@ -204,8 +207,10 @@ def merge_on_time(
     check_alignment("seconds", bin_width)
     if horizon is None:
         horizon = max(tr.records[-1].elapsed_seconds for tr in traces)
-    nbins = int(math.floor(horizon / bin_width + 1e-9))
-    edges = [b * bin_width for b in range(1, nbins + 1)]
+    nbins = horizon / bin_width + 1e-9  # checked before flooring, as it may be inf
+    if nbins >= MAX_TIME_ROWS + 1:
+        raise MismatchedData(f"--bin {bin_width} gives {nbins:.3g} rows (at most {MAX_TIME_ROWS})")
+    edges = [b * bin_width for b in range(1, int(nbins) + 1)]
     return ["seconds"] + list(names), _carried_forward(traces, lambda r: r.elapsed_seconds, edges)
 
 

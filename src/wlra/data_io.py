@@ -193,13 +193,11 @@ def sample_submatrix(tm: TripletMatrix, rows: int, cols: int, seed: int) -> Trip
 
 
 def binary_weights(tm: TripletMatrix) -> np.ndarray:
-    """Equal weight 1/nnz on every observed cell; the last weight absorbs
-    rounding so the total is exactly 1."""
+    """Equal weight 1/nnz on every observed cell (their sum is 1 within a few
+    ulps), so the alias table pairs no cells."""
     if tm.nnz == 0:
         raise EmptySupport("no observations to weight")
-    w = np.full(tm.nnz, 1.0 / tm.nnz)
-    w[-1] = 1.0 - w[:-1].sum()
-    return w
+    return np.full(tm.nnz, 1.0 / tm.nnz)
 
 
 def normalize_weights(raw: np.ndarray) -> np.ndarray:

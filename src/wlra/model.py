@@ -33,9 +33,6 @@ SUPPORT_BLOCK = 4096
 # dense gradient was 1.9x / 1.2x / 0.68x as fast as gather with 1 in 16 / 24 / 32 cells observed.
 DENSE_FILL = 16
 
-# Pops in a row that leave one alias-table cell large before its run is paired in blocks.
-ALIAS_RUN = 32
-
 
 @dataclass(frozen=True)
 class ProblemData:
@@ -277,36 +274,22 @@ class AliasSampler:
         order[:ns] = np.flatnonzero(is_small)
         order[ns:] = np.flatnonzero(~is_small)[::-1]
         alias = array("q", [0]) * n
-        self.alias = np.frombuffer(alias, dtype=np.int64)
-        level = np.empty(min(n, SUPPORT_BLOCK) + 1)
         top = ns
         while ns and top < n:
-            run_top, stop = top, max(ns - ALIAS_RUN, 0)
-            while ns > stop and top < n:
-                ns -= 1
-                s = stack[ns]
-                l = stack[top]
-                alias[s] = l
-                left[l] -= 1.0 - left[s]
-                if left[l] < 1.0:  # l moves to the small stack
-                    stack[ns] = l
-                    ns += 1
-                    top += 1
-            # l stayed large for ALIAS_RUN pops: pair it in growing blocks by one accumulate of the
-            # deficits, the scalar loop's IEEE steps in order, while it stays large (a prefix).
-            end = w = ALIAS_RUN
-            while ns and top == run_top and end == w:
-                w = min(2 * w, ns, SUPPORT_BLOCK)
-                pops, run = order[ns - w : ns][::-1], level[: w + 1]
-                np.subtract(1.0, np.take(scaled, pops, out=run[1:], mode="clip"), out=run[1:])
-                run[0] = left[l]
-                end = int(np.count_nonzero(np.subtract.accumulate(run, out=run)[1:] >= 1.0))
-                self.alias[pops[:end]] = l
-                left[l], ns = run[end], ns - end
+            ns -= 1
+            s = stack[ns]
+            l = stack[top]
+            alias[s] = l
+            left[l] -= 1.0 - left[s]
+            if left[l] < 1.0:  # l moves to the small stack
+                stack[ns] = l
+                ns += 1
+                top += 1
         # A cell is popped as `s` at most once and only `l` entries change
         # afterwards, so a paired cell's final entry is its acceptance
         # probability; the cells left on either stack accept always.
         self.accept = scaled
+        self.alias = np.frombuffer(alias, dtype=np.int64)
         for unpaired in (order[:ns], order[top:]):
             self.accept[unpaired] = 1.0
             self.alias[unpaired] = unpaired

@@ -86,6 +86,21 @@ class TestMerging:
             edges = [i * width for i in range(1, nbins + 1)]
             assert rows == expected(lambda r: r.elapsed_seconds, edges)
 
+    @pytest.mark.parametrize("width", [1e-300, 5e-324])
+    def test_time_grid_too_fine_refused(self, width):
+        # Refused before any row is built; at 5e-324 the row count is inf.
+        a = make_trace([(0, 0.0, 2.0), (10, 0.5, 1.0)])
+        with pytest.raises(MismatchedData, match="--bin"):
+            merge_on_time([a], ["a"], bin_width=width)
+
+    def test_time_grid_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(wlra.cli, "MAX_TIME_ROWS", 100)
+        a = make_trace([(0, 0.0, 2.0), (10, 30.0, 1.0)])
+        _, rows = merge_on_time([a], ["a"], bin_width=0.25, horizon=25.0)
+        assert len(rows) == 100
+        with pytest.raises(MismatchedData, match="101 rows"):
+            merge_on_time([a], ["a"], bin_width=0.25, horizon=25.25)
+
 
 class TestRunExperiment:
     def test_first_row_matches_truncation_oracle(self, synth_file, tmp_path):
@@ -442,6 +457,13 @@ class TestCommandLine:
                 )
                 for width in ("0.0", "nan", "inf")
             ),
+            (
+                "compare",
+                ["--align", "seconds", "--bin", "1e-300",
+                 "--run", "name=m,algorithm=sgd-manifold,lambda=1e-2,iters=10"],
+                None,
+                "--bin 1e-300 gives",
+            ),
         ],
         ids=[
             "config-lambda-abc", "run-spec-iters-ten", "bigK-abc",
@@ -451,7 +473,7 @@ class TestCommandLine:
             "bigK-preset-without-preset", "seed-negative", "run-spec-seed-negative",
             "run-spec-no-algorithm", "run-spec-k-differs",
             "trace-every-zero", "run-spec-trace-every-zero",
-            "bin-zero", "bin-nan", "bin-inf",
+            "bin-zero", "bin-nan", "bin-inf", "bin-too-fine",
         ],
     )
     def test_malformed_value_exits_2(

@@ -258,6 +258,17 @@ class TestSampleSubmatrix:
             sample_submatrix(tm, 6, 4, seed=8)
 
 
+# Support sizes where a rounding remainder in the last cell would scale above 1 (46228) or below 1
+# (45000), and the Netflix-sample size.
+BINARY_SIZES = (3, 7, 97, 45000, 46228, 278338)
+
+
+def one_row(nnz):
+    """A 1-by-nnz triplet matrix observed in every cell."""
+    return TripletMatrix(1, nnz, np.zeros(nnz, dtype=np.int64),
+                         np.arange(nnz, dtype=np.int64), np.ones(nnz))
+
+
 class TestWeights:
     def test_four_entries(self):
         tm = TripletMatrix(2, 2, np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
@@ -267,19 +278,30 @@ class TestWeights:
         assert w.sum() == 1.0
 
     def test_netflix_sample_scale(self):
-        nnz = 278338
-        rows = np.zeros(nnz, dtype=np.int64)
-        cols = np.arange(nnz, dtype=np.int64)
-        tm = TripletMatrix(1, nnz, rows, cols, np.ones(nnz))
-        w = binary_weights(tm)
+        w = binary_weights(one_row(278338))
         assert abs(w[0] - 1.0 / 278338) <= 1e-20
         assert abs(w.sum() - 1.0) <= 1e-15
 
     def test_sum_exact(self):
-        for nnz in (3, 7, 97):
-            tm = TripletMatrix(1, nnz, np.zeros(nnz, dtype=np.int64),
-                               np.arange(nnz, dtype=np.int64), np.ones(nnz))
-            assert binary_weights(tm).sum() == 1.0
+        # Every weight is exactly 1/nnz; the sum is 1 within the ProblemData check.
+        for nnz in BINARY_SIZES:
+            w = binary_weights(one_row(nnz))
+            assert np.all(w == 1.0 / nnz)
+            assert abs(w.sum() - 1.0) <= 1e-12
+
+    def test_binary_default_equals_normalized_ones(self):
+        for nnz in BINARY_SIZES:
+            tm = one_row(nnz)
+            default = problem_from_triplets(tm, 1).w_vals
+            assert np.array_equal(default, problem_from_triplets(tm, 1, np.ones(nnz)).w_vals)
+
+    def test_binary_sampler_pairs_nothing(self):
+        # Equal weights scale to one value, all small or all large, so no
+        # cell is paired: each accepts itself.
+        for nnz in (45000, 46228, 278338):
+            sampler = problem_from_triplets(one_row(nnz), 1).sampler
+            assert np.all(sampler.accept == 1.0)
+            assert np.array_equal(sampler.alias, np.arange(nnz))
 
     def test_normalize(self):
         w = normalize_weights(np.array([2.0, 2.0, 4.0]))

@@ -190,6 +190,13 @@ def binary_probs(n):
     return binary_weights(tm)
 
 
+def remainder_probs(n):
+    """Equal weights 1/n with the rounding remainder in the last cell."""
+    w = np.full(n, 1.0 / n)
+    w[-1] = 1.0 - w[:-1].sum()
+    return w
+
+
 def one_heavy(n, share=0.3):
     probs = np.ones(n)
     probs[n // 3] = share * n
@@ -205,16 +212,17 @@ def two_tiers(n):
     return np.where(np.random.default_rng(12).random(n) < 0.01, 200.0, 1.0)
 
 
-# Weight patterns for the alias build. Binary weights put the rounding
-# remainder in the last cell: at 46228 cells it scales above 1 and every other
-# cell to 1 - 2^-53 (one run through all of them); at 45000 it scales below 1
-# and every other cell to 1.0 (a chain, one pair per large cell).
+# Weight patterns for the alias build. Binary weights are equal and pair
+# nothing. With the rounding remainder in the last cell, at 46228 cells it
+# scales above 1 and every other cell to 1 - 2^-53 (one run through all of
+# them); at 45000 it scales below 1 and every other cell to 1.0 (a chain, one
+# pair per large cell).
 ALIAS_PATTERNS = {
     "uniform": lambda: np.full(5000, 0.5),
     "binary": lambda: binary_probs(5000),
     "random": lambda: np.random.default_rng(12).uniform(0.1, 10.0, 5000),
-    "binary-remainder-large": lambda: binary_probs(46228),
-    "binary-remainder-small": lambda: binary_probs(45000),
+    "binary-remainder-large": lambda: remainder_probs(46228),
+    "binary-remainder-small": lambda: remainder_probs(45000),
     "one-heavy": lambda: one_heavy(2000),
     "zipf": lambda: zipf_probs(5000),
     "two-tiers": lambda: two_tiers(20000),
@@ -263,8 +271,7 @@ class TestSampling:
         assert np.array_equal(sampler.alias, alias)
 
     def test_draws_equal_reference_table_draws(self):
-        # Remainder-large binary weights: one large cell takes a run of
-        # 46227 small ones, which the build pairs in blocks.
+        # Remainder-large weights: one large cell takes a run of 46227 small ones.
         probs = ALIAS_PATTERNS["binary-remainder-large"]()
         n = probs.size
         data = ProblemData(
@@ -282,9 +289,9 @@ class TestSampling:
 
     def test_alias_build_temporaries_are_block_sized(self):
         # The table's own arrays (left/accept, the stack and alias at 8
-        # bytes a cell, the 1-byte small mask) plus O(SUPPORT_BLOCK): a
-        # temporary the size of the run would add 8 bytes a cell.
-        probs = binary_probs(200003)
+        # bytes a cell, the 1-byte small mask) plus O(SUPPORT_BLOCK) slack:
+        # a temporary the size of the run would add 8 bytes a cell.
+        probs = remainder_probs(200003)
         assert np.count_nonzero(probs * (probs.size / probs.sum()) < 1.0) == probs.size - 1
         tracemalloc.start()
         try:
