@@ -13,8 +13,8 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-
 
 from .data_io import (
     TripletMatrix,
@@ -24,8 +24,14 @@ from .data_io import (
     synth_lowrank,
     write_triplets,
 )
-from .errors import MismatchedData, ShapeMismatch, WlraError
-from .model import ProblemData, confinement_euclidean, confinement_manifold, cost_unregularized
+from .errors import LambdaOutOfRange, MismatchedData, ShapeMismatch, WlraError
+from .model import (
+    ProblemData,
+    confinement_euclidean,
+    confinement_manifold,
+    cost_unregularized,
+    require_positive_weights,
+)
 from .solvers import (
     ArmijoParams,
     Budget,
@@ -38,7 +44,7 @@ from .solvers import (
     sgd_manifold,
     sgd_pw,
 )
-from .step_policy import PolicyKind, make_policy
+from .step_policy import PolicyKind, check_big_k, make_policy
 from .svd_init import fill_missing_column_mean, truncated_svd_init
 
 # Each algorithm's solver, and the step-policy kind that names its family.
@@ -69,8 +75,16 @@ BIGK_PRESETS = {
 }
 
 
+# The flag of each parameter that StepPolicy's and ArmijoParams' refusals name.
+_FLAGS = {"K": "--bigK", "iota": "--iota", "alpha_bar": "--alpha-bar", "beta": "--beta"}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """One run, every value checked when it is built. A value left None is
+    the solver's default (alpha_bar, beta, the trace cadence) or, for iota,
+    `resolve_iota`'s."""
+
     algorithm: str
     k: int
     seed: int
@@ -78,12 +92,10 @@ class ExperimentSpec:
     lam: float | None = None
     big_k: float = 1.0
     iota: float | None = None
-    alpha_bar: float = 1.0
-    beta: float = 0.5
+    alpha_bar: float | None = None
+    beta: float | None = None
     trace_every: int | None = None
     adaptive: bool = False
-    wall_clock: bool = False
-    out: str | None = None
     name: str | None = None
 
     def __post_init__(self):
@@ -99,31 +111,35 @@ class ExperimentSpec:
             raise MismatchedData(f"--seed must be non-negative, got {self.seed}")
         if self.trace_every is not None and self.trace_every < 1:
             raise MismatchedData(f"--trace-every must be >= 1, got {self.trace_every}")
+        try:  # by StepPolicy's and ArmijoParams' rules, whatever the algorithm
+            check_big_k(self.big_k)
+            self.armijo_params()
+        except (LambdaOutOfRange, ShapeMismatch) as exc:
+            words = str(exc).split()
+            flag = next(flag for name, flag in _FLAGS.items() if name in words)
+            raise MismatchedData(f"{flag}: {exc}") from None
 
     @property
     def label(self) -> str:
         return self.name or self.algorithm
 
-    def effective_trace_every(self) -> int:
-        if self.trace_every is not None:
-            return self.trace_every
-        return 1 if self.algorithm.startswith("als") else 10
+    def armijo_params(self) -> ArmijoParams:
+        """The line search's parameters; alpha_bar or beta left None is ArmijoParams'."""
+        given = {"alpha_bar": self.alpha_bar, "beta": self.beta}
+        return ArmijoParams(resolve_iota(self), **{p: v for p, v in given.items() if v is not None})
 
 
-def _lookup_preset(table: dict, lam: float | None):
+def _lookup_preset(table: dict, lam: float | None, default=None):
+    """The value of the key within 1e-15 (relative) of lam, else `default`."""
     if lam is None:
-        return None
-    for key, value in table.items():
-        if abs(lam - key) <= 1e-15 * max(1.0, key):
-            return value
-    return None
+        return default
+    return next((v for x, v in table.items() if abs(lam - x) <= 1e-15 * max(1.0, x)), default)
 
 
 def resolve_iota(spec: ExperimentSpec) -> float:
     if spec.iota is not None:
         return spec.iota
-    preset = _lookup_preset(IOTA_PRESETS, spec.lam)
-    return preset if preset is not None else DEFAULT_IOTA
+    return _lookup_preset(IOTA_PRESETS, spec.lam, DEFAULT_IOTA)
 
 
 def _set_up(tm: TripletMatrix, k: int) -> tuple:
@@ -133,36 +149,35 @@ def _set_up(tm: TripletMatrix, k: int) -> tuple:
     return data, point0, pair0
 
 
-def run_experiment(spec: ExperimentSpec, tm: TripletMatrix) -> IterTrace:
-    """Impute, initialize from the truncated SVD, run the chosen solver,
-    and (if spec.out is set) export the trace CSV."""
-    trace = _dispatch(spec, *_set_up(tm, spec.k))
-    if spec.out is not None:
-        write_trace_csv(trace, spec.out, wall_clock=spec.wall_clock)
-    return trace
-
-
-def _dispatch(spec: ExperimentSpec, data: ProblemData, point0, pair0) -> IterTrace:
+def _solver_call(spec: ExperimentSpec, data: ProblemData, point0, pair0) -> partial:
+    """`spec`'s solver call from the shared set-up, after the checks that need
+    the data: the positive-weights requirement, and the policy and SolverConfig
+    or the ArmijoParams. An unset trace_every keeps the solver's cadence."""
     solver, kind = _SOLVERS[spec.algorithm]
+    if kind is PolicyKind.POSITIVE_WEIGHTS:
+        require_positive_weights(data)
     euclidean = kind is PolicyKind.EUCLIDEAN
     init = pair0 if euclidean else point0
-    every = spec.effective_trace_every()
+    every = {} if spec.trace_every is None else {"trace_every": spec.trace_every}
     if spec.algorithm.startswith("als"):
-        params = ArmijoParams(iota=resolve_iota(spec), alpha_bar=spec.alpha_bar, beta=spec.beta)
         lam = () if kind is PolicyKind.POSITIVE_WEIGHTS else (spec.lam,)
-        _, trace = solver(init, data, *lam, params, spec.budget, every)
-        return trace
+        return partial(solver, init, data, *lam, spec.armijo_params(), spec.budget, **every)
     init_sq = confinement_euclidean(init) if euclidean else confinement_manifold(init)
-    config = SolverConfig(
-        kind=kind,
-        policy=make_policy(kind, data, init_sq, spec.lam, spec.big_k),
-        budget=spec.budget,
-        seed=spec.seed,
-        trace_every=every,
-        adaptive=spec.adaptive,
-    )
-    _, trace = solver(init, data, config)
-    return trace
+    policy = make_policy(kind, data, init_sq, spec.lam, spec.big_k)
+    config = SolverConfig(kind, policy, spec.budget, spec.seed, adaptive=spec.adaptive, **every)
+    return partial(solver, init, data, config)
+
+
+def _run_specs(specs: list[ExperimentSpec], tm: TripletMatrix) -> list[IterTrace]:
+    """Set up once, build every spec's solver call, and only then run them in order."""
+    setup = _set_up(tm, specs[0].k)
+    calls = [_solver_call(spec, *setup) for spec in specs]
+    return [call()[1] for call in calls]
+
+
+def run_experiment(spec: ExperimentSpec, tm: TripletMatrix) -> IterTrace:
+    """Impute, initialize from the truncated SVD, and run the chosen solver."""
+    return _run_specs([spec], tm)[0]
 
 
 def write_trace_csv(trace: IterTrace, path, wall_clock: bool = False) -> None:
@@ -198,10 +213,7 @@ def merge_on_iterations(
 
 
 def merge_on_time(
-    traces: list[IterTrace],
-    names: list[str],
-    bin_width: float,
-    horizon: float | None = None,
+    traces: list[IterTrace], names: list[str], bin_width: float, horizon: float | None = None
 ) -> tuple[list[str], list[list[float]]]:
     """Align traces on elapsed-time bins (last observation carried forward)."""
     check_alignment("seconds", bin_width)
@@ -226,10 +238,7 @@ def _carried_forward(traces: list[IterTrace], key, grid: list) -> list[list[floa
 
 
 def compare_experiments(
-    specs: list[ExperimentSpec],
-    tm: TripletMatrix,
-    out,
-    align: str = "iterations",
+    specs: list[ExperimentSpec], tm: TripletMatrix, out, align: str = "iterations",
     bin_width: float = 0.1,
 ) -> tuple[list[str], list[list[float]]]:
     """Run several specs from one shared set-up and write one merged cost CSV."""
@@ -238,8 +247,7 @@ def compare_experiments(
         raise MismatchedData("compare needs at least one run spec")
     if len({s.k for s in specs}) != 1:
         raise MismatchedData("compare runs must share the same k")
-    setup = _set_up(tm, specs[0].k)
-    traces = [_dispatch(spec, *setup) for spec in specs]
+    traces = _run_specs(specs, tm)
     names = [s.label for s in specs]
     if align == "iterations":
         header, rows = merge_on_iterations(traces, names)
@@ -310,9 +318,7 @@ def _read_config(path) -> dict:
     )
 
 
-def _resolve_bigk(raw: str | None, spec: ExperimentSpec) -> float:
-    if raw is None:
-        return 1.0
+def _resolve_bigk(raw: str, spec: ExperimentSpec) -> float:
     if raw.strip().lower() != "preset":
         return _cast("bigK", raw, float)
     preset = _lookup_preset(BIGK_PRESETS.get(spec.algorithm, {}), spec.lam)
@@ -332,6 +338,8 @@ def _spec_from_values(values: dict) -> ExperimentSpec:
     algorithm = values.get("algorithm")
     if algorithm is None:
         raise MismatchedData("--algorithm is required")
+    if "k" not in values:
+        raise MismatchedData("--k is required")
     try:
         budget = Budget(max_iterations=values.get("iters"), max_seconds=values.get("seconds"))
     except ShapeMismatch as exc:
@@ -345,25 +353,14 @@ def _spec_from_values(values: dict) -> ExperimentSpec:
         budget=budget,
         lam=values.get("lambda"),
         iota=values.get("iota"),
-        alpha_bar=values.get("alpha-bar", 1.0),
-        beta=values.get("beta", 0.5),
+        alpha_bar=values.get("alpha-bar"),
+        beta=values.get("beta"),
         trace_every=values.get("trace-every"),
         adaptive=bool(values.get("adaptive", False)),
-        wall_clock=bool(values.get("wall-clock", False)),
-        out=values.get("out"),
         name=values.get("name"),
     )
-    return replace(spec, big_k=_resolve_bigk(values.get("bigK"), spec))
-
-
-def _merge_flag_values(args, config: dict) -> dict:
-    """Config supplies defaults; explicitly passed flags win."""
-    values = {**config, **{key: v for key, v in vars(args).items() if key in _RUN_KEYS}}
-    values["wall-clock"] = args.wall_clock
-    values["out"] = args.out
-    if "k" not in values:
-        raise MismatchedData("--k is required")
-    return values
+    raw = values.get("bigK")
+    return spec if raw is None else replace(spec, big_k=_resolve_bigk(raw, spec))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -451,9 +448,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    tm = synth_lowrank(
-        args.rows, args.cols, args.rank, args.observe_prob, args.noise, args.seed
-    )
+    tm = synth_lowrank(args.rows, args.cols, args.rank, args.observe_prob, args.noise, args.seed)
     write_triplets(tm, args.out)
     print(f"{tm.m}x{tm.n}, {tm.nnz} observations, density {tm.density:.4%}")
     return 0
@@ -471,10 +466,13 @@ def _cmd_init_svd(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = _read_config(args.config) if args.config else {}
-    spec = _spec_from_values(_merge_flag_values(args, config))
+    values = _read_config(args.config) if args.config else {}
+    # The config supplies defaults; flags passed on the command line win.
+    values.update((key, v) for key, v in vars(args).items() if key in _RUN_KEYS)
+    spec = _spec_from_values(values)
     tm = load_triplets(args.infile, args.one_based, args.rows, args.cols)
     trace = run_experiment(spec, tm)
+    write_trace_csv(trace, args.out, wall_clock=args.wall_clock)
     print(f"wrote {args.out} ({len(trace.records)} rows, final cost {trace.final_cost()!r})")
     return 0
 

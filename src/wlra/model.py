@@ -138,6 +138,15 @@ def require_positive_weights(data: ProblemData) -> float:
     return w0
 
 
+def check_iterate_shape(source: ProductPoint | FactorPair, data: ProblemData) -> None:
+    """Refuse an iterate whose U (X) row count is not m, or whose V (Y) row count is not n."""
+    u, v = (source.u, source.v) if isinstance(source, ProductPoint) else (source.x, source.y)
+    if (len(u), len(v)) != (data.m, data.n):
+        raise ShapeMismatch(
+            f"iterate factors have {len(u)} and {len(v)} rows, data {data.m}x{data.n}"
+        )
+
+
 def check_lambda_pw(lam: float, w0: float) -> None:
     if not 0 < lam < w0:
         raise LambdaOutOfRange(f"need 0 < lambda < w0, got lambda={lam}, w0={w0}")
@@ -333,7 +342,7 @@ def _grid_entries(source, data: ProblemData, out: np.ndarray | None = None) -> n
         grid = (source.u * source.x) @ source.v.T
     else:
         grid = source.x @ source.y.T
-    # The cells are in range by construction; mode "raise" would buffer `out`.
+    # The caller checked the shape, so the cells are in range; mode "raise" would buffer `out`.
     return np.ravel(grid).take(data.cells, out=out, mode="clip")
 
 
@@ -349,8 +358,9 @@ def cost_unregularized(
     The dense route makes one GEMM; else the cells go in SUPPORT_BLOCK blocks.
     `residual`, when given, is an array of nnz floats that receives
     a_t - p_t, which the full gradients take instead of forming the
-    predictions again.
+    predictions again. An iterate of the wrong shape raises ShapeMismatch.
     """
+    check_iterate_shape(source, data)
     if data.cells is not None:
         res = _grid_entries(source, data, residual)
         np.subtract(data.a_vals, res, out=res)
@@ -424,6 +434,7 @@ def stoch_grad_pw(p: FactoredPoint, t: int, data: ProblemData, lam: float) -> tu
 def _residual_weights(source, data: ProblemData, residual: np.ndarray | None) -> np.ndarray:
     """e_t = -2 w_t (a_t - p_t) on every observed cell, written over
     `residual` (a_t - p_t at `source`) when it is given, else from a cost pass."""
+    check_iterate_shape(source, data)
     if residual is None:
         residual = np.empty(data.nnz)
         cost_unregularized(source, data, residual)

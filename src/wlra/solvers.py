@@ -14,12 +14,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import BacktrackLimit, InitNotConfined, ShapeMismatch
+from .errors import BacktrackLimit, InitNotConfined, LambdaOutOfRange, ShapeMismatch
 from .geometry import FactoredPoint, ProductPoint, ProductTangent, retract
 from .model import (
     FactorPair,
     ProblemData,
     ScaledPair,
+    check_iterate_shape,
     confinement_euclidean,
     confinement_manifold,
     cost_unregularized,
@@ -66,10 +67,10 @@ class ArmijoParams:
     max_backtracks: int = 60
 
     def __post_init__(self):
-        if not 0 < self.alpha_bar < np.inf:
-            raise ShapeMismatch(f"need 0 < alpha_bar < inf, got {self.alpha_bar}")
-        if not 0 < self.beta < 1 or not 0 < self.iota < 1:
-            raise ShapeMismatch("need beta, iota in (0, 1)")
+        for name, upper in (("alpha_bar", np.inf), ("beta", 1.0), ("iota", 1.0)):
+            value = getattr(self, name)
+            if not 0 < value < upper:  # NaN fails it
+                raise ShapeMismatch(f"need 0 < {name} < {upper:g}, got {value}")
 
 
 class TraceRecord(NamedTuple):
@@ -130,11 +131,14 @@ class SolverConfig:
             raise ShapeMismatch(f"{self.kind.value} config with a {self.policy.kind.value} policy")
 
 
-def _check_start(config: SolverConfig, kind: PolicyKind, rho_init: float) -> None:
-    """Reject a config of another solver family and an unconfined init."""
+def _check_start(
+    init, data: ProblemData, config: SolverConfig, kind: PolicyKind, rho_fn: Callable
+) -> None:
+    """Reject an init of the wrong shape or unconfined, and a config of another family."""
+    check_iterate_shape(init, data)
     if config.kind is not kind:
         raise ShapeMismatch(f"{kind.value} solver given a {config.kind.value} config")
-    rho0 = config.policy.rho0
+    rho_init, rho0 = rho_fn(init), config.policy.rho0
     if rho_init > rho0 * (1.0 + 1e-12) + 1e-12:
         raise InitNotConfined(f"initial confinement {rho_init} exceeds rho0 {rho0}")
 
@@ -242,7 +246,7 @@ def sgd_manifold(
     its base (see `FactoredPoint`).
     """
     lam = config.policy.lam
-    _check_start(config, PolicyKind.MANIFOLD, confinement_manifold(init))
+    _check_start(init, data, config, PolicyKind.MANIFOLD, confinement_manifold)
     return _run_sgd(
         FactoredPoint(init),
         data,
@@ -269,7 +273,7 @@ def sgd_euclidean(
     not settle phi_t, and for the returned pair.
     """
     policy = config.policy
-    _check_start(config, PolicyKind.EUCLIDEAN, confinement_euclidean(init))
+    _check_start(init, data, config, PolicyKind.EUCLIDEAN, confinement_euclidean)
     return _run_sgd(
         ScaledPair(init, policy.lam),
         data,
@@ -287,7 +291,7 @@ def sgd_pw(
     """Positive-weights stochastic descent; the traced objective is the raw cost."""
     require_positive_weights(data)
     lam = config.policy.lam
-    _check_start(config, PolicyKind.POSITIVE_WEIGHTS, confinement_manifold(init))
+    _check_start(init, data, config, PolicyKind.POSITIVE_WEIGHTS, confinement_manifold)
     return _run_sgd(
         FactoredPoint(init),
         data,
@@ -365,7 +369,11 @@ def _run_als(
     a - p, which `grad_fn(point, residual)` takes and overwrites (the next
     evaluation refills the buffer). An iteration forms
     predictions once per Armijo trial and for nothing else. The initial
-    evaluations are set-up, before the trace clock starts."""
+    evaluations are set-up, before the trace clock starts. lam must be
+    non-negative and finite (0 is the positive-weights search's)."""
+    if not 0 <= lam < math.inf:  # NaN fails it
+        raise LambdaOutOfRange(f"need 0 <= lambda < inf, got {lam}")
+    check_iterate_shape(point, data)
     unreg = 0.0
     backtracks = 0
     residual = np.empty(data.nnz)

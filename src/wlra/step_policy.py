@@ -126,6 +126,12 @@ def compute_phi_min(
     )
 
 
+def check_big_k(big_k: float) -> None:
+    """The tuning factor's rule, K >= 1 (NaN fails it)."""
+    if not big_k >= 1.0:
+        raise LambdaOutOfRange(f"need K >= 1, got {big_k}")
+
+
 @dataclass(frozen=True)
 class StepPolicy:
     """Everything fixed about step sizes for one solver run."""
@@ -145,9 +151,8 @@ class StepPolicy:
     w0: float | None = None
 
     def __post_init__(self):
-        # Written so that nan fails them: nan compares False.
-        if not self.big_k >= 1.0:
-            raise LambdaOutOfRange(f"need K >= 1, got {self.big_k}")
+        check_big_k(self.big_k)
+        # Written so that nan fails it: nan compares False.
         if not all(v > 0 for v in (self.lam, self.a, self.b, self.theta, self.phi_min)):
             raise LambdaOutOfRange("policy scalars must be positive")
 

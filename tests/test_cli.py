@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import re
 
 import numpy as np
@@ -12,10 +14,11 @@ from wlra.cli import (
     merge_on_time,
     resolve_iota,
     run_experiment,
+    write_trace_csv,
 )
 from wlra.data_io import load_triplets, problem_from_triplets, synth_lowrank, write_triplets
 from wlra.errors import MismatchedData
-from wlra.solvers import Budget, IterTrace, TraceRecord
+from wlra.solvers import ArmijoParams, Budget, IterTrace, TraceRecord
 from wlra.svd_init import fill_missing_column_mean
 
 from helpers import best_rank_k
@@ -27,6 +30,27 @@ def synth_file(tmp_path_factory):
     tm = synth_lowrank(50, 20, 3, 0.4, 0.1, seed=0)
     write_triplets(tm, path)
     return path
+
+
+@pytest.fixture(scope="module")
+def full_file(tmp_path_factory):
+    """A fully observed instance, for the positive-weights algorithms."""
+    path = tmp_path_factory.mktemp("data") / "full.csv"
+    write_triplets(synth_lowrank(20, 10, 3, 1.0, 0.1, seed=0), path)
+    return path
+
+
+def count_calls(monkeypatch, *names):
+    """Patch each wlra.cli.<name> with a wrapper; the list returned gets the
+    name at each call."""
+    calls = []
+    for name in names:
+        real = getattr(wlra.cli, name)
+        monkeypatch.setattr(
+            wlra.cli, name,
+            lambda *a, real=real, name=name, **kw: calls.append(name) or real(*a, **kw),
+        )
+    return calls
 
 
 def make_trace(points):
@@ -108,10 +132,11 @@ class TestRunExperiment:
         spec = ExperimentSpec(
             algorithm="sgd-manifold", k=3, seed=5,
             budget=Budget(max_iterations=1000), lam=1e-2, big_k=1.0,
-            trace_every=10, out=str(out),
+            trace_every=10,
         )
         tm = load_triplets(synth_file)
         trace = run_experiment(spec, tm)
+        write_trace_csv(trace, out)
         lines = out.read_text().splitlines()
         assert lines[0] == "t,elapsed_seconds,cost_unregularized"
         assert len(lines) == 1 + 1000 // 10 + 1
@@ -147,6 +172,32 @@ class TestRunExperiment:
         with pytest.raises(MismatchedData):
             ExperimentSpec(
                 algorithm="sgd-quantum", k=3, seed=1, budget=Budget(max_iterations=1)
+            )
+
+    def test_line_search_defaults_are_the_solvers(self):
+        spec = ExperimentSpec(
+            algorithm="als-manifold", k=3, seed=0, budget=Budget(max_iterations=1), lam=1e-2,
+        )
+        assert (spec.alpha_bar, spec.beta, spec.trace_every) == (None, None, None)
+        assert spec.armijo_params() == ArmijoParams(iota=resolve_iota(spec))
+        given = dataclasses.replace(spec, alpha_bar=3.0, beta=0.25)
+        assert given.armijo_params() == ArmijoParams(resolve_iota(spec), 3.0, 0.25)
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("iota", 0.0, "--iota: need 0 < iota < 1, got 0.0"),
+            ("alpha_bar", math.inf, "--alpha-bar: need 0 < alpha_bar < inf, got inf"),
+            ("beta", math.nan, "--beta: need 0 < beta < 1, got nan"),
+            ("big_k", 0.5, "--bigK: need K >= 1, got 0.5"),
+        ],
+    )
+    @pytest.mark.parametrize("algorithm", ["sgd-manifold", "als-manifold"])
+    def test_spec_checks_its_values_naming_the_flag(self, field, value, named, algorithm):
+        with pytest.raises(MismatchedData, match=re.escape(named)):
+            ExperimentSpec(
+                algorithm=algorithm, k=3, seed=0, budget=Budget(max_iterations=1), lam=1e-2,
+                **{field: value},
             )
 
     def test_iota_presets(self):
@@ -502,12 +553,7 @@ class TestCommandLine:
     def test_compare_refuses_before_any_run(
         self, synth_file, tmp_path, capsys, monkeypatch, extra, named
     ):
-        calls = []
-        for name in ("_set_up", "_dispatch"):
-            real = getattr(wlra.cli, name)
-            monkeypatch.setattr(
-                wlra.cli, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
-            )
+        calls = count_calls(monkeypatch, "_set_up", "_solver_call")
         out = tmp_path / "out.csv"
         code = main([
             "compare", "--in", str(synth_file), "--k", "3", "--out", str(out),
@@ -518,6 +564,91 @@ class TestCommandLine:
         assert named in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["flag", "config", "run-spec"])
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("iota", "1.5", "--iota: need 0 < iota < 1, got 1.5"),
+            ("alpha-bar", "nan", "--alpha-bar: need 0 < alpha_bar < inf, got nan"),
+            ("beta", "1", "--beta: need 0 < beta < 1, got 1.0"),
+            ("bigK", "0.5", "--bigK: need K >= 1, got 0.5"),
+        ],
+        ids=["iota", "alpha-bar", "beta", "bigK"],
+    )
+    def test_spec_refusal_names_flag_before_set_up(
+        self, synth_file, tmp_path, capsys, monkeypatch, where, key, value, named
+    ):
+        # A compare refusal comes before a first run that would not end.
+        calls = count_calls(monkeypatch, "_set_up", "_solver_call")
+        out = tmp_path / "out.csv"
+        if where == "run-spec":
+            args = [
+                "compare",
+                "--run", "name=long,algorithm=sgd-manifold,lambda=1e-2,iters=100000000",
+                "--run", f"name=bad,algorithm=als-manifold,lambda=1e-2,iters=10,{key}={value}",
+            ]
+        else:
+            args = ["run", "--algorithm", "als-manifold", "--lambda", "1e-2", "--iters", "10"]
+            if where == "flag":
+                args += [f"--{key}", value]
+            else:
+                cfg = tmp_path / "cfg"
+                cfg.write_text(f"{key}={value}\n")
+                args += ["--config", str(cfg)]
+        assert main([*args, "--in", str(synth_file), "--k", "3", "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "data, second, named",
+        [
+            ("partial", "algorithm=sgd-pw", "positive-weights mode needs every cell observed"),
+            ("partial", "algorithm=als-pw", "positive-weights mode needs every cell observed"),
+            ("full", "algorithm=sgd-pw,lambda=1", "need 0 < lambda < w0, got lambda=1.0"),
+        ],
+        ids=["sgd-pw-partial", "als-pw-partial", "sgd-pw-lambda-above-min-w"],
+    )
+    def test_compare_refuses_after_set_up_before_any_run(
+        self, synth_file, full_file, tmp_path, capsys, monkeypatch, data, second, named
+    ):
+        # Checks that need the data run after the one set-up, and before the
+        # first run (which would not end).
+        set_ups = count_calls(monkeypatch, "_set_up")
+        runs = []
+        for algorithm, (solver, kind) in wlra.cli._SOLVERS.items():
+            monkeypatch.setitem(
+                wlra.cli._SOLVERS, algorithm,
+                (lambda *a, solver=solver, **kw: runs.append(1) or solver(*a, **kw), kind),
+            )
+        out = tmp_path / "out.csv"
+        code = main([
+            "compare", "--in", str(synth_file if data == "partial" else full_file), "--k", "3",
+            "--run", "name=long,algorithm=sgd-manifold,lambda=1e-2,iters=100000000",
+            "--run", f"name=bad,iters=10,{second}", "--out", str(out),
+        ])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert set_ups == ["_set_up"] and runs == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "algorithm, every",
+        [("als-manifold", 1), ("als-euclidean", 1), ("als-pw", 1),
+         ("sgd-manifold", 10), ("sgd-euclidean", 10), ("sgd-pw", 10)],
+    )
+    def test_run_keeps_the_solvers_cadence(
+        self, synth_file, full_file, tmp_path, algorithm, every
+    ):
+        out = tmp_path / "t.csv"
+        pw = algorithm.endswith("pw")
+        assert main([
+            "run", "--in", str(full_file if pw else synth_file), "--algorithm", algorithm,
+            "--k", "3", *([] if pw else ["--lambda", "1e-2"]), "--iters", "25", "--out", str(out),
+        ]) == 0
+        t = [int(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+        assert t == [*range(0, 25, every), 25]
 
     @pytest.mark.parametrize("command", ["run", "compare", "init-svd"])
     @pytest.mark.parametrize("row", [2**60, 2**63 - 1])

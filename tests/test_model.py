@@ -627,6 +627,38 @@ class TestRoutes:
             data.neg_2w[0] = 0
 
 
+class TestIterateShape:
+    """An iterate whose U (X) rows are not m, or whose V (Y) rows are not n,
+    is refused on both routes: the dense route would read a grid of another
+    shape at the cells, the gather route other rows or none."""
+
+    @pytest.mark.parametrize("route", ["dense", "gather"])
+    @pytest.mark.parametrize("rows", [(30, 16), (44, 16), (40, 12), (40, 20)])
+    def test_costs_and_gradients_refuse_wrong_rows(self, monkeypatch, route, rows):
+        data = on_route(random_data(40, 16, 3, 256, seed=91), route, monkeypatch)
+        full = random_data(40, 16, 3, 0, seed=92, full=True, min_w=0.5)
+        full = on_route(full, route, monkeypatch)
+        rng = np.random.default_rng(93)
+        p = random_point(*rows, 3, rng)
+        f = FactorPair(rng.standard_normal((rows[0], 3)), rng.standard_normal((rows[1], 3)))
+        residual = np.zeros(data.nnz)
+        calls = [
+            lambda: cost_unregularized(p, data),
+            lambda: cost_unregularized(f, data),
+            lambda: cost_unregularized(p, data, residual),
+            lambda: full_grad_manifold(p, data, 0.05),
+            lambda: full_grad_manifold(p, data, 0.05, residual),
+            lambda: full_grad_euclidean(f, data, 0.05),
+            lambda: full_grad_euclidean(f, data, 0.05, residual),
+            lambda: full_grad_pw(p, full),
+            lambda: full_grad_pw(p, full, np.zeros(full.nnz)),
+        ]
+        for call in calls:
+            with pytest.raises(ShapeMismatch, match=f"{rows[0]} and {rows[1]} rows.*40x16"):
+                call()
+        assert not residual.any()
+
+
 class TestFullGradManifold:
     def test_finite_differences(self):
         rng = np.random.default_rng(23)

@@ -1,7 +1,9 @@
 import dataclasses
 import math
+import re
 import time
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import wlra.model
 import wlra.solvers
 from wlra.cli import IOTA_PRESETS
 from wlra.data_io import problem_from_triplets, synth_lowrank
-from wlra.errors import BacktrackLimit, InitNotConfined, ShapeMismatch
+from wlra.errors import BacktrackLimit, InitNotConfined, LambdaOutOfRange, ShapeMismatch
 from wlra.geometry import (
     FOLD_STEPS,
     FactoredPoint,
@@ -960,6 +962,19 @@ class TestArmijo:
         with pytest.raises(ShapeMismatch):
             ArmijoParams(iota=0.5, beta=1.0)
 
+    @pytest.mark.parametrize(
+        "params, named",
+        [
+            ({"iota": 1.5}, "need 0 < iota < 1, got 1.5"),
+            ({"iota": math.nan}, "need 0 < iota < 1, got nan"),
+            ({"iota": 0.5, "beta": 1.0}, "need 0 < beta < 1, got 1.0"),
+            ({"iota": 0.5, "beta": 0.0}, "need 0 < beta < 1, got 0.0"),
+        ],
+    )
+    def test_refusal_names_the_value(self, params, named):
+        with pytest.raises(ShapeMismatch, match=re.escape(named)):
+            ArmijoParams(**params)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     def test_alpha_bar_must_be_positive_and_finite(self, value):
         with pytest.raises(ShapeMismatch, match="alpha_bar"):
@@ -1214,6 +1229,66 @@ class TestAlsPositiveWeights:
         assert cost_unregularized(p, data) <= 1e-25
         final, _ = als_pw(p, data, ArmijoParams(iota=1e-4), Budget(max_iterations=10))
         assert np.array_equal(final.x, p.x)
+
+
+class TestLineSearchLambda:
+    """The line searches refuse a lambda that is negative or not finite
+    before any evaluation; 0 is valid (als_pw searches at 0)."""
+
+    @pytest.mark.parametrize("lam", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("algorithm", ["manifold", "euclidean"])
+    def test_refused(self, monkeypatch, algorithm, lam):
+        data, point0, pair0 = als_pin_setup()
+        costs = counting(monkeypatch, wlra.solvers, "cost_unregularized")
+        solver, init = (als_manifold, point0) if algorithm == "manifold" else (als_euclidean, pair0)
+        with pytest.raises(LambdaOutOfRange, match=f"got {lam}"):
+            solver(init, data, lam, ArmijoParams(iota=1e-4), Budget(max_iterations=20))
+        assert costs == []
+
+    @pytest.mark.parametrize("algorithm", ["manifold", "euclidean"])
+    def test_zero_runs(self, algorithm):
+        data, point0, pair0 = als_pin_setup()
+        solver, init = (als_manifold, point0) if algorithm == "manifold" else (als_euclidean, pair0)
+        _, trace = solver(init, data, 0.0, ArmijoParams(iota=1e-4), Budget(max_iterations=5))
+        assert trace.iterations.tolist() == [0, 1, 2, 3, 4, 5]
+        assert all(r.objective == r.cost_unregularized for r in trace.records)
+
+
+class TestSolverIterateShape:
+    """Every solver refuses, at its start, an init whose U (X) rows are not m
+    or whose V (Y) rows are not n, on both routes."""
+
+    @pytest.mark.parametrize("route", ["dense", "gather"])
+    @pytest.mark.parametrize("rows", [(30, 16), (44, 16), (40, 12), (40, 20)])
+    def test_refused_before_any_work(self, monkeypatch, route, rows):
+        monkeypatch.setattr(wlra.model, "DENSE_FILL", 10**18 if route == "dense" else 0)
+        data = observed_instance(40, 16, 3, 0.4, seed=50)
+        full = observed_instance(40, 16, 3, 1.0, seed=51, full=True)
+        assert (data.cells is None) == (full.cells is None) == (route == "gather")
+        rng = np.random.default_rng(52)
+        point = random_point(*rows, 3, rng)
+        pair = FactorPair(rng.standard_normal((rows[0], 3)), rng.standard_normal((rows[1], 3)))
+        budget, params = Budget(max_iterations=5), ArmijoParams(iota=1e-4)
+        runs = [
+            lambda: als_manifold(point, data, 1e-2, params, budget),
+            lambda: als_euclidean(pair, data, 1e-2, params, budget),
+            lambda: als_pw(point, full, params, budget),
+        ]
+        for solver, kind, init, problem, lam in (
+            (sgd_manifold, PolicyKind.MANIFOLD, point, data, 1e-2),
+            (sgd_euclidean, PolicyKind.EUCLIDEAN, pair, data, 1e-2),
+            (sgd_pw, PolicyKind.POSITIVE_WEIGHTS, point, full, None),
+        ):
+            rho = (confinement_euclidean if init is pair else confinement_manifold)(init)
+            policy = make_policy(kind, problem, rho, lam, 1.0)
+            config = SolverConfig(kind=kind, policy=policy, budget=budget, seed=0)
+            runs.append(partial(solver, init, problem, config))
+        costs = counting(monkeypatch, wlra.solvers, "cost_unregularized")
+        samples = counting(monkeypatch, wlra.solvers, "sample_index")
+        for run in runs:
+            with pytest.raises(ShapeMismatch, match=f"{rows[0]} and {rows[1]} rows"):
+                run()
+        assert costs == [] and samples == []
 
 
 class TestFreezeRule:
