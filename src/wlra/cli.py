@@ -163,7 +163,10 @@ def _solver_call(spec: ExperimentSpec, data: ProblemData, point0, pair0) -> part
         lam = () if kind is PolicyKind.POSITIVE_WEIGHTS else (spec.lam,)
         return partial(solver, init, data, *lam, spec.armijo_params(), spec.budget, **every)
     init_sq = confinement_euclidean(init) if euclidean else confinement_manifold(init)
-    policy = make_policy(kind, data, init_sq, spec.lam, spec.big_k)
+    try:  # the spec checked K, so a refusal here is of lambda
+        policy = make_policy(kind, data, init_sq, spec.lam, spec.big_k)
+    except LambdaOutOfRange as exc:
+        raise MismatchedData(f"--lambda: {exc}") from None
     config = SolverConfig(kind, policy, spec.budget, spec.seed, adaptive=spec.adaptive, **every)
     return partial(solver, init, data, config)
 

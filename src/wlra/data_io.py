@@ -62,14 +62,16 @@ def load_triplets(
     raises at the first bad line: ``ParseError`` (with ``.line``) for a bad
     header, field count or number, ``IndexOutOfBounds`` for a negative index
     or one beyond the int64 range, and ``DuplicateEntry`` for a repeated
-    cell, each naming the line. A file without observations raises
+    cell, each naming the line. A byte that is not valid UTF-8 raises
+    ``ParseError`` naming its line. A file without observations raises
     ``EmptySupport``; an index outside a declared shape raises
     ``IndexOutOfBounds``.
     """
-    text = Path(path).read_text()
+    text = _read_utf8(path)
     lines = text.splitlines()
     if not lines or lines[0].strip() != HEADER:
-        raise ParseError(f"expected header {HEADER!r}", line=1)
+        bom = " (a UTF-8 byte-order mark precedes it)" if text.startswith("\ufeff") else ""
+        raise ParseError(f"expected header {HEADER!r}{bom}", line=1)
     shift = 1 if one_based else 0
     parsed = _parse_table(text, lines, shift)
     rows, cols, vals = parsed if parsed is not None else _scan_lines(lines, shift)
@@ -82,6 +84,17 @@ def load_triplets(
             f"index exceeds declared shape ({m}, {n})"
         )
     return TripletMatrix(m=m, n=n, rows=rows, cols=cols, vals=vals)
+
+
+def _read_utf8(path) -> str:
+    """The file's text; a byte that is not valid UTF-8 raises ParseError
+    naming its line, as str.splitlines counts lines."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"byte 0x{raw[exc.start]:02x} is not valid UTF-8", line=line) from None
 
 
 def _parse_table(text: str, lines: list[str], shift: int):
@@ -245,15 +258,19 @@ def synth_lowrank(
         )
     rng = np.random.default_rng(seed)
     base = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
-    full = base / np.sqrt(rank) + noise * rng.standard_normal((m, n))
+    with np.errstate(over="ignore"):
+        full = base / np.sqrt(rank) + noise * rng.standard_normal((m, n))
     mask = rng.random((m, n)) < observe_prob
     if not mask.any():
         mask[0, 0] = True
     rows, cols = np.nonzero(mask)
+    vals = full[rows, cols]
+    if not np.isfinite(vals).all():
+        raise InvalidDimensions(f"--noise {noise!r} makes generated values overflow")
     return TripletMatrix(
         m=m,
         n=n,
         rows=rows.astype(np.int64),
         cols=cols.astype(np.int64),
-        vals=full[rows, cols].copy(),
+        vals=vals,
     )

@@ -15,6 +15,8 @@ from .errors import RankDeficient, ShapeMismatch
 
 ORTHO_TOL = 1e-10
 RANK_TOL = 1e-12
+# `qf` takes Cholesky-QR when ||c^T c - I||_F <= NEAR_TOL.
+NEAR_TOL = 0.5
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -86,14 +88,27 @@ class ProductTangent:
 def qf(c) -> np.ndarray:
     """Q factor of the thin QR decomposition with positive diagonal R.
 
-    LAPACK Householder QR (``np.linalg.qr``), with each column of Q flipped
-    so that diag(R) > 0. Raises RankDeficient when some |R_jj| is at most
-    RANK_TOL * max(||c_j||, 1).
+    That factor is unique, so two kernels give it. When the Gram matrix
+    G = c^T c is within NEAR_TOL of I (Frobenius), Cholesky-QR returns
+    c L^-T with L L^T = G; its loss of orthogonality grows like
+    eps cond(c)^2, and the gate holds cond(c)^2 <= 3 with every eigenvalue
+    of G at least 1 - NEAR_TOL, so no column is near dependence there.
+    Otherwise (a NaN or inf Gram included), or when the factorization
+    fails, LAPACK Householder QR (``np.linalg.qr``), with each column of Q
+    flipped so that diag(R) > 0. That path raises RankDeficient when some
+    |R_jj| is at most RANK_TOL * max(||c_j||, 1).
     """
     c = _as_matrix(c)
     n, k = c.shape
     if k > n:
         raise ShapeMismatch(f"need k <= n, got shape {c.shape}")
+    g = c.T @ c
+    # Written so that a NaN Gram fails the gate.
+    if np.linalg.norm(g - np.eye(k)) <= NEAR_TOL:
+        try:
+            return c @ np.linalg.inv(np.linalg.cholesky(g)).T
+        except np.linalg.LinAlgError:
+            pass
     q, r = np.linalg.qr(c)
     diag = np.diagonal(r)
     # ||c_j|| = ||r_j|| since Q has orthonormal columns; O(k^2) instead of O(nk).
@@ -138,8 +153,9 @@ def retract(p: ProductPoint, v: ProductTangent) -> ProductPoint:
 # A factor of a FactoredPoint folds T back into its base, re-orthonormalizing
 # with `qf`, when the condition number of T passes FOLD_COND (row updates
 # divide by T, so their round-off grows with it) or after FOLD_STEPS steps.
-# The Cholesky-QR step does not restore orthonormality the way Householder QR
-# does: under tiny steps ||U^T U - I||_F drifts up by about 1.5e-16 per step.
+# The Cholesky-QR step takes U^T U = I instead of forming U^T U, so it does not
+# restore orthonormality the way `qf` does: under tiny steps ||U^T U - I||_F
+# drifts up by about 1.5e-16 per step.
 FOLD_COND = 100.0
 FOLD_STEPS = 1000
 

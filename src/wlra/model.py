@@ -9,6 +9,7 @@ supported: the product manifold (U, x, V), the Euclidean factor pair
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -69,8 +70,12 @@ class ProblemData:
             raise NonPositiveWeight("weights must be non-negative")
         if not abs(w_vals.sum() - 1.0) <= 1e-12:
             raise ShapeMismatch(f"weights sum to {w_vals.sum()!r}, expected 1")
-        if not (np.isfinite(a_vals.min()) and np.isfinite(a_vals.max())):
+        lo, hi = float(a_vals.min()), float(a_vals.max())
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ShapeMismatch("observed values must be finite")
+        big = hi if hi >= -lo else lo
+        if big * big == math.inf:  # alpha = max a^2 enters every step-size bound
+            raise ShapeMismatch(f"observed value {big!r} overflows when squared")
         for name, arr in (("rows", rows), ("cols", cols), ("a_vals", a_vals), ("w_vals", w_vals)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -116,14 +121,16 @@ class ProblemData:
         return cells
 
     @cached_property
+    def grid_order(self) -> bool:
+        """True when `cells` is exactly 0..mn-1: every cell once, in row-major
+        order, so the dense route reads and writes the grid in place."""
+        return self.nnz == self.m * self.n and bool(
+            np.array_equal(self.cells, np.arange(self.nnz))
+        )
+
+    @cached_property
     def sampler(self) -> "AliasSampler":
         return AliasSampler(self.w_vals[self.support])
-
-    def dense(self) -> np.ndarray:
-        """Dense m-by-n matrix of observed values, zeros elsewhere."""
-        a = np.zeros((self.m, self.n))
-        a[self.rows, self.cols] = self.a_vals
-        return a
 
 
 def require_positive_weights(data: ProblemData) -> float:
@@ -337,13 +344,20 @@ def _entries(source, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def _grid_entries(source, data: ProblemData, out: np.ndarray | None = None) -> np.ndarray:
-    """Dense route: one m-by-n GEMM read at `data.cells` (into `out`, when given)."""
+    """Dense route: one m-by-n GEMM read at `data.cells` (into `out`, when given);
+    in grid order the GEMM output is the result."""
     if isinstance(source, ProductPoint):
         grid = (source.u * source.x) @ source.v.T
     else:
         grid = source.x @ source.y.T
-    # The caller checked the shape, so the cells are in range; mode "raise" would buffer `out`.
-    return np.ravel(grid).take(data.cells, out=out, mode="clip")
+    grid = np.ravel(grid)
+    if not data.grid_order:
+        # The caller checked the shape, so the cells are in range; mode "raise" would buffer `out`.
+        return grid.take(data.cells, out=out, mode="clip")
+    if out is None:
+        return grid
+    out[:] = grid
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +464,12 @@ def _support_sums(
     column l of the second (n-by-k) is bincount(cols, e * left[rows, l]), and,
     with `diag`, entry l of the third is sum_t e_t left[rows_t, l] right[cols_t, l].
     The dense route forms them as E right, E^T left and the column sums of
-    left * (E right), E the m-by-n grid of e (duplicate cells add up); the
-    gather route one rank column at a time, each gathered by a 1-D `take`."""
+    left * (E right), E the m-by-n grid of e (duplicate cells add up; in grid
+    order e itself); the gather route one rank column at a time, each gathered
+    by a 1-D `take`."""
     if data.cells is not None:
-        grid = np.bincount(data.cells, e, data.m * data.n).reshape(data.m, data.n)
+        grid = e if data.grid_order else np.bincount(data.cells, e, data.m * data.n)
+        grid = grid.reshape(data.m, data.n)
         g_left = grid @ right
         g_diag = np.einsum("ik,ik->k", left, g_left) if diag else None
         return g_left, grid.T @ left, g_diag

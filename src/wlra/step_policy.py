@@ -96,7 +96,9 @@ def compute_phi_min(
 
     The schedule enters through the tail 2 c + sigma (c + sigma for the
     positive-weights kind); the default schedule (c = 1, sigma = pi^2 / 6)
-    gives the paper's (pi^2 + 12)/6 and (pi^2 + 6)/6 constants.
+    gives the paper's (pi^2 + 12)/6 and (pi^2 + 6)/6 constants. Squares
+    are written as products: float ** raises OverflowError where a product
+    gives inf, which `make_policy` refuses.
     """
     tail = 2.0 * c + sigma
     if kind is PolicyKind.MANIFOLD:
@@ -104,16 +106,14 @@ def compute_phi_min(
             (lam + 2.0 * math.sqrt(lam) + 1.0) * alpha,
             math.sqrt(
                 32.0 * k * alpha * lam
-                + 8.0 * k * (2.0 + lam**2) * (2.0 * lam * rho0 + tail)
+                + 8.0 * k * (2.0 + lam * lam) * (2.0 * lam * rho0 + tail)
             ),
         )
     if kind is PolicyKind.EUCLIDEAN:
+        h = 2.0 * math.sqrt(alpha) + rho0 + tail / (2.0 * lam)
         return big_k * max(
-            2.0 * alpha * math.sqrt(alpha) + alpha**2 / (2.0 * lam) + 2.0 * lam * alpha,
-            math.sqrt(
-                ((2.0 * math.sqrt(alpha) + rho0 + tail / (2.0 * lam)) ** 2 + 4.0 * lam**2)
-                * (2.0 * lam * rho0 + tail)
-            ),
+            2.0 * alpha * math.sqrt(alpha) + alpha * alpha / (2.0 * lam) + 2.0 * lam * alpha,
+            math.sqrt((h * h + 4.0 * lam * lam) * (2.0 * lam * rho0 + tail)),
         )
     if w0 is None:
         raise LambdaOutOfRange("positive-weights mode needs w0")
@@ -121,7 +121,7 @@ def compute_phi_min(
     return big_k * max(
         4.0 * alpha * (w0 / 2.0 + 2.0 * math.sqrt(w0 / 2.0) + 1.0),
         math.sqrt(
-            16.0 * k * (2.0 * alpha * w0 + (2.0 + w0**2 / 4.0) * (w0 * rho0 + (c + sigma)))
+            16.0 * k * (2.0 * alpha * w0 + (2.0 + w0 * w0 / 4.0) * (w0 * rho0 + (c + sigma)))
         ),
     )
 
@@ -191,12 +191,18 @@ def make_policy(
         a, b = 1.0 / lam, 1.0 / math.sqrt(lam)
     rho0 = compute_rho0(kind, init_norm_sq, alpha, lam, w0)
     phi_min = compute_phi_min(kind, big_k, lam, alpha, data.k, rho0, w0, c, sigma)
+    theta = c / phi_min
+    if phi_min == math.inf or theta == 0:  # an extreme lambda overflows phi_min
+        raise LambdaOutOfRange(
+            f"lambda={lam!r} gives phi_min={phi_min!r} and theta={theta!r}; "
+            "both must be positive and finite"
+        )
     return StepPolicy(
         kind=kind,
         lam=lam,
         a=a,
         b=b,
-        theta=c / phi_min,
+        theta=theta,
         phi_min=phi_min,
         big_k=big_k,
         alpha=alpha,

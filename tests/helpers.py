@@ -20,6 +20,14 @@ from wlra.model import (
 )
 
 
+def householder_qf(c) -> np.ndarray:
+    """Q factor with positive diagonal R by LAPACK Householder QR alone: the
+    kernel `qf` used for every argument before its Cholesky-QR path, kept as
+    that path's reference."""
+    q, r = np.linalg.qr(np.asarray(c, dtype=float))
+    return q * np.sign(np.diagonal(r))
+
+
 def random_stiefel(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return qf(rng.standard_normal((n, k)))
 
@@ -90,6 +98,13 @@ def sample_cost_pw(p: ProductPoint, t: int, data: ProblemData, lam: float) -> fl
     pv = predicted_entry(p, data.rows[t], data.cols[t])
     r = data.a_vals[t] - pv
     return r * r - (lam / data.w_vals[t]) * pv * pv + lam * float(np.dot(p.x, p.x))
+
+
+def dense(data: ProblemData) -> np.ndarray:
+    """Dense m-by-n matrix of observed values, zeros elsewhere."""
+    a = np.zeros((data.m, data.n))
+    a[data.rows, data.cols] = data.a_vals
+    return a
 
 
 def assemble(p: ProductPoint) -> np.ndarray:

@@ -357,6 +357,24 @@ class TestCommandLine:
         assert code != 0
         assert "--lambda" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "algorithm, lam",
+        [("sgd-euclidean", "1e-160"), ("sgd-euclidean", "1e160"), ("sgd-manifold", "1e160")],
+    )
+    def test_run_refuses_lambda_overflowing_phi_min(
+        self, synth_file, tmp_path, capsys, algorithm, lam
+    ):
+        # an uncaught OverflowError once ended these runs with exit status 1
+        out = tmp_path / "x.csv"
+        code = main([
+            "run", "--in", str(synth_file), "--algorithm", algorithm, "--k", "3",
+            "--lambda", lam, "--iters", "10", "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--lambda: lambda=" in err and "phi_min=inf" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("alpha_bar", ["nan", "inf"])
     def test_run_rejects_non_finite_alpha_bar(self, synth_file, tmp_path, capsys, alpha_bar):
         out = tmp_path / "x.csv"
@@ -668,6 +686,44 @@ class TestCommandLine:
             extra += ["--out", str(out)]
         assert main([command, "--in", str(src), "--k", "1", *extra]) == 2
         assert f"{row + 1}x1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "init-svd", "run"])
+    def test_non_utf8_byte_refused_naming_its_line(self, tmp_path, capsys, command):
+        src = tmp_path / "latin1.csv"
+        src.write_bytes(b"row,col,value\n0,0,1\n1,1,caf\xe9\n")
+        out = tmp_path / "out.csv"
+        extra = {
+            "ingest": ["--out", str(out)],
+            "init-svd": ["--k", "1"],
+            "run": ["--algorithm", "als-manifold", "--k", "1", "--lambda", "1e-2",
+                    "--iters", "5", "--out", str(out)],
+        }[command]
+        assert main([command, "--in", str(src), *extra]) == 2
+        assert "line 3: byte 0xe9 is not valid UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["init-svd", "als-manifold", "als-euclidean",
+                                         "sgd-manifold", "sgd-euclidean"])
+    def test_values_whose_squares_overflow_refused(self, tmp_path, capsys, command):
+        # the line searches once wrote inf costs with exit status 0
+        src = tmp_path / "huge.csv"
+        src.write_text("row,col,value\n0,0,1e200\n0,1,-3e200\n1,0,2e200\n1,1,1e200\n")
+        out = tmp_path / "out.csv"
+        run = ["--algorithm", command, "--lambda", "1e-2", "--iters", "5", "--out", str(out)]
+        args = ["init-svd"] if command == "init-svd" else ["run", *run]
+        assert main([*args, "--in", str(src), "--k", "1"]) == 2
+        assert "observed value -3e+200 overflows when squared" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_synth_refuses_noise_that_overflows(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = main([
+            "synth", "--rows", "40", "--cols", "20", "--rank", "2", "--observe-prob", "0.5",
+            "--noise", "1e308", "--out", str(out),
+        ])
+        assert code == 2
+        assert "--noise 1e+308" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sample_subcommand(self, synth_file, tmp_path):

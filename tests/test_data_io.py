@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,7 +77,11 @@ class TestLoadTriplets:
 
 
 def write_file(tmp_path, text):
+    """`text` written as UTF-8 with its line ends as given, or bytes as they are."""
     path = tmp_path / "m.csv"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+        return path
     with open(path, "w", newline="") as fh:
         fh.write(text)
     return path
@@ -155,6 +160,16 @@ REJECTED = [
     ("beyond_declared_shape", "row,col,value\n0,0,5\n1,3,3\n", {"m": 2, "n": 3},
      IndexOutOfBounds, None, "index exceeds declared shape (2, 3)"),
     ("header_only", "row,col,value\n", {}, EmptySupport, None, "{path} holds no observations"),
+    ("bom", "\ufeffrow,col,value\n0,0,5\n", {}, ParseError, 1,
+     "line 1: expected header 'row,col,value' (a UTF-8 byte-order mark precedes it)"),
+    # A file that is not UTF-8 names the line of its first bad byte, as
+    # str.splitlines counts lines (a lone CR ends one).
+    ("latin1_value", b"row,col,value\n0,0,5\n1,1,caf\xe9\n", {}, ParseError, 3,
+     "line 3: byte 0xe9 is not valid UTF-8"),
+    ("latin1_header", b"row,col,valu\xe9\n0,0,5\n", {}, ParseError, 1,
+     "line 1: byte 0xe9 is not valid UTF-8"),
+    ("truncated_sequence_after_cr", b"row,col,value\r\n0,0,5\r1,1,\xc3", {}, ParseError, 3,
+     "line 3: byte 0xc3 is not valid UTF-8"),
 ]
 
 
@@ -366,3 +381,10 @@ class TestSynth:
         for m, n, noise in bad:
             with pytest.raises(InvalidDimensions):
                 synth_lowrank(m, n, 2, 0.5, noise, seed=13)
+
+    @pytest.mark.parametrize("noise", [1e308, -1e308, 1.7976931348623157e308])
+    def test_noise_that_overflows_refused(self, noise):
+        # a finite noise whose draws overflow would write values ingest refuses
+        with pytest.raises(InvalidDimensions, match=re.escape(f"--noise {noise!r}")):
+            synth_lowrank(40, 20, 2, 1.0, noise, seed=14)
+        assert np.isfinite(synth_lowrank(40, 20, 2, 1.0, 1e150, seed=14).vals).all()

@@ -5,6 +5,7 @@ import wlra.geometry
 from wlra.errors import RankDeficient, ShapeMismatch
 from wlra.geometry import (
     FOLD_STEPS,
+    NEAR_TOL,
     FactoredPoint,
     ProductPoint,
     ProductTangent,
@@ -17,6 +18,7 @@ from wlra.geometry import (
 
 from helpers import (
     assemble,
+    householder_qf,
     random_point,
     random_stiefel,
     random_tangent,
@@ -51,6 +53,86 @@ class TestQf:
     def test_wide_matrix_rejected(self):
         with pytest.raises(ShapeMismatch):
             qf(np.ones((2, 3)))
+
+
+# Largest entrywise gap allowed between qf's Cholesky-QR path and Householder
+# QR on a near-orthonormal argument; both return the unique Q factor with
+# positive diag R, and the gap is a few eps times cond(c)^2 <= 3.
+QF_KERNEL_TOL = 1e-13
+
+
+def qf_kernels(monkeypatch):
+    """Count qf's LAPACK calls: the lists get one entry per Cholesky
+    factorization and per Householder QR."""
+    calls = {"cholesky": [], "qr": []}
+    for name, got in calls.items():
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda a, real=real, got=got: got.append(1) or real(a)
+        )
+    return calls
+
+
+class TestQfKernels:
+    """qf takes Cholesky-QR when ||c^T c - I||_F <= NEAR_TOL, and Householder
+    QR otherwise or when the factorization fails."""
+
+    @pytest.mark.parametrize("shape", [(5000, 10), (200, 5), (3, 3), (7, 1)])
+    def test_near_orthonormal_takes_cholesky_and_matches_householder(self, monkeypatch, shape):
+        rng = np.random.default_rng(46)
+        c = random_stiefel(*shape, rng) + (0.1 / np.sqrt(shape[0])) * rng.standard_normal(shape)
+        want = householder_qf(c)
+        calls = qf_kernels(monkeypatch)
+        q = qf(c)
+        assert (len(calls["cholesky"]), len(calls["qr"])) == (1, 0)
+        assert np.abs(q - want).max() <= QF_KERNEL_TOL
+        assert orthonormality_defect(q) <= 1e-14
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_gate_at_near_tol(self, monkeypatch, k):
+        # ||(s^2 - 1) I_k||_F = |s^2 - 1| sqrt(k): just inside the gate, then just outside
+        calls = qf_kernels(monkeypatch)
+        for side, counts in ((1.0 - 1e-9, (1, 0)), (1.0 + 1e-9, (1, 1))):
+            s = np.sqrt(1.0 + side * NEAR_TOL / np.sqrt(k))
+            q = qf(s * np.eye(k + 2, k))
+            assert (len(calls["cholesky"]), len(calls["qr"])) == counts
+            assert np.abs(q - np.eye(k + 2, k)).max() <= 1e-15
+
+    def test_far_from_orthonormal_takes_householder(self, monkeypatch):
+        c = 3.0 * random_stiefel(40, 4, np.random.default_rng(47))
+        calls = qf_kernels(monkeypatch)
+        q = qf(c)
+        assert (len(calls["cholesky"]), len(calls["qr"])) == (0, 1)
+        np.testing.assert_array_equal(q, householder_qf(c))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_takes_householder(self, monkeypatch, bad):
+        c = random_stiefel(40, 4, np.random.default_rng(48))
+        c[5, 2] = bad
+        calls = qf_kernels(monkeypatch)
+        with np.errstate(invalid="ignore"):
+            q = qf(c)
+        assert (len(calls["cholesky"]), len(calls["qr"])) == (0, 1)
+        assert not np.isfinite(q).all()
+
+    def test_forced_linalg_error_takes_householder(self, monkeypatch):
+        c = random_stiefel(40, 4, np.random.default_rng(49)) + 1e-3
+        want = householder_qf(c)
+
+        def fails(a):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fails)
+        np.testing.assert_array_equal(qf(c), want)
+
+    def test_rank_deficient_names_the_column(self, monkeypatch):
+        rng = np.random.default_rng(50)
+        c = random_stiefel(30, 4, rng)
+        c[:, 2] = c[:, 0] - c[:, 1]  # ||c^T c - I||_F > NEAR_TOL: the Householder rule decides
+        calls = qf_kernels(monkeypatch)
+        with pytest.raises(RankDeficient, match="column 2 is numerically dependent"):
+            qf(c)
+        assert (len(calls["cholesky"]), len(calls["qr"])) == (0, 1)
 
 
 class TestTangentProject:

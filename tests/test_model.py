@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -41,6 +42,7 @@ from wlra.model import (
 
 from helpers import (
     assemble,
+    dense,
     dense_stoch_grad_euclidean,
     dense_stoch_grad_manifold,
     dense_stoch_grad_pw,
@@ -117,6 +119,17 @@ class TestProblemData:
                 m=2, n=2, k=1, rows=[0, 1], cols=[0, 1],
                 a_vals=[1.0, 2.0], w_vals=[np.nan, 1.0],
             )
+
+    @pytest.mark.parametrize("big", [1.4e154, -3e200, 1.7976931348623157e308])
+    def test_value_whose_square_overflows_rejected(self, big):
+        # alpha = max a^2 would be inf, and with it every step-size bound
+        with pytest.raises(ShapeMismatch, match=re.escape(f"observed value {big!r} overflows")):
+            ProblemData(
+                m=2, n=2, k=1, rows=[0, 1], cols=[0, 1],
+                a_vals=[1e150, big], w_vals=[0.5, 0.5],
+            )
+        # the largest value whose square is finite is accepted
+        ProblemData(m=1, n=1, k=1, rows=[0], cols=[0], a_vals=[-1.3e154], w_vals=[1.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected(self, bad):
@@ -627,6 +640,78 @@ class TestRoutes:
             data.neg_2w[0] = 0
 
 
+def shuffled(data, seed):
+    """The same triplets in a random order."""
+    order = np.random.default_rng(seed).permutation(data.nnz)
+    return dataclasses.replace(
+        data, rows=data.rows[order], cols=data.cols[order],
+        a_vals=data.a_vals[order], w_vals=data.w_vals[order],
+    )
+
+
+def support_passes(source, data, lam=0.05):
+    """Cost, cost with a residual buffer, that residual, and the full gradient's slots."""
+    residual = np.empty(data.nnz)
+    costs = (cost_unregularized(source, data), cost_unregularized(source, data, residual))
+    if isinstance(source, FactorPair):
+        g = full_grad_euclidean(source, data, lam)
+        return costs, residual, (g.x, g.y)
+    g = full_grad_manifold(source, data, lam)
+    return costs, residual, (g.du, g.dx, g.dv)
+
+
+class TestGridOrder:
+    """A fully observed matrix in row-major order has cells 0..mn-1, so the
+    dense route reads the GEMM output and forms E from e in place; the
+    values equal those of the take/bincount route."""
+
+    def test_flag(self, monkeypatch):
+        full = random_data(9, 7, 2, 0, seed=95, full=True)
+        assert full.grid_order
+        assert not shuffled(full, 96).grid_order
+        assert not random_data(9, 7, 2, 40, seed=97).grid_order
+        # every cell once, one of them repeated in place of another
+        rows = full.rows.copy()
+        rows[-1] = 0
+        assert not dataclasses.replace(full, rows=rows).grid_order
+        assert not on_route(full, "gather", monkeypatch).grid_order
+
+    @pytest.mark.parametrize("source", ["point", "pair"])
+    def test_same_values_as_take_and_bincount(self, monkeypatch, source):
+        full = random_data(60, 25, 3, 0, seed=98, full=True, min_w=0.1)
+        rng = np.random.default_rng(99)
+        it = random_point(60, 25, 3, rng)
+        if source == "pair":
+            it = FactorPair(rng.standard_normal((60, 3)), rng.standard_normal((25, 3)))
+        real, scatters = np.bincount, []
+        monkeypatch.setattr(np, "bincount", lambda *a: scatters.append(1) or real(*a))
+        costs, residual, grad = support_passes(it, full)
+        assert not scatters
+        # the flag forced off: the take and bincount route on the same triplets
+        monkeypatch.setattr(ProblemData, "grid_order", False)
+        general = support_passes(it, dataclasses.replace(full))
+        assert scatters
+        assert costs == general[0] and costs[0] == costs[1]
+        np.testing.assert_array_equal(residual, general[1])
+        for x, y in zip(grad, general[2]):
+            np.testing.assert_array_equal(x, y)
+
+    def test_shuffled_copy_takes_general_route(self, monkeypatch):
+        full = random_data(60, 25, 3, 0, seed=100, full=True, min_w=0.1)
+        mixed = shuffled(full, 101)
+        assert mixed.cells is not None and not mixed.grid_order
+        p = random_point(60, 25, 3, np.random.default_rng(102))
+        (cost, _), _, grad = support_passes(p, full)
+        real, scatters = np.bincount, []
+        monkeypatch.setattr(np, "bincount", lambda *a: scatters.append(1) or real(*a))
+        (mixed_cost, _), _, mixed_grad = support_passes(p, mixed)
+        assert scatters
+        # the weighted sum runs in another order; E, and the GEMMs, are the same
+        assert abs(mixed_cost - cost) <= 1e-14 * cost
+        for x, y in zip(grad, mixed_grad):
+            np.testing.assert_array_equal(x, y)
+
+
 class TestIterateShape:
     """An iterate whose U (X) rows are not m, or whose V (Y) rows are not n,
     is refused on both routes: the dense route would read a grid of another
@@ -936,7 +1021,7 @@ def hadamard_grad_pw(p, data):
     for the lam = 0 manifold gradient that replaced it."""
     w = np.zeros((data.m, data.n))
     w[data.rows, data.cols] = data.w_vals
-    e = -2.0 * w * (data.dense() - (p.u * p.x) @ p.v.T)
+    e = -2.0 * w * (dense(data) - (p.u * p.x) @ p.v.T)
     gu = e @ (p.v * p.x)
     gv = e.T @ (p.u * p.x)
     gx = np.einsum("il,ij,jl->l", p.u, e, p.v)

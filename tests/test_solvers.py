@@ -16,6 +16,8 @@ from wlra.data_io import problem_from_triplets, synth_lowrank
 from wlra.errors import BacktrackLimit, InitNotConfined, LambdaOutOfRange, ShapeMismatch
 from wlra.geometry import (
     FOLD_STEPS,
+    NEAR_TOL,
+    ORTHO_TOL,
     FactoredPoint,
     ProductPoint,
     orthonormality_defect,
@@ -50,9 +52,11 @@ from wlra.svd_init import fill_missing_column_mean, truncated_svd_init
 
 from helpers import (
     assemble,
+    dense,
     dense_stoch_grad_euclidean,
     dense_stoch_grad_manifold,
     dense_stoch_grad_pw,
+    householder_qf,
     random_point,
     regularized_cost,
 )
@@ -107,7 +111,7 @@ def manifold_setup(data, lam, seed, iters, **kw):
 
 
 def dense_sgd_reference(init, data, config, grad_fn):
-    """The SGD loop with Householder `retract` of the dense stochastic gradient."""
+    """The SGD loop with `retract` of the dense stochastic gradient."""
     policy = config.policy
     rng = np.random.default_rng(config.seed)
     p = init
@@ -211,15 +215,18 @@ class TestFactoredSgd:
             init, data, config, lambda p, s: dense_stoch_grad_manifold(p, s, data, lam)
         )
         real = np.linalg.cholesky
-        factorizations = []
+        factorizations, grams = [], []
 
-        def every_seventh_fails(g):
+        def every_seventh_batched_fails(g):
+            if g.ndim == 2:  # the k-by-k Gram matrix of a fold's `qf`
+                grams.append(1)
+                return real(g)
             factorizations.append(1)
             if len(factorizations) % 7 == 0:
                 raise np.linalg.LinAlgError("forced")
             return real(g)
 
-        monkeypatch.setattr(np.linalg, "cholesky", every_seventh_fails)
+        monkeypatch.setattr(np.linalg, "cholesky", every_seventh_batched_fails)
         qr_calls = counting(monkeypatch, wlra.geometry, "qf")
         retracts = counting(monkeypatch, wlra.solvers, "retract")
         final, _ = sgd_manifold(init, data, config)
@@ -228,6 +235,8 @@ class TestFactoredSgd:
         # factor, so U and V both fold.
         assert len(factorizations) == 300
         assert len(qr_calls) == 2 * (len(factorizations) // 7) and len(qr_calls) > 60
+        # a folded factor is near-orthonormal, so each fold's `qf` takes Cholesky-QR
+        assert len(grams) == len(qr_calls)
         assert_close_to_dense(final, reference)
 
     def test_near_singular_m_takes_dense_fallback(self, monkeypatch):
@@ -1134,6 +1143,74 @@ class TestAlsLineSearch:
         assert abs(trace.final_cost() - pin) <= 1e-10 * pin
 
 
+# Largest entrywise gap allowed between `qf` and Householder QR at a trial,
+# as in test_geometry: a few eps times cond(U + dU)^2 <= 3.
+QF_KERNEL_TOL = 1e-13
+
+
+def kernel_swap_instance(name):
+    """Data and SVD-init point of an instance for the `qf` kernel swap: the
+    line-search pin instance, and the benchmark's weighted-small and
+    completion-tall shapes (the latter with fewer rows)."""
+    if name == "pin":
+        data, point0, _ = als_pin_setup()
+        return data, point0
+    if name == "weighted-small":
+        tm = synth_lowrank(200, 80, 5, 1.0, 0.1, seed=2)
+        raw = 0.1 + 9.9 * np.random.default_rng(3).random(tm.nnz)
+        data = problem_from_triplets(tm, 5, weights=raw)
+    else:
+        data = problem_from_triplets(synth_lowrank(1000, 60, 10, 0.3, 0.1, seed=4), 10)
+    point0, _ = truncated_svd_init(fill_missing_column_mean(data), data.k)
+    return data, point0
+
+
+def checked_qf(monkeypatch, check):
+    """Patch `qf` to pass each argument and result to `check`."""
+    real = wlra.geometry.qf
+
+    def qf(c):
+        q = real(c)
+        check(c, q)
+        return q
+
+    monkeypatch.setattr(wlra.geometry, "qf", qf)
+
+
+class TestQfKernelSwap:
+    """The line search's retractions with `qf`'s Cholesky-QR path: it agrees
+    with Householder QR at every trial and keeps U and V orthonormal."""
+
+    @pytest.mark.parametrize("instance", ["pin", "weighted-small", "completion-tall"])
+    def test_matches_householder_at_every_trial(self, monkeypatch, instance):
+        data, point0 = kernel_swap_instance(instance)
+        gaps, near = [], []
+
+        def check(c, q):
+            gaps.append(np.abs(q - householder_qf(c)).max())
+            near.append(np.linalg.norm(c.T @ c - np.eye(c.shape[1])) <= NEAR_TOL)
+
+        checked_qf(monkeypatch, check)
+        steps = count_calls(monkeypatch, "armijo_step")
+        als_manifold(point0, data, 1e-4, ArmijoParams(iota=1e-4), Budget(max_iterations=50))
+        trials = sum(1 + m for _, m, _, _ in steps)
+        assert len(steps) == 50 and len(gaps) == 2 * trials
+        assert all(near)  # every trial takes the Cholesky-QR path
+        assert max(gaps) <= QF_KERNEL_TOL
+
+    def test_orthonormal_over_200_iterations(self, monkeypatch):
+        data, point0 = kernel_swap_instance("pin")
+        defects = []
+        checked_qf(monkeypatch, lambda c, q: defects.append(orthonormality_defect(q)))
+        final, _ = als_manifold(
+            point0, data, 1e-4, ArmijoParams(iota=1e-4, alpha_bar=1000.0, beta=0.3),
+            Budget(max_iterations=200),
+        )
+        assert len(defects) >= 400
+        assert max(defects) <= ORTHO_TOL
+        assert max(orthonormality_defect(final.u), orthonormality_defect(final.v)) <= ORTHO_TOL
+
+
 class TestAlsManifold:
     def test_objective_monotone(self):
         data = observed_instance(20, 10, 2, 0.5, seed=32)
@@ -1211,7 +1288,7 @@ class TestAlsPositiveWeights:
         objs = np.array([r.objective for r in trace.records])
         assert np.all(np.diff(objs) <= 1e-12 * max(1.0, objs[0]))
         w0 = float(data.w_vals.min())
-        a_frob = math.sqrt(float(np.sum(data.dense() ** 2)))
+        a_frob = math.sqrt(float(np.sum(dense(data) ** 2)))
         bound = a_frob + math.sqrt(cost_unregularized(init, data) / w0)
         assert all(math.sqrt(r.rho) <= bound + 1e-12 for r in trace.records)
 

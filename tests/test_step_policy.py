@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -379,6 +380,23 @@ class TestPolicyAssembly:
         data = full_data(5, 4, 2, seed=11)
         with pytest.raises(LambdaOutOfRange):
             make_policy(kind, data, 0.0, math.nan, 1.0)
+
+    @pytest.mark.parametrize(
+        "kind, lam",
+        [(PolicyKind.EUCLIDEAN, 1e-160), (PolicyKind.EUCLIDEAN, 1e-300),
+         (PolicyKind.EUCLIDEAN, 1e160), (PolicyKind.MANIFOLD, 1e160),
+         (PolicyKind.MANIFOLD, 1e300)],
+    )
+    def test_lambda_overflowing_phi_min_refused_by_name(self, kind, lam):
+        # float ** raised OverflowError here; the products overflow to inf
+        data = full_data(5, 4, 2, seed=13)
+        with pytest.raises(LambdaOutOfRange, match=re.escape(f"lambda={lam!r} gives phi_min=inf")):
+            make_policy(kind, data, 0.0, lam, 1.0)
+
+    def test_tiny_manifold_lambda_still_valid(self):
+        data = full_data(5, 4, 2, seed=14)
+        policy = make_policy(PolicyKind.MANIFOLD, data, 0.0, 1e-300, 1.0)
+        assert 0 < policy.theta and policy.phi_min < math.inf
 
     def test_nan_k_rejected(self):
         data = full_data(5, 4, 2, seed=12)
