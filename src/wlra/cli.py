@@ -12,19 +12,19 @@ import argparse
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 
 from .data_io import (
     TripletMatrix,
     load_triplets,
     problem_from_triplets,
+    read_utf8,
     sample_submatrix,
     synth_lowrank,
     write_triplets,
 )
-from .errors import LambdaOutOfRange, MismatchedData, ShapeMismatch, WlraError
+from .errors import BacktrackLimit, LambdaOutOfRange, MismatchedData, ShapeMismatch, WlraError
 from .model import (
     ProblemData,
     confinement_euclidean,
@@ -47,16 +47,17 @@ from .solvers import (
 from .step_policy import PolicyKind, check_big_k, make_policy
 from .svd_init import fill_missing_column_mean, truncated_svd_init
 
-# Each algorithm's solver, and the step-policy kind that names its family.
+# Each algorithm's solver, the step-policy kind of its family, and the family keys it reads.
 _SOLVERS = {
-    "sgd-manifold": (sgd_manifold, PolicyKind.MANIFOLD),
-    "sgd-euclidean": (sgd_euclidean, PolicyKind.EUCLIDEAN),
-    "sgd-pw": (sgd_pw, PolicyKind.POSITIVE_WEIGHTS),
-    "als-manifold": (als_manifold, PolicyKind.MANIFOLD),
-    "als-euclidean": (als_euclidean, PolicyKind.EUCLIDEAN),
-    "als-pw": (als_pw, PolicyKind.POSITIVE_WEIGHTS),
+    "sgd-manifold": (sgd_manifold, PolicyKind.MANIFOLD, ("lambda", "bigK", "adaptive")),
+    "sgd-euclidean": (sgd_euclidean, PolicyKind.EUCLIDEAN, ("lambda", "bigK", "adaptive")),
+    "sgd-pw": (sgd_pw, PolicyKind.POSITIVE_WEIGHTS, ("lambda", "bigK", "adaptive")),
+    "als-manifold": (als_manifold, PolicyKind.MANIFOLD, ("lambda", "iota", "alpha-bar", "beta")),
+    "als-euclidean": (als_euclidean, PolicyKind.EUCLIDEAN, ("lambda", "iota", "alpha-bar", "beta")),
+    "als-pw": (als_pw, PolicyKind.POSITIVE_WEIGHTS, ("iota", "alpha-bar", "beta")),
 }
 ALGORITHMS = tuple(_SOLVERS)
+_FAMILY_KEYS = {key for *_, keys in _SOLVERS.values() for key in keys}
 
 # Line-search iota values tuned for lambda in {1e-2, 1e-4, 1e-6}; they were
 # fitted to one specific ratings sample and are only starting points.
@@ -71,7 +72,6 @@ DEFAULT_IOTA = 1e-4
 BIGK_PRESETS = {
     "sgd-manifold": {1e-2: 1e3, 1e-4: 1e3, 1e-6: 1e4},
     "sgd-euclidean": {1e-2: 1e4, 1e-4: 1.0, 1e-6: 1.0},
-    "sgd-pw": {},
 }
 
 
@@ -79,40 +79,47 @@ BIGK_PRESETS = {
 _FLAGS = {"K": "--bigK", "iota": "--iota", "alpha_bar": "--alpha-bar", "beta": "--beta"}
 
 
+def _solver_entry(algorithm: str, values: dict) -> tuple:
+    """`_SOLVERS[algorithm]`; refuses an unknown one, or a key set in `values` it does not read."""
+    if algorithm not in _SOLVERS:
+        raise MismatchedData(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    for key, value in values.items():
+        if key in _FAMILY_KEYS and key not in _SOLVERS[algorithm][2] and value is not None:
+            raise MismatchedData(f"--{key}: {algorithm} does not read it")
+    return _SOLVERS[algorithm]
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One run, every value checked when it is built. A value left None is
-    the solver's default (alpha_bar, beta, the trace cadence) or, for iota,
-    `resolve_iota`'s."""
+    """One run, every value checked when it is built. None is the solver's default (alpha_bar,
+    beta, trace cadence, K = 1, not adaptive) or `resolve_iota`'s; an unread value must be None."""
 
     algorithm: str
     k: int
     seed: int
     budget: Budget
     lam: float | None = None
-    big_k: float = 1.0
+    big_k: float | None = None
     iota: float | None = None
     alpha_bar: float | None = None
     beta: float | None = None
     trace_every: int | None = None
-    adaptive: bool = False
+    adaptive: bool | None = None
     name: str | None = None
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise MismatchedData(
-                f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
-            )
-        family = _SOLVERS[self.algorithm][1]
+        given = {"lambda": self.lam, "bigK": self.big_k, "adaptive": self.adaptive,
+                 "iota": self.iota, "alpha-bar": self.alpha_bar, "beta": self.beta}
+        kind = _solver_entry(self.algorithm, given)[1]
         # `or 0.0` refuses None; the chained test refuses nan as well.
-        if family is not PolicyKind.POSITIVE_WEIGHTS and not 0 < (self.lam or 0.0) < math.inf:
+        if kind is not PolicyKind.POSITIVE_WEIGHTS and not 0 < (self.lam or 0.0) < math.inf:
             raise MismatchedData(f"--lambda must be positive and finite, got {self.lam}")
         if self.seed < 0:
             raise MismatchedData(f"--seed must be non-negative, got {self.seed}")
         if self.trace_every is not None and self.trace_every < 1:
             raise MismatchedData(f"--trace-every must be >= 1, got {self.trace_every}")
-        try:  # by StepPolicy's and ArmijoParams' rules, whatever the algorithm
-            check_big_k(self.big_k)
+        try:  # by StepPolicy's and ArmijoParams' rules; what the run does not read is None
+            check_big_k(1.0 if self.big_k is None else self.big_k)
             self.armijo_params()
         except (LambdaOutOfRange, ShapeMismatch) as exc:
             words = str(exc).split()
@@ -153,21 +160,22 @@ def _solver_call(spec: ExperimentSpec, data: ProblemData, point0, pair0) -> part
     """`spec`'s solver call from the shared set-up, after the checks that need
     the data: the positive-weights requirement, and the policy and SolverConfig
     or the ArmijoParams. An unset trace_every keeps the solver's cadence."""
-    solver, kind = _SOLVERS[spec.algorithm]
+    solver, kind, reads = _SOLVERS[spec.algorithm]
     if kind is PolicyKind.POSITIVE_WEIGHTS:
         require_positive_weights(data)
     euclidean = kind is PolicyKind.EUCLIDEAN
     init = pair0 if euclidean else point0
     every = {} if spec.trace_every is None else {"trace_every": spec.trace_every}
-    if spec.algorithm.startswith("als"):
-        lam = () if kind is PolicyKind.POSITIVE_WEIGHTS else (spec.lam,)
+    if "iota" in reads:
+        lam = (spec.lam,) if "lambda" in reads else ()
         return partial(solver, init, data, *lam, spec.armijo_params(), spec.budget, **every)
     init_sq = confinement_euclidean(init) if euclidean else confinement_manifold(init)
     try:  # the spec checked K, so a refusal here is of lambda
-        policy = make_policy(kind, data, init_sq, spec.lam, spec.big_k)
+        policy = make_policy(kind, data, init_sq, spec.lam, spec.big_k or 1.0)  # None is K = 1
     except LambdaOutOfRange as exc:
         raise MismatchedData(f"--lambda: {exc}") from None
-    config = SolverConfig(kind, policy, spec.budget, spec.seed, adaptive=spec.adaptive, **every)
+    adaptive = bool(spec.adaptive)
+    config = SolverConfig(kind, policy, spec.budget, spec.seed, adaptive=adaptive, **every)
     return partial(solver, init, data, config)
 
 
@@ -175,7 +183,10 @@ def _run_specs(specs: list[ExperimentSpec], tm: TripletMatrix) -> list[IterTrace
     """Set up once, build every spec's solver call, and only then run them in order."""
     setup = _set_up(tm, specs[0].k)
     calls = [_solver_call(spec, *setup) for spec in specs]
-    return [call()[1] for call in calls]
+    try:  # raised by a line search only, whose first trial is --alpha-bar long
+        return [call()[1] for call in calls]
+    except BacktrackLimit as exc:
+        raise MismatchedData(f"--alpha-bar, --beta: {exc}") from None
 
 
 def run_experiment(spec: ExperimentSpec, tm: TripletMatrix) -> IterTrace:
@@ -313,7 +324,7 @@ def _read_pairs(parts) -> dict:
 
 def _read_config(path) -> dict:
     """A config file's key=value lines; blank lines and # comments are skipped."""
-    lines = (line.strip() for line in Path(path).read_text().splitlines())
+    lines = (line.strip() for line in read_utf8(path, f"{path}:").splitlines())
     return _read_pairs(
         (f"{path}:{n}", line)
         for n, line in enumerate(lines, start=1)
@@ -321,13 +332,13 @@ def _read_config(path) -> dict:
     )
 
 
-def _resolve_bigk(raw: str, spec: ExperimentSpec) -> float:
+def _resolve_bigk(raw: str, algorithm: str, lam: float | None) -> float:
     if raw.strip().lower() != "preset":
         return _cast("bigK", raw, float)
-    preset = _lookup_preset(BIGK_PRESETS.get(spec.algorithm, {}), spec.lam)
+    preset = _lookup_preset(BIGK_PRESETS.get(algorithm, {}), lam)
     if preset is None:
         raise MismatchedData(
-            f"--bigK preset: no preset for {spec.algorithm} at lambda={spec.lam}; pass a number"
+            f"--bigK preset: no preset for {algorithm} at lambda={lam}; pass a number"
         )
     print(
         f"warning: K preset {preset:g} was tuned on one specific ratings "
@@ -337,33 +348,37 @@ def _resolve_bigk(raw: str, spec: ExperimentSpec) -> float:
     return preset
 
 
-def _spec_from_values(values: dict) -> ExperimentSpec:
-    algorithm = values.get("algorithm")
+def _spec_from_values(values: dict, config: dict) -> ExperimentSpec:
+    """`values`' spec. A family key its algorithm does not read is refused (before the
+    K preset lookup, which would miss) in `values`, and dropped from the defaults `config`."""
+    algorithm = values.get("algorithm", config.get("algorithm"))
     if algorithm is None:
         raise MismatchedData("--algorithm is required")
+    reads = _solver_entry(algorithm, values)[2]
+    values = {k: v for k, v in config.items() if k in reads or k not in _FAMILY_KEYS} | values
     if "k" not in values:
         raise MismatchedData("--k is required")
+    raw = values.get("bigK")
     try:
         budget = Budget(max_iterations=values.get("iters"), max_seconds=values.get("seconds"))
     except ShapeMismatch as exc:
         # Budget checks the values; the message names the flags the user typed.
         message = str(exc).replace("max_iterations", "--iters")
         raise MismatchedData(message.replace("max_seconds", "--seconds")) from None
-    spec = ExperimentSpec(
+    return ExperimentSpec(
         algorithm=algorithm,
         k=values["k"],
         seed=values.get("seed", 0),
         budget=budget,
         lam=values.get("lambda"),
+        big_k=None if raw is None else _resolve_bigk(raw, algorithm, values.get("lambda")),
         iota=values.get("iota"),
         alpha_bar=values.get("alpha-bar"),
         beta=values.get("beta"),
         trace_every=values.get("trace-every"),
-        adaptive=bool(values.get("adaptive", False)),
+        adaptive=values.get("adaptive"),
         name=values.get("name"),
     )
-    raw = values.get("bigK")
-    return spec if raw is None else replace(spec, big_k=_resolve_bigk(raw, spec))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -469,10 +484,8 @@ def _cmd_init_svd(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    values = _read_config(args.config) if args.config else {}
-    # The config supplies defaults; flags passed on the command line win.
-    values.update((key, v) for key, v in vars(args).items() if key in _RUN_KEYS)
-    spec = _spec_from_values(values)
+    config = _read_config(args.config) if args.config else {}
+    spec = _spec_from_values({key: v for key, v in vars(args).items() if key in _RUN_KEYS}, config)
     tm = load_triplets(args.infile, args.one_based, args.rows, args.cols)
     trace = run_experiment(spec, tm)
     write_trace_csv(trace, args.out, wall_clock=args.wall_clock)
@@ -485,8 +498,7 @@ def _cmd_compare(args) -> int:
     specs = []
     for text in args.run:
         values = _read_pairs(("--run", part.strip()) for part in text.split(",") if part.strip())
-        values.setdefault("k", args.k)
-        spec = _spec_from_values(values)
+        spec = _spec_from_values(values, {"k": args.k})
         if spec.k != args.k:
             raise MismatchedData(f"--run: k={spec.k} differs from --k {args.k}")
         specs.append(spec)

@@ -67,7 +67,7 @@ def load_triplets(
     ``EmptySupport``; an index outside a declared shape raises
     ``IndexOutOfBounds``.
     """
-    text = _read_utf8(path)
+    text = read_utf8(path)
     lines = text.splitlines()
     if not lines or lines[0].strip() != HEADER:
         bom = " (a UTF-8 byte-order mark precedes it)" if text.startswith("\ufeff") else ""
@@ -86,15 +86,15 @@ def load_triplets(
     return TripletMatrix(m=m, n=n, rows=rows, cols=cols, vals=vals)
 
 
-def _read_utf8(path) -> str:
+def read_utf8(path, where: str = "line ") -> str:
     """The file's text; a byte that is not valid UTF-8 raises ParseError
-    naming its line, as str.splitlines counts lines."""
+    naming its line after `where`, as str.splitlines counts lines."""
     raw = Path(path).read_bytes()
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
-        raise ParseError(f"byte 0x{raw[exc.start]:02x} is not valid UTF-8", line=line) from None
+        raise ParseError(f"byte 0x{raw[exc.start]:02x} is not valid UTF-8", line, where) from None
 
 
 def _parse_table(text: str, lines: list[str], shift: int):

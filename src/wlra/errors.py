@@ -34,8 +34,8 @@ class BacktrackLimit(WlraError):
 
 
 class ParseError(WlraError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int, where: str = "line "):
+        super().__init__(f"{where}{line}: {message}")
         self.line = line
 
 

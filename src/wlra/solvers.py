@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import BacktrackLimit, InitNotConfined, LambdaOutOfRange, ShapeMismatch
+from .errors import BacktrackLimit, InitNotConfined, LambdaOutOfRange, RankDeficient, ShapeMismatch
 from .geometry import FactoredPoint, ProductPoint, ProductTangent, retract
 from .model import (
     FactorPair,
@@ -341,14 +341,17 @@ def armijo_step(
         f0 = cost(point)
     tau = params.alpha_bar
     for m in range(params.max_backtracks + 1):
-        trial = retractor(point, step(tau))
-        f_trial = cost(trial)
+        try:  # a trial too far out to retract fails the test, as a costlier one does
+            trial = retractor(point, step(tau))
+            f_trial = cost(trial)
+        except RankDeficient:
+            f_trial = math.inf
         if f0 - f_trial >= -params.iota * tau * slope:
             return tau, m, trial, f_trial
         tau *= params.beta
     raise BacktrackLimit(
-        f"no Armijo step within {params.max_backtracks} backtracks "
-        "(gradient and cost may be inconsistent)"
+        f"no Armijo step within {params.max_backtracks} backtracks from alpha_bar="
+        f"{params.alpha_bar} (too long a first step, or gradient and cost inconsistent)"
     )
 
 

@@ -194,6 +194,11 @@ class TestRunExperiment:
     )
     @pytest.mark.parametrize("algorithm", ["sgd-manifold", "als-manifold"])
     def test_spec_checks_its_values_naming_the_flag(self, field, value, named, algorithm):
+        # A value the algorithm reads is held to its solver's rule; any other
+        # is refused as unread, whatever it is.
+        flag = named.split(":")[0]
+        if flag[2:] not in wlra.cli._SOLVERS[algorithm][2]:
+            named = f"{flag}: {algorithm} does not read it"
         with pytest.raises(MismatchedData, match=re.escape(named)):
             ExperimentSpec(
                 algorithm=algorithm, k=3, seed=0, budget=Budget(max_iterations=1), lam=1e-2,
@@ -443,7 +448,8 @@ class TestCommandLine:
     @pytest.mark.parametrize("algorithm", ["sgd-euclidean", "als-manifold"])
     def test_config_only_run_matches_flags(self, synth_file, tmp_path, algorithm):
         # Every run key but `name` (a compare label) and `seconds` (the
-        # alternative budget to `iters`).
+        # alternative budget to `iters`) in the config, which drops the family
+        # keys the algorithm does not read; the flags give only those it reads.
         settings = {
             "algorithm": algorithm, "k": "3", "lambda": "1e-2", "bigK": "2.5",
             "iota": "1e-3", "alpha-bar": "2", "beta": "0.6", "seed": "4",
@@ -452,9 +458,11 @@ class TestCommandLine:
         assert set(settings) == set(wlra.cli._RUN_KEYS) - {"name", "seconds"}
         cfg = tmp_path / "cfg"
         cfg.write_text("".join(f"{key}={value}\n" for key, value in settings.items()))
+        unread = wlra.cli._FAMILY_KEYS - set(wlra.cli._SOLVERS[algorithm][2])
         flags = [
             arg
             for key, value in settings.items()
+            if key not in unread
             for arg in (["--adaptive"] if key == "adaptive" else [f"--{key}", value])
         ]
         by_config, by_flags = tmp_path / "config.csv", tmp_path / "flags.csv"
@@ -597,17 +605,19 @@ class TestCommandLine:
     def test_spec_refusal_names_flag_before_set_up(
         self, synth_file, tmp_path, capsys, monkeypatch, where, key, value, named
     ):
-        # A compare refusal comes before a first run that would not end.
+        # A compare refusal comes before a first run that would not end. Each
+        # key is given to an algorithm that reads it.
         calls = count_calls(monkeypatch, "_set_up", "_solver_call")
         out = tmp_path / "out.csv"
+        algorithm = "sgd-manifold" if key == "bigK" else "als-manifold"
         if where == "run-spec":
             args = [
                 "compare",
                 "--run", "name=long,algorithm=sgd-manifold,lambda=1e-2,iters=100000000",
-                "--run", f"name=bad,algorithm=als-manifold,lambda=1e-2,iters=10,{key}={value}",
+                "--run", f"name=bad,algorithm={algorithm},lambda=1e-2,iters=10,{key}={value}",
             ]
         else:
-            args = ["run", "--algorithm", "als-manifold", "--lambda", "1e-2", "--iters", "10"]
+            args = ["run", "--algorithm", algorithm, "--lambda", "1e-2", "--iters", "10"]
             if where == "flag":
                 args += [f"--{key}", value]
             else:
@@ -635,10 +645,10 @@ class TestCommandLine:
         # first run (which would not end).
         set_ups = count_calls(monkeypatch, "_set_up")
         runs = []
-        for algorithm, (solver, kind) in wlra.cli._SOLVERS.items():
+        for algorithm, (solver, kind, reads) in wlra.cli._SOLVERS.items():
             monkeypatch.setitem(
                 wlra.cli._SOLVERS, algorithm,
-                (lambda *a, solver=solver, **kw: runs.append(1) or solver(*a, **kw), kind),
+                (lambda *a, solver=solver, **kw: runs.append(1) or solver(*a, **kw), kind, reads),
             )
         out = tmp_path / "out.csv"
         code = main([
@@ -701,6 +711,40 @@ class TestCommandLine:
         }[command]
         assert main([command, "--in", str(src), *extra]) == 2
         assert "line 3: byte 0xe9 is not valid UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_config_refused_naming_path_and_line(self, synth_file, tmp_path, capsys):
+        # once an uncaught UnicodeDecodeError, with exit status 1
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"# defaults\nalgorithm=sgd-manifold\niters=1\xe9\n")
+        out = tmp_path / "out.csv"
+        assert main([
+            "run", "--in", str(synth_file), "--config", str(cfg), "--k", "3",
+            "--lambda", "1e-2", "--out", str(out),
+        ]) == 2
+        assert f"{cfg}:3: byte 0xe9 is not valid UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "algorithm, alpha_bar",
+        [("als-manifold", "1e300"), ("als-pw", "1e300"), ("als-euclidean", "1e30")],
+    )
+    def test_first_trial_too_long_refused_naming_flags(
+        self, full_file, tmp_path, capsys, algorithm, alpha_bar
+    ):
+        # Found by the input sweep: 60 halvings do not bring these first
+        # steps down to one that descends. The manifold searches once ended
+        # with RankDeficient and the Euclidean one named no flag.
+        out = tmp_path / "out.csv"
+        lam = [] if algorithm == "als-pw" else ["--lambda", "1e-3"]
+        assert main([
+            "run", "--in", str(full_file), "--algorithm", algorithm, "--k", "3", *lam,
+            "--alpha-bar", alpha_bar, "--iters", "4", "--out", str(out),
+        ]) == 2
+        assert (
+            "--alpha-bar, --beta: no Armijo step within 60 backtracks from "
+            f"alpha_bar={float(alpha_bar)}"
+        ) in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["init-svd", "als-manifold", "als-euclidean",
@@ -786,6 +830,106 @@ class TestCommandLine:
         lines = out.read_text().splitlines()
         assert lines[0] == "seconds,m,e"
         assert len(lines) > 1
+
+
+# A value each family key accepts on every algorithm that reads it (sgd-pw
+# needs lambda below the smallest weight, 1/200 on `full_file`).
+FAMILY_VALUES = {
+    "lambda": "1e-3", "bigK": "2", "adaptive": "yes", "iota": "1e-3", "alpha-bar": "2",
+    "beta": "0.6",
+}
+
+
+class TestFamilyKeys:
+    def test_each_algorithm_reads_its_family_keys(self):
+        reads = {algorithm: set(entry[2]) for algorithm, entry in wlra.cli._SOLVERS.items()}
+        sgd, line_search = {"lambda", "bigK", "adaptive"}, {"iota", "alpha-bar", "beta"}
+        assert reads == {
+            "sgd-manifold": sgd, "sgd-euclidean": sgd, "sgd-pw": sgd,
+            "als-manifold": line_search | {"lambda"}, "als-euclidean": line_search | {"lambda"},
+            "als-pw": line_search,
+        }
+        assert wlra.cli._FAMILY_KEYS == set(FAMILY_VALUES)
+        assert sum(map(len, reads.values())) == 20
+
+    @pytest.mark.parametrize("where", ["flag", "run-spec", "config"])
+    @pytest.mark.parametrize("key", list(FAMILY_VALUES))
+    @pytest.mark.parametrize("algorithm", wlra.cli.ALGORITHMS)
+    def test_unread_key_refused_or_dropped(
+        self, full_file, tmp_path, capsys, monkeypatch, algorithm, key, where
+    ):
+        # Read: accepted. Unread, by flag or --run: refused naming the flag,
+        # before the set-up. Unread in a config file: dropped, so the trace
+        # is the one without it.
+        base = {"algorithm": algorithm, "iters": "5"}
+        if not algorithm.endswith("pw") and key != "lambda":
+            base["lambda"] = "1e-3"
+
+        def run(extra, out):
+            if where == "run-spec":
+                spec = ",".join(f"{k}={v}" for k, v in {**base, **extra}.items())
+                args = ["compare", "--run", spec]
+            else:
+                args = ["run", *(f"--{k}={v}" for k, v in base.items())]
+                if where == "flag":
+                    args += ["--adaptive" if k == "adaptive" else f"--{k}={v}"
+                             for k, v in extra.items()]
+                elif extra:
+                    cfg = tmp_path / "cfg"
+                    cfg.write_text("".join(f"{k}={v}\n" for k, v in extra.items()))
+                    args += ["--config", str(cfg)]
+            return main([*args, "--in", str(full_file), "--k", "3", "--out", str(out)])
+
+        out = tmp_path / "out.csv"
+        given = {key: FAMILY_VALUES[key]}
+        if key in wlra.cli._SOLVERS[algorithm][2]:
+            assert run(given, out) == 0
+            assert out.exists()
+        elif where == "config":
+            without = tmp_path / "without.csv"
+            assert run({}, without) == 0
+            assert run(given, out) == 0
+            assert out.read_bytes() == without.read_bytes()
+        else:
+            set_ups = count_calls(monkeypatch, "_set_up")
+            assert run(given, out) == 2
+            assert f"--{key}: {algorithm} does not read it" in capsys.readouterr().err
+            assert set_ups == []
+            assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1", "no"])
+    @pytest.mark.parametrize("key", ["bigK", "adaptive"])
+    def test_unread_default_value_refused(self, full_file, tmp_path, capsys, key, value):
+        # K = 1 and adaptive=no are the SGD defaults, and still unread here
+        out = tmp_path / "out.csv"
+        assert main([
+            "compare", "--in", str(full_file), "--k", "3", "--out", str(out),
+            "--run", f"algorithm=als-pw,iters=5,{key}={value}",
+        ]) == 2
+        assert f"--{key}: als-pw does not read it" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", wlra.cli.ALGORITHMS)
+    def test_seed_valid_on_every_algorithm(self, full_file, tmp_path, algorithm):
+        # the line searches are deterministic, but take --seed as SGD does
+        lam = [] if algorithm.endswith("pw") else ["--lambda", "1e-3"]
+        out = tmp_path / "out.csv"
+        assert main([
+            "run", "--in", str(full_file), "--algorithm", algorithm, "--k", "3", *lam,
+            "--seed", "11", "--iters", "5", "--out", str(out),
+        ]) == 0
+        spec = f"algorithm={algorithm},seed=11,iters=5" + ",lambda=1e-3" * bool(lam)
+        assert main([
+            "compare", "--in", str(full_file), "--k", "3", "--run", spec, "--out", str(out),
+        ]) == 0
+
+    def test_benchmark_iota_spec(self):
+        # the spec perfbench builds to read the line search's iota
+        spec = wlra.cli.ExperimentSpec(
+            algorithm="als-manifold", k=10, seed=3, budget=wlra.Budget(max_iterations=1),
+            lam=1e-4,
+        )
+        assert wlra.cli.resolve_iota(spec) == wlra.cli.IOTA_PRESETS[1e-4]
 
 
 class TestDeterministicExport:

@@ -13,7 +13,13 @@ import wlra.model
 import wlra.solvers
 from wlra.cli import IOTA_PRESETS
 from wlra.data_io import problem_from_triplets, synth_lowrank
-from wlra.errors import BacktrackLimit, InitNotConfined, LambdaOutOfRange, ShapeMismatch
+from wlra.errors import (
+    BacktrackLimit,
+    InitNotConfined,
+    LambdaOutOfRange,
+    RankDeficient,
+    ShapeMismatch,
+)
 from wlra.geometry import (
     FOLD_STEPS,
     NEAR_TOL,
@@ -926,6 +932,20 @@ class TestArmijo:
     def test_zero_direction_accepts_immediately(self):
         tau, m, _, _ = scalar_armijo(0.0, 0.0)
         assert m == 0 and tau == 1.0
+
+    def test_trial_that_cannot_retract_fails_the_test(self):
+        # Once the search ended with RankDeficient (`--alpha-bar 1e300` on a
+        # manifold line search); now it backtracks, as from a costlier trial.
+        def retractor(f, d):
+            if abs(d.x[0, 0]) > 1.0:
+                raise RankDeficient("column 0 is numerically dependent")
+            return f.add_scaled(d, 1.0)
+
+        tau, m, trial, f_trial = armijo_step(
+            lambda f: float(f.x[0, 0]) ** 2, scalar_pair(2.0), scalar_pair(1.0),
+            scalar_pair(-2.0), ArmijoParams(iota=0.5, alpha_bar=4.0, beta=0.5), retractor,
+        )
+        assert (tau, m, float(trial.x[0, 0]), f_trial) == (0.5, 3, 0.0, 0.0)
 
     def test_inconsistent_gradient_exhausts_backtracks(self):
         with pytest.raises(BacktrackLimit):
