@@ -114,6 +114,8 @@ class ExperimentSpec:
         # `or 0.0` refuses None; the chained test refuses nan as well.
         if kind is not PolicyKind.POSITIVE_WEIGHTS and not 0 < (self.lam or 0.0) < math.inf:
             raise MismatchedData(f"--lambda must be positive and finite, got {self.lam}")
+        if self.k < 1:
+            raise MismatchedData(f"--k: need k >= 1, got {self.k}")
         if self.seed < 0:
             raise MismatchedData(f"--seed must be non-negative, got {self.seed}")
         if self.trace_every is not None and self.trace_every < 1:
@@ -151,6 +153,8 @@ def resolve_iota(spec: ExperimentSpec) -> float:
 
 def _set_up(tm: TripletMatrix, k: int) -> tuple:
     """Problem data, and the truncated-SVD init (point, pair) of its imputation."""
+    if k > min(tm.m, tm.n):  # known only once the triplets are loaded
+        raise MismatchedData(f"--k: need k <= min(m, n) = {min(tm.m, tm.n)}, got {k}")
     data = problem_from_triplets(tm, k)
     point0, pair0 = truncated_svd_init(fill_missing_column_mean(data), k)
     return data, point0, pair0
@@ -170,10 +174,11 @@ def _solver_call(spec: ExperimentSpec, data: ProblemData, point0, pair0) -> part
         lam = (spec.lam,) if "lambda" in reads else ()
         return partial(solver, init, data, *lam, spec.armijo_params(), spec.budget, **every)
     init_sq = confinement_euclidean(init) if euclidean else confinement_manifold(init)
-    try:  # the spec checked K, so a refusal here is of lambda
+    try:  # the spec checked K, so a refusal here is of lambda, or of lambda with a large K
         policy = make_policy(kind, data, init_sq, spec.lam, spec.big_k or 1.0)  # None is K = 1
     except LambdaOutOfRange as exc:
-        raise MismatchedData(f"--lambda: {exc}") from None
+        flags = "--lambda" if spec.big_k in (None, 1.0) else "--lambda, --bigK"
+        raise MismatchedData(f"{flags}: {exc}") from None
     adaptive = bool(spec.adaptive)
     config = SolverConfig(kind, policy, spec.budget, spec.seed, adaptive=adaptive, **every)
     return partial(solver, init, data, config)
@@ -420,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one algorithm and export its trace")
     add_input(p)
-    extra = {"algorithm": {"choices": ALGORITHMS}, "bigK": {"help": "K >= 1, or 'preset'"}}
+    extra = {"algorithm": {"choices": ALGORITHMS}, "bigK": {"help": "1 <= K < inf, or 'preset'"}}
     for key, cast in _RUN_KEYS.items():
         if key == "adaptive":
             p.add_argument("--adaptive", action="store_true", default=argparse.SUPPRESS)

@@ -1,8 +1,8 @@
 """Problem data, cost functions, sampling, and gradients.
 
 The data matrix is stored as triplets over its observed support; costs and
-gradients sum over observed entries only (by GEMMs over the grid when the
-support fills it; see DENSE_FILL). Three parametrizations are
+gradients sum over observed entries only (by GEMMs over row blocks of the
+grid when the support fills it; see DENSE_FILL). Three parametrizations are
 supported: the product manifold (U, x, V), the Euclidean factor pair
 (X, Y), and the positive-weights variant of the manifold problem.
 """
@@ -29,9 +29,13 @@ from .geometry import FactoredPoint, ProductPoint, ProductTangent, project_tange
 # the system when they are freed, so every call would page them in again;
 # blocks of this size are reused.
 SUPPORT_BLOCK = 4096
+# Grid cells per block of whole rows when the dense route fills the grid: a
+# block stays in cache between its GEMM and its reads, and no pass makes an
+# m-by-n temporary.
+GRID_BLOCK = 32768
 
-# Support passes take the dense route when m * n <= DENSE_FILL * nnz. At 4000x400, k = 10, the
-# dense gradient was 1.9x / 1.2x / 0.68x as fast as gather with 1 in 16 / 24 / 32 cells observed.
+# Support passes take the dense route when m * n <= DENSE_FILL * nnz. At 4000x400, k = 10, its
+# gradient was 3.7x / 2.5x / 1.9x as fast as gather with 1 in 16 / 24 / 32 cells observed.
 DENSE_FILL = 16
 
 
@@ -127,6 +131,19 @@ class ProblemData:
         return self.nnz == self.m * self.n and bool(
             np.array_equal(self.cells, np.arange(self.nnz))
         )
+
+    @cached_property
+    def grid_blocks(self) -> tuple[list, np.ndarray | None]:
+        """The dense route's row blocks outside grid order, about GRID_BLOCK cells each:
+        (r0, r1, c0, c1) per block, rows r0:r1 holding the triplets c0:c1 in row order,
+        and that stable order (repeated cells keep theirs), None when rows are sorted.
+        A block has two rows or more when m does: numpy makes a one-row product by
+        GEMV, whose round-off differs from the GEMM of a taller block."""
+        rows = self.rows
+        order = None if np.all(rows[1:] >= rows[:-1]) else np.argsort(rows, kind="stable")
+        bounds = [*range(0, max(self.m - 1, 1), max(2, GRID_BLOCK // self.n)), self.m]
+        ends = np.searchsorted(rows if order is None else rows[order], bounds).tolist()
+        return list(zip(bounds, bounds[1:], ends, ends[1:])), order
 
     @cached_property
     def sampler(self) -> "AliasSampler":
@@ -343,20 +360,35 @@ def _entries(source, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return _pair_entries(source, rows, cols)
 
 
+def _grid_blocks(data: ProblemData):
+    """(r0, r1, triplets, cells) per block of `data.grid_blocks`: its rows, its
+    triplets (a slice or indices), and their cells numbered within the block."""
+    spans, order = data.grid_blocks
+    for r0, r1, c0, c1 in spans:
+        at = slice(c0, c1) if order is None else order[c0:c1]
+        yield r0, r1, at, data.cells[at] - r0 * data.n
+
+
 def _grid_entries(source, data: ProblemData, out: np.ndarray | None = None) -> np.ndarray:
-    """Dense route: one m-by-n GEMM read at `data.cells` (into `out`, when given);
-    in grid order the GEMM output is the result."""
+    """Dense route: the predictions at the observed cells (into `out`, when given).
+    In grid order one m-by-n GEMM output is the result; else each row block of
+    the grid is one GEMM into a reused buffer, read at the block's cells."""
     if isinstance(source, ProductPoint):
-        grid = (source.u * source.x) @ source.v.T
+        left, right = source.u * source.x, source.v
     else:
-        grid = source.x @ source.y.T
-    grid = np.ravel(grid)
-    if not data.grid_order:
-        # The caller checked the shape, so the cells are in range; mode "raise" would buffer `out`.
-        return grid.take(data.cells, out=out, mode="clip")
-    if out is None:
-        return grid
-    out[:] = grid
+        left, right = source.x, source.y
+    if data.grid_order:
+        grid = np.ravel(left @ right.T)
+        if out is None:
+            return grid
+        out[:] = grid
+        return out
+    out = np.empty(data.nnz) if out is None else out
+    buf = np.empty((max(r1 - r0 for r0, r1, _, _ in data.grid_blocks[0]), data.n))
+    for r0, r1, at, cells in _grid_blocks(data):
+        block = np.matmul(left[r0:r1], right.T, out=buf[: r1 - r0])
+        # The caller checked the shape, so the cells are in range.
+        out[at] = block.take(cells, mode="clip")
     return out
 
 
@@ -464,17 +496,22 @@ def _support_sums(
     column l of the second (n-by-k) is bincount(cols, e * left[rows, l]), and,
     with `diag`, entry l of the third is sum_t e_t left[rows_t, l] right[cols_t, l].
     The dense route forms them as E right, E^T left and the column sums of
-    left * (E right), E the m-by-n grid of e (duplicate cells add up; in grid
-    order e itself); the gather route one rank column at a time, each gathered
-    by a 1-D `take`."""
-    if data.cells is not None:
-        grid = e if data.grid_order else np.bincount(data.cells, e, data.m * data.n)
-        grid = grid.reshape(data.m, data.n)
-        g_left = grid @ right
-        g_diag = np.einsum("ik,ik->k", left, g_left) if diag else None
-        return g_left, grid.T @ left, g_diag
-    rows, cols = data.rows, data.cols
+    left * (E right), E the m-by-n grid of e: in grid order e itself, else one
+    row block at a time, each bincount into a block of E (duplicate cells add
+    up); the gather route one rank column at a time, each gathered by a 1-D `take`."""
     k = left.shape[1]
+    if data.cells is not None:
+        if data.grid_order:
+            grid = e.reshape(data.m, data.n)
+            g_left, g_right = grid @ right, grid.T @ left
+        else:
+            g_left, g_right = np.empty((data.m, k)), np.zeros((data.n, k))
+            for r0, r1, at, cells in _grid_blocks(data):
+                block = np.bincount(cells, e[at], (r1 - r0) * data.n).reshape(r1 - r0, data.n)
+                np.matmul(block, right, out=g_left[r0:r1])
+                g_right += block.T @ left[r0:r1]
+        return g_left, g_right, np.einsum("ik,ik->k", left, g_left) if diag else None
+    rows, cols = data.rows, data.cols
     g_left = np.empty((data.m, k))
     g_right = np.empty((data.n, k))
     g_diag = np.empty(k) if diag else None

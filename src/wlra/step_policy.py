@@ -127,9 +127,11 @@ def compute_phi_min(
 
 
 def check_big_k(big_k: float) -> None:
-    """The tuning factor's rule, K >= 1 (NaN fails it)."""
+    """The tuning factor's rule, 1 <= K < inf (NaN fails it)."""
     if not big_k >= 1.0:
         raise LambdaOutOfRange(f"need K >= 1, got {big_k}")
+    if big_k == math.inf:  # phi_min = K times a finite bound would be inf
+        raise LambdaOutOfRange(f"need K < inf, got {big_k}")
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,27 @@ def householder_qf(c) -> np.ndarray:
     return q * np.sign(np.diagonal(r))
 
 
+def full_grid_entries(source, data: ProblemData, out=None) -> np.ndarray:
+    """Dense-route predictions from one m-by-n GEMM read at `data.cells`: the
+    kernel `_grid_entries` used outside grid order before its row blocks,
+    kept as their reference."""
+    if isinstance(source, ProductPoint):
+        grid = (source.u * source.x) @ source.v.T
+    else:
+        grid = source.x @ source.y.T
+    return np.ravel(grid).take(data.cells, out=out, mode="clip")
+
+
+def full_grid_sums(e, left, right, data: ProblemData, diag: bool) -> tuple:
+    """Dense-route support sums over the whole m-by-n grid E of e, one
+    bincount and two GEMMs: the kernel `_support_sums` used outside grid
+    order before its row blocks, kept as their reference."""
+    grid = np.bincount(data.cells, e, data.m * data.n).reshape(data.m, data.n)
+    g_left = grid @ right
+    g_diag = np.einsum("ik,ik->k", left, g_left) if diag else None
+    return g_left, grid.T @ left, g_diag
+
+
 def random_stiefel(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return qf(rng.standard_normal((n, k)))
 

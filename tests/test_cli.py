@@ -416,6 +416,53 @@ class TestCommandLine:
         assert "--k is required" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "k, named, loads",
+        [("0", "--k: need k >= 1, got 0", 0), ("21", "--k: need k <= min(m, n) = 20, got 21", 1)],
+    )
+    def test_run_refuses_k_naming_flag(self, synth_file, tmp_path, capsys, monkeypatch,
+                                       k, named, loads):
+        # k < 1 is refused before the triplet file is read; k > min(m, n)
+        # once it is, before the set-up.
+        calls = count_calls(monkeypatch, "load_triplets", "problem_from_triplets")
+        out = tmp_path / "x.csv"
+        code = main([
+            "run", "--in", str(synth_file), "--algorithm", "sgd-manifold", "--k", k,
+            "--lambda", "1e-2", "--iters", "10", "--out", str(out),
+        ])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert calls == ["load_triplets"] * loads
+        assert not out.exists()
+
+    @pytest.mark.parametrize("big_k, code", [("inf", 2), ("1e300", 0)])
+    def test_run_big_k_must_be_finite(self, synth_file, tmp_path, capsys, monkeypatch,
+                                      big_k, code):
+        # K = inf once passed the K check and was then blamed on --lambda,
+        # because it makes phi_min infinite
+        calls = count_calls(monkeypatch, "_set_up")
+        out = tmp_path / "x.csv"
+        assert main([
+            "run", "--in", str(synth_file), "--algorithm", "sgd-manifold", "--k", "3",
+            "--lambda", "1e-2", "--bigK", big_k, "--iters", "10", "--out", str(out),
+        ]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert "--bigK: need K < inf, got inf" in err and "--lambda" not in err
+            assert calls == [] and not out.exists()
+        else:
+            assert out.exists()
+
+    def test_run_big_k_overflowing_phi_min_names_both_flags(self, synth_file, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main([
+            "run", "--in", str(synth_file), "--algorithm", "sgd-manifold", "--k", "3",
+            "--lambda", "1e-2", "--bigK", "1e308", "--iters", "10", "--out", str(out),
+        ])
+        assert code == 2
+        assert "--lambda, --bigK: lambda=0.01 gives phi_min=inf" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("budget", [[], ["--iters", "10", "--seconds", "1"]])
     def test_run_needs_exactly_one_budget_flag(self, synth_file, tmp_path, capsys, budget):
         out = tmp_path / "x.csv"

@@ -25,9 +25,11 @@ ORDINARY = {
 SWEPT = sorted(ORDINARY)
 CASES = 300
 # A refusal names a flag (--k, or argparse's "argument --k"), a key
-# ("bad value ... for iters", "got k=0") or a config line (path:line).
+# ("bad value ... for iters", "lambda=0.01 gives ...") or a config line (path:line).
 KEYS = "|".join(re.escape(key) for key in wlra.cli._RUN_KEYS)
 NAMED = re.compile(rf"--[a-zA-Z]|\bfor ({KEYS})\b|\b({KEYS})=|:\d+:")
+# A refusal of k's value ("got k=0", "k <= min(m, n)") names the flag --k as well.
+K_VALUE = re.compile(r"\bk\s*(=|<=|>=)")
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +100,8 @@ def test_seeded_sweep_exits_0_or_2(tmp_path, files, capsys):
             failures.append((argv, f"raised {exc!r}"))
             continue
         codes.append(code)
-        if code == 2 and (out.exists() or not NAMED.search(err)):
+        named = NAMED.search(err) and ("--k" in err or not K_VALUE.search(err))
+        if code == 2 and (out.exists() or not named):
             failures.append((argv, f"exit 2, wrote {out.exists()}, said {err!r}"))
         elif code not in (0, 2) or (code == 0 and not out.exists()):
             failures.append((argv, f"exit {code}, wrote {out.exists()}, said {err!r}"))

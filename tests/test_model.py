@@ -23,6 +23,7 @@ from wlra.geometry import (
 from wlra.data_io import TripletMatrix, binary_weights
 from wlra.model import (
     DENSE_FILL,
+    GRID_BLOCK,
     SUPPORT_BLOCK,
     AliasSampler,
     FactorPair,
@@ -47,6 +48,8 @@ from helpers import (
     dense_stoch_grad_manifold,
     dense_stoch_grad_pw,
     draw_many,
+    full_grid_entries,
+    full_grid_sums,
     random_point,
     random_tangent,
     regularized_cost,
@@ -710,6 +713,134 @@ class TestGridOrder:
         assert abs(mixed_cost - cost) <= 1e-14 * cost
         for x, y in zip(grad, mixed_grad):
             np.testing.assert_array_equal(x, y)
+
+
+# Largest max-abs relative difference allowed, slot by slot, between the
+# row-blocked gradients and the full-grid reference: E^T left sums its
+# blocks one after another. Costs and residuals must match bit for bit.
+GRID_BLOCK_RTOL = 1e-14
+GRID_INSTANCES = ["sorted", "shuffled", "duplicated", "wide"]
+
+
+def blocked_data(m, n, prob, seed, empty_row, repeats=0):
+    """A dense-route m-by-n instance, about `prob` of it observed in row-major
+    order, with row `empty_row` unobserved and, when `repeats` > 0, that many
+    cells listed twice (other values and weights), in shuffled order."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((m, n)) < prob
+    mask[empty_row] = False
+    flat = np.flatnonzero(mask)
+    if repeats:
+        flat = rng.permutation(np.concatenate([flat, rng.choice(flat, repeats, replace=False)]))
+    w = 0.5 + rng.random(flat.size)
+    w /= w.sum()
+    data = ProblemData(
+        m=m, n=n, k=3, rows=flat // n, cols=flat % n,
+        a_vals=rng.standard_normal(flat.size), w_vals=w,
+    )
+    assert data.cells is not None and not data.grid_order
+    return data
+
+
+def grid_block_case(instance):
+    """A `TestGridBlocks` instance and its unobserved row."""
+    tall = lambda seed, repeats=0: blocked_data(
+        3 * (GRID_BLOCK // 120) + 50, 120, 0.3, seed, empty_row=5, repeats=repeats
+    )
+    return {
+        # four blocks, three of 273 rows and one of 50
+        "sorted": lambda: (tall(110), 5),
+        "shuffled": lambda: (shuffled(tall(110), 111), 5),
+        "duplicated": lambda: (tall(113, repeats=40), 5),
+        # blocks of two rows, the last of three
+        "wide": lambda: (blocked_data(7, GRID_BLOCK + 100, 0.1, 112, empty_row=5), 5),
+    }[instance]()
+
+
+def grid_passes(source, data, lam=0.05):
+    """The predictions, the cost with and without a residual buffer, that
+    residual, and the full gradient's slots without and with it given."""
+    grad = full_grad_euclidean if isinstance(source, FactorPair) else full_grad_manifold
+    residual = np.empty(data.nnz)
+    costs = (cost_unregularized(source, data), cost_unregularized(source, data, residual))
+    given = grad(source, data, lam, residual.copy())
+    return (
+        wlra.model._grid_entries(source, data), costs, residual,
+        dataclasses.astuple(grad(source, data, lam)), dataclasses.astuple(given),
+    )
+
+
+class TestGridBlocks:
+    """Outside grid order the dense route fills the grid one block of whole
+    rows at a time; its values match the full-grid kernels in
+    `tests/helpers.py`: predictions, costs and residuals bit for bit, the
+    gradients within GRID_BLOCK_RTOL."""
+
+    @pytest.mark.parametrize("instance", GRID_INSTANCES)
+    def test_layout(self, instance):
+        data, empty = grid_block_case(instance)
+        spans, order = data.grid_blocks
+        assert len(spans) >= 3
+        assert [s[0] for s in spans] == [0] + [s[1] for s in spans[:-1]]
+        assert [s[2] for s in spans] == [0] + [s[3] for s in spans[:-1]]
+        assert (spans[-1][1], spans[-1][3]) == (data.m, data.nnz)
+        heights = [r1 - r0 for r0, r1, _, _ in spans]
+        if instance == "wide":
+            # at least two rows: numpy forms a one-row product by GEMV, whose
+            # round-off differs from GEMM's
+            assert data.n > GRID_BLOCK and heights == [2, 2, 3]
+        else:
+            assert heights == [GRID_BLOCK // data.n] * 3 + [50]
+        assert any(r0 < empty < r1 - 1 for r0, r1, _, _ in spans)  # inside a block
+        assert (order is None) == (instance in ("sorted", "wide"))
+        if order is not None:
+            np.testing.assert_array_equal(order, np.argsort(data.rows, kind="stable"))
+        at = np.arange(data.nnz) if order is None else order
+        for r0, r1, c0, c1 in spans:
+            assert np.all((data.rows[at[c0:c1]] >= r0) & (data.rows[at[c0:c1]] < r1))
+
+    @pytest.mark.parametrize("source", ["point", "pair"])
+    @pytest.mark.parametrize("instance", GRID_INSTANCES)
+    def test_matches_full_grid(self, monkeypatch, instance, source):
+        data, empty = grid_block_case(instance)
+        rng = np.random.default_rng(114)
+        it = random_point(data.m, data.n, 3, rng)
+        it = ProductPoint(it.u, 3.0 * it.x, it.v)
+        if source == "pair":
+            it = FactorPair(rng.standard_normal((data.m, 3)), rng.standard_normal((data.n, 3)))
+        pred, costs, residual, grad, given = grid_passes(it, data)
+        monkeypatch.setattr(wlra.model, "_grid_entries", full_grid_entries)
+        monkeypatch.setattr(wlra.model, "_support_sums", full_grid_sums)
+        want = grid_passes(it, data)
+        np.testing.assert_array_equal(pred, want[0])
+        assert costs == want[1] and costs[0] == costs[1]
+        np.testing.assert_array_equal(residual, want[2])
+        for got, ref in zip(grad + given, want[3] + want[4]):
+            assert np.abs(got - ref).max() <= GRID_BLOCK_RTOL * np.abs(ref).max()
+        if source == "pair":  # no observed cell: only the regularization term remains
+            np.testing.assert_array_equal(grad[0][empty], 2.0 * 0.05 * it.x[empty])
+
+    def test_peak_memory_below_one_grid(self):
+        # One m-by-n temporary of 2000x400 floats would be 6.4 MB.
+        data = blocked_data(2000, 400, 0.1, 115, empty_row=0)
+        p = random_point(2000, 400, 3, np.random.default_rng(116))
+        residual = np.empty(data.nnz)
+
+        def passes():
+            cost_unregularized(p, data, residual)
+            full_grad_manifold(p, data, 0.05, residual)
+
+        passes()  # builds the cached cells, layout and weights, which are not temporaries
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            passes()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert data.cells is not None
+        # about 0.64 MB here: the cost's squared residuals
+        assert peak <= 8 * data.m * data.n / 4
 
 
 class TestIterateShape:
