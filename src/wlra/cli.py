@@ -151,10 +151,18 @@ def resolve_iota(spec: ExperimentSpec) -> float:
     return _lookup_preset(IOTA_PRESETS, spec.lam, DEFAULT_IOTA)
 
 
+def _check_k(tm: TripletMatrix, k: int) -> None:
+    """Refuse a rank outside 1 <= k <= min(m, n), naming --k; the bound is
+    known only once the triplets are loaded."""
+    if k < 1:
+        raise MismatchedData(f"--k: need k >= 1, got {k}")
+    if k > min(tm.m, tm.n):
+        raise MismatchedData(f"--k: need k <= min(m, n) = {min(tm.m, tm.n)}, got {k}")
+
+
 def _set_up(tm: TripletMatrix, k: int) -> tuple:
     """Problem data, and the truncated-SVD init (point, pair) of its imputation."""
-    if k > min(tm.m, tm.n):  # known only once the triplets are loaded
-        raise MismatchedData(f"--k: need k <= min(m, n) = {min(tm.m, tm.n)}, got {k}")
+    _check_k(tm, k)
     data = problem_from_triplets(tm, k)
     point0, pair0 = truncated_svd_init(fill_missing_column_mean(data), k)
     return data, point0, pair0
@@ -479,6 +487,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_init_svd(args) -> int:
     tm = load_triplets(args.infile, args.one_based, args.rows, args.cols)
+    _check_k(tm, args.k)
     data = problem_from_triplets(tm, args.k)
     dense = fill_missing_column_mean(data)
     point0, pair0, trunc_err = truncated_svd_init(dense, args.k, with_error=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -44,7 +44,8 @@ class ProblemData:
     """Observed entries of an m-by-n matrix with probability weights.
 
     rows/cols/a_vals hold the observed triplets; w_vals are non-negative
-    weights on the same support summing to one. k is the rank cap.
+    weights on the same support summing to one. k is the rank cap. alpha,
+    set from a_vals, is the largest squared observed value.
     """
 
     m: int
@@ -54,6 +55,7 @@ class ProblemData:
     cols: np.ndarray
     a_vals: np.ndarray
     w_vals: np.ndarray
+    alpha: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.int64).reshape(-1)
@@ -78,8 +80,10 @@ class ProblemData:
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ShapeMismatch("observed values must be finite")
         big = hi if hi >= -lo else lo
-        if big * big == math.inf:  # alpha = max a^2 enters every step-size bound
+        alpha = big * big  # max a^2, as squaring is monotone in |a|
+        if alpha == math.inf:  # alpha enters every step-size bound
             raise ShapeMismatch(f"observed value {big!r} overflows when squared")
+        object.__setattr__(self, "alpha", alpha)
         for name, arr in (("rows", rows), ("cols", cols), ("a_vals", a_vals), ("w_vals", w_vals)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -55,7 +55,7 @@ Iterate = Union[ProductPoint, FactorPair]
 
 def alpha_of(data: ProblemData) -> float:
     """Maximum squared observed entry; missing cells never contribute."""
-    return float(np.max(data.a_vals**2))
+    return data.alpha
 
 
 def _rho_floor(kind: PolicyKind, alpha: float, lam: float, w0: float | None) -> float:

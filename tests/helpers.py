@@ -28,6 +28,26 @@ def householder_qf(c) -> np.ndarray:
     return q * np.sign(np.diagonal(r))
 
 
+def lapack_svd_init(dense, k: int, with_error: bool = False) -> tuple:
+    """Rank-k truncated SVD init from LAPACK's thin SVD of the whole matrix,
+    all min(m, n) triplets: the kernel `truncated_svd_init` used before its
+    Gram eigenproblem, kept as that route's reference. The error is the sum
+    of the trailing squared singular values."""
+    dense = np.asarray(dense, dtype=float)
+    m, n = dense.shape
+    if not 1 <= k <= min(m, n):
+        raise ShapeMismatch(f"need 1 <= k <= min(m, n), got k={k}")
+    u, s, vt = np.linalg.svd(dense, full_matrices=False)
+    lead = s[:k]
+    u, v = u[:, :k], vt[:k].T
+    point = ProductPoint(u.copy(), lead.copy(), v.copy())
+    root = np.sqrt(lead)
+    pair = FactorPair(u * root, v * root)
+    if with_error:
+        return point, pair, float(np.sum(s[k:] ** 2))
+    return point, pair
+
+
 def full_grid_entries(source, data: ProblemData, out=None) -> np.ndarray:
     """Dense-route predictions from one m-by-n GEMM read at `data.cells`: the
     kernel `_grid_entries` used outside grid order before its row blocks,

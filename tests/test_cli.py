@@ -435,6 +435,17 @@ class TestCommandLine:
         assert calls == ["load_triplets"] * loads
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "k, named", [("0", "--k: need k >= 1, got 0"), ("21", "--k: need k <= min(m, n) = 20, got 21")]
+    )
+    def test_init_svd_refuses_k_naming_flag(self, synth_file, capsys, monkeypatch, k, named):
+        # once refused by ProblemData, after problem_from_triplets, naming no flag
+        calls = count_calls(monkeypatch, "load_triplets", "problem_from_triplets")
+        assert main(["init-svd", "--in", str(synth_file), "--k", k]) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err and captured.out == ""
+        assert calls == ["load_triplets"]
+
     @pytest.mark.parametrize("big_k, code", [("inf", 2), ("1e300", 0)])
     def test_run_big_k_must_be_finite(self, synth_file, tmp_path, capsys, monkeypatch,
                                       big_k, code):
@@ -844,14 +855,17 @@ class TestCommandLine:
     def test_init_svd_report(self, synth_file, capsys, monkeypatch):
         svds = []
         real = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svds.append(1) or real(*a, **kw))
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svds.append(a[0].shape) or real(*a, **kw))
         assert main(["init-svd", "--in", str(synth_file), "--k", "3"]) == 0
-        assert len(svds) == 1
+        assert svds == [(3, 20)]  # the one k-by-n Rayleigh-Ritz SVD
         out = capsys.readouterr().out
         assert "weighted_init_cost=" in out and "factored_init_cost=" in out
         dense = fill_missing_column_mean(problem_from_triplets(load_triplets(synth_file), 3))
         _, err = best_rank_k(dense, 3)
-        assert out.splitlines()[2] == f"imputed_truncation_error={err!r}"
+        name, value = out.splitlines()[2].split("=")
+        # the init's error is the Gram matrix's trailing eigenvalues, not the SVD's
+        assert name == "imputed_truncation_error"
+        assert abs(float(value) - err) <= 1e-10 * np.linalg.norm(dense) ** 2
 
     def test_compare_subcommand(self, synth_file, tmp_path):
         out = tmp_path / "cmp.csv"

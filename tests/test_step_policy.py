@@ -59,6 +59,17 @@ class TestAlpha:
     def test_single_entry(self):
         assert alpha_of(make_data([5.0], m=1, n=1)) == 25.0
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_cached_alpha_equals_max_of_squares(self, sign):
+        # ProblemData squares the largest-magnitude value once; the largest
+        # square is the same number, whichever sign that value has.
+        rng = np.random.default_rng(3)
+        vals = rng.standard_normal(60) * 10.0 ** rng.integers(-150, 150, 60)
+        vals[17] = sign * 2.0 * np.max(np.abs(vals))
+        data = make_data(vals, m=6, n=10)
+        assert data.alpha == float(np.max(data.a_vals**2))
+        assert alpha_of(data) == data.alpha
+
 
 class TestRho0:
     def test_manifold_floor_wins(self):

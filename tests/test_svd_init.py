@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
 
+from wlra.data_io import problem_from_triplets, synth_lowrank
 from wlra.errors import ShapeMismatch
-from wlra.geometry import orthonormality_defect, retract
+from wlra.geometry import ProductPoint, orthonormality_defect, retract
 from wlra.model import ProblemData, cost_unregularized
 from wlra.svd_init import fill_missing_column_mean, truncated_svd_init
 
-from helpers import assemble, best_rank_k, check_stationarity, random_tangent
+from helpers import (
+    assemble,
+    best_rank_k,
+    check_stationarity,
+    lapack_svd_init,
+    random_tangent,
+)
 
 
 def refined_candidates_best(a, k, n_candidates, sweeps, seed):
@@ -77,8 +84,9 @@ class TestSvdProperties:
         for k in range(7):
             _, cost = best_rank_k(a, k)
             assert abs(cost - eig[k:].sum()) <= 1e-10 * eig.sum()
-            if k:  # the init's own SVD gives the same error
-                assert truncated_svd_init(a, k, with_error=True)[2] == cost
+            if k:  # the init's Gram eigenvalues give the same error
+                err = truncated_svd_init(a, k, with_error=True)[2]
+                assert abs(err - cost) <= 1e-10 * eig.sum()
 
 
 def sparse_instance(m, n, k, nnz, seed):
@@ -176,9 +184,104 @@ class TestTruncatedInit:
         assert orthonormality_defect(point.u) <= 1e-10
         assert orthonormality_defect(point.v) <= 1e-10
 
+    @pytest.mark.parametrize("shape", [(9, 6), (6, 9)])
+    def test_layouts(self, shape):
+        # The layouts LAPACK's thin SVD gave: U, V and X row-major, Y
+        # column-major, which sgd_euclidean keeps for its whole solve.
+        point, pair = truncated_svd_init(np.random.default_rng(16).standard_normal(shape), 3)
+        assert point.u.flags.c_contiguous and point.v.flags.c_contiguous
+        assert pair.x.flags.c_contiguous and pair.y.flags.f_contiguous
+
     def test_k_out_of_range(self):
         with pytest.raises(ShapeMismatch):
             truncated_svd_init(np.eye(3), 4)
+
+
+# (m, n, k, observe_prob, seed) of synth_lowrank instances with noise 0.1
+# whose column-mean imputations the kernel-swap test factors: the shapes of
+# the benchmark's three workloads, then the CI smoke synths.
+IMPUTED = {
+    "weighted-small": (200, 80, 5, 1.0, 0),
+    "completion-tall": (5000, 60, 10, 0.3, 0),
+    "completion-wide": (1500, 150, 8, 0.2, 0),
+    "smoke-tm": (40, 16, 3, 0.4, 3),
+    "smoke-full": (40, 16, 3, 1.0, 3),
+    "smoke-sparse": (400, 100, 3, 0.03, 3),
+    "smoke-blocks": (600, 120, 3, 0.3, 3),
+}
+
+
+def imputed(name):
+    m, n, k, observe_prob, seed = IMPUTED[name]
+    data = problem_from_triplets(synth_lowrank(m, n, k, observe_prob, 0.1, seed), k)
+    return fill_missing_column_mean(data), k, data
+
+
+def plain(m, n, rank, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+
+
+class TestSvdKernelSwap:
+    """The Gram-eigenproblem init against LAPACK's thin SVD of the whole
+    matrix (`lapack_svd_init`), with these bounds: singular values within
+    1e-12 of the largest, the rank-k product within 1e-12 ||A||_F, U and V
+    orthonormal to 1e-12, the weighted init cost within 1e-12 relative, and
+    the truncation error within 1e-10 ||A||_F^2."""
+
+    def check(self, a, k, data=None, scale=1.0):
+        # The init sees scale * a and is scaled back; the reference sees a.
+        point, pair, err = truncated_svd_init(scale * a, k, with_error=True)
+        ref, _, ref_err = lapack_svd_init(a, k, with_error=True)
+        x = point.x / scale
+        fro = np.linalg.norm(a)
+        assert np.max(np.abs(x - ref.x)) <= 1e-12 * ref.x[0]
+        unscaled = ProductPoint(point.u, x, point.v)
+        assert np.linalg.norm(assemble(unscaled) - assemble(ref)) <= 1e-12 * fro
+        assert np.linalg.norm(pair.x @ pair.y.T / scale - assemble(ref)) <= 1e-12 * fro
+        assert orthonormality_defect(point.u) <= 1e-12
+        assert orthonormality_defect(point.v) <= 1e-12
+        if data is not None:
+            cost, ref_cost = cost_unregularized(unscaled, data), cost_unregularized(ref, data)
+            assert abs(cost - ref_cost) <= 1e-12 * ref_cost
+        # Both sides are 0 at scale = 1e-300, below the smallest float, and
+        # inf where the error of a 1e153-scaled matrix exceeds the largest.
+        want = scale * scale * ref_err
+        assert err == want or abs(err - want) <= 1e-10 * fro**2 * scale * scale
+
+    @pytest.mark.parametrize("name", IMPUTED)
+    def test_imputations(self, name):
+        self.check(*imputed(name))
+
+    @pytest.mark.parametrize(
+        "m, n, rank, k",
+        [(12, 12, 12, 4), (9, 20, 9, 5), (30, 12, 3, 6), (12, 30, 3, 6), (15, 7, 7, 7),
+         (7, 15, 7, 7), (30, 12, 3, 12)],
+        ids=["square", "wide", "rank-deficient-tall", "rank-deficient-wide", "k-full-tall",
+             "k-full-wide", "rank-deficient-k-full"],
+    )
+    def test_matrices(self, m, n, rank, k):
+        self.check(plain(m, n, rank, seed=m * n + k), k)
+
+    def test_all_zero_imputation(self):
+        data = ProblemData(
+            m=6, n=4, k=3, rows=[0, 3, 5], cols=[1, 1, 2], a_vals=[0.0, -0.0, 0.0],
+            w_vals=[0.25, 0.25, 0.5],
+        )
+        dense = fill_missing_column_mean(data)
+        point, pair, err = truncated_svd_init(dense, 3, with_error=True)
+        assert np.all(point.x == 0.0) and err == 0.0
+        assert np.all(pair.x == 0.0) and np.all(pair.y == 0.0)
+        self.check(dense, 3, data)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e153])
+    @pytest.mark.parametrize("name", ["smoke-tm", "smoke-blocks"])
+    def test_scaled_inputs(self, name, scale):
+        # Without the prescale the Gram entries underflow to 0 at 1e-300, and
+        # overflow at 1e153 on the 600-row synth; both scales pass ProblemData.
+        dense, k, data = imputed(name)
+        self.check(dense, k, data, scale)
+        self.check(dense.T, k, scale=scale)
 
 
 class TestBestRankK:
