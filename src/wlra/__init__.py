@@ -17,26 +17,13 @@ from .errors import (
     ShapeMismatch,
     WlraError,
 )
-from .geometry import (
-    ProductPoint,
-    ProductTangent,
-    qf,
-    retract,
-    tangent_project,
-)
+from .geometry import ProductPoint
 from .model import (
     FactorPair,
     ProblemData,
     confinement_euclidean,
     confinement_manifold,
     cost_unregularized,
-    full_grad_euclidean,
-    full_grad_manifold,
-    full_grad_pw,
-    sample_index,
-    stoch_grad_euclidean,
-    stoch_grad_manifold,
-    stoch_grad_pw,
 )
 from .solvers import (
     ArmijoParams,
@@ -46,24 +33,11 @@ from .solvers import (
     als_euclidean,
     als_manifold,
     als_pw,
-    armijo_step,
     sgd_euclidean,
     sgd_manifold,
     sgd_pw,
 )
-from .step_policy import (
-    PolicyKind,
-    StepPolicy,
-    adaptive_A_B,
-    alpha_of,
-    compute_phi_min,
-    compute_rho0,
-    make_policy,
-    phi_t,
-)
-from .svd_init import (
-    fill_missing_column_mean,
-    truncated_svd_init,
-)
+from .step_policy import PolicyKind, make_policy
+from .svd_init import fill_missing_column_mean, truncated_svd_init
 
 __version__ = "0.1.0"

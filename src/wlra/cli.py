@@ -292,6 +292,14 @@ def compare_experiments(
 # Command line.
 
 
+def _bool(raw: str) -> bool:
+    """1/0, true/false or yes/no, in any case; any other value is malformed."""
+    value = raw.lower()
+    if value not in ("1", "0", "true", "false", "yes", "no"):
+        raise ValueError(raw)
+    return value in ("1", "true", "yes")
+
+
 # Keys of `run` flags, config lines and `--run` specs, with their casts.
 # Each but `name` (a `compare` label) is also the `run` flag --<key>.
 _RUN_KEYS = {
@@ -306,7 +314,7 @@ _RUN_KEYS = {
     "iters": int,
     "seconds": float,
     "trace-every": int,
-    "adaptive": lambda v: v.lower() in ("1", "true", "yes"),
+    "adaptive": _bool,
     "name": str,
 }
 

@@ -102,17 +102,18 @@ def qf(c) -> np.ndarray:
     n, k = c.shape
     if k > n:
         raise ShapeMismatch(f"need k <= n, got shape {c.shape}")
-    g = c.T @ c
-    # Written so that a NaN Gram fails the gate.
-    if np.linalg.norm(g - np.eye(k)) <= NEAR_TOL:
+    with np.errstate(over="ignore"):  # a Gram or gate that overflows is inf
+        g = c.T @ c
+        near = np.linalg.norm(g - np.eye(k)) <= NEAR_TOL  # NaN and inf fail it
+    if near:
         try:
             return c @ np.linalg.inv(np.linalg.cholesky(g)).T
         except np.linalg.LinAlgError:
             pass
     q, r = np.linalg.qr(c)
     diag = np.diagonal(r)
-    # ||c_j|| = ||r_j|| since Q has orthonormal columns; O(k^2) instead of O(nk).
-    col_scales = np.maximum(np.linalg.norm(r, axis=0), 1.0)
+    # ||c_j|| = ||r_j|| as Q is orthonormal; hypot does not square, so cannot overflow.
+    col_scales = np.maximum(np.hypot.reduce(r, axis=0), 1.0)
     dependent = np.flatnonzero(np.abs(diag) <= RANK_TOL * col_scales)
     if dependent.size:
         j = int(dependent[0])

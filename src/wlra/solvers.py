@@ -121,7 +121,6 @@ class SolverConfig:
     seed: int
     trace_every: int = 10
     adaptive: bool = False
-    record_grad_norm: bool = False
     record_rho: bool = False
 
     def __post_init__(self):
@@ -182,7 +181,6 @@ def _run_sgd(
     grad_fn: Callable,
     view_fn: Callable,
     rho_fn: Callable,
-    full_grad_norm_fn: Callable,
 ) -> tuple[object, IterTrace]:
     """The SGD step. `grad_fn(state, t)` is the per-sample gradient at
     triplet index t, and `state.step(i, j, grad, step)` moves the state in
@@ -218,7 +216,6 @@ def _run_sgd(
             t=t,
             elapsed_seconds=elapsed,
             cost_unregularized=cost_unregularized(pt, data),
-            grad_norm=full_grad_norm_fn(pt) if config.record_grad_norm else None,
             phi=phi,
             rho=rho_fn(pt) if config.record_rho else None,
         )
@@ -254,7 +251,6 @@ def sgd_manifold(
         grad_fn=lambda p, t: stoch_grad_manifold(p, t, data, lam),
         view_fn=FactoredPoint.point,
         rho_fn=confinement_manifold,
-        full_grad_norm_fn=lambda p: full_grad_manifold(p, data, lam).norm(),
     )
 
 
@@ -272,16 +268,14 @@ def sgd_euclidean(
     only for trace points, for the exact safeguard pass when the bounds do
     not settle phi_t, and for the returned pair.
     """
-    policy = config.policy
     _check_start(init, data, config, PolicyKind.EUCLIDEAN, confinement_euclidean)
     return _run_sgd(
-        ScaledPair(init, policy.lam),
+        ScaledPair(init, config.policy.lam),
         data,
         config,
         grad_fn=lambda f, t: stoch_grad_euclidean(f, t, data),
         view_fn=ScaledPair.pair,
         rho_fn=confinement_euclidean,
-        full_grad_norm_fn=lambda f: full_grad_euclidean(f, data, policy.lam).norm(),
     )
 
 
@@ -299,7 +293,6 @@ def sgd_pw(
         grad_fn=lambda p, t: stoch_grad_pw(p, t, data, lam),
         view_fn=FactoredPoint.point,
         rho_fn=confinement_manifold,
-        full_grad_norm_fn=lambda p: full_grad_pw(p, data).norm(),
     )
 
 
@@ -341,9 +334,10 @@ def armijo_step(
         f0 = cost(point)
     tau = params.alpha_bar
     for m in range(params.max_backtracks + 1):
-        try:  # a trial too far out to retract fails the test, as a costlier one does
-            trial = retractor(point, step(tau))
-            f_trial = cost(trial)
+        try:  # a trial too far out to retract, or whose cost overflows, fails the test
+            with np.errstate(over="ignore"):
+                trial = retractor(point, step(tau))
+                f_trial = cost(trial)
         except RankDeficient:
             f_trial = math.inf
         if f0 - f_trial >= -params.iota * tau * slope:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -48,14 +48,6 @@ class PolicyKind(Enum):
     MANIFOLD = "manifold"
     EUCLIDEAN = "euclidean"
     POSITIVE_WEIGHTS = "positive-weights"
-
-
-Iterate = Union[ProductPoint, FactorPair]
-
-
-def alpha_of(data: ProblemData) -> float:
-    """Maximum squared observed entry; missing cells never contribute."""
-    return data.alpha
 
 
 def _rho_floor(kind: PolicyKind, alpha: float, lam: float, w0: float | None) -> float:
@@ -180,7 +172,7 @@ def make_policy(
     positive-weights kind defaults lam to w0/2 and uses a = 1/w0,
     b = 1/sqrt(w0).
     """
-    alpha = alpha_of(data)
+    alpha = data.alpha
     w0 = None
     if kind is PolicyKind.POSITIVE_WEIGHTS:
         w0 = require_positive_weights(data)
@@ -216,7 +208,9 @@ def make_policy(
     )
 
 
-def adaptive_A_B(iterate: Iterate, data: ProblemData, policy: StepPolicy) -> tuple[float, float]:
+def adaptive_A_B(
+    iterate: ProductPoint | FactorPair, data: ProblemData, policy: StepPolicy
+) -> tuple[float, float]:
     """Exact per-iteration safeguards of the policy's kind, maximized over the
     weighted support."""
     kind, lam = policy.kind, policy.lam

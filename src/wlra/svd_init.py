@@ -13,10 +13,10 @@ through LAPACK (``numpy.linalg``) alone:
    V = V_b.
 
 The truncation error is the sum of the Gram matrix's trailing eigenvalues,
-times 4^e. No sign convention is imposed on the singular vectors: flipping
-a pair (u_j, v_j) leaves U diag(x) V^T unchanged, and the QR retraction
-commutes with column sign flips, so the solvers' costs do not depend on the
-signs LAPACK returns.
+times 4^e; past the float range it is inf. No sign convention is imposed on
+the singular vectors: flipping a pair (u_j, v_j) leaves U diag(x) V^T
+unchanged, and the QR retraction commutes with column sign flips, so the
+solvers' costs do not depend on the signs LAPACK returns.
 """
 
 from __future__ import annotations
@@ -80,5 +80,6 @@ def truncated_svd_init(dense, k: int, with_error: bool = False) -> tuple:
     # layout for the whole solve.
     pair = FactorPair(np.ascontiguousarray(u * root), np.asfortranarray(v * root))
     if with_error:
-        return point, pair, max(float(np.ldexp(np.sum(evals[:-k]), 2 * e)), 0.0)
+        with np.errstate(over="ignore"):
+            return point, pair, max(float(np.ldexp(np.sum(evals[:-k]), 2 * e)), 0.0)
     return point, pair

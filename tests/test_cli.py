@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -540,6 +541,14 @@ class TestCommandLine:
                 "bad value 'ten' for iters",
             ),
             ("run", ["--lambda", "1e-2", "--bigK", "abc"], None, "bad value 'abc' for bigK"),
+            # a boolean is 1/0, true/false or yes/no; anything else once ran as False
+            ("run", ["--lambda", "1e-2"], "adaptive=ture\n", "cfg:1: bad value 'ture' for adaptive"),
+            (
+                "compare",
+                ["--run", "name=m,algorithm=sgd-manifold,lambda=1e-2,iters=10,adaptive=maybe"],
+                None,
+                "--run: bad value 'maybe' for adaptive",
+            ),
             ("run", ["--lambda", "nan"], None, "--lambda"),
             ("run", ["--lambda", "inf"], None, "--lambda"),
             ("run", [], "lambda=nan\n", "--lambda"),
@@ -602,6 +611,7 @@ class TestCommandLine:
         ],
         ids=[
             "config-lambda-abc", "run-spec-iters-ten", "bigK-abc",
+            "config-adaptive-ture", "run-spec-adaptive-maybe",
             "lambda-nan", "lambda-inf", "config-lambda-nan",
             "config-unknown-key", "config-out-key", "config-no-equals",
             "run-spec-unknown-key", "run-spec-no-equals",
@@ -624,6 +634,14 @@ class TestCommandLine:
         assert main([command, "--in", str(synth_file), "--k", "3", *extra, "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "raw, value",
+        [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("False", False),
+         ("NO", False), (" true ", True)],
+    )
+    def test_boolean_values(self, raw, value):
+        assert wlra.cli._cast("adaptive", raw) is value
 
     @pytest.mark.parametrize(
         "extra, named",
@@ -792,17 +810,22 @@ class TestCommandLine:
     ):
         # Found by the input sweep: 60 halvings do not bring these first
         # steps down to one that descends. The manifold searches once ended
-        # with RankDeficient and the Euclidean one named no flag.
+        # with RankDeficient and the Euclidean one named no flag. A trial
+        # whose cost or retraction overflows is refused without a warning.
         out = tmp_path / "out.csv"
         lam = [] if algorithm == "als-pw" else ["--lambda", "1e-3"]
-        assert main([
-            "run", "--in", str(full_file), "--algorithm", algorithm, "--k", "3", *lam,
-            "--alpha-bar", alpha_bar, "--iters", "4", "--out", str(out),
-        ]) == 2
-        assert (
-            "--alpha-bar, --beta: no Armijo step within 60 backtracks from "
-            f"alpha_bar={float(alpha_bar)}"
-        ) in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "run", "--in", str(full_file), "--algorithm", algorithm, "--k", "3", *lam,
+                "--alpha-bar", alpha_bar, "--iters", "4", "--out", str(out),
+            ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --alpha-bar, --beta: no Armijo step within 60 backtracks from "
+            f"alpha_bar={float(alpha_bar)} (too long a first step, or gradient and "
+            "cost inconsistent)\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["init-svd", "als-manifold", "als-euclidean",
@@ -866,6 +889,22 @@ class TestCommandLine:
         # the init's error is the Gram matrix's trailing eigenvalues, not the SVD's
         assert name == "imputed_truncation_error"
         assert abs(float(value) - err) <= 1e-10 * np.linalg.norm(dense) ** 2
+
+    def test_init_svd_error_beyond_float_range_is_inf(self, tmp_path, capsys):
+        # Valid data, finite init costs (9.6e303), but a truncation error
+        # past the largest float: it prints inf, with nothing on stderr.
+        tm = synth_lowrank(600, 120, 3, 1.0, 0.1, seed=1)
+        path = tmp_path / "huge.csv"
+        write_triplets(dataclasses.replace(tm, vals=tm.vals * 1e153), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["init-svd", "--in", str(path), "--k", "3"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[2] == "imputed_truncation_error=inf"
+        assert all(math.isfinite(float(line.split("=")[1])) for line in lines[:2])
 
     def test_compare_subcommand(self, synth_file, tmp_path):
         out = tmp_path / "cmp.csv"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,24 @@ class TestQfKernels:
         with pytest.raises(RankDeficient, match="column 2 is numerically dependent"):
             qf(c)
         assert (len(calls["cholesky"]), len(calls["qr"])) == (0, 1)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e155, 1e200, 1e300])
+    def test_large_magnitude_matches_unscaled(self, scale):
+        # The Gram matrix overflows from about 1e154 on, and squared column
+        # norms did too: a well-conditioned matrix was refused as rank-deficient.
+        c = np.random.default_rng(51).standard_normal((40, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = qf(scale * c)
+        assert np.abs(q - qf(c)).max() <= QF_KERNEL_TOL
+
+    def test_large_magnitude_dependent_column_raises(self):
+        c = np.random.default_rng(52).standard_normal((40, 3))
+        c[:, 2] = c[:, 0] - c[:, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RankDeficient, match="column 2 is numerically dependent"):
+                qf(1e200 * c)
 
 
 class TestTangentProject:

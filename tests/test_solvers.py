@@ -459,18 +459,6 @@ class TestSgdManifold:
         _, trace_flipped = sgd_manifold(flipped, data, config)
         np.testing.assert_allclose(trace_flipped.costs, trace.costs, rtol=1e-12, atol=0)
 
-    def test_records_full_gradient_norm(self):
-        data = observed_instance(10, 8, 2, 0.4, seed=12)
-        lam = 1e-2
-        init, _, config = manifold_setup(
-            data, lam, seed=13, iters=50, trace_every=10, record_grad_norm=True
-        )
-        _, trace = sgd_manifold(init, data, config)
-        norms = [r.grad_norm for r in trace.records]
-        assert len(norms) == 6
-        assert all(g is not None and math.isfinite(g) for g in norms)
-        assert norms[0] == full_grad_manifold(init, data, lam).norm()
-
 
 class TestSgdEuclidean:
     def setup_pair(self, data, seed, scale=0.5):
@@ -597,7 +585,6 @@ def dense_euclidean_run(init, data, config):
         grad_fn=lambda state, t: dense_stoch_grad_euclidean(state.f, t, data, lam),
         view_fn=lambda state: state.f,
         rho_fn=lambda state: confinement_euclidean(state.f),
-        full_grad_norm_fn=lambda f: full_grad_euclidean(f, data, lam).norm(),
     )
 
 

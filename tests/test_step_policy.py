@@ -17,7 +17,6 @@ from wlra.step_policy import (
     PolicyKind,
     StepPolicy,
     adaptive_A_B,
-    alpha_of,
     compute_phi_min,
     compute_rho0,
     default_schedule,
@@ -51,13 +50,13 @@ def full_data(m, n, k, seed, min_w=0.5):
 
 class TestAlpha:
     def test_max_of_squares(self):
-        assert alpha_of(make_data([1.0, -3.0, 2.0], m=2, n=2)) == 9.0
+        assert make_data([1.0, -3.0, 2.0], m=2, n=2).alpha == 9.0
 
     def test_all_zero(self):
-        assert alpha_of(make_data([0.0, 0.0], m=1, n=2)) == 0.0
+        assert make_data([0.0, 0.0], m=1, n=2).alpha == 0.0
 
     def test_single_entry(self):
-        assert alpha_of(make_data([5.0], m=1, n=1)) == 25.0
+        assert make_data([5.0], m=1, n=1).alpha == 25.0
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_cached_alpha_equals_max_of_squares(self, sign):
@@ -68,7 +67,6 @@ class TestAlpha:
         vals[17] = sign * 2.0 * np.max(np.abs(vals))
         data = make_data(vals, m=6, n=10)
         assert data.alpha == float(np.max(data.a_vals**2))
-        assert alpha_of(data) == data.alpha
 
 
 class TestRho0:
@@ -168,7 +166,7 @@ class TestAdaptive:
         rng = np.random.default_rng(0)
         data = full_data(5, 4, 2, seed=1)
         lam = 0.1
-        alpha = alpha_of(data)
+        alpha = data.alpha
         policy = make_policy(PolicyKind.MANIFOLD, data, 0.0, lam, 1.0)
         for _ in range(20):
             p = random_point(5, 4, 2, rng)
