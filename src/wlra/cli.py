@@ -15,6 +15,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 
+import numpy as np
+
 from .data_io import (
     TripletMatrix,
     load_triplets,
@@ -161,10 +163,19 @@ def _check_k(tm: TripletMatrix, k: int) -> None:
 
 
 def _set_up(tm: TripletMatrix, k: int) -> tuple:
-    """Problem data, and the truncated-SVD init (point, pair) of its imputation."""
+    """Problem data, and the truncated-SVD init (point, pair) of its imputation.
+    Refuses data whose init has ||x0||^2 beyond the float range: every step
+    size and cost of a run from it would overflow."""
     _check_k(tm, k)
     data = problem_from_triplets(tm, k)
     point0, pair0 = truncated_svd_init(fill_missing_column_mean(data), k)
+    with np.errstate(over="ignore"):
+        init_sq = confinement_manifold(point0)
+    if not math.isfinite(init_sq):
+        raise MismatchedData(
+            f"the data's largest |value|, {float(np.abs(tm.vals).max())!r}, gives a "
+            f"truncated-SVD init with ||x0||^2 = {init_sq!r}; scale the data down"
+        )
     return data, point0, pair0
 
 

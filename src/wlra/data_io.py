@@ -257,10 +257,13 @@ def synth_lowrank(
             f"seed {seed}"
         )
     rng = np.random.default_rng(seed)
-    base = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
-    with np.errstate(over="ignore"):
-        full = base / np.sqrt(rank) + noise * rng.standard_normal((m, n))
-    mask = rng.random((m, n)) < observe_prob
+    try:
+        base = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+        with np.errstate(over="ignore"):
+            full = base / np.sqrt(rank) + noise * rng.standard_normal((m, n))
+        mask = rng.random((m, n)) < observe_prob
+    except (MemoryError, ValueError, OverflowError) as exc:
+        raise InvalidDimensions(f"cannot form the dense {m}x{n} synth grid: {exc}") from exc
     if not mask.any():
         mask[0, 0] = True
     rows, cols = np.nonzero(mask)

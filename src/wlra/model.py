@@ -469,8 +469,8 @@ def stoch_grad_euclidean(f: ScaledPair, t: int, data: ProblemData) -> tuple:
 
 def stoch_grad_pw(p: FactoredPoint, t: int, data: ProblemData, lam: float) -> tuple:
     """Positive-weights per-sample gradient at triplet index t: the residual
-    uses a tilted prediction. Returns what `stoch_grad_manifold` returns."""
-    check_lambda_pw(lam, require_positive_weights(data))
+    uses a tilted prediction. Returns what `stoch_grad_manifold` returns.
+    Needs fully observed data and 0 < lam < w0, which `sgd_pw` checks."""
     rows = p.rows(data.rows[t], data.cols[t])
     pv = float(np.dot(rows[0] * p.x, rows[1]))
     r = data.a_vals[t] - (1.0 - lam * data.inv_w[t]) * pv

@@ -21,6 +21,7 @@ from .model import (
     ProblemData,
     ScaledPair,
     check_iterate_shape,
+    check_lambda_pw,
     confinement_euclidean,
     confinement_manifold,
     cost_unregularized,
@@ -33,12 +34,10 @@ from .model import (
     stoch_grad_manifold,
     stoch_grad_pw,
 )
-from .step_policy import PolicyKind, StepPolicy, adaptive_A_B, phi_t, tilde_A_B_of_rho
+from .step_policy import PolicyKind, StepPolicy, adaptive_A_B, phi_t
 
-# The O(1) bounds settle phi_t only when both sit below the floor
-# max(c_t / theta, phi_min) by this relative margin, which absorbs the
-# rounding between the bounds and the exact pass they bound.
-BOUND_GATE_MARGIN = 1e-9
+# Trials an Armijo step halves through (by beta) before it gives up.
+MAX_BACKTRACKS = 60
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,6 @@ class ArmijoParams:
     iota: float
     alpha_bar: float = 1.0
     beta: float = 0.5
-    max_backtracks: int = 60
 
     def __post_init__(self):
         for name, upper in (("alpha_bar", np.inf), ("beta", 1.0), ("iota", 1.0)):
@@ -193,21 +191,13 @@ def _run_sgd(
     rng = np.random.default_rng(config.seed)
     phi = None
 
+    def exact() -> tuple[float, float]:
+        return adaptive_A_B(view_fn(state), data, policy)
+
     def advance(t: int) -> None:
         nonlocal phi
         s = sample_index(data, rng)
-        if config.adaptive:
-            floor = max(policy.schedule(t) / policy.theta, policy.phi_min)
-            limit = floor * (1.0 - BOUND_GATE_MARGIN)
-            a_t, b_t = tilde_A_B_of_rho(rho_fn(state), data.k, policy)
-            # Below the floor, phi_t is the floor whatever A_t <= A~_t and
-            # B_t <= B~_t are. Each bound is tested on its own so that NaN
-            # takes the exact pass.
-            if not (a_t <= limit and b_t <= limit):
-                a_t, b_t = adaptive_A_B(view_fn(state), data, policy)
-            phi = phi_t(policy, a_t, b_t, t)
-        else:
-            phi = policy.phi_min
+        phi = phi_t(policy, t, rho_fn(state), data.k, exact) if config.adaptive else policy.phi_min
         state.step(data.rows[s], data.cols[s], grad_fn(state, s), -policy.schedule(t) / phi)
 
     def record(t: int, elapsed: float) -> TraceRecord:
@@ -283,9 +273,10 @@ def sgd_pw(
     init: ProductPoint, data: ProblemData, config: SolverConfig
 ) -> tuple[ProductPoint, IterTrace]:
     """Positive-weights stochastic descent; the traced objective is the raw cost."""
-    require_positive_weights(data)
+    w0 = require_positive_weights(data)
     lam = config.policy.lam
     _check_start(init, data, config, PolicyKind.POSITIVE_WEIGHTS, confinement_manifold)
+    check_lambda_pw(lam, w0)
     return _run_sgd(
         FactoredPoint(init),
         data,
@@ -304,47 +295,31 @@ def armijo_step(
     cost: Callable,
     grad: ProductTangent | FactorPair,
     point,
-    direction: ProductTangent | FactorPair | None,
     params: ArmijoParams,
     retractor: Callable,
-    f0: float | None = None,
-    grad_sq: float | None = None,
-) -> tuple[float, int, object, float | None]:
-    """Smallest m with f(x) - f(R_x(beta^m abar eta)) >= -iota <grad, beta^m abar eta>.
+    f0: float,
+    grad_sq: float,
+) -> tuple[float, int, object, float]:
+    """Steepest descent: the least m with f(x) - f(R_x(-tau grad)) >= iota tau ||grad||^2,
+    tau = beta^m * alpha_bar, given f0 = f(x) and grad_sq = ||grad||^2 > 0.
 
-    Returns (tau, m, trial, f_trial) with tau = beta^m * alpha_bar, trial =
-    R_x(tau eta) and f_trial its cost; the accepted trial is the last point
-    `cost` is called on. `f0`, when given, is f(x) and is not evaluated
-    again. `grad` and `direction` are ProductTangents or FactorPairs. The
-    direction must be a descent direction or zero; a zero direction accepts
-    immediately with trial x and cost f0. `direction` None is the steepest
-    descent eta = -grad: its slope <grad, eta> is -||grad||^2 exactly, and
-    trials step by grad.scaled(-tau), so eta is never formed. `grad_sq`,
-    when given, is ||grad||^2 and is not computed again.
+    Returns (tau, m, trial, f_trial), trial = R_x(grad.scaled(-tau)) and
+    f_trial its cost; the accepted trial is the last point `cost` is called
+    on. Raises BacktrackLimit once MAX_BACKTRACKS + 1 trials have failed.
     """
-    if direction is None:
-        if grad_sq is None:
-            grad_sq = grad.sq_norm()
-        zero, slope, step = grad_sq == 0.0, -grad_sq, lambda tau: grad.scaled(-tau)
-    else:
-        zero, slope, step = direction.norm() == 0.0, grad.inner(direction), direction.scaled
-    if zero:
-        return params.alpha_bar, 0, point, f0
-    if f0 is None:
-        f0 = cost(point)
     tau = params.alpha_bar
-    for m in range(params.max_backtracks + 1):
+    for m in range(MAX_BACKTRACKS + 1):
         try:  # a trial too far out to retract, or whose cost overflows, fails the test
             with np.errstate(over="ignore"):
-                trial = retractor(point, step(tau))
+                trial = retractor(point, grad.scaled(-tau))
                 f_trial = cost(trial)
         except RankDeficient:
             f_trial = math.inf
-        if f0 - f_trial >= -params.iota * tau * slope:
+        if f0 - f_trial >= params.iota * tau * grad_sq:
             return tau, m, trial, f_trial
         tau *= params.beta
     raise BacktrackLimit(
-        f"no Armijo step within {params.max_backtracks} backtracks from alpha_bar="
+        f"no Armijo step within {MAX_BACKTRACKS} backtracks from alpha_bar="
         f"{params.alpha_bar} (too long a first step, or gradient and cost inconsistent)"
     )
 
@@ -394,9 +369,7 @@ def _run_als(
         if params.alpha_bar * g_sq > 1024.0 * eps * max(1.0, abs(f)):
             # `objective` saw the accepted trial last, so `unreg` and
             # `residual` are its own.
-            _, m, point, f = armijo_step(
-                objective, g, point, None, params, retract_fn, f0=f, grad_sq=g_sq
-            )
+            _, m, point, f = armijo_step(objective, g, point, params, retract_fn, f, g_sq)
             backtracks += m
             g = grad_fn(point, residual)
             g_sq = g.sq_norm()

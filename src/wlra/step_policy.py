@@ -10,8 +10,8 @@ phi_min alone suffices in the constant-step regime.
 
 With `make_policy`'s scales the tilde bounds stay at or below phi_min / K
 while rho <= rho1, so there phi_t is the floor max{c_t / theta, phi_min}.
-The SGD loop therefore checks the tilde bounds first and runs the exact
-pass only when one of them reaches that floor.
+`phi_t` therefore checks the tilde bounds first and runs the exact pass
+only when one of them reaches that floor.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -37,6 +38,11 @@ from .model import (
 
 DEFAULT_C = 1.0
 DEFAULT_SIGMA = math.pi**2 / 6.0
+
+# The O(1) bounds settle phi_t only when both sit below the floor
+# max(c_t / theta, phi_min) by this relative margin, which absorbs the
+# rounding between the bounds and the exact pass they bound.
+BOUND_GATE_MARGIN = 1e-9
 
 
 def default_schedule(t: int) -> float:
@@ -155,6 +161,11 @@ class StepPolicy:
         """Confinement ceiling rho0 + c*a + b^2 * sigma / 2."""
         return self.rho0 + self.c * self.a + self.b**2 * self.sigma / 2.0
 
+    @cached_property
+    def rho_floor(self) -> float:
+        """The lam-based floor of rho0; at or above it the A_t bound is 0."""
+        return _rho_floor(self.kind, self.alpha, self.lam, self.w0)
+
 
 def make_policy(
     kind: PolicyKind,
@@ -268,7 +279,7 @@ def tilde_A_B_of_rho(rho: float, k: int, policy: StepPolicy) -> tuple[float, flo
     """
     kind, lam, alpha = policy.kind, policy.lam, policy.alpha
     # Written so that a NaN rho, which compares False, gets a NaN A_t.
-    floored = rho >= _rho_floor(kind, alpha, lam, policy.w0)
+    floored = rho >= policy.rho_floor
     if kind is PolicyKind.EUCLIDEAN:
         h = math.sqrt(alpha) + rho / 2.0
         a_t = 0.0 if floored else 4.0 * (h * rho + lam * rho) / policy.a
@@ -281,8 +292,15 @@ def tilde_A_B_of_rho(rho: float, k: int, policy: StepPolicy) -> tuple[float, flo
     return a_t, b_t
 
 
-def phi_t(policy: StepPolicy, a_t: float, b_t: float, t: int) -> float:
-    """Per-iteration shrink factor max{A_t, B_t, c_t / theta, phi_min}."""
-    if min(a_t, b_t) < 0:
-        raise ShapeMismatch("A_t and B_t must be non-negative")
-    return max(a_t, b_t, policy.schedule(t) / policy.theta, policy.phi_min)
+def phi_t(policy: StepPolicy, t: int, rho: float, k: int, exact: Callable) -> float:
+    """Adaptive shrink factor max{A_t, B_t, c_t / theta, phi_min} at step t. Below the
+    floor max{c_t / theta, phi_min}, the O(1) bounds at confinement rho settle it
+    whatever A_t and B_t are; only when one reaches the floor is `exact()` called
+    for A_t, B_t (the O(nnz k) pass of `adaptive_A_B`)."""
+    floor = max(policy.schedule(t) / policy.theta, policy.phi_min)
+    limit = floor * (1.0 - BOUND_GATE_MARGIN)
+    a_t, b_t = tilde_A_B_of_rho(rho, k, policy)
+    # Each bound is tested on its own so that NaN takes the exact pass.
+    if not (a_t <= limit and b_t <= limit):
+        a_t, b_t = exact()
+    return max(a_t, b_t, floor)

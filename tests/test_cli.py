@@ -41,6 +41,16 @@ def full_file(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def overflow_file(tmp_path_factory):
+    """The 600x120 synth (30% observed) scaled by 1e153: every value's square
+    is finite, but the truncated-SVD init's ||x0||^2 is not."""
+    path = tmp_path_factory.mktemp("data") / "overflow.csv"
+    tm = synth_lowrank(600, 120, 3, 0.3, 0.1, seed=3)
+    write_triplets(dataclasses.replace(tm, vals=tm.vals * 1e153), path)
+    return path
+
+
 def count_calls(monkeypatch, *names):
     """Patch each wlra.cli.<name> with a wrapper; the list returned gets the
     name at each call."""
@@ -772,6 +782,44 @@ class TestCommandLine:
             extra += ["--out", str(out)]
         assert main([command, "--in", str(src), "--k", "1", *extra]) == 2
         assert f"{row + 1}x1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", ["sgd-manifold", "als-manifold", "als-euclidean", None])
+    def test_init_norm_overflow_refused_naming_the_data(
+        self, overflow_file, tmp_path, capsys, algorithm
+    ):
+        # Once sgd-manifold warned and blamed --lambda, als-manifold warned
+        # and wrote a flat trace, and als-euclidean warned and blamed
+        # --alpha-bar, --beta. None is a compare of two runs. The suite's
+        # RuntimeWarning filter would fail the test on any warning.
+        out = tmp_path / "out.csv"
+        if algorithm is None:
+            runs = [f"--run=name={a},algorithm={a},lambda=1e-2,iters=30"
+                    for a in ("sgd-manifold", "als-euclidean")]
+            argv = ["compare", "--in", str(overflow_file), "--k", "3", *runs]
+        else:
+            argv = ["run", "--in", str(overflow_file), "--algorithm", algorithm, "--k", "3",
+                    "--lambda", "1e-2", "--iters", "30"]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        largest = float(np.abs(load_triplets(overflow_file).vals).max())
+        assert captured.err == (
+            f"error: the data's largest |value|, {largest!r}, gives a truncated-SVD init "
+            "with ||x0||^2 = inf; scale the data down\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, cols", [(2**62, 2), (2, 2**62), (2**63 - 1, 1)])
+    def test_synth_grid_too_large_refused_naming_the_shape(self, tmp_path, capsys, rows, cols):
+        # Each shape's first grid is beyond the int64 byte range, so numpy
+        # refuses it ("array is too big") before allocating anything.
+        out = tmp_path / "out.csv"
+        assert main([
+            "synth", "--rows", str(rows), "--cols", str(cols), "--rank", "1",
+            "--observe-prob", "0.5", "--out", str(out),
+        ]) == 2
+        assert f"cannot form the dense {rows}x{cols} synth grid" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["ingest", "init-svd", "run"])

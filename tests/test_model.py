@@ -40,6 +40,8 @@ from wlra.model import (
     stoch_grad_manifold,
     stoch_grad_pw,
 )
+from wlra.solvers import Budget, SolverConfig, sgd_pw
+from wlra.step_policy import PolicyKind, make_policy
 
 from helpers import (
     assemble,
@@ -1069,23 +1071,36 @@ class TestScaledPair:
         assert state.sq_norm() == exact
 
 
+def pw_config(data: ProblemData, p: ProductPoint) -> SolverConfig:
+    """A one-step sgd_pw config on the fully observed `data` from `p`."""
+    policy = make_policy(PolicyKind.POSITIVE_WEIGHTS, data, confinement_manifold(p), None, 1.0)
+    return SolverConfig(
+        kind=PolicyKind.POSITIVE_WEIGHTS, policy=policy, budget=Budget(max_iterations=1), seed=0
+    )
+
+
 class TestGradPositiveWeights:
     def test_scalar_hand_case(self):
         g = sampled_tangent(stoch_grad_pw, scalar_point(), 0, scalar_data(), 0.5)
         np.testing.assert_allclose(g.dx, [-2.0])
 
+    # stoch_grad_pw checks nothing per sample: sgd_pw refuses lambda >= w0
+    # and a partially observed matrix once, before any step.
     def test_lambda_at_boundary_rejected(self):
         data = random_data(4, 3, 2, 12, seed=30, full=True, min_w=0.5)
         p = random_point(4, 3, 2, np.random.default_rng(30))
+        config = pw_config(data, p)
         w0 = float(data.w_vals.min())
+        config = dataclasses.replace(config, policy=dataclasses.replace(config.policy, lam=w0))
         with pytest.raises(LambdaOutOfRange):
-            stoch_grad_pw(FactoredPoint(p), 0, data, w0)
+            sgd_pw(p, data, config)
 
     def test_partial_support_rejected(self):
         data = random_data(4, 3, 2, 6, seed=31)
         p = random_point(4, 3, 2, np.random.default_rng(31))
+        full = random_data(4, 3, 2, 12, seed=31, full=True, min_w=0.5)
         with pytest.raises(NonPositiveWeight):
-            stoch_grad_pw(FactoredPoint(p), 0, data, 1e-3)
+            sgd_pw(p, data, pw_config(full, p))
 
     def test_stoch_finite_differences(self):
         rng = np.random.default_rng(32)

@@ -11,6 +11,7 @@ import pytest
 import wlra.geometry
 import wlra.model
 import wlra.solvers
+import wlra.step_policy
 from wlra.cli import IOTA_PRESETS
 from wlra.data_io import problem_from_triplets, synth_lowrank
 from wlra.errors import (
@@ -42,6 +43,7 @@ from wlra.model import (
     sample_index,
 )
 from wlra.solvers import (
+    MAX_BACKTRACKS,
     ArmijoParams,
     Budget,
     SolverConfig,
@@ -870,7 +872,7 @@ class TestAdaptiveGate:
         exact = count_calls(monkeypatch, "adaptive_A_B")
         gated = run_key(*solver(init, data, config))
         assert len(exact) == 0
-        monkeypatch.setattr(wlra.solvers, "tilde_A_B_of_rho", FORCED_BOUNDS[force])
+        monkeypatch.setattr(wlra.step_policy, "tilde_A_B_of_rho", FORCED_BOUNDS[force])
         forced = run_key(*solver(init, data, config))
         assert len(exact) == iters
         assert forced == gated
@@ -900,25 +902,26 @@ def scalar_pair(x: float) -> FactorPair:
     return FactorPair(np.array([[x]]), np.array([[0.0]]))
 
 
-def scalar_armijo(grad: float, direction: float, **params):
+def scalar_cost(f: FactorPair) -> float:
+    return float(f.x[0, 0]) ** 2
+
+
+def add_step(f: FactorPair, d: FactorPair) -> FactorPair:
+    return f.add_scaled(d, 1.0)
+
+
+def scalar_armijo(grad: float, alpha_bar=1.0, cost=scalar_cost, retractor=add_step):
+    """The Armijo step from X_11 = 1, where f = 1, along -grad (2.0 is f's gradient)."""
+    params = ArmijoParams(iota=0.5, alpha_bar=alpha_bar, beta=0.5)
     return armijo_step(
-        lambda f: float(f.x[0, 0]) ** 2,
-        scalar_pair(grad),
-        scalar_pair(1.0),
-        scalar_pair(direction),
-        ArmijoParams(iota=0.5, alpha_bar=1.0, beta=0.5, **params),
-        lambda f, d: f.add_scaled(d, 1.0),
+        cost, scalar_pair(grad), scalar_pair(1.0), params, retractor, 1.0, grad * grad
     )
 
 
 class TestArmijo:
     def test_quadratic_hand_case(self):
-        tau, m, _, _ = scalar_armijo(2.0, -2.0)
-        assert m == 1 and tau == 0.5
-
-    def test_zero_direction_accepts_immediately(self):
-        tau, m, _, _ = scalar_armijo(0.0, 0.0)
-        assert m == 0 and tau == 1.0
+        tau, m, trial, f_trial = scalar_armijo(2.0)
+        assert (tau, m, float(trial.x[0, 0]), f_trial) == (0.5, 1, 0.0, 0.0)
 
     def test_trial_that_cannot_retract_fails_the_test(self):
         # Once the search ended with RankDeficient (`--alpha-bar 1e300` on a
@@ -926,17 +929,24 @@ class TestArmijo:
         def retractor(f, d):
             if abs(d.x[0, 0]) > 1.0:
                 raise RankDeficient("column 0 is numerically dependent")
-            return f.add_scaled(d, 1.0)
+            return add_step(f, d)
 
-        tau, m, trial, f_trial = armijo_step(
-            lambda f: float(f.x[0, 0]) ** 2, scalar_pair(2.0), scalar_pair(1.0),
-            scalar_pair(-2.0), ArmijoParams(iota=0.5, alpha_bar=4.0, beta=0.5), retractor,
-        )
+        tau, m, trial, f_trial = scalar_armijo(2.0, alpha_bar=4.0, retractor=retractor)
         assert (tau, m, float(trial.x[0, 0]), f_trial) == (0.5, 3, 0.0, 0.0)
 
     def test_inconsistent_gradient_exhausts_backtracks(self):
-        with pytest.raises(BacktrackLimit):
-            scalar_armijo(2.0, 2.0, max_backtracks=20)
+        # -grad points uphill: every trial costs more than f(x), or as much
+        # once tau has shrunk below the spacing of floats at 1.
+        costs = []
+
+        def cost(f):
+            costs.append(scalar_cost(f))
+            return costs[-1]
+
+        with pytest.raises(BacktrackLimit, match=f"within {MAX_BACKTRACKS} backtracks"):
+            scalar_armijo(-2.0, cost=cost)
+        assert len(costs) == MAX_BACKTRACKS + 1
+        assert min(costs) >= 1.0
 
     def test_inequality_holds_and_m_is_minimal(self):
         data = observed_instance(10, 8, 2, 0.5, seed=30)
@@ -947,30 +957,12 @@ class TestArmijo:
         g = full_grad_manifold(p, data, lam)
         eta = g.scaled(-1.0)
         cost = lambda q: regularized_cost(q, data, lam)
-        tau, m, _, _ = armijo_step(cost, g, p, eta, params, retract)
+        tau, m, _, _ = armijo_step(cost, g, p, params, retract, cost(p), g.sq_norm())
         slope = g.inner(eta)
         assert cost(p) - cost(retract(p, eta.scaled(tau))) >= -params.iota * tau * slope
         if m > 0:
             prev = tau / params.beta
             assert cost(p) - cost(retract(p, eta.scaled(prev))) < -params.iota * prev * slope
-
-    def test_steepest_descent_matches_explicit_direction(self):
-        # no direction means eta = -g, with or without ||g||^2 given
-        data = observed_instance(10, 8, 2, 0.5, seed=30)
-        p = random_point(10, 8, 2, np.random.default_rng(31))
-        lam = 1e-2
-        params = ArmijoParams(iota=1e-4, alpha_bar=50.0)
-        g = full_grad_manifold(p, data, lam)
-        cost = lambda q: regularized_cost(q, data, lam)
-        want = armijo_step(cost, g, p, g.scaled(-1.0), params, retract)
-        assert want[1] > 0
-        for grad_sq in (None, g.sq_norm()):
-            got = armijo_step(cost, g, p, None, params, retract, grad_sq=grad_sq)
-            assert got[:2] == want[:2] and got[3] == want[3]
-            for a, b in zip(dataclasses.astuple(got[2]), dataclasses.astuple(want[2])):
-                np.testing.assert_array_equal(a, b)
-        zero = g.scaled(0.0)
-        assert armijo_step(cost, zero, p, None, params, retract, f0=1.0) == (50.0, 0, p, 1.0)
 
     def test_param_validation(self):
         with pytest.raises(ShapeMismatch):

@@ -341,21 +341,46 @@ def whole_support_A_B(kind, it, data, policy):
     return max(0.0, float(a_terms.max())) / policy.a, float(b_terms.max()) / policy.b
 
 
+def no_exact_pass():
+    raise AssertionError("the bounds settle phi_t, so the exact pass must not run")
+
+
 class TestPhiT:
     def test_floor_is_phi_min(self):
         pol = scalar_policy()
-        assert phi_t(pol, 0.0, 0.0, 5) == pol.phi_min
+        assert phi_t(pol, 5, 0.0, 1, lambda: (0.0, 0.0)) == pol.phi_min
 
     def test_large_A_dominates(self):
         pol = scalar_policy()
-        assert phi_t(pol, 2.0 * pol.phi_min, 0.0, 0) == 2.0 * pol.phi_min
+        assert phi_t(pol, 0, 0.0, 1, lambda: (2.0 * pol.phi_min, 0.0)) == 2.0 * pol.phi_min
 
     def test_schedule_term_never_exceeds_phi_min_with_standard_theta(self):
         data = full_data(5, 4, 2, seed=6)
         policy = make_policy(PolicyKind.MANIFOLD, data, 0.0, 0.05, 1.0)
         for t in range(200):
             assert policy.schedule(t) / policy.theta <= policy.phi_min + 1e-12
-            assert phi_t(policy, 0.0, 0.0, t) >= policy.phi_min
+            assert phi_t(policy, t, policy.rho0, data.k, no_exact_pass) >= policy.phi_min
+
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    def test_settled_bounds_skip_the_exact_pass(self, kind):
+        # With make_policy's scales the bounds stay at or below phi_min / K
+        # up to rho1, so there phi_t is the floor and `exact` is never
+        # called; far past rho1 a bound reaches the floor and it is.
+        data = full_data(5, 4, 2, seed=6)
+        lam = None if kind is PolicyKind.POSITIVE_WEIGHTS else 0.05
+        policy = make_policy(kind, data, 0.0, lam, 2.0)
+        for rho in (0.0, policy.rho0, policy.rho1):
+            for t in (0, 1, 1000):
+                floor = max(policy.schedule(t) / policy.theta, policy.phi_min)
+                assert phi_t(policy, t, rho, data.k, no_exact_pass) == floor
+        calls = []
+
+        def exact():
+            calls.append(1)
+            return 3.0 * policy.phi_min, 0.0
+
+        assert phi_t(policy, 0, 1e6 * policy.rho1, data.k, exact) == 3.0 * policy.phi_min
+        assert len(calls) == 1
 
 
 class TestPolicyAssembly:
