@@ -10,7 +10,6 @@ supported: the product manifold (U, x, V), the Euclidean factor pair
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -285,6 +284,15 @@ class ScaledPair:
 class AliasSampler:
     """Walker alias table for sampling an index with fixed probabilities.
 
+    Vose's pairing order from prefix sums, not a step per pair. Light cells
+    (scaled probability below 1) and heavy ones are each taken in descending
+    index order. Light i goes to the first heavy j whose cumulative excess E_j
+    is at least the deficit of the lights before i. Heavy j, unless last, is
+    demoted if E_j is below the paired lights' total deficit: it goes to heavy
+    j + 1 with accept 1 - f_j, f_j = f_{j-1} + (its lights' deficits) - (its
+    excess). Other cells accept 1. Both sides are walked in SUPPORT_BLOCK
+    blocks with carried sums, so temporaries are block-sized.
+
     One draw consumes one `integers` and one `random` call of the supplied
     generator, in that order, so sequences are reproducible per seed.
     """
@@ -294,42 +302,44 @@ class AliasSampler:
         if probs.size == 0 or probs.min() <= 0:
             raise EmptySupport("sampler needs at least one positive probability")
         n = probs.size
-        # Pair on stdlib arrays: reading them cell by cell is several times
-        # faster than reading numpy arrays, and unlike lists they hold no
-        # Python object per cell. Each is allocated once, at full size, and
-        # filled and read through a numpy view, so the build makes few
-        # temporaries. One stack array holds the small cells in [0, ns),
-        # top at ns - 1, and the large cells in [top, n), top at `top`, each
-        # in the order the pairing pops them.
-        left = array("d", [0.0]) * n
-        scaled = np.frombuffer(left)
-        np.multiply(probs, n / probs.sum(), out=scaled)
-        is_small = scaled < 1.0
-        ns = int(np.count_nonzero(is_small))
-        stack = array("q", [0]) * n
-        order = np.frombuffer(stack, dtype=np.int64)
-        order[:ns] = np.flatnonzero(is_small)
-        order[ns:] = np.flatnonzero(~is_small)[::-1]
-        alias = array("q", [0]) * n
-        top = ns
-        while ns and top < n:
-            ns -= 1
-            s = stack[ns]
-            l = stack[top]
-            alias[s] = l
-            left[l] -= 1.0 - left[s]
-            if left[l] < 1.0:  # l moves to the small stack
-                stack[ns] = l
-                ns += 1
-                top += 1
-        # A cell is popped as `s` at most once and only `l` entries change
-        # afterwards, so a paired cell's final entry is its acceptance
-        # probability; the cells left on either stack accept always.
-        self.accept = scaled
-        self.alias = np.frombuffer(alias, dtype=np.int64)
-        for unpaired in (order[:ns], order[top:]):
-            self.accept[unpaired] = 1.0
-            self.alias[unpaired] = unpaired
+        accept = probs * (n / probs.sum())
+        light = accept < 1.0
+        nl = int(np.count_nonzero(light))
+        order = np.empty(n, dtype=np.int64)
+        order[:nl] = np.flatnonzero(light)
+        order[nl:] = np.flatnonzero(np.logical_not(light, out=light))
+        del light
+        lights, heavies = order[:nl][::-1], order[nl:][::-1]
+        alias = np.arange(n)
+        # Carried: next light, deficit before it, excess before this block, last f.
+        a, c, e_before, f = 0, 0.0, 0.0, 0.0
+        for h in range(0, n - nl, SUPPORT_BLOCK):
+            hb = heavies[h : h + SUPPORT_BLOCK]
+            # f_j - f_{j-1} per heavy: minus its excess, plus its lights' deficits.
+            net = 1.0 - accept[hb]
+            big_e = np.cumsum(np.concatenate(([e_before], -net)))[1:]
+            e_before = big_e[-1]
+            while a < nl:
+                lb = lights[a : a + SUPPORT_BLOCK]
+                d = 1.0 - accept[lb]
+                big_c = np.cumsum(np.concatenate(([c], d)))
+                k = int(np.searchsorted(big_c[:-1], e_before, "right"))
+                to = np.searchsorted(big_e, big_c[:k])
+                alias[lb[:k]] = hb[to]
+                net += np.bincount(to, d[:k], hb.size)
+                a, c = a + k, big_c[k]
+                if k < lb.size:
+                    break
+            q = min(int(np.searchsorted(big_e, c)), n - nl - h - 1)  # never the last heavy
+            fs = np.cumsum(np.concatenate(([f], net[:q])))
+            accept[hb[:q]] = 1.0 - fs[1:]
+            alias[hb[:q]] = heavies[h + 1 : h + q + 1]
+            f = fs[-1]
+            if q < hb.size:  # no later heavy is demoted or paired
+                break
+        accept[lights[a:]] = 1.0
+        np.clip(accept, 0.0, 1.0, out=accept)  # heavies not demoted accept 1
+        self.accept, self.alias = accept, alias
 
     def draw(self, rng: np.random.Generator) -> int:
         i = int(rng.integers(0, self.accept.size))

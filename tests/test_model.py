@@ -225,6 +225,10 @@ def zipf_probs(n, exponent=0.9):
     return np.random.default_rng(12).permutation(1.0 / np.arange(1, n + 1) ** exponent)
 
 
+def spread_probs(n):
+    return np.random.default_rng(12).uniform(0.1, 10.0, n)
+
+
 def two_tiers(n):
     # 1% of cells weigh 200: each absorbs a run of about 100 small cells.
     return np.where(np.random.default_rng(12).random(n) < 0.01, 200.0, 1.0)
@@ -238,7 +242,7 @@ def two_tiers(n):
 ALIAS_PATTERNS = {
     "uniform": lambda: np.full(5000, 0.5),
     "binary": lambda: binary_probs(5000),
-    "random": lambda: np.random.default_rng(12).uniform(0.1, 10.0, 5000),
+    "random": lambda: spread_probs(5000),
     "binary-remainder-large": lambda: remainder_probs(46228),
     "binary-remainder-small": lambda: remainder_probs(45000),
     "one-heavy": lambda: one_heavy(2000),
@@ -247,6 +251,8 @@ ALIAS_PATTERNS = {
     "run-beyond-block": lambda: one_heavy(3 * SUPPORT_BLOCK + 5),
     "n1": lambda: np.array([0.7]),
     "n2": lambda: np.array([0.3, 0.7]),
+    # About half the cells are heavy, and nearly all of those are demoted.
+    "spread-200003": lambda: spread_probs(200003),
 }
 
 
@@ -282,15 +288,40 @@ class TestSampling:
 
     @pytest.mark.parametrize("pattern", sorted(ALIAS_PATTERNS))
     def test_alias_table_equals_reference_build(self, pattern):
+        # The prefix-sum build pairs as the reference does. Light and unpaired
+        # cells keep its exact accept; a demoted heavy's accept sums the same
+        # deficits in another order, so it agrees within a stated 1e-12.
         probs = ALIAS_PATTERNS[pattern]()
         sampler = AliasSampler(probs)
         accept, alias = reference_alias_table(probs)
-        assert np.array_equal(sampler.accept, accept)
         assert np.array_equal(sampler.alias, alias)
+        light = probs * (probs.size / probs.sum()) < 1.0
+        demoted = ~light & (alias != np.arange(probs.size))
+        assert np.array_equal(sampler.accept[~demoted], accept[~demoted])
+        assert np.all(np.abs(sampler.accept[demoted] - accept[demoted]) <= 1e-12)
 
-    def test_draws_equal_reference_table_draws(self):
-        # Remainder-large weights: one large cell takes a run of 46227 small ones.
-        probs = ALIAS_PATTERNS["binary-remainder-large"]()
+    @pytest.mark.parametrize("pattern", sorted(ALIAS_PATTERNS))
+    def test_alias_table_holds_each_cells_mass(self, pattern):
+        # Cell i's mass in the table, accept[i] plus the rejected shares of
+        # the cells aliased to it, is n p_i / sum(p).
+        probs = ALIAS_PATTERNS[pattern]()
+        sampler = AliasSampler(probs)
+        assert 0.0 <= sampler.accept.min() and sampler.accept.max() <= 1.0
+        error = alias_mass_error(sampler.accept, sampler.alias, probs)
+        assert error <= 1e-9
+        assert error <= 2 * alias_mass_error(*reference_alias_table(probs), probs)
+
+    @pytest.mark.parametrize(
+        "pattern", ["binary-remainder-large", "random", "two-tiers", "zipf"]
+    )
+    def test_draws_equal_reference_table_draws(self, pattern):
+        # Remainder-large weights: one large cell takes a run of 46227 small
+        # ones (they sum to 1.0 exactly, so scaling them to the unit sum that
+        # ProblemData takes leaves them as they are). The others demote
+        # heavies, whose accepts may differ from the reference's in the last
+        # bits; no seeded draw lands on such a difference.
+        probs = ALIAS_PATTERNS[pattern]()
+        probs = probs / probs.sum()
         n = probs.size
         data = ProblemData(
             m=1, n=n, k=1, rows=np.zeros(n, int), cols=np.arange(n),
@@ -306,19 +337,30 @@ class TestSampling:
         assert draws == expected
 
     def test_alias_build_temporaries_are_block_sized(self):
-        # The table's own arrays (left/accept, the stack and alias at 8
-        # bytes a cell, the 1-byte small mask) plus O(SUPPORT_BLOCK) slack:
-        # a temporary the size of the run would add 8 bytes a cell.
+        # The table's own arrays (accept, the light-then-heavy order and
+        # alias at 8 bytes a cell, the 1-byte light mask) plus
+        # O(SUPPORT_BLOCK) slack: a temporary the size of the run would add
+        # 8 bytes a cell.
         probs = remainder_probs(200003)
         assert np.count_nonzero(probs * (probs.size / probs.sum()) < 1.0) == probs.size - 1
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            AliasSampler(probs)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= 25 * probs.size + 32 * SUPPORT_BLOCK
+        assert alias_build_peak(probs) <= 25 * probs.size + 32 * SUPPORT_BLOCK
+
+    def test_spread_alias_build_temporaries_are_block_sized(self):
+        # About half the cells are heavy, so both sides are walked block by
+        # block; the bound is the one above.
+        probs = ALIAS_PATTERNS["spread-200003"]()
+        light = np.count_nonzero(probs * (probs.size / probs.sum()) < 1.0)
+        assert 0.4 * probs.size < light < 0.6 * probs.size
+        assert alias_build_peak(probs) <= 25 * probs.size + 32 * SUPPORT_BLOCK
+
+    def test_spread_draws_chi_square(self):
+        probs = spread_probs(50)
+        sampler = AliasSampler(probs)
+        count = 100000
+        counts = np.bincount(draw_many(sampler, np.random.default_rng(8), count), minlength=50)
+        expected = count * probs / probs.sum()
+        # chi-square GoF, 49 dof; critical value at alpha = 0.001 is 85.351
+        assert float(np.sum((counts - expected) ** 2 / expected)) < 85.351
 
     def test_alias_table_matches_probabilities(self):
         probs = np.array([0.5, 0.3, 0.2])
@@ -327,6 +369,25 @@ class TestSampling:
         draws = draw_many(sampler, rng, 200000)
         freqs = np.bincount(draws, minlength=3) / 200000.0
         assert np.all(np.abs(freqs - probs) <= 0.01)
+
+
+def alias_build_peak(probs) -> int:
+    """Bytes that `AliasSampler(probs)` holds at its peak, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        AliasSampler(probs)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def alias_mass_error(accept, alias, probs) -> float:
+    """Largest |accept[i] + sum_{j != i, alias[j] = i} (1 - accept[j]) - n p_i / sum(p)|."""
+    n = probs.size
+    moved = alias != np.arange(n)
+    mass = accept + np.bincount(alias[moved], 1.0 - accept[moved], n)
+    return float(np.max(np.abs(mass - probs * (n / probs.sum()))))
 
 
 def reference_alias_table(probs):
