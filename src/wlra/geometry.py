@@ -55,6 +55,9 @@ class ProductPoint:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "v", v)
 
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.u * self.x, self.v  # (L, R) with L R^T = U diag(x) V^T
+
 
 @dataclass(frozen=True)
 class ProductTangent:
@@ -184,9 +187,9 @@ class FactoredPoint:
     so both fold. A fold is the same point, as qf(A R^-1) = qf(A) for an
     upper-triangular R with positive diagonal.
 
-    `point()` materializes the ProductPoint, O((m + n) k^2); it is cached
-    until the next step, and the first one is the point the state was built
-    from.
+    `point()` materializes the ProductPoint, O((m + n) k^2), cached until the
+    next step (the first is the point the state was built from); trace costs
+    read `factors()` instead.
     """
 
     def __init__(self, p: ProductPoint):
@@ -205,6 +208,12 @@ class FactoredPoint:
         buf[0, 0] = self.bases[0][i]
         buf[1, 0] = self.bases[1][j]
         return (buf @ self.t)[:, 0]
+
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(B_u, B_v C^T), or (B_u C, B_v) when n > m, C = T_u diag(x) T_v^T:
+        U diag(x) V^T in O(min(m, n) k^2), `point()` in O((m + n) k^2)."""
+        (b_u, b_v), core = self.bases, (self.t[0] * self.x) @ self.t[1].T
+        return (b_u, b_v @ core.T) if len(b_u) >= len(b_v) else (b_u @ core, b_v)
 
     def point(self) -> ProductPoint:
         if self._point is None:
@@ -246,19 +255,20 @@ class FactoredPoint:
         self._point = None
 
     def _update(self, tm, m, w, q) -> tuple:
-        """(T', R^-T q T'^-1, ok) for both factors; ok[f] is False where
-        factor f fails the pivot or the FOLD_COND rule. Raises LinAlgError
-        when a batched Cholesky factorization or inverse fails."""
+        """(T', q R^-1 T'^-1, ok) for both factors, from one batched inverse
+        of L = R^T and T M: T' = T M L^-T, T'^-1 = L^T (T M)^-1, the row is
+        q (T M)^-1. ok[f] is False where factor f fails the pivot or the
+        FOLD_COND rule. Raises LinAlgError when a batched call fails."""
         # M^T M + s (w a^T + a w^T) + s^2 a a^T, written as M^T M + q q^T - w w^T
         g = m @ m + (q[:, :, None] * q[:, None, :] - w[:, :, None] * w[:, None, :])
         l = np.linalg.cholesky(g)
         pivots = l.diagonal(0, 1, 2) / np.maximum(np.sqrt(g.diagonal(0, 1, 2)), 1.0)
-        r_inv = np.linalg.inv(l).transpose(0, 2, 1)
-        t_new = tm @ r_inv
-        t_new_inv = np.linalg.inv(t_new)
+        inv = np.linalg.inv(np.concatenate((l, tm)))  # L^-1 and (T M)^-1
+        t_new = tm @ inv[:2].transpose(0, 2, 1)
+        t_new_inv = l.transpose(0, 2, 1) @ inv[2:]
         # cond(T') as ||T'||_F ||T'^-1||_F / k: 1 for orthogonal T', and between
         # cond_2(T') / k and cond_2(T') in general; an SVD would cost more than
         # the step. Compared squared; NaN folds too.
         cond_sq = np.square(t_new).sum((1, 2)) * np.square(t_new_inv).sum((1, 2))
         ok = (pivots.min(1) > RANK_TOL) & (cond_sq <= (FOLD_COND * q.shape[1]) ** 2)
-        return t_new, (q[:, None] @ r_inv @ t_new_inv)[:, 0], ok
+        return t_new, (q[:, None] @ inv[2:])[:, 0], ok

@@ -182,10 +182,11 @@ def _run_sgd(
 ) -> tuple[object, IterTrace]:
     """The SGD step. `grad_fn(state, t)` is the per-sample gradient at
     triplet index t, and `state.step(i, j, grad, step)` moves the state in
-    place along it at cell (i, j); `view_fn(state)` gives the iterate that
-    traces, the exact safeguards and the caller see; `rho_fn` reads the
-    confinement of the state and of its view alike. A record carries the
-    phi_t of the step before it. The alias table is built before the clock."""
+    place along it at cell (i, j). Trace costs price `state.factors()`;
+    `view_fn(state)` is the iterate the exact safeguard, recorded rho and the
+    caller see; `rho_fn` reads the confinement of the state and of its view
+    alike. A record has the phi_t of the step before it. The alias table is
+    built before the clock."""
     data.sampler
     policy = config.policy
     rng = np.random.default_rng(config.seed)
@@ -201,13 +202,12 @@ def _run_sgd(
         state.step(data.rows[s], data.cols[s], grad_fn(state, s), -policy.schedule(t) / phi)
 
     def record(t: int, elapsed: float) -> TraceRecord:
-        pt = view_fn(state)
         return TraceRecord(
             t=t,
             elapsed_seconds=elapsed,
-            cost_unregularized=cost_unregularized(pt, data),
+            cost_unregularized=cost_unregularized(state, data),
             phi=phi,
-            rho=rho_fn(pt) if config.record_rho else None,
+            rho=rho_fn(view_fn(state)) if config.record_rho else None,
         )
 
     trace = _iterate(advance, record, config.budget, config.trace_every)
@@ -229,8 +229,8 @@ def sgd_manifold(
     The iterate is kept as a FactoredPoint: each step makes one per-sample
     gradient call, which reads row i of U and row j of V once as a (2, k)
     array, and one stacked O(k^3) Cholesky-QR update of the factored U and
-    V. A factor whose update is refused folds on its own, re-orthonormalizing
-    its base (see `FactoredPoint`).
+    V. A factor whose update is refused folds on its own (see
+    `FactoredPoint`). Trace points price its factors, U and V not multiplied out.
     """
     lam = config.policy.lam
     _check_start(init, data, config, PolicyKind.MANIFOLD, confinement_manifold)
@@ -254,9 +254,9 @@ def sgd_euclidean(
     rewrites only row i of Xb and row j of Yb: O(k) per step, whatever m
     and n are. A step whose shrink 1 + 2 s lam is not positive, or would take
     the scale below FOLD_SCALE, folds the scale back into the factors and
-    is taken densely there (see `ScaledPair`). (X, Y) is multiplied out
-    only for trace points, for the exact safeguard pass when the bounds do
-    not settle phi_t, and for the returned pair.
+    is taken densely there (see `ScaledPair`). Trace points price its
+    factors; (X, Y) is multiplied out only for the exact safeguard pass when
+    the bounds do not settle phi_t, a recorded rho and the returned pair.
     """
     _check_start(init, data, config, PolicyKind.EUCLIDEAN, confinement_euclidean)
     return _run_sgd(

@@ -48,15 +48,18 @@ def lapack_svd_init(dense, k: int, with_error: bool = False) -> tuple:
     return point, pair
 
 
-def full_grid_entries(source, data: ProblemData, out=None) -> np.ndarray:
-    """Dense-route predictions from one m-by-n GEMM read at `data.cells`: the
-    kernel `_grid_entries` used outside grid order before its row blocks,
-    kept as their reference."""
-    if isinstance(source, ProductPoint):
-        grid = (source.u * source.x) @ source.v.T
-    else:
-        grid = source.x @ source.y.T
-    return np.ravel(grid).take(data.cells, out=out, mode="clip")
+def full_grid_entries(left, right, data: ProblemData, out=None) -> np.ndarray:
+    """Dense-route predictions of the factors (L, R) from one m-by-n GEMM
+    L R^T read at `data.cells`: the kernel `_grid_entries` used outside grid
+    order before its row blocks, kept as their reference."""
+    return np.ravel(left @ right.T).take(data.cells, out=out, mode="clip")
+
+
+def point_entries(p: ProductPoint, rows, cols) -> np.ndarray:
+    """Gather-route predictions of a ProductPoint by one three-operand einsum
+    over U, x and V: the kernel the gather route used for points before the
+    passes took factor pairs, kept as its reference."""
+    return np.einsum("tk,k,tk->t", p.u.take(rows, axis=0), p.x, p.v.take(cols, axis=0))
 
 
 def full_grid_sums(e, left, right, data: ProblemData, diag: bool) -> tuple:

@@ -330,34 +330,38 @@ class TestFactoredStiefel:
         assert not np.array_equal(f.t[1], np.eye(4))
 
     def test_batched_linalg_error_folds_both_factors(self, monkeypatch):
-        # np.linalg.inv fails on every 9th call. A LinAlgError does not name
-        # the factor, so both fold, and the point still follows the dense steps.
+        # A step makes one batched np.linalg.inv call (of L and T M, for both
+        # factors), and every 9th fails. A LinAlgError does not name the
+        # factor, so both fold, and the point still follows the dense steps.
         rng = np.random.default_rng(45)
         p = random_point(40, 25, 3, rng)
         f = FactoredPoint(p)
         u, v = p.u, p.v
         real, inverses, folds = np.linalg.inv, [], []
 
-        def every_ninth_fails(a):
+        def every_ninth_batched_fails(a):
+            if a.ndim == 2:  # the k-by-k inverse of a fold's `qf`
+                return real(a)
+            assert a.shape == (4, 3, 3)
             inverses.append(1)
             if len(inverses) % 9 == 0:
                 raise np.linalg.LinAlgError("forced")
             return real(a)
 
-        monkeypatch.setattr(np.linalg, "inv", every_ninth_fails)
+        monkeypatch.setattr(np.linalg, "inv", every_ninth_batched_fails)
         for step in range(60):
             i, j, s = int(rng.integers(40)), int(rng.integers(25)), 0.3 / (step + 1)
             a = rng.standard_normal((2, 3))
             u, v = dense_row_step(u, i, a[0], s), dense_row_step(v, j, a[1], s)
-            calls = len(inverses)
             factored_step(f, i, j, a, s)
-            if len(inverses) // 9 > calls // 9:
+            assert len(inverses) == step + 1
+            if len(inverses) % 9 == 0:
                 folds.append(step)
                 assert_folded(f, 0)
                 assert_folded(f, 1)
             else:
                 assert f.steps[0] == f.steps[1] > 0
-        assert len(folds) >= 6
+        assert folds == [8, 17, 26, 35, 44, 53]
         q = f.point()
         assert np.abs(q.u - u).max() <= 1e-13 and np.abs(q.v - v).max() <= 1e-13
 

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,6 +53,7 @@ from helpers import (
     draw_many,
     full_grid_entries,
     full_grid_sums,
+    point_entries,
     random_point,
     random_tangent,
     regularized_cost,
@@ -229,6 +231,10 @@ def spread_probs(n):
     return np.random.default_rng(12).uniform(0.1, 10.0, n)
 
 
+def pareto_probs(n):
+    return np.random.default_rng(12).pareto(1.0, n) + 1e-3
+
+
 def two_tiers(n):
     # 1% of cells weigh 200: each absorbs a run of about 100 small cells.
     return np.where(np.random.default_rng(12).random(n) < 0.01, 200.0, 1.0)
@@ -253,6 +259,8 @@ ALIAS_PATTERNS = {
     "n2": lambda: np.array([0.3, 0.7]),
     # About half the cells are heavy, and nearly all of those are demoted.
     "spread-200003": lambda: spread_probs(200003),
+    # Heavy-tailed: a few heavies take runs of hundreds of lights each.
+    "pareto": lambda: pareto_probs(5000),
 }
 
 
@@ -290,15 +298,20 @@ class TestSampling:
     def test_alias_table_equals_reference_build(self, pattern):
         # The prefix-sum build pairs as the reference does. Light and unpaired
         # cells keep its exact accept; a demoted heavy's accept sums the same
-        # deficits in another order, so it agrees within a stated 1e-12.
+        # deficits in another order, so both are compared with its value in
+        # exact arithmetic, and the build's worst error may not exceed the
+        # reference's (7.2e-13 against 2.5e-11 on two-tiers).
         probs = ALIAS_PATTERNS[pattern]()
         sampler = AliasSampler(probs)
         accept, alias = reference_alias_table(probs)
         assert np.array_equal(sampler.alias, alias)
-        light = probs * (probs.size / probs.sum()) < 1.0
-        demoted = ~light & (alias != np.arange(probs.size))
-        assert np.array_equal(sampler.accept[~demoted], accept[~demoted])
-        assert np.all(np.abs(sampler.accept[demoted] - accept[demoted]) <= 1e-12)
+        demoted, exact = exact_demoted_accepts(accept, alias, probs)
+        rest = np.ones(probs.size, bool)
+        rest[demoted] = False
+        assert np.array_equal(sampler.accept[rest], accept[rest])
+        if demoted.size:
+            error = np.abs(sampler.accept[demoted] - exact).max()
+            assert error <= np.abs(accept[demoted] - exact).max()
 
     @pytest.mark.parametrize("pattern", sorted(ALIAS_PATTERNS))
     def test_alias_table_holds_each_cells_mass(self, pattern):
@@ -335,6 +348,19 @@ class TestSampling:
             i = int(ref_rng.integers(0, n))
             expected.append(i if ref_rng.random() < accept[i] else int(alias[i]))
         assert draws == expected
+
+    @pytest.mark.parametrize("n", [1, 3, 4999])
+    @pytest.mark.parametrize("value", [0.1, 1.0 / 3.0, 7.0])
+    def test_equal_weights_take_the_identity_table(self, n, value):
+        # Equal weights of 0.1 scale a rounding error below 1 at n = 3 (all
+        # light) and above it at n = 4999 (all heavy); either way the sweep
+        # pairs nothing, and every cell accepts 1, as without it.
+        probs = np.full(n, value)
+        sampler = AliasSampler(probs)
+        accept, alias = reference_alias_table(probs)
+        np.testing.assert_array_equal(sampler.accept, accept)
+        np.testing.assert_array_equal(sampler.alias, alias)
+        assert np.all(accept == 1.0) and np.array_equal(alias, np.arange(n))
 
     def test_alias_build_temporaries_are_block_sized(self):
         # The table's own arrays (accept, the light-then-heavy order and
@@ -388,6 +414,26 @@ def alias_mass_error(accept, alias, probs) -> float:
     moved = alias != np.arange(n)
     mass = accept + np.bincount(alias[moved], 1.0 - accept[moved], n)
     return float(np.max(np.abs(mass - probs * (n / probs.sum()))))
+
+
+def exact_demoted_accepts(accept, alias, probs) -> tuple:
+    """The demoted heavies of an alias table, in sweep order, and their accepts
+    1 - f_j in rational arithmetic, where f_j = f_{j-1} + (1 - n p_j / sum(p))
+    plus the deficits 1 - accept[i] of the lights aliased to j."""
+    n = probs.size
+    scaled = probs * (n / probs.sum())
+    light, moved = scaled < 1.0, alias != np.arange(n)
+    incoming = {}
+    for i in np.flatnonzero(light & moved).tolist():
+        incoming[int(alias[i])] = incoming.get(int(alias[i]), 0) + 1 - Fraction(accept[i])
+    f, demoted, exact = Fraction(0), [], []
+    for j in np.flatnonzero(~light)[::-1].tolist():
+        if not moved[j]:
+            break
+        f += 1 - Fraction(scaled[j]) + incoming.get(j, 0)
+        demoted.append(j)
+        exact.append(float(1 - f))
+    return np.array(demoted, dtype=np.int64), np.array(exact)
 
 
 def reference_alias_table(probs):
@@ -610,13 +656,13 @@ def own_residual_weights(source, data):
     """e_t = -2 w_t (a_t - p_t) from the gradient's own prediction pass: the
     full gradients' residual weights before they took a cost pass's residual."""
     if data.cells is not None:
-        e = wlra.model._grid_entries(source, data)
+        e = wlra.model._grid_entries(*source.factors(), data)
         np.subtract(data.a_vals, e, out=e)
         return np.multiply(e, -2.0 * data.w_vals, out=e)
     e = np.empty(data.nnz)
     for start in range(0, data.nnz, SUPPORT_BLOCK):
         cells = slice(start, start + SUPPORT_BLOCK)
-        pred = wlra.model._entries(source, data.rows[cells], data.cols[cells])
+        pred = wlra.model._entries(*source.factors(), data.rows[cells], data.cols[cells])
         e[cells] = -2.0 * data.w_vals[cells] * (data.a_vals[cells] - pred)
     return e
 
@@ -828,7 +874,7 @@ def grid_passes(source, data, lam=0.05):
     costs = (cost_unregularized(source, data), cost_unregularized(source, data, residual))
     given = grad(source, data, lam, residual.copy())
     return (
-        wlra.model._grid_entries(source, data), costs, residual,
+        wlra.model._grid_entries(*source.factors(), data), costs, residual,
         dataclasses.astuple(grad(source, data, lam)), dataclasses.astuple(given),
     )
 
@@ -904,6 +950,180 @@ class TestGridBlocks:
         assert data.cells is not None
         # about 0.64 MB here: the cost's squared residuals
         assert peak <= 8 * data.m * data.n / 4
+
+
+# Instances of the prediction pass: dense-route grids cut in row blocks,
+# tall, wide (m < n) and square, in row order, shuffled and with repeated
+# cells, and a fully observed grid in row-major order.
+PASS_INSTANCES = {
+    "tall": lambda: blocked_data(3 * (GRID_BLOCK // 120) + 50, 120, 0.3, 120, empty_row=5),
+    "wide": lambda: blocked_data(120, 600, 0.3, 121, empty_row=5),
+    "square": lambda: blocked_data(200, 200, 0.3, 122, empty_row=5),
+    "shuffled": lambda: shuffled(blocked_data(300, 120, 0.3, 123, empty_row=5), 124),
+    "duplicated": lambda: blocked_data(300, 120, 0.3, 125, empty_row=5, repeats=40),
+    "grid-order": lambda: random_data(60, 25, 3, 0, seed=126, full=True, min_w=0.1),
+}
+# Largest relative difference allowed between a trace cost priced from an
+# SGD state's factors and the cost of its materialized view, on a close fit
+# (residuals of 1e-2 on predictions of order 1); measured up to 2.7e-15.
+FACTORED_COST_RTOL = 1e-12
+# Largest difference allowed, relative to the largest |prediction|, between
+# a point's gather-route predictions and the three-operand einsum it
+# replaced, which summed the rank terms in another order; measured up to
+# 5.7e-15, and the costs came out equal.
+POINT_GATHER_RTOL = 1e-14
+
+
+def pass_iterates(data, seed):
+    """A product point and a factor pair shaped for `data`."""
+    rng = np.random.default_rng(seed)
+    p = random_point(data.m, data.n, data.k, rng)
+    p = ProductPoint(p.u, 3.0 * p.x, p.v)
+    f = FactorPair(rng.standard_normal((data.m, data.k)), rng.standard_normal((data.n, data.k)))
+    return p, f
+
+
+def parent_pass(source, data, entries):
+    """(cost, residual) of the pass before the factor-pair kernels: the
+    predictions `entries(source, rows, cols)` and, as `cost_unregularized`
+    sums them, one dot on the dense route and one per SUPPORT_BLOCK on the
+    gather route."""
+    res = data.a_vals - entries(source, data.rows, data.cols)
+    if data.cells is not None:
+        return float(np.dot(data.w_vals, res**2)), res
+    blocks = range(0, data.nnz, SUPPORT_BLOCK)
+    cells = [slice(b, b + SUPPORT_BLOCK) for b in blocks]
+    return sum(float(np.dot(data.w_vals[c], res[c] ** 2)) for c in cells), res
+
+
+def dense_parent_entries(data):
+    """The dense route's predictions before the passes took factors: the
+    full-grid GEMM of (U diag(x), V) or of (X, Y)."""
+
+    def entries(source, rows, cols):
+        point = isinstance(source, ProductPoint)
+        left, right = (source.u * source.x, source.v) if point else (source.x, source.y)
+        return full_grid_entries(left, right, data)
+
+    return entries
+
+
+def pair_entries(f, rows, cols):
+    """The pair kernel of the gather route before the passes took factors."""
+    return np.einsum("tk,tk->t", f.x.take(rows, axis=0), f.y.take(cols, axis=0))
+
+
+class TestPredictionPassKernelSwap:
+    """The one prediction pass over factors (L, R) against the kernels it
+    replaced: on the dense route the full-grid GEMM of `tests/helpers.py`
+    (which the row blocks matched bit for bit), on the gather route the
+    pair einsum and, for points, the three-operand einsum `point_entries`."""
+
+    @pytest.mark.parametrize("instance", sorted(PASS_INSTANCES))
+    def test_dense_route_bit_identical(self, instance):
+        data = PASS_INSTANCES[instance]()
+        assert data.cells is not None and data.grid_order == (instance == "grid-order")
+        for source in pass_iterates(data, 130):
+            residual = np.full(data.nnz, np.nan)
+            cost = cost_unregularized(source, data, residual)
+            want_cost, want_res = parent_pass(source, data, dense_parent_entries(data))
+            assert cost == want_cost == cost_unregularized(source, data)
+            np.testing.assert_array_equal(residual, want_res)
+
+    @pytest.mark.parametrize("instance", sorted(PASS_INSTANCES))
+    def test_gather_route_matches_parent_kernels(self, monkeypatch, instance):
+        data = on_route(PASS_INSTANCES[instance](), "gather", monkeypatch)
+        p, f = pass_iterates(data, 131)
+        residual = np.full(data.nnz, np.nan)
+        cost = cost_unregularized(f, data, residual)
+        want_cost, want_res = parent_pass(f, data, pair_entries)
+        assert cost == want_cost
+        np.testing.assert_array_equal(residual, want_res)
+        cost = cost_unregularized(p, data, residual)
+        want_cost, want_res = parent_pass(p, data, point_entries)
+        scale = np.abs(data.a_vals - want_res).max()
+        gap = np.abs(residual - want_res).max() / scale
+        assert gap <= POINT_GATHER_RTOL
+        assert abs(cost - want_cost) <= 1e-14 * want_cost
+
+
+def stepped_states(data, seed, steps=300):
+    """A FactoredPoint and a ScaledPair for `data` after `steps` random row
+    steps, as (state, view, data) triples, each data's values the view's
+    predictions plus noise of 1e-2, so the costs are those of a close fit."""
+    rng = np.random.default_rng(seed)
+    p, f = pass_iterates(data, seed)
+    p = ProductPoint(p.u, np.sqrt(data.m * data.n) * p.x, p.v)  # predictions of order 1
+    point, pair = FactoredPoint(p), ScaledPair(f, 0.05)
+    for _ in range(steps):
+        i, j = int(rng.integers(data.m)), int(rng.integers(data.n))
+        a = 0.3 * rng.standard_normal((2, data.k))
+        point.step(i, j, (point.rows(i, j), a, 0.1 * rng.standard_normal(data.k)), 0.05)
+        pair.step(i, j, tuple(a), -0.01)
+    return [(state, view, close_fit(view, data, rng)) for state, view in (
+        (point, point.point()), (pair, pair.pair())
+    )]
+
+
+def close_fit(view, data, rng):
+    residual = np.empty(data.nnz)
+    cost_unregularized(view, data, residual)
+    fit = data.a_vals - residual + 1e-2 * rng.standard_normal(data.nnz)
+    return dataclasses.replace(data, a_vals=fit)
+
+
+class TestFactoredTraceCost:
+    """Trace costs priced from an SGD state's factors, the k-by-k core (or
+    the squared scale) on the shorter side, against the cost of the state's
+    materialized view, within FACTORED_COST_RTOL."""
+
+    @pytest.mark.parametrize("route", ["dense", "gather"])
+    @pytest.mark.parametrize("instance", ["tall", "wide", "square", "shuffled"])
+    def test_matches_view_cost(self, monkeypatch, route, instance):
+        data = on_route(PASS_INSTANCES[instance](), route, monkeypatch)
+        for state, view, fit in stepped_states(data, 140):
+            assert not np.array_equal(state.factors()[0], view.factors()[0])
+            want = cost_unregularized(view, fit)
+            assert abs(cost_unregularized(state, fit) - want) <= FACTORED_COST_RTOL * want
+
+    @pytest.mark.parametrize("instance", ["tall", "wide"])
+    def test_core_goes_to_the_shorter_side(self, instance):
+        data = PASS_INSTANCES[instance]()
+        (point, _, _), (pair, _, _) = stepped_states(data, 141, steps=20)
+        left, right = point.factors()
+        tall = data.m >= data.n
+        assert (left is point.bases[0]) == tall and (right is point.bases[1]) != tall
+        left, right = pair.factors()
+        assert (left is pair.x_base) == tall and (right is pair.y_base) != tall
+
+    def test_past_a_fold(self, monkeypatch):
+        # 1100 steps pass the periodic fold at FOLD_STEPS; the cond rule at
+        # 1.5 folds some factors on their own too.
+        monkeypatch.setattr(wlra.geometry, "FOLD_COND", 1.5)
+        data = PASS_INSTANCES["wide"]()
+        (point, view, fit), _ = stepped_states(data, 142, steps=1100)
+        assert 0 < max(point.steps) < 1100
+        want = cost_unregularized(view, fit)
+        assert abs(cost_unregularized(point, fit) - want) <= FACTORED_COST_RTOL * want
+
+    @pytest.mark.parametrize("instance", ["tall", "wide"])
+    def test_scale_near_fold_scale(self, instance):
+        # Eight shrinks of about 2^-41 take the scale to about 1.8e-99, 18
+        # times FOLD_SCALE; a^2 is then about 3e-198 and the bases hold about 1e99.
+        data = PASS_INSTANCES[instance]()
+        rng = np.random.default_rng(143)
+        _, f = pass_iterates(data, 143)
+        lam = 0.05
+        state = ScaledPair(f, lam)
+        s = -(1.0 - 2.0**-41) / (2.0 * lam)
+        for _ in range(8):
+            i, j = int(rng.integers(data.m)), int(rng.integers(data.n))
+            state.step(i, j, tuple(rng.standard_normal((2, data.k))), s)
+        assert wlra.model.FOLD_SCALE < state.scale < 100 * wlra.model.FOLD_SCALE
+        assert np.abs(state.x_base).max() > 1e90
+        fit = close_fit(state.pair(), data, rng)
+        want = cost_unregularized(state.pair(), fit)
+        assert abs(cost_unregularized(state, fit) - want) <= FACTORED_COST_RTOL * want
 
 
 class TestIterateShape:

@@ -322,6 +322,24 @@ class TestFactoredSgd:
         sgd_manifold(init, data, config)
         assert len(grads) == 300
 
+    @pytest.mark.parametrize("solver", ["manifold", "pw"])
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_trace_points_build_no_view(self, monkeypatch, solver, adaptive):
+        # Trace points price the factored state; the one point built is the
+        # returned one.
+        if solver == "manifold":
+            init, data, config = svd_setup(60, 30, 4, iters=300)
+        else:
+            init, data, config = pw_setup(300)
+        config = dataclasses.replace(config, adaptive=adaptive, trace_every=10)
+        views = counting(monkeypatch, FactoredPoint, "point")
+        built = counting(monkeypatch, ProductPoint, "__post_init__")
+        costs = counting(monkeypatch, wlra.solvers, "cost_unregularized")
+        final, trace = (sgd_manifold if solver == "manifold" else sgd_pw)(init, data, config)
+        assert len(trace.records) == len(costs) == 31
+        assert len(views) == 1 and len(built) == 1
+        assert final is not init
+
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_one_row_read_per_step(self, monkeypatch, adaptive):
         # The gradient reads row i of U and row j of V once, and the step
@@ -573,6 +591,9 @@ class DensePair:
     x = property(lambda self: self.f.x)
     y = property(lambda self: self.f.y)
 
+    def factors(self):
+        return self.f.factors()
+
     def step(self, i, j, grad, s):
         self.f = self.f.add_scaled(grad, s)
 
@@ -665,6 +686,8 @@ class TestScaledPairSgd:
         grads = counting(monkeypatch, wlra.solvers, "stoch_grad_euclidean")
         exact = counting(monkeypatch, wlra.solvers, "adaptive_A_B")
         built = counting(monkeypatch, FactorPair, "__post_init__")
+        views = counting(monkeypatch, ScaledPair, "pair")
+        costs = counting(monkeypatch, wlra.solvers, "cost_unregularized")
         # The adaptive gate reads a running squared norm, computed from the
         # bases at t = 0 and once SYNC_STEPS steps later.
         norms = counting(monkeypatch, np, "vdot")
@@ -672,8 +695,10 @@ class TestScaledPairSgd:
         assert len(dense_steps) == 0 and len(exact) == 0
         assert len(norms) == (2 * 2 if adaptive else 0)
         assert len(grads) == 2000
-        # t = 0 records the init pair itself; the returned pair is the last record's.
-        assert len(trace.records) == 201 and len(built) == 200
+        # Trace points price the state's own factors: the one pair built is
+        # the returned one.
+        assert len(trace.records) == 201 and len(costs) == 201
+        assert len(views) == 1 and len(built) == 1
 
 
 class TestConfigFamily:
@@ -1434,14 +1459,17 @@ class TestIterationLoop:
         nap = 0.002
         real = wlra.solvers.cost_unregularized
 
-        def slow_cost(*args):
+        def slow_cost(source, data):
             time.sleep(nap)
-            return real(*args)
+            priced.append(type(source))
+            return real(source, data)
 
+        priced = []
         monkeypatch.setattr(wlra.solvers, "cost_unregularized", slow_cost)
         solver, init, data, config = sgd_run_setup("euclidean", iters=100, trace_every=10)
         _, trace = solver(init, data, config)
         assert len(trace.records) == 11
+        assert priced == [ScaledPair] * 11  # the state itself, no view of it
         assert trace.bookkeeping_seconds >= 11 * nap
         assert trace.records[-1].elapsed_seconds < trace.bookkeeping_seconds
 

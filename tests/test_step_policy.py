@@ -9,7 +9,7 @@ import pytest
 import wlra.solvers
 from wlra.data_io import problem_from_triplets, synth_lowrank
 from wlra.errors import LambdaOutOfRange, ShapeMismatch
-from wlra.geometry import ProductPoint
+from wlra.geometry import FactoredPoint, ProductPoint
 from wlra.model import FactorPair, ProblemData, confinement_euclidean, confinement_manifold
 from wlra.solvers import Budget, SolverConfig, sgd_manifold
 from wlra.step_policy import (
@@ -266,9 +266,12 @@ class TestAdaptive:
         points = []
         real_cost = wlra.solvers.cost_unregularized
 
-        def capture(p, d):
-            points.append(p)
-            return real_cost(p, d)
+        def capture(state, d):
+            # Trace points price the FactoredPoint state itself; the view
+            # checked below is built here.
+            assert isinstance(state, FactoredPoint)
+            points.append(state.point())
+            return real_cost(state, d)
 
         monkeypatch.setattr(wlra.solvers, "cost_unregularized", capture)
         sgd_manifold(init, data, config)
