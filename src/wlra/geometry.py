@@ -55,8 +55,8 @@ class ProductPoint:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "v", v)
 
-    def factors(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.u * self.x, self.v  # (L, R) with L R^T = U diag(x) V^T
+    def factors(self) -> tuple:
+        return self.u, self.x, self.v  # (L, s, R) with L diag(s) R^T = U diag(x) V^T
 
 
 @dataclass(frozen=True)
@@ -209,11 +209,10 @@ class FactoredPoint:
         buf[1, 0] = self.bases[1][j]
         return (buf @ self.t)[:, 0]
 
-    def factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(B_u, B_v C^T), or (B_u C, B_v) when n > m, C = T_u diag(x) T_v^T:
-        U diag(x) V^T in O(min(m, n) k^2), `point()` in O((m + n) k^2)."""
-        (b_u, b_v), core = self.bases, (self.t[0] * self.x) @ self.t[1].T
-        return (b_u, b_v @ core.T) if len(b_u) >= len(b_v) else (b_u @ core, b_v)
+    def factors(self) -> tuple:
+        """(B_u, None, B_v C^T), C = T_u diag(x) T_v^T: O(n k^2), `point()` O((m + n) k^2)."""
+        core = (self.t[0] * self.x) @ self.t[1].T
+        return self.bases[0], None, self.bases[1] @ core.T
 
     def point(self) -> ProductPoint:
         if self._point is None:

@@ -165,17 +165,16 @@ def require_positive_weights(data: ProblemData) -> float:
     return w0
 
 
-def check_iterate_shape(source: ProductPoint | FactorPair, data: ProblemData) -> None:
-    """Refuse an iterate whose U (X) row count is not m, or whose V (Y) row count is not n."""
-    u, v = (source.u, source.v) if isinstance(source, ProductPoint) else (source.x, source.y)
-    _check_rows(u, v, data)
-
-
-def _check_rows(u: np.ndarray, v: np.ndarray, data: ProblemData) -> None:
-    if (len(u), len(v)) != (data.m, data.n):
+def check_iterate_shape(source, data: ProblemData) -> tuple:
+    """`source.factors()`; refuses an iterate whose U (X) row count is not m,
+    or whose V (Y) row count is not n."""
+    factors = source.factors()
+    if (len(factors[0]), len(factors[2])) != (data.m, data.n):
         raise ShapeMismatch(
-            f"iterate factors have {len(u)} and {len(v)} rows, data {data.m}x{data.n}"
+            f"iterate factors have {len(factors[0])} and {len(factors[2])} rows, "
+            f"data {data.m}x{data.n}"
         )
+    return factors
 
 
 def check_lambda_pw(lam: float, w0: float) -> None:
@@ -198,8 +197,8 @@ class FactorPair:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    def factors(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.x, self.y
+    def factors(self) -> tuple:
+        return self.x, None, self.y
 
     def add_scaled(self, d: "FactorPair", c: float) -> "FactorPair":
         return FactorPair(self.x + c * d.x, self.y + c * d.y)
@@ -257,10 +256,9 @@ class ScaledPair:
             self._pair = FactorPair(self.scale * self.x_base, self.scale * self.y_base)
         return self._pair
 
-    def factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Xb, a^2 Yb), or (a^2 Xb, Yb) when n > m: X Y^T in O(min(m, n) k)."""
-        x, y, sq = self.x_base, self.y_base, self.scale**2
-        return (x, sq * y) if len(x) >= len(y) else (sq * x, y)
+    def factors(self) -> tuple:
+        """(Xb, None, a^2 Yb): X Y^T in O(n k)."""
+        return self.x_base, None, self.scale**2 * self.y_base
 
     def sq_norm(self) -> float:
         if not self._sq_left:
@@ -375,12 +373,15 @@ def sample_index(data: ProblemData, rng: np.random.Generator) -> int:
 # Predicted entries restricted to the observed support.
 
 
-# Passes price `factors()` (L, R), L R^T the matrix. `take` gathers rows 2x as fast as x[rows].
+# Passes price `factors()` (L, s, R): L diag(s) R^T, or L R^T for s None. `take` is 2x x[rows].
 
 
-def _entries(left, right, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Gather route: the predictions L_i . R_j at the cells (rows, cols)."""
-    return np.einsum("tk,tk->t", left.take(rows, axis=0), right.take(cols, axis=0))
+def _entries(left, scale, right, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Gather route: the predictions at the cells (rows, cols), s inside the einsum."""
+    left, right = left.take(rows, axis=0), right.take(cols, axis=0)
+    if scale is None:
+        return np.einsum("tk,tk->t", left, right)
+    return np.einsum("tk,k,tk->t", left, scale, right)
 
 
 def _grid_blocks(data: ProblemData):
@@ -392,11 +393,12 @@ def _grid_blocks(data: ProblemData):
         yield r0, r1, at, data.cells[at] - r0 * data.n
 
 
-def _grid_entries(left, right, data: ProblemData, out: np.ndarray | None = None) -> np.ndarray:
-    """Dense route: the predictions L_i . R_j at the observed cells (into `out`,
-    when given). Each GEMM takes one C-contiguous R^T, formed once per pass. In
-    grid order one m-by-n GEMM writes the result; else each row block of the
-    grid is one GEMM, read at the block's cells."""
+def _grid_entries(left, scale, right, data: ProblemData, out=None) -> np.ndarray:
+    """Dense route: the predictions at the observed cells (into `out`, when
+    given). Each GEMM takes L diag(s) and one C-contiguous R^T, formed once per
+    pass. In grid order one m-by-n GEMM writes the result; else each row block
+    of the grid is one GEMM, read at the block's cells."""
+    left = left if scale is None else left * scale
     right_t = np.ascontiguousarray(right.T)
     out = np.empty(data.nnz) if out is None else out
     if data.grid_order:
@@ -424,16 +426,15 @@ def cost_unregularized(source, data: ProblemData, residual: np.ndarray | None = 
     an array of nnz floats that receives a_t - p_t, which the full gradients take
     instead of forming the predictions again. A wrong-shaped iterate raises ShapeMismatch.
     """
-    left, right = source.factors()
-    _check_rows(left, right, data)
+    left, scale, right = check_iterate_shape(source, data)
     if data.cells is not None:
-        res = _grid_entries(left, right, data, residual)
+        res = _grid_entries(left, scale, right, data, residual)
         np.subtract(data.a_vals, res, out=res)
         return float(np.dot(data.w_vals, np.square(res, out=res if residual is None else None)))
     total = 0.0
     for start in range(0, data.nnz, SUPPORT_BLOCK):
         cells = slice(start, start + SUPPORT_BLOCK)
-        pred = _entries(left, right, data.rows[cells], data.cols[cells])
+        pred = _entries(left, scale, right, data.rows[cells], data.cols[cells])
         out = None if residual is None else residual[cells]
         res = np.subtract(data.a_vals[cells], pred, out=out)
         total += float(np.dot(data.w_vals[cells], res**2))

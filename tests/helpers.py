@@ -48,10 +48,11 @@ def lapack_svd_init(dense, k: int, with_error: bool = False) -> tuple:
     return point, pair
 
 
-def full_grid_entries(left, right, data: ProblemData, out=None) -> np.ndarray:
-    """Dense-route predictions of the factors (L, R) from one m-by-n GEMM
-    L R^T read at `data.cells`: the kernel `_grid_entries` used outside grid
-    order before its row blocks, kept as their reference."""
+def full_grid_entries(left, scale, right, data: ProblemData, out=None) -> np.ndarray:
+    """Dense-route predictions of the factors (L, s, R) from one m-by-n GEMM
+    L diag(s) R^T read at `data.cells`: the kernel `_grid_entries` used
+    outside grid order before its row blocks, kept as their reference."""
+    left = left if scale is None else left * scale
     return np.ravel(left @ right.T).take(data.cells, out=out, mode="clip")
 
 

@@ -967,11 +967,6 @@ PASS_INSTANCES = {
 # SGD state's factors and the cost of its materialized view, on a close fit
 # (residuals of 1e-2 on predictions of order 1); measured up to 2.7e-15.
 FACTORED_COST_RTOL = 1e-12
-# Largest difference allowed, relative to the largest |prediction|, between
-# a point's gather-route predictions and the three-operand einsum it
-# replaced, which summed the rank terms in another order; measured up to
-# 5.7e-15, and the costs came out equal.
-POINT_GATHER_RTOL = 1e-14
 
 
 def pass_iterates(data, seed):
@@ -1003,7 +998,7 @@ def dense_parent_entries(data):
     def entries(source, rows, cols):
         point = isinstance(source, ProductPoint)
         left, right = (source.u * source.x, source.v) if point else (source.x, source.y)
-        return full_grid_entries(left, right, data)
+        return full_grid_entries(left, None, right, data)
 
     return entries
 
@@ -1014,10 +1009,10 @@ def pair_entries(f, rows, cols):
 
 
 class TestPredictionPassKernelSwap:
-    """The one prediction pass over factors (L, R) against the kernels it
-    replaced: on the dense route the full-grid GEMM of `tests/helpers.py`
-    (which the row blocks matched bit for bit), on the gather route the
-    pair einsum and, for points, the three-operand einsum `point_entries`."""
+    """The one prediction pass over factors (L, s, R) against the kernels it
+    replaced, bit for bit: on the dense route the full-grid GEMM of
+    `tests/helpers.py` (which the row blocks matched), on the gather route
+    the pair einsum and, for points, the three-operand einsum `point_entries`."""
 
     @pytest.mark.parametrize("instance", sorted(PASS_INSTANCES))
     def test_dense_route_bit_identical(self, instance):
@@ -1031,20 +1026,15 @@ class TestPredictionPassKernelSwap:
             np.testing.assert_array_equal(residual, want_res)
 
     @pytest.mark.parametrize("instance", sorted(PASS_INSTANCES))
-    def test_gather_route_matches_parent_kernels(self, monkeypatch, instance):
+    def test_gather_route_bit_identical(self, monkeypatch, instance):
         data = on_route(PASS_INSTANCES[instance](), "gather", monkeypatch)
         p, f = pass_iterates(data, 131)
-        residual = np.full(data.nnz, np.nan)
-        cost = cost_unregularized(f, data, residual)
-        want_cost, want_res = parent_pass(f, data, pair_entries)
-        assert cost == want_cost
-        np.testing.assert_array_equal(residual, want_res)
-        cost = cost_unregularized(p, data, residual)
-        want_cost, want_res = parent_pass(p, data, point_entries)
-        scale = np.abs(data.a_vals - want_res).max()
-        gap = np.abs(residual - want_res).max() / scale
-        assert gap <= POINT_GATHER_RTOL
-        assert abs(cost - want_cost) <= 1e-14 * want_cost
+        for source, entries in ((f, pair_entries), (p, point_entries)):
+            residual = np.full(data.nnz, np.nan)
+            cost = cost_unregularized(source, data, residual)
+            want_cost, want_res = parent_pass(source, data, entries)
+            assert cost == want_cost == cost_unregularized(source, data)
+            np.testing.assert_array_equal(residual, want_res)
 
 
 def stepped_states(data, seed, steps=300):
@@ -1074,7 +1064,7 @@ def close_fit(view, data, rng):
 
 class TestFactoredTraceCost:
     """Trace costs priced from an SGD state's factors, the k-by-k core (or
-    the squared scale) on the shorter side, against the cost of the state's
+    the squared scale) on the right factor, against the cost of the state's
     materialized view, within FACTORED_COST_RTOL."""
 
     @pytest.mark.parametrize("route", ["dense", "gather"])
@@ -1085,16 +1075,6 @@ class TestFactoredTraceCost:
             assert not np.array_equal(state.factors()[0], view.factors()[0])
             want = cost_unregularized(view, fit)
             assert abs(cost_unregularized(state, fit) - want) <= FACTORED_COST_RTOL * want
-
-    @pytest.mark.parametrize("instance", ["tall", "wide"])
-    def test_core_goes_to_the_shorter_side(self, instance):
-        data = PASS_INSTANCES[instance]()
-        (point, _, _), (pair, _, _) = stepped_states(data, 141, steps=20)
-        left, right = point.factors()
-        tall = data.m >= data.n
-        assert (left is point.bases[0]) == tall and (right is point.bases[1]) != tall
-        left, right = pair.factors()
-        assert (left is pair.x_base) == tall and (right is pair.y_base) != tall
 
     def test_past_a_fold(self, monkeypatch):
         # 1100 steps pass the periodic fold at FOLD_STEPS; the cond rule at
