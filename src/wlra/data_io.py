@@ -7,6 +7,8 @@ The on-disk format is a CSV with the exact header ``row,col,value``,
 
 from __future__ import annotations
 
+import os
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,32 +59,23 @@ def load_triplets(
     a cell may appear only once. Dimensions are inferred as max index + 1
     unless given, and given ones must cover every index.
 
-    A clean file is parsed in one ``np.loadtxt`` pass and checked with
-    vectorized passes. Any other file goes through the per-line scan, which
-    raises at the first bad line: ``ParseError`` (with ``.line``) for a bad
-    header, field count or number, ``IndexOutOfBounds`` for a negative index
-    or one beyond the int64 range, and ``DuplicateEntry`` for a repeated
-    cell, each naming the line. A byte that is not valid UTF-8 raises
-    ``ParseError`` naming its line. A file without observations raises
-    ``EmptySupport``; an index outside a declared shape raises
-    ``IndexOutOfBounds``.
+    A clean file is parsed from disk in one C pass, with no decoded text;
+    any other file goes through the per-line scan, which raises at the first
+    bad line: ``ParseError`` (with ``.line``) for a bad header, field count
+    or number, ``IndexOutOfBounds`` for a negative index or one beyond the
+    int64 range, and ``DuplicateEntry`` for a repeated cell, each naming the
+    line. A byte that is not valid UTF-8 raises ``ParseError`` naming its
+    line. A file without observations raises ``EmptySupport``; an index
+    outside a declared shape raises ``IndexOutOfBounds``.
     """
-    text = read_utf8(path)
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != HEADER:
-        bom = " (a UTF-8 byte-order mark precedes it)" if text.startswith("\ufeff") else ""
-        raise ParseError(f"expected header {HEADER!r}{bom}", line=1)
     shift = 1 if one_based else 0
-    parsed = _parse_table(text, lines, shift)
-    rows, cols, vals = parsed if parsed is not None else _scan_lines(lines, shift)
+    rows, cols, vals = _parse_table(path, shift) or _scan_lines(read_utf8(path), shift)
     if rows.size == 0:
         raise EmptySupport(f"{path} holds no observations")
     m = m if m is not None else int(rows.max()) + 1
     n = n if n is not None else int(cols.max()) + 1
     if rows.max() >= m or cols.max() >= n:
-        raise IndexOutOfBounds(
-            f"index exceeds declared shape ({m}, {n})"
-        )
+        raise IndexOutOfBounds(f"index exceeds declared shape ({m}, {n})")
     return TripletMatrix(m=m, n=n, rows=rows, cols=cols, vals=vals)
 
 
@@ -97,49 +90,66 @@ def read_utf8(path, where: str = "line ") -> str:
         raise ParseError(f"byte 0x{raw[exc.start]:02x} is not valid UTF-8", line, where) from None
 
 
-def _parse_table(text: str, lines: list[str], shift: int):
-    """Rows, cols and values of a clean file in one C pass, or None when
-    the per-line scan has to decide: on a parse failure, an empty, negative,
-    non-finite or duplicate entry, and on the valid lines np.loadtxt rejects
-    (whitespace-only lines, ``1_0``, non-ASCII digits).
-
-    The parser sees the same lines as the scan, and for every field it
-    accepts, int() and float() return the same number."""
-    if "\x1f" in text:
-        # np.loadtxt strips U+001F around a field like a space; int() and
-        # float() reject it.
-        return None
+def _parse_table(path, shift: int):
+    """Rows, cols and values of a clean file, parsed from disk by np.loadtxt
+    in C, or None when the per-line scan has to decide. A clean file is a
+    regular file not named like one DataSource decompresses, whose first line
+    strips to the header, all ASCII and free of the bytes at which
+    str.splitlines breaks a line or that np.loadtxt strips like a space
+    (U+001F): np.loadtxt then sees the scan's lines, and for every field it
+    accepts, int() and float() return the same number. The scan also decides
+    on a file changed between the two reads, a parse failure, an empty,
+    negative, non-finite or duplicate entry, and lines np.loadtxt rejects."""
+    path = os.path.abspath(path)  # so that DataSource never fetches it as a URL
     try:
-        with warnings.catch_warnings():
-            # Some numpy versions (1.23 among them) only warn on an index
-            # written as a float, such as 3.0.
-            warnings.simplefilter("error")
-            table = np.loadtxt(
-                lines, dtype=_TABLE, delimiter=",", comments=None, skiprows=1, ndmin=1
-            )
-    except (ValueError, Warning):
+        stamp = os.stat(path)
+        raw = Path(path).read_bytes() if os.path.isfile(path) else b""  # a pipe reads once
+    except OSError:
         return None
     if (
-        table.size == 0
-        or table["row"].min() < shift
-        or table["col"].min() < shift
+        path.lower().endswith((".gz", ".bz2", ".xz", ".lzma"))
+        or re.match(rb"[^\r\n]*", raw).group().strip() != HEADER.encode()
+        or not raw.isascii()
+        or any(bytes([code]) in raw for code in b"\x0b\x0c\x1c\x1d\x1e\x1f")
+    ):
+        return None
+    del raw
+    try:
+        with warnings.catch_warnings():
+            # Some numpy versions (1.23 among them) only warn on a float index (3.0).
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                path, dtype=_TABLE, delimiter=",", comments=None, skiprows=1, ndmin=1
+            )
+        restat = os.stat(path)
+    except (ValueError, Warning, OSError):
+        return None
+    if (
+        (restat.st_size, restat.st_mtime_ns) != (stamp.st_size, stamp.st_mtime_ns)
+        or table.size == 0
+        or min(table["row"].min(), table["col"].min()) < shift
         or not np.isfinite(table["value"]).all()
     ):
         return None
-    rows = table["row"] - shift
-    cols = table["col"] - shift
+    rows, cols, vals = table["row"] - shift, table["col"] - shift, table["value"].copy()
+    del table
     width = int(cols.max()) + 1
-    if int(rows.max()) >= np.iinfo(np.int64).max // width:
+    if int(rows.max()) >= _INDEX_MAX // width:
         return None  # the cell codes below would overflow int64
-    cells = np.sort(rows * width + cols)
-    if (cells[1:] == cells[:-1]).any():
+    cells = rows * width + cols
+    # Row-major files, as write_triplets and synth write them, skip the sort.
+    if not (cells[1:] > cells[:-1]).all() and not np.diff(np.sort(cells)).all():
         return None
-    return rows, cols, np.ascontiguousarray(table["value"])
+    return rows, cols, vals
 
 
-def _scan_lines(lines: list[str], shift: int):
-    """Rows, cols and values, checked line by line; raises at the first
-    bad line. The reference the one-pass parse is tested against."""
+def _scan_lines(text: str, shift: int):
+    """Rows, cols and values of the text, checked line by line from the header
+    on; raises at the first bad line. The reference for the one-pass parse."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != HEADER:
+        bom = " (a UTF-8 byte-order mark precedes it)" if text.startswith("\ufeff") else ""
+        raise ParseError(f"expected header {HEADER!r}{bom}", line=1)
     rows, cols, vals = [], [], []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(lines[1:], start=2):

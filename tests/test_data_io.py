@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import threading
+import tracemalloc
+import urllib.request
 
 import numpy as np
 import pytest
@@ -93,6 +97,15 @@ def scanned(path, **kw):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(data_io, "_parse_table", lambda *args: None)
         return load_triplets(path, **kw)
+
+
+def clean_file(tmp_path):
+    """A clean 20k-line triplet file, as write_triplets writes one."""
+    tm = synth_lowrank(200, 200, 3, 0.55, 0.1, seed=4)
+    assert tm.nnz >= 20000
+    path = tmp_path / "clean.csv"
+    write_triplets(tm, path)
+    return tm, path
 
 
 def assert_same_triplets(got, want):
@@ -234,17 +247,110 @@ class TestLoaderPaths:
                 assert outcomes[0] == outcomes[1], repr(text)
 
     def test_clean_file_skips_the_scan(self, tmp_path, monkeypatch):
-        tm = synth_lowrank(60, 40, 3, 0.5, 0.1, seed=4)
-        assert tm.nnz >= 1000
-        path = tmp_path / "clean.csv"
-        write_triplets(tm, path)
+        # A clean file is parsed from disk: it is neither decoded to one
+        # string nor split into lines.
+        tm, path = clean_file(tmp_path)
 
         def no_scan(*args):
-            raise AssertionError("a clean file entered the per-line scan")
+            raise AssertionError("a clean file was decoded or entered the per-line scan")
 
+        monkeypatch.setattr(data_io, "read_utf8", no_scan)
         monkeypatch.setattr(data_io, "_scan_lines", no_scan)
         back = load_triplets(path)
         assert_same_triplets(back, tm)
+
+    def test_clean_file_peak_memory(self, tmp_path):
+        # Held at once: the parsed table and the arrays made from it, not the
+        # file's text and its lines, which the per-line scan holds (about 3.3
+        # times file + output).
+        _, path = clean_file(tmp_path)
+        load_triplets(path)  # numpy's lazy imports are not the loader's memory
+        tracemalloc.start()
+        try:
+            back = load_triplets(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = back.rows.nbytes + back.cols.nbytes + back.vals.nbytes
+        assert peak <= 2 * (path.stat().st_size + output)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma", ".GZ"])
+    def test_compressed_suffix_is_read_as_text(self, tmp_path, suffix):
+        # numpy's DataSource would decompress a file of this name; the plain
+        # text in it loads as it does under a .csv name.
+        tm = synth_lowrank(20, 10, 2, 0.5, 0.1, seed=5)
+        plain, named = tmp_path / "x.csv", tmp_path / f"x{suffix}"
+        write_triplets(tm, plain)
+        write_triplets(tm, named)
+        assert_same_triplets(load_triplets(named), load_triplets(plain))
+
+    def test_relative_path_spelled_like_a_url(self, tmp_path, monkeypatch):
+        # A relative path such as http://host/x.csv names a file on disk;
+        # nothing is fetched.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the loader opened a URL or fell back to the scan")
+
+        monkeypatch.setattr(urllib.request, "urlopen", refuse)
+        monkeypatch.setattr(data_io, "_scan_lines", refuse)
+        monkeypatch.chdir(tmp_path)
+        tm = synth_lowrank(20, 10, 2, 0.5, 0.1, seed=6)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        write_triplets(tm, tmp_path / "http:" / "host" / "x.csv")
+        assert_same_triplets(load_triplets("http://host/x.csv"), tm)
+
+    def test_shuffled_file_with_a_repeated_cell(self, tmp_path):
+        # Out of row-major order the cell codes are sorted to find the repeat;
+        # the scan then names it and its line.
+        tm = synth_lowrank(30, 20, 2, 0.5, 0.1, seed=7)
+        path = tmp_path / "dup.csv"
+        write_triplets(tm, path)
+        header, *lines = path.read_text().splitlines()
+        order = np.random.default_rng(8).permutation(len(lines)).tolist()
+        lines = [lines[i] for i in order]
+        lines.insert(len(lines) - 5, lines[3].rsplit(",", 1)[0] + ",7.5")
+        path.write_text("\n".join([header, *lines]) + "\n")
+        with pytest.raises(DuplicateEntry) as want:
+            scanned(path)
+        with pytest.raises(DuplicateEntry) as got:
+            load_triplets(path)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith(f"at line {len(lines) - 4}")
+
+    def test_file_changed_between_the_reads(self, tmp_path, monkeypatch):
+        # A line that np.loadtxt would accept and the scan refuses (U+001F
+        # beside a field) is added after the file passed the checks: the
+        # scan decides, on what the file now holds.
+        path = write_file(tmp_path, "row,col,value\n0,1,3\n")
+        real_loadtxt = np.loadtxt
+
+        def loadtxt_after_a_change(*args, **kwargs):
+            with open(path, "a") as fh:
+                fh.write("1,0,\x1f2.5\n")
+            return real_loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt_after_a_change)
+        with pytest.raises(ParseError) as err:
+            load_triplets(path)
+        assert err.value.line == 3
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_is_read_once(self, tmp_path):
+        # A pipe cannot be read a second time, so the scan reads it. A second
+        # open would wait for a writer that never comes, and a failed load
+        # leaves the writer waiting for a reader: both run in threads that
+        # may be left behind.
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+        loaded = []
+        reader = threading.Thread(target=lambda: loaded.append(load_triplets(path)), daemon=True)
+        writer = threading.Thread(
+            target=path.write_text, args=("row,col,value\n0,1,2.5\n",), daemon=True
+        )
+        for thread in (writer, reader):
+            thread.start()
+        reader.join(timeout=30)
+        assert not reader.is_alive() and len(loaded) == 1
+        assert loaded[0].vals.tolist() == [2.5]
 
 
 class TestSampleSubmatrix:

@@ -5,6 +5,9 @@ flag, in a `--run` spec or in a config file, at an edge value or an
 ordinary one. Every call must exit 0 or 2 and raise nothing; one that exits
 2 writes no file and names a flag, a key or `path:line`. Whether the costs
 of a run that exits 0 are finite is not asserted here.
+
+A second sweep feeds `ingest` byte-level mutations of a clean triplet file
+and requires the outcome the per-line scan alone gives.
 """
 
 import re
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 
 import wlra.cli
+import wlra.data_io
 from wlra.cli import main
 from wlra.data_io import synth_lowrank, write_triplets
 
@@ -108,3 +112,86 @@ def test_seeded_sweep_exits_0_or_2(tmp_path, files, capsys):
     assert failures == []
     # both outcomes are reached, so the sweep is not all refusals
     assert codes.count(0) >= CASES // 10 and codes.count(2) >= CASES // 10
+
+
+# Byte-level mutations of a clean triplet file. Some never change which
+# observations the file holds (line ends, blank lines, order); the others may
+# make it invalid.
+SEPARATORS = [b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f", "\u0085".encode(),
+              "\u2028".encode(), b" "]
+MUTATIONS = ["crlf", "lone_cr", "blank", "spaces", "shuffle",
+             "bom", "separator", "separator_line", "latin1", "repeat"]
+INGEST_CASES = 200
+LINE = re.compile(r"\bline \d+\b")
+
+
+def mutate(rng, text):
+    """`text` as bytes after one to three random MUTATIONS."""
+    header, *lines = text.encode().splitlines()
+    end, prefix = b"\n", b""
+    for kind in rng.choice(MUTATIONS, size=int(rng.integers(1, 4)), replace=False).tolist():
+        at = int(rng.integers(0, len(lines)))
+        cut = int(rng.integers(0, len(lines[at]) + 1))
+        if kind == "crlf":
+            end = b"\r\n"
+        elif kind == "lone_cr":
+            at = min(at, len(lines) - 2)
+            lines[at : at + 2] = [lines[at] + b"\r" + lines[at + 1]]
+        elif kind == "blank":
+            lines.insert(at, b"")
+        elif kind == "spaces":
+            lines.insert(at, b" \t ")
+        elif kind == "separator_line":
+            lines.insert(at, SEPARATORS[int(rng.integers(0, len(SEPARATORS)))])
+        elif kind == "shuffle":
+            lines = [lines[i] for i in rng.permutation(len(lines)).tolist()]
+        elif kind == "bom":
+            prefix = "\ufeff".encode()
+        elif kind in ("separator", "latin1"):
+            byte = b"\xe9" if kind == "latin1" else SEPARATORS[int(rng.integers(0, len(SEPARATORS)))]
+            lines[at] = lines[at][:cut] + byte + lines[at][cut:]
+        elif kind == "repeat":
+            lines.insert(int(rng.integers(at, len(lines))) + 1, lines[at])
+    return prefix + end.join([header, *lines]) + end
+
+
+def ingest(path, out, capsys):
+    """`wlra ingest`'s exit status, stderr and output bytes (None when it wrote none)."""
+    out.unlink(missing_ok=True)
+    code, err = call(["ingest", "--in", str(path), "--out", str(out)], capsys)
+    return code, err, out.read_bytes() if out.exists() else None
+
+
+def test_seeded_ingest_sweep_matches_the_scan(tmp_path, files, capsys, monkeypatch):
+    # Every mutated file loads as the per-line scan alone loads it: exit 0
+    # with the same output bytes, or exit 2 with the same error, naming the
+    # line, and no output.
+    rng = np.random.default_rng(29)
+    text = files["partial"].read_text()
+    path, out = tmp_path / "mutated.csv", tmp_path / "ingested.csv"
+    parsed = []
+    real_parse = wlra.data_io._parse_table
+    monkeypatch.setattr(
+        wlra.data_io, "_parse_table", lambda *a: parsed.append(real_parse(*a)) or parsed[-1]
+    )
+    failures, codes = [], []
+    for _ in range(INGEST_CASES):
+        raw = mutate(rng, text)
+        path.write_bytes(raw)
+        try:
+            got = ingest(path, out, capsys)
+            with monkeypatch.context() as scan_only:
+                scan_only.setattr(wlra.data_io, "_parse_table", lambda *args: None)
+                want = ingest(path, out, capsys)
+        except Exception as exc:  # the sweep reports every case that raises
+            failures.append((raw, f"raised {exc!r}"))
+            continue
+        codes.append(got[0])
+        if got != want or got[0] not in (0, 2) or (got[0] == 2) != (got[2] is None):
+            failures.append((raw, got, want))
+        elif got[0] == 2 and not LINE.search(got[1]):
+            failures.append((raw, f"exit 2 names no line: {got[1]!r}"))
+    assert failures == []
+    # Both outcomes are reached, and the one-pass parse decides some cases.
+    assert codes.count(0) >= INGEST_CASES // 10 and codes.count(2) >= INGEST_CASES // 10
+    assert sum(result is not None for result in parsed) >= INGEST_CASES // 10

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import tracemalloc
 from fractions import Fraction
@@ -409,11 +410,17 @@ def alias_build_peak(probs) -> int:
 
 
 def alias_mass_error(accept, alias, probs) -> float:
-    """Largest |accept[i] + sum_{j != i, alias[j] = i} (1 - accept[j]) - n p_i / sum(p)|."""
+    """Largest |accept[i] + sum_{j != i, alias[j] = i} (1 - accept[j]) - n p_i / sum(p)|,
+    each cell's terms summed exactly by one math.fsum, so that no round-off of
+    the checker's own enters the error it measures."""
     n = probs.size
-    moved = alias != np.arange(n)
-    mass = accept + np.bincount(alias[moved], 1.0 - accept[moved], n)
-    return float(np.max(np.abs(mass - probs * (n / probs.sum()))))
+    target = probs * (n / probs.sum())
+    accepts = accept.tolist()
+    terms = [[a, -t] for a, t in zip(accepts, target.tolist())]
+    for j, i in enumerate(alias.tolist()):
+        if i != j:
+            terms[i] += (1.0, -accepts[j])
+    return max(abs(math.fsum(cell)) for cell in terms)
 
 
 def exact_demoted_accepts(accept, alias, probs) -> tuple:
