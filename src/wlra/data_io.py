@@ -7,6 +7,7 @@ The on-disk format is a CSV with the exact header ``row,col,value``,
 
 from __future__ import annotations
 
+import io
 import os
 import re
 import warnings
@@ -97,9 +98,11 @@ def _parse_table(path, shift: int):
     strips to the header, all ASCII and free of the bytes at which
     str.splitlines breaks a line or that np.loadtxt strips like a space
     (U+001F): np.loadtxt then sees the scan's lines, and for every field it
-    accepts, int() and float() return the same number. The scan also decides
-    on a file changed between the two reads, a parse failure, an empty,
-    negative, non-finite or duplicate entry, and lines np.loadtxt rejects."""
+    accepts, int() and float() return the same number. When np.loadtxt refuses
+    the file, it is read once more, and a file with whitespace-only lines is
+    parsed again with their spaces and tabs dropped, since the scan skips them.
+    The scan decides on a file changed between the reads, a parse failure, an
+    empty, negative, non-finite or duplicate entry, and lines np.loadtxt rejects."""
     path = os.path.abspath(path)  # so that DataSource never fetches it as a URL
     try:
         stamp = os.stat(path)
@@ -114,18 +117,21 @@ def _parse_table(path, shift: int):
     ):
         return None
     del raw
+    table = _load_table(path)
     try:
-        with warnings.catch_warnings():
-            # Some numpy versions (1.23 among them) only warn on a float index (3.0).
-            warnings.simplefilter("error")
-            table = np.loadtxt(
-                path, dtype=_TABLE, delimiter=",", comments=None, skiprows=1, ndmin=1
-            )
+        if table is None:  # np.loadtxt refuses a whitespace-only line, which the scan skips
+            text, blanks = Path(path).read_bytes(), 0
+            for end in (b"\n", b"\r"):  # a literal first byte keeps each search at C speed
+                text, count = re.subn(end + rb"[ \t]+(?![^\r\n])", end, text)
+                blanks += count
+            table = _load_table(io.TextIOWrapper(io.BytesIO(text), "ascii")) if blanks else None
+            del text
         restat = os.stat(path)
-    except (ValueError, Warning, OSError):
+    except OSError:
         return None
     if (
-        (restat.st_size, restat.st_mtime_ns) != (stamp.st_size, stamp.st_mtime_ns)
+        table is None
+        or (restat.st_size, restat.st_mtime_ns) != (stamp.st_size, stamp.st_mtime_ns)
         or table.size == 0
         or min(table["row"].min(), table["col"].min()) < shift
         or not np.isfinite(table["value"]).all()
@@ -141,6 +147,20 @@ def _parse_table(path, shift: int):
     if not (cells[1:] > cells[:-1]).all() and not np.diff(np.sort(cells)).all():
         return None
     return rows, cols, vals
+
+
+def _load_table(source):
+    """np.loadtxt's table of `source` (a path or a text stream), or None when it
+    refuses it."""
+    try:
+        with warnings.catch_warnings():
+            # Some numpy versions (1.23 among them) only warn on a float index (3.0).
+            warnings.simplefilter("error")
+            return np.loadtxt(
+                source, dtype=_TABLE, delimiter=",", comments=None, skiprows=1, ndmin=1
+            )
+    except (ValueError, Warning, OSError):
+        return None
 
 
 def _scan_lines(text: str, shift: int):

@@ -136,17 +136,22 @@ class ProblemData:
         )
 
     @cached_property
-    def grid_blocks(self) -> tuple[list, np.ndarray | None]:
-        """The dense route's row blocks outside grid order, about GRID_BLOCK cells each:
-        (r0, r1, c0, c1) per block, rows r0:r1 holding the triplets c0:c1 in row order,
-        and that stable order (repeated cells keep theirs), None when rows are sorted.
-        A block has two rows or more when m does: numpy makes a one-row product by
-        GEMV, whose round-off differs from the GEMM of a taller block."""
+    def grid_blocks(self) -> tuple:
+        """The dense route's block plan outside grid order, built on its first pass:
+        (r0, r1, at, cells) per block of about GRID_BLOCK cells, rows r0:r1 holding
+        the triplets `at` (a slice, or indices of the stable row order, in which
+        repeated cells keep theirs) at `cells`, numbered within the block (nnz int64
+        in all). A block has two rows or more when m does: numpy makes a one-row
+        product by GEMV, whose round-off differs from the GEMM of a taller block."""
         rows = self.rows
         order = None if np.all(rows[1:] >= rows[:-1]) else np.argsort(rows, kind="stable")
         bounds = [*range(0, max(self.m - 1, 1), max(2, GRID_BLOCK // self.n)), self.m]
         ends = np.searchsorted(rows if order is None else rows[order], bounds).tolist()
-        return list(zip(bounds, bounds[1:], ends, ends[1:])), order
+        plan = []  # cells left writable: take and bincount copy a read-only index array
+        for r0, r1, c0, c1 in zip(bounds, bounds[1:], ends, ends[1:]):
+            at = slice(c0, c1) if order is None else order[c0:c1]
+            plan.append((r0, r1, at, self.cells[at] - r0 * self.n))
+        return tuple(plan)
 
     @cached_property
     def sampler(self) -> "AliasSampler":
@@ -384,15 +389,6 @@ def _entries(left, scale, right, rows: np.ndarray, cols: np.ndarray) -> np.ndarr
     return np.einsum("tk,k,tk->t", left, scale, right)
 
 
-def _grid_blocks(data: ProblemData):
-    """(r0, r1, triplets, cells) per block of `data.grid_blocks`: its rows, its
-    triplets (a slice or indices), and their cells numbered within the block."""
-    spans, order = data.grid_blocks
-    for r0, r1, c0, c1 in spans:
-        at = slice(c0, c1) if order is None else order[c0:c1]
-        yield r0, r1, at, data.cells[at] - r0 * data.n
-
-
 def _grid_entries(left, scale, right, data: ProblemData, out=None) -> np.ndarray:
     """Dense route: the predictions at the observed cells (into `out`, when
     given). Each GEMM takes L diag(s) and one C-contiguous R^T, formed once per
@@ -404,7 +400,7 @@ def _grid_entries(left, scale, right, data: ProblemData, out=None) -> np.ndarray
     if data.grid_order:
         np.matmul(left, right_t, out=out.reshape(data.m, data.n))
         return out
-    for r0, r1, at, cells in _grid_blocks(data):
+    for r0, r1, at, cells in data.grid_blocks:
         block = left[r0:r1] @ right_t
         # The caller checked the shape, so the cells are in range.
         if isinstance(at, slice):
@@ -526,7 +522,7 @@ def _support_sums(
             g_left, g_right = grid @ right, grid.T @ left
         else:
             g_left, g_right = np.empty((data.m, k)), np.zeros((data.n, k))
-            for r0, r1, at, cells in _grid_blocks(data):
+            for r0, r1, at, cells in data.grid_blocks:
                 block = np.bincount(cells, e[at], (r1 - r0) * data.n).reshape(r1 - r0, data.n)
                 np.matmul(block, right, out=g_left[r0:r1])
                 g_right += block.T @ left[r0:r1]

@@ -56,6 +56,39 @@ def full_grid_entries(left, scale, right, data: ProblemData, out=None) -> np.nda
     return np.ravel(left @ right.T).take(data.cells, out=out, mode="clip")
 
 
+def per_pass_blocks(data: ProblemData):
+    """(r0, r1, triplets, cells) per block of `data.grid_blocks`, the cells
+    numbered within the block afresh on each call: what the dense route did
+    on every pass before the plan cached them, kept as its reference."""
+    for r0, r1, at, _ in data.grid_blocks:
+        yield r0, r1, at, data.cells[at] - r0 * data.n
+
+
+def per_pass_grid_entries(left, scale, right, data: ProblemData, out=None) -> np.ndarray:
+    """`_grid_entries` outside grid order on `per_pass_blocks`."""
+    left = left if scale is None else left * scale
+    right_t = np.ascontiguousarray(right.T)
+    out = np.empty(data.nnz) if out is None else out
+    for r0, r1, at, cells in per_pass_blocks(data):
+        block = left[r0:r1] @ right_t
+        if isinstance(at, slice):
+            block.take(cells, out=out[at], mode="clip")
+        else:
+            out[at] = block.take(cells, mode="clip")
+    return out
+
+
+def per_pass_grid_sums(e, left, right, data: ProblemData, diag: bool) -> tuple:
+    """`_support_sums` outside grid order on `per_pass_blocks`."""
+    k = left.shape[1]
+    g_left, g_right = np.empty((data.m, k)), np.zeros((data.n, k))
+    for r0, r1, at, cells in per_pass_blocks(data):
+        block = np.bincount(cells, e[at], (r1 - r0) * data.n).reshape(r1 - r0, data.n)
+        np.matmul(block, right, out=g_left[r0:r1])
+        g_right += block.T @ left[r0:r1]
+    return g_left, g_right, np.einsum("ik,ik->k", left, g_left) if diag else None
+
+
 def point_entries(p: ProductPoint, rows, cols) -> np.ndarray:
     """Gather-route predictions of a ProductPoint by one three-operand einsum
     over U, x and V: the kernel the gather route used for points before the

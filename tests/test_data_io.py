@@ -120,8 +120,23 @@ def assert_same_triplets(got, want):
 ACCEPTED = [
     ("blank_line", "row,col,value\n0,0,5\n\n1,2,3\n", {},
      (2, 3, [0, 1], [0, 2], [5.0, 3.0]), False),
+    # np.loadtxt refuses a whitespace-only line; the file is parsed again
+    # without the line's spaces and tabs, the line break kept.
     ("whitespace_only_line", "row,col,value\n0,0,5\n \t \n1,2,3\n", {},
-     (2, 3, [0, 1], [0, 2], [5.0, 3.0]), True),
+     (2, 3, [0, 1], [0, 2], [5.0, 3.0]), False),
+    ("whitespace_only_lines_mid_and_trailing", "row,col,value\n0,0,5\n  \n1,2,3\n\t\n \n", {},
+     (2, 3, [0, 1], [0, 2], [5.0, 3.0]), False),
+    ("whitespace_only_last_line_unended", "row,col,value\n0,0,5\n1,2,3\n \t", {},
+     (2, 3, [0, 1], [0, 2], [5.0, 3.0]), False),
+    ("whitespace_only_lines_crlf", "row,col,value\r\n0,0,5\r\n \r\n1,2,3\r\n \r\n", {},
+     (2, 3, [0, 1], [0, 2], [5.0, 3.0]), False),
+    ("whitespace_only_lines_cr", "row,col,value\r0,0,5\r\t\r1,2,3\r  \r", {},
+     (2, 3, [0, 1], [0, 2], [5.0, 3.0]), False),
+    ("padded_beside_whitespace_only_line", "row,col,value\n 3 ,\t0, 1.5 \n \n", {},
+     (4, 1, [3], [0], [1.5]), False),
+    # Any other refusal still goes to the scan.
+    ("whitespace_only_line_and_underscore", "row,col,value\n0,0,5\n \n1_0,2,3\n", {},
+     (11, 3, [0, 10], [0, 2], [5.0, 3.0]), True),
     ("crlf", "row,col,value\r\n0,0,5\r\n1,2,3\r\n", {},
      (2, 3, [0, 1], [0, 2], [5.0, 3.0]), False),
     ("plus_sign", "row,col,value\n+3,0,+1.5\n0,+1,-2\n", {},
@@ -258,6 +273,31 @@ class TestLoaderPaths:
         monkeypatch.setattr(data_io, "_scan_lines", no_scan)
         back = load_triplets(path)
         assert_same_triplets(back, tm)
+
+    def test_whitespace_only_lines_skip_the_scan(self, tmp_path, monkeypatch):
+        # Whitespace-only lines mid-file and at the end: parsed again without
+        # them, to the scan's arrays, within the clean file's memory bound.
+        _, clean = clean_file(tmp_path)
+        header, *lines = clean.read_text().splitlines()
+        path = tmp_path / "blanks.csv"
+        path.write_text("\n".join([header, *lines[:100], " \t", *lines[100:], " "]) + "\n")
+        want = scanned(path)
+
+        def no_scan(*args):
+            raise AssertionError("whitespace-only lines sent the file to the per-line scan")
+
+        monkeypatch.setattr(data_io, "read_utf8", no_scan)
+        monkeypatch.setattr(data_io, "_scan_lines", no_scan)
+        load_triplets(path)  # numpy's lazy imports are not the loader's memory
+        tracemalloc.start()
+        try:
+            back = load_triplets(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same_triplets(back, want)
+        output = back.rows.nbytes + back.cols.nbytes + back.vals.nbytes
+        assert peak <= 2 * (path.stat().st_size + output)
 
     def test_clean_file_peak_memory(self, tmp_path):
         # Held at once: the parsed table and the arrays made from it, not the

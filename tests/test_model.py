@@ -54,6 +54,8 @@ from helpers import (
     draw_many,
     full_grid_entries,
     full_grid_sums,
+    per_pass_grid_entries,
+    per_pass_grid_sums,
     point_entries,
     random_point,
     random_tangent,
@@ -886,6 +888,15 @@ def grid_passes(source, data, lam=0.05):
     )
 
 
+def grid_iterate(data, source, seed):
+    """A product point (`source` "point") or a factor pair of rank 3 shaped for `data`."""
+    rng = np.random.default_rng(seed)
+    it = random_point(data.m, data.n, 3, rng)
+    if source == "pair":
+        return FactorPair(rng.standard_normal((data.m, 3)), rng.standard_normal((data.n, 3)))
+    return ProductPoint(it.u, 3.0 * it.x, it.v)
+
+
 class TestGridBlocks:
     """Outside grid order the dense route fills the grid one block of whole
     rows at a time; its values match the full-grid kernels in
@@ -895,35 +906,35 @@ class TestGridBlocks:
     @pytest.mark.parametrize("instance", GRID_INSTANCES)
     def test_layout(self, instance):
         data, empty = grid_block_case(instance)
-        spans, order = data.grid_blocks
-        assert len(spans) >= 3
-        assert [s[0] for s in spans] == [0] + [s[1] for s in spans[:-1]]
-        assert [s[2] for s in spans] == [0] + [s[3] for s in spans[:-1]]
-        assert (spans[-1][1], spans[-1][3]) == (data.m, data.nnz)
-        heights = [r1 - r0 for r0, r1, _, _ in spans]
+        plan = data.grid_blocks
+        assert len(plan) >= 3
+        assert [b[0] for b in plan] == [0] + [b[1] for b in plan[:-1]]
+        assert plan[-1][1] == data.m
+        heights = [r1 - r0 for r0, r1, _, _ in plan]
         if instance == "wide":
             # at least two rows: numpy forms a one-row product by GEMV, whose
             # round-off differs from GEMM's
             assert data.n > GRID_BLOCK and heights == [2, 2, 3]
         else:
             assert heights == [GRID_BLOCK // data.n] * 3 + [50]
-        assert any(r0 < empty < r1 - 1 for r0, r1, _, _ in spans)  # inside a block
-        assert (order is None) == (instance in ("sorted", "wide"))
-        if order is not None:
-            np.testing.assert_array_equal(order, np.argsort(data.rows, kind="stable"))
-        at = np.arange(data.nnz) if order is None else order
-        for r0, r1, c0, c1 in spans:
-            assert np.all((data.rows[at[c0:c1]] >= r0) & (data.rows[at[c0:c1]] < r1))
+        assert any(r0 < empty < r1 - 1 for r0, r1, _, _ in plan)  # inside a block
+        # triplets sorted by row take slices, others the stable row order
+        sliced = all(isinstance(at, slice) for _, _, at, _ in plan)
+        assert sliced == (instance in ("sorted", "wide"))
+        order = np.arange(data.nnz) if sliced else np.argsort(data.rows, kind="stable")
+        at = np.concatenate([np.arange(data.nnz)[at] for _, _, at, _ in plan])
+        np.testing.assert_array_equal(at, order)
+        for r0, r1, at, cells in plan:
+            assert np.all((data.rows[at] >= r0) & (data.rows[at] < r1))
+            np.testing.assert_array_equal(cells, data.cells[at] - r0 * data.n)
+            # writable: numpy's take and bincount copy a read-only index array
+            assert cells.dtype == np.int64 and cells.flags.writeable
 
     @pytest.mark.parametrize("source", ["point", "pair"])
     @pytest.mark.parametrize("instance", GRID_INSTANCES)
     def test_matches_full_grid(self, monkeypatch, instance, source):
         data, empty = grid_block_case(instance)
-        rng = np.random.default_rng(114)
-        it = random_point(data.m, data.n, 3, rng)
-        it = ProductPoint(it.u, 3.0 * it.x, it.v)
-        if source == "pair":
-            it = FactorPair(rng.standard_normal((data.m, 3)), rng.standard_normal((data.n, 3)))
+        it = grid_iterate(data, source, 114)
         pred, costs, residual, grad, given = grid_passes(it, data)
         monkeypatch.setattr(wlra.model, "_grid_entries", full_grid_entries)
         monkeypatch.setattr(wlra.model, "_support_sums", full_grid_sums)
@@ -935,6 +946,62 @@ class TestGridBlocks:
             assert np.abs(got - ref).max() <= GRID_BLOCK_RTOL * np.abs(ref).max()
         if source == "pair":  # no observed cell: only the regularization term remains
             np.testing.assert_array_equal(grad[0][empty], 2.0 * 0.05 * it.x[empty])
+
+    @pytest.mark.parametrize("source", ["point", "pair"])
+    @pytest.mark.parametrize("instance", GRID_INSTANCES)
+    def test_plan_matches_per_pass_numbering(self, monkeypatch, instance, source):
+        # The plan's cells, numbered once, against cells numbered on every
+        # pass (`tests/helpers.py`): same arithmetic, so every value is equal.
+        data, _ = grid_block_case(instance)
+        it = grid_iterate(data, source, 117)
+        got = grid_passes(it, data)
+        monkeypatch.setattr(wlra.model, "_grid_entries", per_pass_grid_entries)
+        monkeypatch.setattr(wlra.model, "_support_sums", per_pass_grid_sums)
+        want = grid_passes(it, data)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
+        np.testing.assert_array_equal(got[2], want[2])
+        for x, y in zip(got[3] + got[4], want[3] + want[4]):
+            np.testing.assert_array_equal(x, y)
+
+    def test_plan_built_once_on_the_first_pass(self):
+        data, _ = grid_block_case("shuffled")
+        assert "grid_blocks" not in vars(data)
+        p = grid_iterate(data, "point", 118)
+        grid_passes(p, data)
+        plan = vars(data)["grid_blocks"]
+        grid_passes(p, data)
+        grid_passes(grid_iterate(data, "pair", 119), data)
+        assert data.grid_blocks is plan
+
+    def test_grid_order_builds_no_plan(self):
+        full = random_data(60, 25, 3, 0, seed=120, full=True, min_w=0.1)
+        grid_passes(grid_iterate(full, "point", 121), full)
+        grid_passes(grid_iterate(full, "pair", 122), full)
+        assert full.grid_order and "grid_blocks" not in vars(full)
+
+    def test_passes_number_no_cells(self):
+        # One block holds every triplet, so cells numbered per pass would
+        # be an nnz-long int64 array alive beside the block's grid.
+        data = blocked_data(200, 150, 0.5, 123, empty_row=0)
+        assert len(data.grid_blocks) == 1
+        p = grid_iterate(data, "point", 124)
+        residual = np.empty(data.nnz)
+
+        def passes():
+            cost_unregularized(p, data, residual)
+            full_grad_manifold(p, data, 0.05, residual)
+
+        passes()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            passes()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the block's grid, and half of what its numbered cells would add
+        assert peak <= 8 * data.m * data.n + 4 * data.nnz
 
     def test_peak_memory_below_one_grid(self):
         # One m-by-n temporary of 2000x400 floats would be 6.4 MB.
