@@ -233,7 +233,9 @@ class FactoredPoint:
         w = (rows[:, None] @ m)[:, 0]  # M^T u_i, as M is symmetric
         q = w + s * a  # row i of U M + s e_i a^T
         tm = self.t @ m
-        steps = self.steps = [n + 1 for n in self.steps]
+        steps = self.steps
+        steps[0] += 1
+        steps[1] += 1
         t_new, ok = self.t, (False, False)
         if min(steps) < FOLD_STEPS:
             try:
@@ -263,11 +265,22 @@ class FactoredPoint:
         l = np.linalg.cholesky(g)
         pivots = l.diagonal(0, 1, 2) / np.maximum(np.sqrt(g.diagonal(0, 1, 2)), 1.0)
         inv = np.linalg.inv(np.concatenate((l, tm)))  # L^-1 and (T M)^-1
-        t_new = tm @ inv[:2].transpose(0, 2, 1)
-        t_new_inv = l.transpose(0, 2, 1) @ inv[2:]
-        # cond(T') as ||T'||_F ||T'^-1||_F / k: 1 for orthogonal T', and between
-        # cond_2(T') / k and cond_2(T') in general; an SVD would cost more than
-        # the step. Compared squared; NaN folds too.
-        cond_sq = np.square(t_new).sum((1, 2)) * np.square(t_new_inv).sum((1, 2))
-        ok = (pivots.min(1) > RANK_TOL) & (cond_sq <= (FOLD_COND * q.shape[1]) ** 2)
-        return t_new, (q[:, None] @ inv[2:])[:, 0], ok
+        tt = np.empty_like(inv)  # T' and T'^-1 of both factors
+        np.matmul(tm, inv[:2].transpose(0, 2, 1), out=tt[:2])
+        np.matmul(l.transpose(0, 2, 1), inv[2:], out=tt[2:])
+        return tt[:2], (q[:, None] @ inv[2:])[:, 0], kept_updates(pivots, tt)
+
+
+def kept_updates(pivots: np.ndarray, tt: np.ndarray) -> list:
+    """Per factor, whether its update is kept: its least scaled Cholesky pivot
+    (`pivots`, (2, k)) is above RANK_TOL and cond(T') is at most FOLD_COND.
+
+    `tt` stacks T'_u, T'_v, T'_u^-1 and T'_v^-1. cond(T') is taken as
+    ||T'||_F ||T'^-1||_F / k: 1 for orthogonal T', and between cond_2(T') / k
+    and cond_2(T') in general; an SVD would cost more than the step. The four
+    squared norms come from one reduction and are compared squared, as
+    Python floats; NaN folds too."""
+    piv = pivots.min(1).tolist()
+    sq = np.square(tt).sum((1, 2)).tolist()
+    bound = (FOLD_COND * tt.shape[1]) ** 2
+    return [piv[f] > RANK_TOL and sq[f] * sq[f + 2] <= bound for f in (0, 1)]

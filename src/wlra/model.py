@@ -83,6 +83,10 @@ class ProblemData:
         if alpha == math.inf:  # alpha enters every step-size bound
             raise ShapeMismatch(f"observed value {big!r} overflows when squared")
         object.__setattr__(self, "alpha", alpha)
+        # Writable views for the gather route's index arguments: take and
+        # bincount copy a read-only index array on every call.
+        object.__setattr__(self, "_rows", rows.view())
+        object.__setattr__(self, "_cols", cols.view())
         for name, arr in (("rows", rows), ("cols", cols), ("a_vals", a_vals), ("w_vals", w_vals)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -430,7 +434,7 @@ def cost_unregularized(source, data: ProblemData, residual: np.ndarray | None = 
     total = 0.0
     for start in range(0, data.nnz, SUPPORT_BLOCK):
         cells = slice(start, start + SUPPORT_BLOCK)
-        pred = _entries(left, scale, right, data.rows[cells], data.cols[cells])
+        pred = _entries(left, scale, right, data._rows[cells], data._cols[cells])
         out = None if residual is None else residual[cells]
         res = np.subtract(data.a_vals[cells], pred, out=out)
         total += float(np.dot(data.w_vals[cells], res**2))
@@ -527,15 +531,15 @@ def _support_sums(
                 np.matmul(block, right, out=g_left[r0:r1])
                 g_right += block.T @ left[r0:r1]
         return g_left, g_right, np.einsum("ik,ik->k", left, g_left) if diag else None
-    rows, cols = data.rows, data.cols
+    rows, cols = data._rows, data._cols
     g_left = np.empty((data.m, k))
     g_right = np.empty((data.n, k))
     g_diag = np.empty(k) if diag else None
     left_t, right_t = left.T.copy(), right.T.copy()
     by_row, by_col = np.empty(data.nnz), np.empty(data.nnz)
-    for l in range(k):
-        np.take(right_t[l], cols, out=by_row)
-        np.take(left_t[l], rows, out=by_col)
+    for l in range(k):  # the indices were checked, so clip spares `take` a buffered out
+        np.take(right_t[l], cols, out=by_row, mode="clip")
+        np.take(left_t[l], rows, out=by_col, mode="clip")
         by_row *= e
         g_left[:, l] = np.bincount(rows, weights=by_row, minlength=data.m)
         if diag:

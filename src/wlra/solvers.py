@@ -34,7 +34,7 @@ from .model import (
     stoch_grad_manifold,
     stoch_grad_pw,
 )
-from .step_policy import PolicyKind, StepPolicy, adaptive_A_B, phi_t
+from .step_policy import EMPTY_RHO, PolicyKind, StepPolicy, adaptive_A_B, phi_t, settled_rho
 
 # Trials an Armijo step halves through (by beta) before it gives up.
 MAX_BACKTRACKS = 60
@@ -185,10 +185,15 @@ def _run_sgd(
     place along it at cell (i, j). Trace costs price `state.factors()`;
     `view_fn(state)` is the iterate the exact safeguard, recorded rho and the
     caller see; `rho_fn` reads the confinement of the state and of its view
-    alike. A record has the phi_t of the step before it. The alias table is
-    built before the clock."""
+    alike. An adaptive step whose rho lies in the run's `settled_rho` set
+    takes phi_t's floor max{c_t / theta, phi_min} directly; any other calls
+    `phi_t`. A record has the phi_t of the step before it. The alias table
+    and the settled set are built before the clock."""
     data.sampler
     policy = config.policy
+    adaptive, phi_min, theta = config.adaptive, policy.phi_min, policy.theta
+    settled = settled_rho(policy, data.k) if adaptive else (EMPTY_RHO, EMPTY_RHO)
+    (lo, hi), (lo_floored, hi_floored) = settled
     rng = np.random.default_rng(config.seed)
     phi = None
 
@@ -198,8 +203,16 @@ def _run_sgd(
     def advance(t: int) -> None:
         nonlocal phi
         s = sample_index(data, rng)
-        phi = phi_t(policy, t, rho_fn(state), data.k, exact) if config.adaptive else policy.phi_min
-        state.step(data.rows[s], data.cols[s], grad_fn(state, s), -policy.schedule(t) / phi)
+        c = policy.schedule(t)
+        if not adaptive:
+            phi = phi_min
+        else:
+            rho = rho_fn(state)
+            if lo <= rho <= hi or lo_floored <= rho <= hi_floored:
+                phi = max(c / theta, phi_min)
+            else:
+                phi = phi_t(policy, t, rho, data.k, exact)
+        state.step(data.rows[s], data.cols[s], grad_fn(state, s), -c / phi)
 
     def record(t: int, elapsed: float) -> TraceRecord:
         return TraceRecord(
@@ -224,7 +237,10 @@ def sgd_manifold(
     the exact pass for A_t, B_t only when their O(1) upper bounds reach
     the floor max{c_t / theta, phi_min}. With `make_policy`'s scales that
     happens only past the confinement ceiling rho1, so a confined adaptive
-    run takes the same steps as the exact safeguard without the pass.
+    run takes the same steps as the exact safeguard without the pass. The
+    rho at which the bounds settle phi_t are found once per run
+    (`settled_rho`); a step whose rho lies there takes the floor at the
+    cost of reading rho, and any other falls back to `phi_t`.
 
     The iterate is kept as a FactoredPoint: each step makes one per-sample
     gradient call, which reads row i of U and row j of V once as a (2, k)
@@ -257,6 +273,9 @@ def sgd_euclidean(
     is taken densely there (see `ScaledPair`). Trace points price its
     factors; (X, Y) is multiplied out only for the exact safeguard pass when
     the bounds do not settle phi_t, a recorded rho and the returned pair.
+    Adaptive mode reads rho = a^2 (||Xb||^2 + ||Yb||^2) each step and takes
+    phi_t's floor inside the run's `settled_rho` set, else calls `phi_t`,
+    as `sgd_manifold` does.
     """
     _check_start(init, data, config, PolicyKind.EUCLIDEAN, confinement_euclidean)
     return _run_sgd(
@@ -272,7 +291,11 @@ def sgd_euclidean(
 def sgd_pw(
     init: ProductPoint, data: ProblemData, config: SolverConfig
 ) -> tuple[ProductPoint, IterTrace]:
-    """Positive-weights stochastic descent; the traced objective is the raw cost."""
+    """Positive-weights stochastic descent; the traced objective is the raw cost.
+
+    The steps are `sgd_manifold`'s with the tilted per-sample gradient, and
+    adaptive mode settles phi_t from the run's `settled_rho` set, falling
+    back to `phi_t` outside it, as there."""
     w0 = require_positive_weights(data)
     lam = config.policy.lam
     _check_start(init, data, config, PolicyKind.POSITIVE_WEIGHTS, confinement_manifold)

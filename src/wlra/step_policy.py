@@ -11,7 +11,9 @@ phi_min alone suffices in the constant-step regime.
 With `make_policy`'s scales the tilde bounds stay at or below phi_min / K
 while rho <= rho1, so there phi_t is the floor max{c_t / theta, phi_min}.
 `phi_t` therefore checks the tilde bounds first and runs the exact pass
-only when one of them reaches that floor.
+only when one of them reaches that floor, and `settled_rho` finds, once
+per run, the rho at which the bounds settle phi_t on every step, so that
+the SGD loop calls `phi_t` only outside them.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ DEFAULT_SIGMA = math.pi**2 / 6.0
 # max(c_t / theta, phi_min) by this relative margin, which absorbs the
 # rounding between the bounds and the exact pass they bound.
 BOUND_GATE_MARGIN = 1e-9
+# `settled_rho` shrinks each closed-form end by this relative slack, which
+# covers the rounding of the roots, before checking it against the bounds.
+SETTLED_SLACK = 1e-9
+EMPTY_RHO = (math.inf, -math.inf)
 
 
 def default_schedule(t: int) -> float:
@@ -292,11 +298,62 @@ def tilde_A_B_of_rho(rho: float, k: int, policy: StepPolicy) -> tuple[float, flo
     return a_t, b_t
 
 
+def settled_rho(policy: StepPolicy, k: int) -> tuple:
+    """The rho at which the O(1) bounds settle `phi_t` at its floor on every
+    step: two closed intervals (lo, hi), either empty (EMPTY_RHO).
+
+    A~ and B~ rise with rho, except that A~ is 0 from `rho_floor` on, so both
+    sit at or below phi_min (1 - BOUND_GATE_MARGIN), the least value of the
+    gate's limit, on [0, hi] below rho_floor and on [rho_floor, hi']. Each hi
+    is the closed-form root of a bound at that limit, shrunk by SETTLED_SLACK.
+    Every end is then checked through `tilde_A_B_of_rho`, whose rounded values
+    are monotone in rho, and an interval whose end fails is dropped.
+    """
+    limit = policy.phi_min * (1.0 - BOUND_GATE_MARGIN)
+    lam, alpha, s = policy.lam, policy.alpha, math.sqrt(policy.alpha)
+    la, lb = limit * policy.a, limit * policy.b
+    try:
+        if policy.kind is PolicyKind.EUCLIDEAN:
+            # A~: 2 rho^2 + 4 (s + lam) rho <= L a
+            c1 = 4.0 * (s + lam)
+            rho_a = 2.0 * la / (c1 + math.sqrt(c1 * c1 + 8.0 * la))
+            # B~: rho ((s + rho / 2)^2 + lam^2) <= (L b)^2 / 8. With w = s + rho / 2
+            # it is w^3 - s w^2 + lam^2 w - (s lam^2 + d) = 0, d = (L b)^2 / 16, whose
+            # only real root Cardano gives (w = y + s / 3; y^3 + p y + q = 0).
+            d = lb * lb / 16.0
+            p = lam * lam - s * s / 3.0
+            q = -(2.0 * s * s * s / 27.0 + 2.0 * s * lam * lam / 3.0 + d)
+            u = math.cbrt(-q / 2.0 + math.sqrt(max(q * q / 4.0 + p * p * p / 27.0, 0.0)))
+            rho_b = 2.0 * (u - p / (3.0 * u) - 2.0 * s / 3.0)
+        else:
+            # A~: 4 (1 + lam) x^2 + 4 s x <= L a in x = sqrt(rho)
+            x = la / (2.0 * (s + math.sqrt(alpha + (1.0 + lam) * la)))
+            rho_a = x * x
+            # B~: 16 k (2 alpha + (2 + lam^2) rho) <= (L b)^2
+            rho_b = (lb * lb / (16.0 * k) - 2.0 * alpha) / (2.0 + lam * lam)
+    except (ArithmeticError, ValueError):  # an extreme policy: no set, exact gate
+        rho_a = rho_b = math.nan
+    shrink = 1.0 - SETTLED_SLACK
+    floor = policy.rho_floor
+
+    def holds(rho: float) -> bool:
+        # Each bound is tested on its own so that NaN fails.
+        a_t, b_t = tilde_A_B_of_rho(rho, k, policy)
+        return a_t <= limit and b_t <= limit
+
+    hi = min(rho_a * shrink, rho_b * shrink, math.nextafter(floor, -math.inf))
+    below = (0.0, hi) if 0.0 <= hi and holds(hi) else EMPTY_RHO
+    hi = rho_b * shrink
+    above = (floor, hi) if floor <= hi and holds(floor) and holds(hi) else EMPTY_RHO
+    return below, above
+
+
 def phi_t(policy: StepPolicy, t: int, rho: float, k: int, exact: Callable) -> float:
     """Adaptive shrink factor max{A_t, B_t, c_t / theta, phi_min} at step t. Below the
     floor max{c_t / theta, phi_min}, the O(1) bounds at confinement rho settle it
     whatever A_t and B_t are; only when one reaches the floor is `exact()` called
-    for A_t, B_t (the O(nnz k) pass of `adaptive_A_B`)."""
+    for A_t, B_t (the O(nnz k) pass of `adaptive_A_B`). The SGD loop calls it only
+    for a rho outside `settled_rho`, inside which it is that floor."""
     floor = max(policy.schedule(t) / policy.theta, policy.phi_min)
     limit = floor * (1.0 - BOUND_GATE_MARGIN)
     a_t, b_t = tilde_A_B_of_rho(rho, k, policy)

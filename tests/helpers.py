@@ -4,8 +4,16 @@ references the library is checked against, for the tests."""
 
 import numpy as np
 
+import wlra.geometry
 from wlra.errors import ShapeMismatch
-from wlra.geometry import FactoredPoint, ProductPoint, ProductTangent, project_tangent, qf
+from wlra.geometry import (
+    RANK_TOL,
+    FactoredPoint,
+    ProductPoint,
+    ProductTangent,
+    project_tangent,
+    qf,
+)
 from wlra.model import (
     AliasSampler,
     FactorPair,
@@ -54,6 +62,29 @@ def full_grid_entries(left, scale, right, data: ProblemData, out=None) -> np.nda
     outside grid order before its row blocks, kept as their reference."""
     left = left if scale is None else left * scale
     return np.ravel(left @ right.T).take(data.cells, out=out, mode="clip")
+
+
+def reference_fold_rule(pivots, t_new, t_new_inv) -> np.ndarray:
+    """Per factor, whether `FactoredPoint` keeps its update, from two
+    separate norm reductions and numpy comparisons: the fold test the step
+    made before it took one stacked reduction, kept as its reference."""
+    cond_sq = np.square(t_new).sum((1, 2)) * np.square(t_new_inv).sum((1, 2))
+    bound = (wlra.geometry.FOLD_COND * t_new.shape[1]) ** 2
+    return (pivots.min(1) > RANK_TOL) & (cond_sq <= bound)
+
+
+def reference_update(self, tm, m, w, q) -> tuple:
+    """`FactoredPoint._update` with `reference_fold_rule` and T' and T'^-1
+    in arrays of their own, as the step made it before; a drop-in
+    replacement for the method."""
+    g = m @ m + (q[:, :, None] * q[:, None, :] - w[:, :, None] * w[:, None, :])
+    l = np.linalg.cholesky(g)
+    pivots = l.diagonal(0, 1, 2) / np.maximum(np.sqrt(g.diagonal(0, 1, 2)), 1.0)
+    inv = np.linalg.inv(np.concatenate((l, tm)))
+    t_new = tm @ inv[:2].transpose(0, 2, 1)
+    t_new_inv = l.transpose(0, 2, 1) @ inv[2:]
+    ok = reference_fold_rule(pivots, t_new, t_new_inv)
+    return t_new, (q[:, None] @ inv[2:])[:, 0], ok
 
 
 def per_pass_blocks(data: ProblemData):

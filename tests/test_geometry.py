@@ -6,13 +6,16 @@ import pytest
 import wlra.geometry
 from wlra.errors import RankDeficient, ShapeMismatch
 from wlra.geometry import (
+    FOLD_COND,
     FOLD_STEPS,
     NEAR_TOL,
+    RANK_TOL,
     FactoredPoint,
     ProductPoint,
     ProductTangent,
     orthonormality_defect,
     project_tangent,
+    kept_updates,
     qf,
     retract,
     tangent_project,
@@ -22,6 +25,7 @@ from helpers import (
     assemble,
     householder_qf,
     random_point,
+    reference_fold_rule,
     random_stiefel,
     random_tangent,
     tangent_defect,
@@ -392,6 +396,62 @@ class TestFactoredStiefel:
         for factor in (0, 1):
             assert_folded(f, factor)
             assert orthonormality_defect(f.bases[factor]) <= 1e-14
+
+
+def fold_cases(k: int, rng: np.random.Generator):
+    """(pivots, T', T'^-1) stacks of two factors, each with the decision it
+    must get where the rule fixes it (None: seeded draws, whose least pivot
+    straddles RANK_TOL and whose condition estimate straddles FOLD_COND)."""
+    scale = np.sqrt(FOLD_COND / k)  # draws of ||T'|| ||T'^-1|| / k near FOLD_COND
+    for _ in range(300):
+        pivots = np.ones((2, k))
+        pivots[:, -1] = RANK_TOL * np.exp(rng.uniform(-0.1, 1.0, 2))
+        t = rng.standard_normal((2, k, k)) * scale * np.exp(rng.uniform(-0.5, 0.5, (2, 1, 1)))
+        t_inv = rng.standard_normal((2, k, k)) * scale * np.exp(rng.uniform(-0.5, 0.5, (2, 1, 1)))
+        yield pivots, t, t_inv, None
+    eye = np.tile(np.eye(k), (2, 1, 1))
+    ones = np.ones((2, k))
+    # ||10 I||_F^2 ||10 I||_F^2 = (100 k)^2 = (FOLD_COND k)^2, exactly; a
+    # relative 1e-12 more in one entry of factor 1 puts it past the bound.
+    assert FOLD_COND == 100.0
+    yield ones, 10.0 * eye, 10.0 * eye, [True, True]
+    past = 10.0 * eye
+    past[1, 0, 0] *= 1.0 + 1e-12
+    yield ones, past, 10.0 * eye, [True, False]
+    at_tol = np.ones((2, k))
+    at_tol[0, -1] = RANK_TOL
+    at_tol[1, 0] = np.nextafter(RANK_TOL, 1.0)
+    yield at_tol, eye, eye, [False, True]
+    # A NaN or inf entry in factor 1's T' or T'^-1 folds it, and so does a
+    # NaN pivot; an inf pivot is not the least one.
+    for bad in (np.nan, np.inf, -np.inf):
+        for slot in range(3):
+            arrays = [ones.copy(), eye.copy(), eye.copy()]
+            arrays[slot][1, ..., 0] = bad
+            yield (*arrays, [True, bad == np.inf] if slot == 0 else [True, False])
+        inv_bad = eye.copy()
+        inv_bad[1] = np.where(np.eye(k) == 1.0, bad, 0.0)
+        yield ones, eye, inv_bad, [True, False]
+        yield ones, np.zeros((2, k, k)), np.full((2, k, k), bad), [False, False]
+
+
+class TestFoldRule:
+    """The fold decision from one stacked reduction against the two
+    separate reductions it replaced."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 10])
+    def test_stacked_decision_matches_reference(self, k):
+        rng = np.random.default_rng(70 + k)
+        kept = folded = 0
+        for pivots, t, t_inv, expected in fold_cases(k, rng):
+            with np.errstate(all="ignore"):  # inf * 0 and inf - inf in the reference
+                want = reference_fold_rule(pivots, t, t_inv).tolist()
+                got = kept_updates(pivots, np.concatenate((t, t_inv)))
+            assert got == want
+            if expected is not None:
+                assert got == expected
+            kept, folded = kept + sum(got), folded + 2 - sum(got)
+        assert kept > 100 and folded > 100
 
 
 class TestAssemble:

@@ -781,6 +781,44 @@ def support_passes(source, data, lam=0.05):
     return costs, residual, (g.du, g.dx, g.dv)
 
 
+class TestGatherIndexViews:
+    """The gather route passes writable views of rows and cols to take and
+    bincount, which copy a read-only index array on every call."""
+
+    def test_views_share_the_read_only_arrays(self):
+        data = holey_data(300, 40, 3, seed=80)
+        for public, private in ((data.rows, data._rows), (data.cols, data._cols)):
+            assert not public.flags.writeable and private.flags.writeable
+            assert np.shares_memory(public, private)
+            np.testing.assert_array_equal(public, private)
+
+    def test_gather_gradient_makes_no_index_copy(self, monkeypatch):
+        # 100k of 4M cells: the gather route. An nnz-long copy of rows or cols
+        # would add 8 nnz bytes to the two nnz-long float columns and the
+        # factor-sized results.
+        rng = np.random.default_rng(90)
+        m, n, k, nnz = 4000, 1000, 3, 100_000
+        cells = rng.choice(m * n, nnz, replace=False)
+        w = np.full(nnz, 1.0 / nnz)
+        a = rng.standard_normal(nnz)
+        data = ProblemData(m=m, n=n, k=k, rows=cells // n, cols=cells % n, a_vals=a, w_vals=w)
+        assert data.cells is None
+        f = FactorPair(rng.standard_normal((m, k)), rng.standard_normal((n, k)))
+        residual = np.empty(nnz)
+        cost_unregularized(f, data, residual)
+        want = full_grad_euclidean(f, data, 0.05, residual.copy())  # builds data.neg_2w
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = full_grad_euclidean(f, data, 0.05, residual)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * nnz + 24 * (m + n) * k + 65536
+        np.testing.assert_array_equal(got.x, want.x)
+        np.testing.assert_array_equal(got.y, want.y)
+
+
 class TestGridOrder:
     """A fully observed matrix in row-major order has cells 0..mn-1, so the
     dense route reads the GEMM output and forms E from e in place; the

@@ -55,7 +55,14 @@ from wlra.solvers import (
     sgd_manifold,
     sgd_pw,
 )
-from wlra.step_policy import PolicyKind, make_policy, tilde_A_B_of_rho
+from wlra.step_policy import (
+    BOUND_GATE_MARGIN,
+    EMPTY_RHO,
+    PolicyKind,
+    make_policy,
+    settled_rho,
+    tilde_A_B_of_rho,
+)
 from wlra.svd_init import fill_missing_column_mean, truncated_svd_init
 
 from helpers import (
@@ -66,6 +73,7 @@ from helpers import (
     dense_stoch_grad_pw,
     householder_qf,
     random_point,
+    reference_update,
     regularized_cost,
 )
 
@@ -215,6 +223,25 @@ class TestFactoredSgd:
             init, data, config, lambda p, s: dense_stoch_grad_pw(p, s, data, policy.lam)
         )
         assert_close_to_dense(final, reference)
+
+    @pytest.mark.parametrize("fold_cond", ["default", "zero"])
+    @pytest.mark.parametrize("algorithm", ["manifold", "pw"])
+    def test_stacked_fold_test_matches_reference_update(self, monkeypatch, algorithm, fold_cond):
+        # 2500 steps cross FOLD_STEPS twice; with FOLD_COND = 0 every step
+        # folds. Runs through the reference copy of the update, with its two
+        # separate norm reductions, give the same iterates and trace bit for bit.
+        if fold_cond == "zero":
+            monkeypatch.setattr(wlra.geometry, "FOLD_COND", 0.0)
+        if algorithm == "pw":
+            (init, data, config), solver = pw_setup(2500), sgd_pw
+            config = dataclasses.replace(config, trace_every=100)
+        else:
+            (init, data, config), solver = svd_setup(60, 30, 4, iters=2500), sgd_manifold
+        folds = counting(monkeypatch, wlra.geometry, "qf")
+        got = run_key(*solver(init, data, config))
+        assert len(folds) >= (2 * 2500 if fold_cond == "zero" else 4)
+        monkeypatch.setattr(FactoredPoint, "_update", reference_update)
+        assert run_key(*solver(init, data, config)) == got
 
     def test_forced_cholesky_failures_fold(self, monkeypatch):
         init, data, config = svd_setup(60, 30, 4, iters=300)
@@ -886,7 +913,8 @@ FORCED_BOUNDS = {
 
 
 class TestAdaptiveGate:
-    """Adaptive SGD checks the O(1) bounds first and runs the exact
+    """Adaptive SGD takes phi_t's floor for a rho in the run's settled set,
+    and otherwise checks the O(1) bounds first and runs the exact
     safeguard pass only when a bound reaches the floor of phi_t."""
 
     @pytest.mark.parametrize("force", sorted(FORCED_BOUNDS))
@@ -900,6 +928,39 @@ class TestAdaptiveGate:
         monkeypatch.setattr(wlra.step_policy, "tilde_A_B_of_rho", FORCED_BOUNDS[force])
         forced = run_key(*solver(init, data, config))
         assert len(exact) == iters
+        assert forced == gated
+
+    @pytest.mark.parametrize("force", sorted(FORCED_BOUNDS))
+    @pytest.mark.parametrize("algorithm", ["manifold", "euclidean", "pw"])
+    def test_forced_bounds_empty_the_settled_set(self, monkeypatch, algorithm, force):
+        _, _, data, config = adaptive_setup(algorithm, 1)
+        assert settled_rho(config.policy, data.k) != (EMPTY_RHO, EMPTY_RHO)
+        monkeypatch.setattr(wlra.step_policy, "tilde_A_B_of_rho", FORCED_BOUNDS[force])
+        assert settled_rho(config.policy, data.k) == (EMPTY_RHO, EMPTY_RHO)
+
+    @pytest.mark.parametrize("algorithm", ["manifold", "euclidean", "pw"])
+    def test_run_crossing_the_settled_set_takes_the_exact_pass(self, monkeypatch, algorithm):
+        # phi_min is set where the larger bound meets the gate's limit at the
+        # median rho of a first run, so the set ends inside the rho the run
+        # visits: steps past its end call phi_t, which runs the exact pass,
+        # and the phi and iterates equal a run with the exact pass on every step.
+        iters = 300
+        solver, init, data, config = adaptive_setup(algorithm, iters, trace_every=1)
+        _, trace = solver(init, data, config)
+        rho_mid = float(np.median([r.rho for r in trace.records]))
+        phi_min = max(tilde_A_B_of_rho(rho_mid, data.k, config.policy)) / (1.0 - BOUND_GATE_MARGIN)
+        policy = config.policy
+        policy = dataclasses.replace(policy, phi_min=phi_min, theta=policy.c / phi_min)
+        config = dataclasses.replace(config, policy=policy)
+        (_, hi), _ = settled_rho(policy, data.k)
+        assert 0.0 < hi < rho_mid
+        exact = count_calls(monkeypatch, "adaptive_A_B")
+        gated = run_key(*solver(init, data, config))
+        crossed = len(exact)
+        assert 0 < crossed < iters
+        monkeypatch.setattr(wlra.step_policy, "tilde_A_B_of_rho", FORCED_BOUNDS["inf"])
+        forced = run_key(*solver(init, data, config))
+        assert len(exact) == crossed + iters
         assert forced == gated
 
     @pytest.mark.parametrize("algorithm", ["manifold", "pw"])

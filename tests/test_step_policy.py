@@ -13,7 +13,9 @@ from wlra.geometry import FactoredPoint, ProductPoint
 from wlra.model import FactorPair, ProblemData, confinement_euclidean, confinement_manifold
 from wlra.solvers import Budget, SolverConfig, sgd_manifold
 from wlra.step_policy import (
+    BOUND_GATE_MARGIN,
     DEFAULT_SIGMA,
+    EMPTY_RHO,
     PolicyKind,
     StepPolicy,
     adaptive_A_B,
@@ -22,6 +24,7 @@ from wlra.step_policy import (
     default_schedule,
     make_policy,
     phi_t,
+    settled_rho,
     tilde_A_B_of_rho,
 )
 from wlra.svd_init import fill_missing_column_mean, truncated_svd_init
@@ -384,6 +387,109 @@ class TestPhiT:
 
         assert phi_t(policy, 0, 1e6 * policy.rho1, data.k, exact) == 3.0 * policy.phi_min
         assert len(calls) == 1
+
+
+def settled_policies():
+    """make_policy's policies for every kind at K = 1 and 2, and, where the
+    A~ bound passes B~ at rho_floor, the policy whose phi_min lies between
+    them, so that the A~ interval ends below rho_floor."""
+    data = full_data(5, 4, 2, seed=6)
+    out = []
+    for kind in PolicyKind:
+        lams = [None] if kind is PolicyKind.POSITIVE_WEIGHTS else [0.05, 1e-4, 3.0]
+        for lam, big_k in itertools.product(lams, (1.0, 2.0)):
+            policy = make_policy(kind, data, 0.0, lam, big_k)
+            out.append((f"{kind.value}-{lam}-K{big_k}", policy))
+            a_below, _ = tilde_A_B_of_rho(math.nextafter(policy.rho_floor, 0.0), 2, policy)
+            _, b_at = tilde_A_B_of_rho(policy.rho_floor, 2, policy)
+            if big_k == 1.0 and a_below > b_at:
+                phi_min = math.sqrt(a_below * b_at)
+                gap = dataclasses.replace(policy, phi_min=phi_min, theta=policy.c / phi_min)
+                out.append((f"{kind.value}-{lam}-gap", gap))
+    return out
+
+
+SETTLED_POLICIES = settled_policies()
+
+
+def in_settled(rho, settled) -> bool:
+    (lo, hi), (lo_floored, hi_floored) = settled
+    return lo <= rho <= hi or lo_floored <= rho <= hi_floored
+
+
+class TestSettledRho:
+    """The per-run set of rho at which the SGD loop takes phi_t's floor
+    without calling phi_t."""
+
+    @pytest.mark.parametrize("name, policy", SETTLED_POLICIES, ids=[n for n, _ in SETTLED_POLICIES])
+    def test_set_agrees_with_phi_t_on_a_dense_grid(self, name, policy):
+        k = 2
+        settled = settled_rho(policy, k)
+        (lo, hi), (lo_floored, hi_floored) = settled
+        assert lo == 0.0 <= hi < policy.rho_floor == lo_floored <= hi_floored
+        ends = [hi, lo_floored, hi_floored, policy.rho_floor, policy.rho0, policy.rho1]
+        grid = np.linspace(0.0, 1.5 * max(ends), 2001).tolist()
+        for end in ends:  # a few ulps on each side of every end
+            below = above = end
+            for _ in range(4):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+                grid += [below, above]
+        inside = [0, 0]
+        for rho in grid:
+            if not in_settled(rho, settled):
+                continue
+            inside[rho >= lo_floored] += 1
+            for t in (0, 7, 10**6):
+                floor = max(policy.schedule(t) / policy.theta, policy.phi_min)
+                assert phi_t(policy, t, rho, k, no_exact_pass) == floor
+        assert min(inside) > 100  # both intervals are met
+
+    @pytest.mark.parametrize("name, policy", SETTLED_POLICIES, ids=[n for n, _ in SETTLED_POLICIES])
+    def test_closed_form_ends_are_tight(self, name, policy):
+        # Past an end that is a root of a bound, by 1e-6 relative (or at the
+        # last rho below rho_floor, if sooner), that bound is above the gate's
+        # least limit: the set is not needlessly small.
+        k = 2
+        limit = policy.phi_min * (1.0 - BOUND_GATE_MARGIN)
+        last_below = math.nextafter(policy.rho_floor, 0.0)
+        (_, hi), (_, hi_floored) = settled_rho(policy, k)
+        assert max(tilde_A_B_of_rho(hi_floored * (1.0 + 1e-6), k, policy)) > limit
+        if hi < last_below:
+            assert max(tilde_A_B_of_rho(min(hi * (1.0 + 1e-6), last_below), k, policy)) > limit
+        else:
+            assert hi == last_below
+
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    def test_confined_range_is_settled_at_big_k_two(self, kind):
+        # make_policy's scales keep the bounds at or below phi_min / K up to
+        # rho1, so with K = 2 the whole confined range [0, rho1] is settled.
+        data = full_data(5, 4, 2, seed=6)
+        lam = None if kind is PolicyKind.POSITIVE_WEIGHTS else 0.05
+        policy = make_policy(kind, data, 0.0, lam, 2.0)
+        settled = settled_rho(policy, data.k)
+        for rho in np.linspace(0.0, policy.rho1, 501):
+            assert in_settled(float(rho), settled)
+        assert not in_settled(math.nan, settled)
+
+    def test_phi_min_below_every_bound_gives_the_empty_set(self):
+        data = full_data(5, 4, 2, seed=6)
+        policy = make_policy(PolicyKind.MANIFOLD, data, 0.0, 0.05, 1.0)
+        _, b_least = tilde_A_B_of_rho(0.0, data.k, policy)
+        low = dataclasses.replace(policy, phi_min=0.5 * b_least, theta=policy.c / (0.5 * b_least))
+        assert settled_rho(low, data.k) == (EMPTY_RHO, EMPTY_RHO)
+
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    def test_overflowing_closed_form_gives_a_safe_set(self, kind):
+        # A policy so extreme that the roots overflow may lose the set, but
+        # never raises and never settles a rho that phi_t would not.
+        data = full_data(5, 4, 2, seed=6)
+        lam = None if kind is PolicyKind.POSITIVE_WEIGHTS else 0.05
+        policy = make_policy(kind, data, 0.0, lam, 1.0)
+        huge = dataclasses.replace(policy, phi_min=1e300, theta=policy.c / 1e300)
+        settled = settled_rho(huge, data.k)
+        for rho in (0.0, 1.0, 1e100, 1e300, math.inf):
+            if in_settled(rho, settled):
+                assert phi_t(huge, 0, rho, data.k, no_exact_pass) == huge.phi_min
 
 
 class TestPolicyAssembly:
