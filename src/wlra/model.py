@@ -83,8 +83,7 @@ class ProblemData:
         if alpha == math.inf:  # alpha enters every step-size bound
             raise ShapeMismatch(f"observed value {big!r} overflows when squared")
         object.__setattr__(self, "alpha", alpha)
-        # Writable views for the gather route's index arguments: take and
-        # bincount copy a read-only index array on every call.
+        # Writable views for take/bincount, which copy a read-only index array; never written.
         object.__setattr__(self, "_rows", rows.view())
         object.__setattr__(self, "_cols", cols.view())
         for name, arr in (("rows", rows), ("cols", cols), ("a_vals", a_vals), ("w_vals", w_vals)):

@@ -310,29 +310,30 @@ def settled_rho(policy: StepPolicy, k: int) -> tuple:
     are monotone in rho, and an interval whose end fails is dropped.
     """
     limit = policy.phi_min * (1.0 - BOUND_GATE_MARGIN)
-    lam, alpha, s = policy.lam, policy.alpha, math.sqrt(policy.alpha)
-    la, lb = limit * policy.a, limit * policy.b
-    try:
+    # numpy scalars: an overflowing, underflowing or 0 / 0 root is inf or NaN,
+    # never an exception, and fails the checks below.
+    lam, alpha = np.float64(policy.lam), np.float64(policy.alpha)
+    s = np.sqrt(alpha)
+    la, lb = np.float64(limit * policy.a), np.float64(limit * policy.b)
+    with np.errstate(all="ignore"):
         if policy.kind is PolicyKind.EUCLIDEAN:
             # A~: 2 rho^2 + 4 (s + lam) rho <= L a
             c1 = 4.0 * (s + lam)
-            rho_a = 2.0 * la / (c1 + math.sqrt(c1 * c1 + 8.0 * la))
+            rho_a = 2.0 * la / (c1 + np.sqrt(c1 * c1 + 8.0 * la))
             # B~: rho ((s + rho / 2)^2 + lam^2) <= (L b)^2 / 8. With w = s + rho / 2
             # it is w^3 - s w^2 + lam^2 w - (s lam^2 + d) = 0, d = (L b)^2 / 16, whose
             # only real root Cardano gives (w = y + s / 3; y^3 + p y + q = 0).
             d = lb * lb / 16.0
             p = lam * lam - s * s / 3.0
             q = -(2.0 * s * s * s / 27.0 + 2.0 * s * lam * lam / 3.0 + d)
-            u = math.cbrt(-q / 2.0 + math.sqrt(max(q * q / 4.0 + p * p * p / 27.0, 0.0)))
+            u = np.cbrt(-q / 2.0 + np.sqrt(max(q * q / 4.0 + p * p * p / 27.0, 0.0)))
             rho_b = 2.0 * (u - p / (3.0 * u) - 2.0 * s / 3.0)
         else:
             # A~: 4 (1 + lam) x^2 + 4 s x <= L a in x = sqrt(rho)
-            x = la / (2.0 * (s + math.sqrt(alpha + (1.0 + lam) * la)))
+            x = la / (2.0 * (s + np.sqrt(alpha + (1.0 + lam) * la)))
             rho_a = x * x
             # B~: 16 k (2 alpha + (2 + lam^2) rho) <= (L b)^2
             rho_b = (lb * lb / (16.0 * k) - 2.0 * alpha) / (2.0 + lam * lam)
-    except (ArithmeticError, ValueError):  # an extreme policy: no set, exact gate
-        rho_a = rho_b = math.nan
     shrink = 1.0 - SETTLED_SLACK
     floor = policy.rho_floor
 
@@ -341,10 +342,11 @@ def settled_rho(policy: StepPolicy, k: int) -> tuple:
         a_t, b_t = tilde_A_B_of_rho(rho, k, policy)
         return a_t <= limit and b_t <= limit
 
-    hi = min(rho_a * shrink, rho_b * shrink, math.nextafter(floor, -math.inf))
+    hi = min(float(rho_a * shrink), float(rho_b * shrink), math.nextafter(floor, -math.inf))
     below = (0.0, hi) if 0.0 <= hi and holds(hi) else EMPTY_RHO
-    hi = rho_b * shrink
-    above = (floor, hi) if floor <= hi and holds(floor) and holds(hi) else EMPTY_RHO
+    # holds(floor) follows from holds(hi): A~ is 0 from the floor on, and B~ rises.
+    hi = float(rho_b * shrink)
+    above = (floor, hi) if floor <= hi and holds(hi) else EMPTY_RHO
     return below, above
 
 

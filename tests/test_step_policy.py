@@ -491,6 +491,24 @@ class TestSettledRho:
             if in_settled(rho, settled):
                 assert phi_t(huge, 0, rho, data.k, no_exact_pass) == huge.phi_min
 
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    def test_underflowing_closed_form_gives_a_safe_set(self, kind):
+        # With alpha = 0 and scalars whose products underflow, the roots'
+        # divisors are 0 (0 / 0 in both kinds): no raise, and nothing settled
+        # that phi_t would not settle.
+        data = full_data(5, 4, 2, seed=6)
+        lam = None if kind is PolicyKind.POSITIVE_WEIGHTS else 0.05
+        policy = make_policy(kind, data, 0.0, lam, 1.0)
+        tiny = dataclasses.replace(
+            policy, alpha=0.0, lam=1e-200, a=1e-200, b=1e-200, phi_min=1e-200
+        )
+        settled = settled_rho(tiny, data.k)
+        for rho in (0.0, 1e-300, 1.0, math.inf):
+            if in_settled(rho, settled):
+                assert phi_t(tiny, 0, rho, data.k, no_exact_pass) == max(
+                    tiny.schedule(0) / tiny.theta, tiny.phi_min
+                )
+
 
 class TestPolicyAssembly:
     def test_rho1_recomputes_from_parts(self):
