@@ -1,8 +1,9 @@
 """Problem data, cost functions, sampling, and gradients.
 
 The data matrix is stored as triplets over its observed support; costs and
-gradients sum over observed entries only (by GEMMs over row blocks of the
-grid when the support fills it; see DENSE_FILL). Three parametrizations are
+gradients sum over observed entries only (by GEMMs over the row blocks of
+`ProblemData.grid_blocks` when the support fills the grid, one block read in
+place in grid order; see DENSE_FILL). Three parametrizations are
 supported: the product manifold (U, x, V), the Euclidean factor pair
 (X, Y), and the positive-weights variant of the manifold problem.
 """
@@ -83,7 +84,9 @@ class ProblemData:
         if alpha == math.inf:  # alpha enters every step-size bound
             raise ShapeMismatch(f"observed value {big!r} overflows when squared")
         object.__setattr__(self, "alpha", alpha)
-        # Writable views for take/bincount, which copy a read-only index array; never written.
+        # Writable views for take/bincount, which copy a read-only index array;
+        # never written. A read-only input (another ProblemData's, say) is copied once.
+        rows, cols = (i if i.flags.writeable else i.copy() for i in (rows, cols))
         object.__setattr__(self, "_rows", rows.view())
         object.__setattr__(self, "_cols", cols.view())
         for name, arr in (("rows", rows), ("cols", cols), ("a_vals", a_vals), ("w_vals", w_vals)):
@@ -122,38 +125,28 @@ class ProblemData:
         return float(self.w_vals.min())
 
     @cached_property
-    def cells(self) -> np.ndarray | None:
-        """Grid index rows * n + cols of each triplet on the dense route, else None."""
-        if self.m * self.n > DENSE_FILL * self.nnz:
+    def grid_blocks(self) -> tuple | None:
+        """The support passes' block plan, built on the first pass: None when
+        m * n > DENSE_FILL * nnz (the gather route), else (r0, r1, at, cells) per
+        block, rows r0:r1 holding the triplets `at` (a slice, or indices of the
+        stable row order, in which repeated cells keep theirs) at `cells`,
+        numbered within the block (nnz int64 in all). In grid order (every cell
+        once, row-major: rows * n + cols is 0..mn-1) the plan is one block
+        (0, m, slice(0, nnz), None), read and written in place. A block has two
+        rows or more when m does: numpy makes a one-row product by GEMV, whose
+        round-off differs from the GEMM of a taller block."""
+        rows, cols, n = self._rows, self._cols, self.n
+        if self.m * n > DENSE_FILL * self.nnz:
             return None
-        cells = self.rows * self.n + self.cols
-        cells.setflags(write=False)
-        return cells
-
-    @cached_property
-    def grid_order(self) -> bool:
-        """True when `cells` is exactly 0..mn-1: every cell once, in row-major
-        order, so the dense route reads and writes the grid in place."""
-        return self.nnz == self.m * self.n and bool(
-            np.array_equal(self.cells, np.arange(self.nnz))
-        )
-
-    @cached_property
-    def grid_blocks(self) -> tuple:
-        """The dense route's block plan outside grid order, built on its first pass:
-        (r0, r1, at, cells) per block of about GRID_BLOCK cells, rows r0:r1 holding
-        the triplets `at` (a slice, or indices of the stable row order, in which
-        repeated cells keep theirs) at `cells`, numbered within the block (nnz int64
-        in all). A block has two rows or more when m does: numpy makes a one-row
-        product by GEMV, whose round-off differs from the GEMM of a taller block."""
-        rows = self.rows
+        if self.nnz == self.m * n and np.array_equal(rows * n + cols, np.arange(self.nnz)):
+            return ((0, self.m, slice(0, self.nnz), None),)
         order = None if np.all(rows[1:] >= rows[:-1]) else np.argsort(rows, kind="stable")
-        bounds = [*range(0, max(self.m - 1, 1), max(2, GRID_BLOCK // self.n)), self.m]
+        bounds = [*range(0, max(self.m - 1, 1), max(2, GRID_BLOCK // n)), self.m]
         ends = np.searchsorted(rows if order is None else rows[order], bounds).tolist()
         plan = []  # cells left writable: take and bincount copy a read-only index array
         for r0, r1, c0, c1 in zip(bounds, bounds[1:], ends, ends[1:]):
             at = slice(c0, c1) if order is None else order[c0:c1]
-            plan.append((r0, r1, at, self.cells[at] - r0 * self.n))
+            plan.append((r0, r1, at, (rows[at] - r0) * n + cols[at]))
         return tuple(plan)
 
     @cached_property
@@ -394,22 +387,20 @@ def _entries(left, scale, right, rows: np.ndarray, cols: np.ndarray) -> np.ndarr
 
 def _grid_entries(left, scale, right, data: ProblemData, out=None) -> np.ndarray:
     """Dense route: the predictions at the observed cells (into `out`, when
-    given). Each GEMM takes L diag(s) and one C-contiguous R^T, formed once per
-    pass. In grid order one m-by-n GEMM writes the result; else each row block
-    of the grid is one GEMM, read at the block's cells."""
+    given). Each row block of the plan is one GEMM of L diag(s) and one
+    C-contiguous R^T, formed once per pass, read at the block's cells; a block
+    with no cells (grid order) is written in place as its triplets' slice."""
     left = left if scale is None else left * scale
     right_t = np.ascontiguousarray(right.T)
     out = np.empty(data.nnz) if out is None else out
-    if data.grid_order:
-        np.matmul(left, right_t, out=out.reshape(data.m, data.n))
-        return out
+    # The caller checked the shape, so the cells are in range.
     for r0, r1, at, cells in data.grid_blocks:
-        block = left[r0:r1] @ right_t
-        # The caller checked the shape, so the cells are in range.
-        if isinstance(at, slice):
-            block.take(cells, out=out[at], mode="clip")
+        if cells is None:
+            np.matmul(left[r0:r1], right_t, out=out[at].reshape(r1 - r0, data.n))
+        elif isinstance(at, slice):
+            (left[r0:r1] @ right_t).take(cells, out=out[at], mode="clip")
         else:
-            out[at] = block.take(cells, mode="clip")
+            out[at] = (left[r0:r1] @ right_t).take(cells, mode="clip")
     return out
 
 
@@ -426,7 +417,7 @@ def cost_unregularized(source, data: ProblemData, residual: np.ndarray | None = 
     instead of forming the predictions again. A wrong-shaped iterate raises ShapeMismatch.
     """
     left, scale, right = check_iterate_shape(source, data)
-    if data.cells is not None:
+    if data.grid_blocks is not None:
         res = _grid_entries(left, scale, right, data, residual)
         np.subtract(data.a_vals, res, out=res)
         return float(np.dot(data.w_vals, np.square(res, out=res if residual is None else None)))
@@ -515,20 +506,21 @@ def _support_sums(
     column l of the second (n-by-k) is bincount(cols, e * left[rows, l]), and,
     with `diag`, entry l of the third is sum_t e_t left[rows_t, l] right[cols_t, l].
     The dense route forms them as E right, E^T left and the column sums of
-    left * (E right), E the m-by-n grid of e: in grid order e itself, else one
-    row block at a time, each bincount into a block of E (duplicate cells add
-    up); the gather route one rank column at a time, each gathered by a 1-D `take`."""
+    left * (E right), E the m-by-n grid of e, one row block of the plan at a
+    time: a bincount of the block's cells (duplicate cells add up), or, for a
+    block with no cells (grid order), its slice of e itself; the gather route
+    one rank column at a time, each gathered by a 1-D `take`."""
     k = left.shape[1]
-    if data.cells is not None:
-        if data.grid_order:
-            grid = e.reshape(data.m, data.n)
-            g_left, g_right = grid @ right, grid.T @ left
-        else:
-            g_left, g_right = np.empty((data.m, k)), np.zeros((data.n, k))
-            for r0, r1, at, cells in data.grid_blocks:
-                block = np.bincount(cells, e[at], (r1 - r0) * data.n).reshape(r1 - r0, data.n)
-                np.matmul(block, right, out=g_left[r0:r1])
+    if data.grid_blocks is not None:
+        g_left = np.empty((data.m, k))
+        for r0, r1, at, cells in data.grid_blocks:
+            block = e[at] if cells is None else np.bincount(cells, e[at], (r1 - r0) * data.n)
+            block = block.reshape(r1 - r0, data.n)
+            np.matmul(block, right, out=g_left[r0:r1])
+            if r0:
                 g_right += block.T @ left[r0:r1]
+            else:  # the first block starts E^T left, with no zeroed array to add to
+                g_right = block.T @ left[r0:r1]
         return g_left, g_right, np.einsum("ik,ik->k", left, g_left) if diag else None
     rows, cols = data._rows, data._cols
     g_left = np.empty((data.m, k))
@@ -603,7 +595,7 @@ def confinement_manifold(p: ProductPoint) -> float:
     """Squared norm of x, which equals the squared Frobenius norm of the iterate.
 
     Reads only `p.x`, so a `geometry.FactoredPoint` works as well."""
-    return float(np.dot(p.x, p.x))
+    return float(p.x.dot(p.x))
 
 
 def confinement_euclidean(f: FactorPair | ScaledPair) -> float:

@@ -56,12 +56,17 @@ def lapack_svd_init(dense, k: int, with_error: bool = False) -> tuple:
     return point, pair
 
 
+def grid_cells(data: ProblemData) -> np.ndarray:
+    """The grid index rows * n + cols of each triplet."""
+    return data.rows * data.n + data.cols
+
+
 def full_grid_entries(left, scale, right, data: ProblemData, out=None) -> np.ndarray:
     """Dense-route predictions of the factors (L, s, R) from one m-by-n GEMM
-    L diag(s) R^T read at `data.cells`: the kernel `_grid_entries` used
+    L diag(s) R^T read at `grid_cells(data)`: the kernel `_grid_entries` used
     outside grid order before its row blocks, kept as their reference."""
     left = left if scale is None else left * scale
-    return np.ravel(left @ right.T).take(data.cells, out=out, mode="clip")
+    return np.ravel(left @ right.T).take(grid_cells(data), out=out, mode="clip")
 
 
 def reference_fold_rule(pivots, t_new, t_new_inv) -> np.ndarray:
@@ -91,8 +96,9 @@ def per_pass_blocks(data: ProblemData):
     """(r0, r1, triplets, cells) per block of `data.grid_blocks`, the cells
     numbered within the block afresh on each call: what the dense route did
     on every pass before the plan cached them, kept as its reference."""
+    cells = grid_cells(data)
     for r0, r1, at, _ in data.grid_blocks:
-        yield r0, r1, at, data.cells[at] - r0 * data.n
+        yield r0, r1, at, cells[at] - r0 * data.n
 
 
 def per_pass_grid_entries(left, scale, right, data: ProblemData, out=None) -> np.ndarray:
@@ -131,7 +137,7 @@ def full_grid_sums(e, left, right, data: ProblemData, diag: bool) -> tuple:
     """Dense-route support sums over the whole m-by-n grid E of e, one
     bincount and two GEMMs: the kernel `_support_sums` used outside grid
     order before its row blocks, kept as their reference."""
-    grid = np.bincount(data.cells, e, data.m * data.n).reshape(data.m, data.n)
+    grid = np.bincount(grid_cells(data), e, data.m * data.n).reshape(data.m, data.n)
     g_left = grid @ right
     g_diag = np.einsum("ik,ik->k", left, g_left) if diag else None
     return g_left, grid.T @ left, g_diag

@@ -54,6 +54,7 @@ from helpers import (
     draw_many,
     full_grid_entries,
     full_grid_sums,
+    grid_cells,
     per_pass_grid_entries,
     per_pass_grid_sums,
     point_entries,
@@ -77,7 +78,7 @@ def on_route(data, route, monkeypatch):
     """A fresh copy of `data` whose support passes take `route`."""
     monkeypatch.setattr(wlra.model, "DENSE_FILL", ROUTE_FILL[route])
     copy = dataclasses.replace(data)
-    assert (copy.cells is None) == (route == "gather")
+    assert (copy.grid_blocks is None) == (route == "gather")
     return copy
 
 
@@ -664,7 +665,7 @@ def residual_case(instance, route, monkeypatch):
 def own_residual_weights(source, data):
     """e_t = -2 w_t (a_t - p_t) from the gradient's own prediction pass: the
     full gradients' residual weights before they took a cost pass's residual."""
-    if data.cells is not None:
+    if data.grid_blocks is not None:
         e = wlra.model._grid_entries(*source.factors(), data)
         np.subtract(data.a_vals, e, out=e)
         return np.multiply(e, -2.0 * data.w_vals, out=e)
@@ -743,15 +744,9 @@ class TestRoutes:
         m, n = DENSE_FILL, 8
         data = random_data(m, n, 2, nnz, seed=85)
         assert m * n == DENSE_FILL * 8
-        assert (data.cells is None) == (route == "gather")
+        assert (data.grid_blocks is None) == (route == "gather")
         zero = FactorPair(np.zeros((m, 2)), np.zeros((n, 2)))
         assert cost_unregularized(zero, data) == float(np.dot(data.w_vals, data.a_vals**2))
-
-    def test_cells_read_only(self):
-        data = random_data(5, 4, 2, 12, seed=86)
-        np.testing.assert_array_equal(data.cells, data.rows * 4 + data.cols)
-        with pytest.raises(ValueError):
-            data.cells[0] = 0
 
     def test_neg_2w_cached_and_read_only(self):
         data = random_data(5, 4, 2, 12, seed=86)
@@ -792,48 +787,57 @@ class TestGatherIndexViews:
             assert np.shares_memory(public, private)
             np.testing.assert_array_equal(public, private)
 
-    def test_gather_gradient_makes_no_index_copy(self, monkeypatch):
+    def test_gather_gradient_makes_no_index_copy(self):
         # 100k of 4M cells: the gather route. An nnz-long copy of rows or cols
         # would add 8 nnz bytes to the two nnz-long float columns and the
-        # factor-sized results.
+        # factor-sized results. A `replace` copy gets the read-only public
+        # index arrays, which it copies once, so its views are writable too.
         rng = np.random.default_rng(90)
         m, n, k, nnz = 4000, 1000, 3, 100_000
         cells = rng.choice(m * n, nnz, replace=False)
         w = np.full(nnz, 1.0 / nnz)
         a = rng.standard_normal(nnz)
-        data = ProblemData(m=m, n=n, k=k, rows=cells // n, cols=cells % n, a_vals=a, w_vals=w)
-        assert data.cells is None
+        fresh = ProblemData(m=m, n=n, k=k, rows=cells // n, cols=cells % n, a_vals=a, w_vals=w)
         f = FactorPair(rng.standard_normal((m, k)), rng.standard_normal((n, k)))
-        residual = np.empty(nnz)
-        cost_unregularized(f, data, residual)
-        want = full_grad_euclidean(f, data, 0.05, residual.copy())  # builds data.neg_2w
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            got = full_grad_euclidean(f, data, 0.05, residual)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16 * nnz + 24 * (m + n) * k + 65536
-        np.testing.assert_array_equal(got.x, want.x)
-        np.testing.assert_array_equal(got.y, want.y)
+        for data in (fresh, dataclasses.replace(fresh)):
+            assert data.grid_blocks is None
+            assert data._rows.flags.writeable and data._cols.flags.writeable
+            residual = np.empty(nnz)
+            cost_unregularized(f, data, residual)
+            want = full_grad_euclidean(f, data, 0.05, residual.copy())  # builds data.neg_2w
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                got = full_grad_euclidean(f, data, 0.05, residual)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * nnz + 24 * (m + n) * k + 65536
+            np.testing.assert_array_equal(got.x, want.x)
+            np.testing.assert_array_equal(got.y, want.y)
+
+
+def numbered(plan):
+    """Whether no block of a dense-route plan is read in place."""
+    return all(cells is not None for *_, cells in plan)
 
 
 class TestGridOrder:
-    """A fully observed matrix in row-major order has cells 0..mn-1, so the
-    dense route reads the GEMM output and forms E from e in place; the
-    values equal those of the take/bincount route."""
+    """A fully observed matrix in row-major order has cells 0..mn-1, so its
+    plan is one block with no cells: the dense route reads the GEMM output
+    and forms E from e in place; the values equal those of the
+    take/bincount route."""
 
     def test_flag(self, monkeypatch):
         full = random_data(9, 7, 2, 0, seed=95, full=True)
-        assert full.grid_order
-        assert not shuffled(full, 96).grid_order
-        assert not random_data(9, 7, 2, 40, seed=97).grid_order
+        assert full.grid_blocks == ((0, 9, slice(0, 63), None),)
+        assert numbered(shuffled(full, 96).grid_blocks)
+        assert numbered(random_data(9, 7, 2, 40, seed=97).grid_blocks)
         # every cell once, one of them repeated in place of another
         rows = full.rows.copy()
         rows[-1] = 0
-        assert not dataclasses.replace(full, rows=rows).grid_order
-        assert not on_route(full, "gather", monkeypatch).grid_order
+        assert numbered(dataclasses.replace(full, rows=rows).grid_blocks)
+        assert on_route(full, "gather", monkeypatch).grid_blocks is None
 
     @pytest.mark.parametrize("source", ["point", "pair"])
     def test_same_values_as_take_and_bincount(self, monkeypatch, source):
@@ -846,9 +850,10 @@ class TestGridOrder:
         monkeypatch.setattr(np, "bincount", lambda *a: scatters.append(1) or real(*a))
         costs, residual, grad = support_passes(it, full)
         assert not scatters
-        # the flag forced off: the take and bincount route on the same triplets
-        monkeypatch.setattr(ProblemData, "grid_order", False)
-        general = support_passes(it, dataclasses.replace(full))
+        # a numbered one-block plan: the take and bincount route on the same triplets
+        copy = dataclasses.replace(full)
+        vars(copy)["grid_blocks"] = ((0, 60, slice(0, copy.nnz), copy.rows * 25 + copy.cols),)
+        general = support_passes(it, copy)
         assert scatters
         assert costs == general[0] and costs[0] == costs[1]
         np.testing.assert_array_equal(residual, general[1])
@@ -858,7 +863,7 @@ class TestGridOrder:
     def test_shuffled_copy_takes_general_route(self, monkeypatch):
         full = random_data(60, 25, 3, 0, seed=100, full=True, min_w=0.1)
         mixed = shuffled(full, 101)
-        assert mixed.cells is not None and not mixed.grid_order
+        assert numbered(mixed.grid_blocks)
         p = random_point(60, 25, 3, np.random.default_rng(102))
         (cost, _), _, grad = support_passes(p, full)
         real, scatters = np.bincount, []
@@ -894,7 +899,7 @@ def blocked_data(m, n, prob, seed, empty_row, repeats=0):
         m=m, n=n, k=3, rows=flat // n, cols=flat % n,
         a_vals=rng.standard_normal(flat.size), w_vals=w,
     )
-    assert data.cells is not None and not data.grid_order
+    assert numbered(data.grid_blocks)
     return data
 
 
@@ -964,7 +969,7 @@ class TestGridBlocks:
         np.testing.assert_array_equal(at, order)
         for r0, r1, at, cells in plan:
             assert np.all((data.rows[at] >= r0) & (data.rows[at] < r1))
-            np.testing.assert_array_equal(cells, data.cells[at] - r0 * data.n)
+            np.testing.assert_array_equal(cells, grid_cells(data)[at] - r0 * data.n)
             # writable: numpy's take and bincount copy a read-only index array
             assert cells.dtype == np.int64 and cells.flags.writeable
 
@@ -1013,10 +1018,11 @@ class TestGridBlocks:
         assert data.grid_blocks is plan
 
     def test_grid_order_builds_no_plan(self):
+        # No numbered plan: grid order keeps the one in-place block, no cells.
         full = random_data(60, 25, 3, 0, seed=120, full=True, min_w=0.1)
         grid_passes(grid_iterate(full, "point", 121), full)
         grid_passes(grid_iterate(full, "pair", 122), full)
-        assert full.grid_order and "grid_blocks" not in vars(full)
+        assert vars(full)["grid_blocks"] == ((0, 60, slice(0, full.nnz), None),)
 
     def test_passes_number_no_cells(self):
         # One block holds every triplet, so cells numbered per pass would
@@ -1059,9 +1065,31 @@ class TestGridBlocks:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert data.cells is not None
+        assert data.grid_blocks is not None
         # about 0.64 MB here: the cost's squared residuals
         assert peak <= 8 * data.m * data.n / 4
+
+    @pytest.mark.parametrize("instance, per_cell", [("partial", 16), ("grid-order", 8)])
+    def test_caches_kept_per_cell(self, instance, per_cell):
+        # The first cost + gradient pass caches `neg_2w` (8 B/cell) and the
+        # plan, whose numbered cells take 8 B/cell on a row-sorted partial
+        # grid and none in grid order; no whole-grid index is kept beside it.
+        data = dataclasses.replace(
+            blocked_data(400, 150, 0.5, 127, empty_row=0) if instance == "partial"
+            else random_data(300, 100, 3, 0, seed=128, full=True)
+        )
+        p = grid_iterate(data, "point", 129)
+        residual = np.empty(data.nnz)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cost_unregularized(p, data, residual)
+            full_grad_manifold(p, data, 0.05, residual)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert numbered(data.grid_blocks) == (instance == "partial")
+        assert kept <= per_cell * data.nnz + 16384
 
 
 # Instances of the prediction pass: dense-route grids cut in row blocks,
@@ -1096,7 +1124,7 @@ def parent_pass(source, data, entries):
     sums them, one dot on the dense route and one per SUPPORT_BLOCK on the
     gather route."""
     res = data.a_vals - entries(source, data.rows, data.cols)
-    if data.cells is not None:
+    if data.grid_blocks is not None:
         return float(np.dot(data.w_vals, res**2)), res
     blocks = range(0, data.nnz, SUPPORT_BLOCK)
     cells = [slice(b, b + SUPPORT_BLOCK) for b in blocks]
@@ -1129,7 +1157,8 @@ class TestPredictionPassKernelSwap:
     @pytest.mark.parametrize("instance", sorted(PASS_INSTANCES))
     def test_dense_route_bit_identical(self, instance):
         data = PASS_INSTANCES[instance]()
-        assert data.cells is not None and data.grid_order == (instance == "grid-order")
+        assert data.grid_blocks is not None
+        assert numbered(data.grid_blocks) == (instance != "grid-order")
         for source in pass_iterates(data, 130):
             residual = np.full(data.nnz, np.nan)
             cost = cost_unregularized(source, data, residual)
@@ -1553,7 +1582,7 @@ class TestFullGradPwKernelSwap:
         p = random_point(40, 25, 3, np.random.default_rng(38))
         p = ProductPoint(p.u, 3.0 * p.x, p.v)
         want = hadamard_grad_pw(p, full)
-        assert full.cells is not None  # a fully observed matrix takes the dense route
+        assert full.grid_blocks is not None  # a fully observed matrix takes the dense route
         for route in ROUTE_FILL:
             got = full_grad_pw(p, on_route(full, route, monkeypatch))
             assert_slots_close((got.du, got.dx, got.dv), (want.du, want.dx, want.dv))

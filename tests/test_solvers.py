@@ -1106,7 +1106,7 @@ def line_search_run(algorithm, route, monkeypatch):
         data, point0, pair0 = als_pin_setup()
     monkeypatch.setattr(wlra.model, "DENSE_FILL", 10**18 if route == "dense" else 0)
     data = dataclasses.replace(data)
-    assert (data.cells is None) == (route == "gather")
+    assert (data.grid_blocks is None) == (route == "gather")
     params = ArmijoParams(iota=1e-4, alpha_bar=1000.0, beta=0.3)
     budget = Budget(max_iterations=40)
     if algorithm == "manifold":
@@ -1426,7 +1426,7 @@ class TestSolverIterateShape:
         monkeypatch.setattr(wlra.model, "DENSE_FILL", 10**18 if route == "dense" else 0)
         data = observed_instance(40, 16, 3, 0.4, seed=50)
         full = observed_instance(40, 16, 3, 1.0, seed=51, full=True)
-        assert (data.cells is None) == (full.cells is None) == (route == "gather")
+        assert (data.grid_blocks is None) == (full.grid_blocks is None) == (route == "gather")
         rng = np.random.default_rng(52)
         point = random_point(*rows, 3, rng)
         pair = FactorPair(rng.standard_normal((rows[0], 3)), rng.standard_normal((rows[1], 3)))
