@@ -237,7 +237,7 @@ def sample_submatrix(tm: TripletMatrix, rows: int, cols: int, seed: int) -> Trip
 
 def binary_weights(tm: TripletMatrix) -> np.ndarray:
     """Equal weight 1/nnz on every observed cell (their sum is 1 within a few
-    ulps), so the alias table pairs no cells."""
+    ulps), so the sampler takes its equal-weight draw."""
     if tm.nnz == 0:
         raise EmptySupport("no observations to weight")
     return np.full(tm.nnz, 1.0 / tm.nnz)

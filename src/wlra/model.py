@@ -150,8 +150,8 @@ class ProblemData:
         return tuple(plan)
 
     @cached_property
-    def sampler(self) -> "AliasSampler":
-        return AliasSampler(self.w_vals[self.support])
+    def sampler(self) -> "CdfSampler":
+        return CdfSampler(self.w_vals[self.support])
 
 
 def require_positive_weights(data: ProblemData) -> float:
@@ -292,77 +292,35 @@ class ScaledPair:
         self._pair = None
 
 
-class AliasSampler:
-    """Walker alias table for sampling an index with fixed probabilities.
+class CdfSampler:
+    """Sampling of an index with fixed probabilities by inverse CDF.
 
-    Vose's pairing order from prefix sums, not a step per pair. Light cells
-    (scaled probability below 1) and heavy ones are each taken in descending
-    index order. Light i goes to the first heavy j whose cumulative excess E_j
-    is at least the deficit of the lights before i. Heavy j, unless last, is
-    demoted while lights go to a later heavy, then while f_j > 0, with
-    f_j = f_{j-1} + (its lights' deficits) - (its excess): it goes to heavy
-    j + 1 with accept 1 - f_j. Other cells, and all equal weights, accept 1.
-    Both sides are walked in SUPPORT_BLOCK blocks with carried sums.
+    A draw inverts the cumulative sums by binary search (Devroye 1986,
+    §III.2): index i when r * total lands in [cdf[i-1], cdf[i]). `head` omits
+    the last sum, so no draw reaches n, even where r * total rounds to total.
 
-    One draw consumes one `integers` and one `random` call of the supplied
-    generator, in that order, so sequences are reproducible per seed.
+    Equal probabilities draw one `integers` value, then make one `random`
+    call whose value is not used. Those are the calls, in that order, of the
+    alias-table sampler earlier versions used, so fixed-seed runs on binary
+    weights keep their sample sequences and CSVs.
     """
 
     def __init__(self, probs: np.ndarray):
         probs = np.asarray(probs, dtype=float)
-        n, lo = probs.size, probs.min() if probs.size else 0.0
+        lo = probs.min() if probs.size else 0.0
         if lo <= 0:
             raise EmptySupport("sampler needs at least one positive probability")
-        if lo == probs.max():  # the table the sweep gives: nothing pairs
-            self.accept, self.alias = np.ones(n), np.arange(n)
-            return
-        accept = probs * (n / probs.sum())
-        light = accept < 1.0
-        nl = int(np.count_nonzero(light))
-        order = np.empty(n, dtype=np.int64)
-        order[:nl] = np.flatnonzero(light)
-        order[nl:] = np.flatnonzero(np.logical_not(light, out=light))
-        del light
-        lights, heavies = order[:nl][::-1], order[nl:][::-1]
-        alias = np.arange(n)
-        # Carried: next light, deficit before it, excess before this block, last f.
-        a, c, e_before, f = 0, 0.0, 0.0, 0.0
-        for h in range(0, n - nl, SUPPORT_BLOCK):
-            hb = heavies[h : h + SUPPORT_BLOCK]
-            # f_j - f_{j-1} per heavy: minus its excess, plus its lights' deficits
-            # (summed pairwise, one run of lights per heavy).
-            net = 1.0 - accept[hb]
-            big_e = np.cumsum(np.concatenate(([e_before], -net)))[1:]
-            e_before, last = big_e[-1], 0
-            while a < nl:
-                lb = lights[a : a + SUPPORT_BLOCK]
-                d = 1.0 - accept[lb]
-                big_c = np.cumsum(np.concatenate(([c], d)))
-                k = int(np.searchsorted(big_c[:-1], e_before, "right"))
-                to = np.searchsorted(big_e, big_c[:k])
-                alias[lb[:k]] = hb[to]
-                run = np.flatnonzero(np.diff(to, prepend=-1))
-                net[to[run]] += np.add.reduceat(d[:k], run)
-                a, c, last = a + k, big_c[k], int(to[-1]) if k else last
-                if k < lb.size:
-                    break
-            fs = np.cumsum(np.concatenate(([f], net)))[1:]
-            q = hb.size if a < nl else last + int(np.argmin(np.append(fs[last:] > 0.0, False)))
-            q = min(q, n - nl - h - 1)  # never the last heavy
-            accept[hb[:q]] = 1.0 - fs[:q]
-            alias[hb[:q]] = heavies[h + 1 : h + q + 1]
-            if q < hb.size:  # no later heavy is demoted or paired
-                break
-            f = fs[-1]
-        accept[lights[a:]] = 1.0
-        np.clip(accept, 0.0, 1.0, out=accept)  # heavies not demoted accept 1
-        self.accept, self.alias = accept, alias
+        self.n, self.head, self.total = probs.size, None, 0.0
+        if lo != probs.max():
+            cdf = np.cumsum(probs)
+            self.head, self.total = cdf[:-1], float(cdf[-1])
 
     def draw(self, rng: np.random.Generator) -> int:
-        i = int(rng.integers(0, self.accept.size))
-        if rng.random() < self.accept[i]:
+        if self.head is None:
+            i = int(rng.integers(0, self.n))
+            rng.random()
             return i
-        return int(self.alias[i])
+        return int(self.head.searchsorted(rng.random() * self.total, "right"))
 
 
 def sample_index(data: ProblemData, rng: np.random.Generator) -> int:

@@ -187,7 +187,7 @@ def _run_sgd(
     caller see; `rho_fn` reads the confinement of the state and of its view
     alike. An adaptive step whose rho lies in the run's `settled_rho` set
     takes phi_t's floor max{c_t / theta, phi_min} directly; any other calls
-    `phi_t`. A record has the phi_t of the step before it. The alias table
+    `phi_t`. A record has the phi_t of the step before it. The sampler
     and the settled set are built before the clock."""
     data.sampler
     policy = config.policy

@@ -34,8 +34,8 @@ def fill_missing_column_mean(data: ProblemData) -> np.ndarray:
     """Dense copy of the observations with each missing cell set to its
     column's observed mean (zero for all-missing columns). Raises
     InvalidDimensions when numpy cannot form the m-by-n grid."""
-    counts = np.bincount(data.cols, minlength=data.n)
-    sums = np.bincount(data.cols, weights=data.a_vals, minlength=data.n)
+    counts = np.bincount(data._cols, minlength=data.n)
+    sums = np.bincount(data._cols, weights=data.a_vals, minlength=data.n)
     means = np.divide(sums, counts, out=np.zeros(data.n), where=counts > 0)
     try:
         out = np.tile(means, (data.m, 1))

@@ -15,7 +15,7 @@ from wlra.geometry import (
     qf,
 )
 from wlra.model import (
-    AliasSampler,
+    CdfSampler,
     FactorPair,
     ProblemData,
     ScaledPair,
@@ -174,11 +174,11 @@ def tangent_defect(x: np.ndarray, z: np.ndarray) -> float:
     return float(np.linalg.norm(s + s.T))
 
 
-def draw_many(sampler: AliasSampler, rng: np.random.Generator, count: int) -> np.ndarray:
-    """`count` alias-table draws at once, vectorized."""
-    idx = rng.integers(0, sampler.accept.size, size=count)
-    take = rng.random(count) < sampler.accept[idx]
-    return np.where(take, idx, sampler.alias[idx])
+def draw_many(sampler: CdfSampler, rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` inverse-CDF draws at once, vectorized."""
+    if sampler.head is None:
+        return rng.integers(0, sampler.n, size=count)
+    return sampler.head.searchsorted(rng.random(count) * sampler.total, "right")
 
 
 def predicted_entry(p: ProductPoint, i: int, j: int) -> float:

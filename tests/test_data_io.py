@@ -457,12 +457,10 @@ class TestWeights:
             assert np.array_equal(default, problem_from_triplets(tm, 1, np.ones(nnz)).w_vals)
 
     def test_binary_sampler_pairs_nothing(self):
-        # Equal weights scale to one value, all small or all large, so no
-        # cell is paired: each accepts itself.
+        # Binary weights are equal, so the sampler takes the equal-weight
+        # draw and builds no cumulative sums.
         for nnz in (45000, 46228, 278338):
-            sampler = problem_from_triplets(one_row(nnz), 1).sampler
-            assert np.all(sampler.accept == 1.0)
-            assert np.array_equal(sampler.alias, np.arange(nnz))
+            assert problem_from_triplets(one_row(nnz), 1).sampler.head is None
 
     def test_normalize(self):
         w = normalize_weights(np.array([2.0, 2.0, 4.0]))

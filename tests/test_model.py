@@ -27,7 +27,7 @@ from wlra.model import (
     DENSE_FILL,
     GRID_BLOCK,
     SUPPORT_BLOCK,
-    AliasSampler,
+    CdfSampler,
     FactorPair,
     ProblemData,
     ScaledPair,
@@ -240,15 +240,13 @@ def pareto_probs(n):
 
 
 def two_tiers(n):
-    # 1% of cells weigh 200: each absorbs a run of about 100 small cells.
+    # 1% of cells weigh 200, the rest 1.
     return np.where(np.random.default_rng(12).random(n) < 0.01, 200.0, 1.0)
 
 
-# Weight patterns for the alias build. Binary weights are equal and pair
-# nothing. With the rounding remainder in the last cell, at 46228 cells it
-# scales above 1 and every other cell to 1 - 2^-53 (one run through all of
-# them); at 45000 it scales below 1 and every other cell to 1.0 (a chain, one
-# pair per large cell).
+# Weight patterns for the sampler. Uniform and binary weights take the
+# equal-weight draw; the rest build cumulative sums, remainder weights too,
+# whose last cell takes the rounding remainder.
 ALIAS_PATTERNS = {
     "uniform": lambda: np.full(5000, 0.5),
     "binary": lambda: binary_probs(5000),
@@ -261,11 +259,23 @@ ALIAS_PATTERNS = {
     "run-beyond-block": lambda: one_heavy(3 * SUPPORT_BLOCK + 5),
     "n1": lambda: np.array([0.7]),
     "n2": lambda: np.array([0.3, 0.7]),
-    # About half the cells are heavy, and nearly all of those are demoted.
     "spread-200003": lambda: spread_probs(200003),
-    # Heavy-tailed: a few heavies take runs of hundreds of lights each.
+    # Heavy-tailed: a few cells hold most of the total.
     "pareto": lambda: pareto_probs(5000),
 }
+
+
+class FixedUniform:
+    """A generator stand-in whose every draw inverts one uniform `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def integers(self, low, high):
+        return low + int(self.value * (high - low))
+
+    def random(self):
+        return self.value
 
 
 class TestSampling:
@@ -299,93 +309,79 @@ class TestSampling:
         assert seq1 == seq2
 
     @pytest.mark.parametrize("pattern", sorted(ALIAS_PATTERNS))
-    def test_alias_table_equals_reference_build(self, pattern):
-        # The prefix-sum build pairs as the reference does. Light and unpaired
-        # cells keep its exact accept; a demoted heavy's accept sums the same
-        # deficits in another order, so both are compared with its value in
-        # exact arithmetic, and the build's worst error may not exceed the
-        # reference's (7.2e-13 against 2.5e-11 on two-tiers).
+    def test_alias_table_holds_each_cells_mass(self, pattern):
+        # Cell i's mass, its span of the cumulative sums over the total, is
+        # p_i / sum(p) within one rounding per partial sum and the total's drift.
         probs = ALIAS_PATTERNS[pattern]()
-        sampler = AliasSampler(probs)
-        accept, alias = reference_alias_table(probs)
-        assert np.array_equal(sampler.alias, alias)
-        demoted, exact = exact_demoted_accepts(accept, alias, probs)
-        rest = np.ones(probs.size, bool)
-        rest[demoted] = False
-        assert np.array_equal(sampler.accept[rest], accept[rest])
-        if demoted.size:
-            error = np.abs(sampler.accept[demoted] - exact).max()
-            assert error <= np.abs(accept[demoted] - exact).max()
+        assert span_error(CdfSampler(probs), probs) <= (probs.size + 2) * 2.0**-53
+
+    def test_pareto_spans_hold_each_cells_mass(self):
+        rng = np.random.default_rng(33)
+        sizes = [1, 20000, *np.exp(rng.uniform(0.0, math.log(20000), 38)).astype(int)]
+        for n in sizes:
+            probs = rng.pareto(1.0, n) + 1e-3
+            assert span_error(CdfSampler(probs), probs) <= (n + 2) * 2.0**-53, n
+
+    def test_draw_ends_on_the_first_and_last_positive_cells(self):
+        # Zero weights lead, trail and sit inside; u = 0 draws the first
+        # positive cell and the largest u below 1 the last, never one past it.
+        w = np.array([0.0, 0.0, 0.2, 0.0, 0.5, 0.3, 0.0])
+        data = ProblemData(
+            m=1, n=7, k=1, rows=np.zeros(7, int), cols=np.arange(7),
+            a_vals=np.zeros(7), w_vals=w,
+        )
+        assert sample_index(data, FixedUniform(0.0)) == 2
+        assert sample_index(data, FixedUniform(np.nextafter(1.0, 0.0))) == 5
 
     @pytest.mark.parametrize("pattern", sorted(ALIAS_PATTERNS))
-    def test_alias_table_holds_each_cells_mass(self, pattern):
-        # Cell i's mass in the table, accept[i] plus the rejected shares of
-        # the cells aliased to it, is n p_i / sum(p).
-        probs = ALIAS_PATTERNS[pattern]()
-        sampler = AliasSampler(probs)
-        assert 0.0 <= sampler.accept.min() and sampler.accept.max() <= 1.0
-        error = alias_mass_error(sampler.accept, sampler.alias, probs)
-        assert error <= 1e-9
-        assert error <= 2 * alias_mass_error(*reference_alias_table(probs), probs)
+    def test_draw_ends_on_the_first_and_last_cells(self, pattern):
+        sampler = CdfSampler(ALIAS_PATTERNS[pattern]())
+        assert sampler.draw(FixedUniform(0.0)) == 0
+        assert sampler.draw(FixedUniform(np.nextafter(1.0, 0.0))) == sampler.n - 1
 
-    @pytest.mark.parametrize(
-        "pattern", ["binary-remainder-large", "random", "two-tiers", "zipf"]
-    )
-    def test_draws_equal_reference_table_draws(self, pattern):
-        # Remainder-large weights: one large cell takes a run of 46227 small
-        # ones (they sum to 1.0 exactly, so scaling them to the unit sum that
-        # ProblemData takes leaves them as they are). The others demote
-        # heavies, whose accepts may differ from the reference's in the last
-        # bits; no seeded draw lands on such a difference.
-        probs = ALIAS_PATTERNS[pattern]()
-        probs = probs / probs.sum()
-        n = probs.size
+    def test_zero_weight_cells_never_drawn(self):
+        w = np.array([0.0, 0.1, 0.0, 0.0, 0.4, 0.2, 0.0, 0.3, 0.0])
         data = ProblemData(
-            m=1, n=n, k=1, rows=np.zeros(n, int), cols=np.arange(n),
-            a_vals=np.zeros(n), w_vals=probs,
+            m=3, n=3, k=1, rows=np.repeat(np.arange(3), 3), cols=np.tile(np.arange(3), 3),
+            a_vals=np.zeros(9), w_vals=w,
         )
-        accept, alias = reference_alias_table(probs)
-        rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
-        draws = [sample_index(data, rng) for _ in range(10000)]
-        expected = []
-        for _ in range(10000):
-            i = int(ref_rng.integers(0, n))
-            expected.append(i if ref_rng.random() < accept[i] else int(alias[i]))
-        assert draws == expected
+        rng = np.random.default_rng(4)
+        drawn = {sample_index(data, rng) for _ in range(20000)}
+        assert drawn == {1, 4, 5, 7}
 
     @pytest.mark.parametrize("n", [1, 3, 4999])
     @pytest.mark.parametrize("value", [0.1, 1.0 / 3.0, 7.0])
     def test_equal_weights_take_the_identity_table(self, n, value):
-        # Equal weights of 0.1 scale a rounding error below 1 at n = 3 (all
-        # light) and above it at n = 4999 (all heavy); either way the sweep
-        # pairs nothing, and every cell accepts 1, as without it.
-        probs = np.full(n, value)
-        sampler = AliasSampler(probs)
-        accept, alias = reference_alias_table(probs)
-        np.testing.assert_array_equal(sampler.accept, accept)
-        np.testing.assert_array_equal(sampler.alias, alias)
-        assert np.all(accept == 1.0) and np.array_equal(alias, np.arange(n))
+        # Equal weights draw one integers value and then make one random
+        # call, as the Walker alias table's identity draw did: the twin
+        # generator's sequence, so binary-weight runs keep their samples.
+        sampler = CdfSampler(np.full(n, value))
+        assert sampler.head is None
+        rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+        for _ in range(2000):
+            assert sampler.draw(rng) == int(twin.integers(0, n))
+            twin.random()
+        assert rng.random() == twin.random()
 
-    def test_alias_build_temporaries_are_block_sized(self):
-        # The table's own arrays (accept, the light-then-heavy order and
-        # alias at 8 bytes a cell, the 1-byte light mask) plus
-        # O(SUPPORT_BLOCK) slack: a temporary the size of the run would add
-        # 8 bytes a cell.
-        probs = remainder_probs(200003)
-        assert np.count_nonzero(probs * (probs.size / probs.sum()) < 1.0) == probs.size - 1
-        assert alias_build_peak(probs) <= 25 * probs.size + 32 * SUPPORT_BLOCK
-
-    def test_spread_alias_build_temporaries_are_block_sized(self):
-        # About half the cells are heavy, so both sides are walked block by
-        # block; the bound is the one above.
-        probs = ALIAS_PATTERNS["spread-200003"]()
-        light = np.count_nonzero(probs * (probs.size / probs.sum()) < 1.0)
-        assert 0.4 * probs.size < light < 0.6 * probs.size
-        assert alias_build_peak(probs) <= 25 * probs.size + 32 * SUPPORT_BLOCK
+    @pytest.mark.parametrize(
+        "make", [remainder_probs, spread_probs], ids=["remainder-200003", "spread-200003"]
+    )
+    def test_build_holds_one_cumulative_sum(self, make):
+        # The cumulative sums at 8 bytes a cell, head a view of them.
+        probs = make(200003)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sampler = CdfSampler(probs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert sampler.head is not None
+        assert peak <= 8 * probs.size + 4096
 
     def test_spread_draws_chi_square(self):
         probs = spread_probs(50)
-        sampler = AliasSampler(probs)
+        sampler = CdfSampler(probs)
         count = 100000
         counts = np.bincount(draw_many(sampler, np.random.default_rng(8), count), minlength=50)
         expected = count * probs / probs.sum()
@@ -394,77 +390,31 @@ class TestSampling:
 
     def test_alias_table_matches_probabilities(self):
         probs = np.array([0.5, 0.3, 0.2])
-        sampler = AliasSampler(probs)
+        sampler = CdfSampler(probs)
         rng = np.random.default_rng(11)
         draws = draw_many(sampler, rng, 200000)
         freqs = np.bincount(draws, minlength=3) / 200000.0
         assert np.all(np.abs(freqs - probs) <= 0.01)
 
 
-def alias_build_peak(probs) -> int:
-    """Bytes that `AliasSampler(probs)` holds at its peak, by tracemalloc."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        AliasSampler(probs)
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
-def alias_mass_error(accept, alias, probs) -> float:
-    """Largest |accept[i] + sum_{j != i, alias[j] = i} (1 - accept[j]) - n p_i / sum(p)|,
-    each cell's terms summed exactly by one math.fsum, so that no round-off of
-    the checker's own enters the error it measures."""
-    n = probs.size
-    target = probs * (n / probs.sum())
-    accepts = accept.tolist()
-    terms = [[a, -t] for a, t in zip(accepts, target.tolist())]
-    for j, i in enumerate(alias.tolist()):
-        if i != j:
-            terms[i] += (1.0, -accepts[j])
-    return max(abs(math.fsum(cell)) for cell in terms)
-
-
-def exact_demoted_accepts(accept, alias, probs) -> tuple:
-    """The demoted heavies of an alias table, in sweep order, and their accepts
-    1 - f_j in rational arithmetic, where f_j = f_{j-1} + (1 - n p_j / sum(p))
-    plus the deficits 1 - accept[i] of the lights aliased to j."""
-    n = probs.size
-    scaled = probs * (n / probs.sum())
-    light, moved = scaled < 1.0, alias != np.arange(n)
-    incoming = {}
-    for i in np.flatnonzero(light & moved).tolist():
-        incoming[int(alias[i])] = incoming.get(int(alias[i]), 0) + 1 - Fraction(accept[i])
-    f, demoted, exact = Fraction(0), [], []
-    for j in np.flatnonzero(~light)[::-1].tolist():
-        if not moved[j]:
-            break
-        f += 1 - Fraction(scaled[j]) + incoming.get(j, 0)
-        demoted.append(j)
-        exact.append(float(1 - f))
-    return np.array(demoted, dtype=np.int64), np.array(exact)
-
-
-def reference_alias_table(probs):
-    """The alias-table construction as first written, one numpy cell at a time."""
-    n = probs.size
-    scaled = probs * (n / probs.sum())
-    accept = np.ones(n)
-    alias = np.arange(n)
-    small = [i for i in range(n) if scaled[i] < 1.0]
-    large = [i for i in range(n) if scaled[i] >= 1.0]
-    scaled = scaled.copy()
-    while small and large:
-        s = small.pop()
-        l = large.pop()
-        accept[s] = scaled[s]
-        alias[s] = l
-        scaled[l] -= 1.0 - scaled[s]
-        (small if scaled[l] < 1.0 else large).append(l)
-    for i in small + large:
-        accept[i] = 1.0
-    return accept, alias
+def span_error(sampler, probs) -> float:
+    """Largest |(cdf[i] - cdf[i-1]) / total - p_i / sum(p)| over the cells, in
+    exact arithmetic: every float is an integer multiple of the smallest power
+    of two among their units in the last place, so spans, the exact sum and
+    the cross products are Python integers, with no round-off of the
+    checker's own."""
+    if sampler.head is None:  # the equal-weight draw: 1/n a cell, exactly
+        assert np.all(probs == probs[0])
+        return 0.0
+    floats = np.concatenate((sampler.head, [sampler.total], probs))
+    mant, exp = np.frexp(floats)
+    exp -= 53
+    ints = (mant * 2.0**53).astype(np.int64).astype(object) << (exp - exp.min()).astype(object)
+    cdf, probs = ints[: probs.size], ints[probs.size :]
+    spans = np.diff(cdf, prepend=0)
+    total, exact = cdf[-1], sum(probs.tolist())
+    worst = np.abs(spans * exact - probs * total).max()
+    return float(Fraction(int(worst), total * exact))
 
 
 def fd_manifold(cost, p, grad, rng, n_dirs=20, h=1e-6, rel_tol=1e-5):

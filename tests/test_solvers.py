@@ -31,7 +31,7 @@ from wlra.geometry import (
     retract,
 )
 from wlra.model import (
-    AliasSampler,
+    CdfSampler,
     FactorPair,
     ProblemData,
     ScaledPair,
@@ -80,10 +80,13 @@ from helpers import (
 # Final cost of the acceptance criterion-8 run recorded with the earlier
 # hand-written kernels (one-sided Jacobi SVD, Gram-Schmidt QR).
 CRITERION_8_FINAL_COST = 0.13114043729387467
-# Final costs of the sgd_euclidean and sgd_pw pin runs below, recorded when
-# samples were still passed as (i, j) pairs and looked up by cell.
+# Final cost of the sgd_euclidean pin run below, recorded when samples were
+# still passed as (i, j) pairs and looked up by cell.
 SGD_EUCLIDEAN_PIN_FINAL_COST = 0.1880608714509634
-SGD_PW_PIN_FINAL_COST = 0.007441027302973417
+# Final cost of the sgd_pw pin run below, recorded with inverse-CDF draws. Its
+# spread weights drew another sequence from a Walker alias table, which gave
+# 0.007441027302973417; the same code replaying that table's draws lands there.
+SGD_PW_PIN_FINAL_COST = 0.00745607623446469
 # Final costs of the als_manifold and als_euclidean pin runs below, recorded
 # when the full gradients still scattered with np.add.at.
 ALS_MANIFOLD_PIN_FINAL_COST = 0.06175735970320347
@@ -1538,12 +1541,12 @@ class TestIterationLoop:
     def test_alias_build_is_left_out_of_elapsed_time(self, algorithm, monkeypatch):
         nap = 0.2
 
-        class SlowSampler(AliasSampler):
+        class SlowSampler(CdfSampler):
             def __init__(self, probs):
                 time.sleep(nap)
                 super().__init__(probs)
 
-        monkeypatch.setattr(wlra.model, "AliasSampler", SlowSampler)
+        monkeypatch.setattr(wlra.model, "CdfSampler", SlowSampler)
         solver, init, data, config = sgd_run_setup(algorithm, iters=10, trace_every=5)
         _, trace = solver(init, data, config)
         assert isinstance(data.sampler, SlowSampler)

@@ -150,6 +150,19 @@ class TestFillMissing:
         want[rows, cols] = vals
         assert np.array_equal(fill_missing_column_mean(data), want)
 
+    def test_bincount_reads_a_writable_index(self, monkeypatch):
+        # np.bincount copies a read-only index array, as data.cols is.
+        seen, bincount = [], np.bincount
+
+        def recording(x, *args, **kwargs):
+            seen.append(x.flags.writeable)
+            return bincount(x, *args, **kwargs)
+
+        data = problem_from_triplets(synth_lowrank(30, 20, 3, 0.5, 0.1, seed=2), 3)
+        monkeypatch.setattr(np, "bincount", recording)
+        fill_missing_column_mean(data)
+        assert seen == [True, True]
+
 
 class TestTruncatedInit:
     def test_diagonal_hand_case(self):
