@@ -81,12 +81,6 @@ class ProductTangent:
     def norm(self) -> float:
         return float(np.sqrt(self.sq_norm()))
 
-    def inner(self, other: "ProductTangent") -> float:
-        """Riemannian (embedded Euclidean) inner product with another tangent."""
-        return float(
-            np.sum(self.du * other.du) + np.sum(self.dx * other.dx) + np.sum(self.dv * other.dv)
-        )
-
 
 def qf(c) -> np.ndarray:
     """Q factor of the thin QR decomposition with positive diagonal R.

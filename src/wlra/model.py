@@ -151,7 +151,10 @@ class ProblemData:
 
     @cached_property
     def sampler(self) -> "CdfSampler":
-        return CdfSampler(self.w_vals[self.support])
+        """Draws triplet indices: over all triplets if no weight is 0, else over `support`."""
+        if self.min_weight > 0:
+            return CdfSampler(self.w_vals)
+        return CdfSampler(self.w_vals[self.support], self.support)
 
 
 def require_positive_weights(data: ProblemData) -> float:
@@ -212,9 +215,6 @@ class FactorPair:
 
     def norm(self) -> float:
         return float(np.sqrt(self.sq_norm()))
-
-    def inner(self, other: "FactorPair") -> float:
-        return float(np.sum(self.x * other.x) + np.sum(self.y * other.y))
 
 
 # A ScaledPair step whose scale would fall below FOLD_SCALE folds the scale
@@ -298,19 +298,22 @@ class CdfSampler:
     A draw inverts the cumulative sums by binary search (Devroye 1986,
     §III.2): index i when r * total lands in [cdf[i-1], cdf[i]). `head` omits
     the last sum, so no draw reaches n, even where r * total rounds to total.
+    `draws(rng, size)` makes `size` draws by one search of one `random(size)`
+    call, whose doubles are those of `size` scalar calls.
 
     Equal probabilities draw one `integers` value, then make one `random`
-    call whose value is not used. Those are the calls, in that order, of the
-    alias-table sampler earlier versions used, so fixed-seed runs on binary
-    weights keep their sample sequences and CSVs.
+    call whose value is not used: the calls of the alias-table sampler
+    earlier versions used, so binary-weight runs keep their samples and CSVs.
+    No numpy call interleaves the two, so `draws` loops over them. `index`,
+    when given, maps each drawn position to the index returned.
     """
 
-    def __init__(self, probs: np.ndarray):
+    def __init__(self, probs: np.ndarray, index: np.ndarray | None = None):
         probs = np.asarray(probs, dtype=float)
         lo = probs.min() if probs.size else 0.0
         if lo <= 0:
             raise EmptySupport("sampler needs at least one positive probability")
-        self.n, self.head, self.total = probs.size, None, 0.0
+        self.n, self.head, self.total, self.index = probs.size, None, 0.0, index
         if lo != probs.max():
             cdf = np.cumsum(probs)
             self.head, self.total = cdf[:-1], float(cdf[-1])
@@ -319,13 +322,21 @@ class CdfSampler:
         if self.head is None:
             i = int(rng.integers(0, self.n))
             rng.random()
-            return i
-        return int(self.head.searchsorted(rng.random() * self.total, "right"))
+        else:
+            i = int(self.head.searchsorted(rng.random() * self.total, "right"))
+        return i if self.index is None else int(self.index[i])
+
+    def draws(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        if self.head is None:
+            return np.fromiter((self.draw(rng) for _ in range(size)), np.int64, size)
+        drawn = self.head.searchsorted(rng.random(size) * self.total, "right")
+        return drawn if self.index is None else self.index[drawn]
 
 
-def sample_index(data: ProblemData, rng: np.random.Generator) -> int:
-    """Draw an observed triplet index t (cell rows[t], cols[t]) with probability w_t."""
-    return int(data.support[data.sampler.draw(rng)])
+def sample_index(data: ProblemData, rng: np.random.Generator, size=None) -> int | np.ndarray:
+    """Draw an observed triplet index t (cell rows[t], cols[t]) with probability w_t;
+    with `size`, an array of the `size` indices that as many calls draw in turn."""
+    return data.sampler.draw(rng) if size is None else data.sampler.draws(rng, size)
 
 
 # ---------------------------------------------------------------------------
@@ -408,36 +419,35 @@ def _sample_gradient(p: FactoredPoint, rows: np.ndarray, r: float, lam: float) -
     return rows, g, gx
 
 
-def stoch_grad_manifold(p: FactoredPoint, t: int, data: ProblemData, lam: float) -> tuple:
-    """Gradient of the per-sample regularized objective at triplet index t.
+def stoch_grad_manifold(p: FactoredPoint, i: int, j: int, a: float, lam: float) -> tuple:
+    """Gradient of the per-sample regularized objective at the cell (i, j) of value a.
 
-    In O(k) after one read of U row i and V row j, (i, j) the cell of t: the
-    tuple (those rows as a (2, k) array, the (2, k) array of the non-zero
-    ambient U and V gradient rows, the x gradient), which
-    `FactoredPoint.step` projects and retracts without reading the rows again.
+    In O(k) after one read of U row i and V row j: the tuple (those rows as
+    a (2, k) array, the (2, k) array of the non-zero ambient U and V gradient
+    rows, the x gradient), which `FactoredPoint.step` projects and retracts
+    without reading the rows again.
     """
-    rows = p.rows(data.rows[t], data.cols[t])
-    r = data.a_vals[t] - float(np.dot(rows[0] * p.x, rows[1]))
+    rows = p.rows(i, j)
+    r = a - float(np.dot(rows[0] * p.x, rows[1]))
     return _sample_gradient(p, rows, r, lam)
 
 
-def stoch_grad_euclidean(f: ScaledPair, t: int, data: ProblemData) -> tuple:
+def stoch_grad_euclidean(f: ScaledPair, i: int, j: int, a: float) -> tuple:
     """Data rows (-2 r Y_j, -2 r X_i) of the per-sample Euclidean gradient at
-    triplet index t, (i, j) its cell, in O(k); `ScaledPair.step` applies the
+    the cell (i, j) of value a, in O(k); `ScaledPair.step` applies the
     penalty term 2 lam (X, Y) to the scale."""
-    i, j = data.rows[t], data.cols[t]
     x_i, y_j = f.scale * f.x_base[i], f.scale * f.y_base[j]
-    coeff = -2.0 * (data.a_vals[t] - float(np.dot(x_i, y_j)))
+    coeff = -2.0 * (a - float(np.dot(x_i, y_j)))
     return coeff * y_j, coeff * x_i
 
 
-def stoch_grad_pw(p: FactoredPoint, t: int, data: ProblemData, lam: float) -> tuple:
-    """Positive-weights per-sample gradient at triplet index t: the residual
-    uses a tilted prediction. Returns what `stoch_grad_manifold` returns.
-    Needs fully observed data and 0 < lam < w0, which `sgd_pw` checks."""
-    rows = p.rows(data.rows[t], data.cols[t])
+def stoch_grad_pw(p: FactoredPoint, i: int, j: int, a: float, lam: float, inv_w: float) -> tuple:
+    """Positive-weights per-sample gradient at the cell (i, j) of value a and
+    weight 1 / inv_w: the residual uses a tilted prediction. Returns what
+    `stoch_grad_manifold` returns. Needs 0 < lam < w0, which `sgd_pw` checks."""
+    rows = p.rows(i, j)
     pv = float(np.dot(rows[0] * p.x, rows[1]))
-    r = data.a_vals[t] - (1.0 - lam * data.inv_w[t]) * pv
+    r = a - (1.0 - lam * inv_w) * pv
     return _sample_gradient(p, rows, r, lam)
 
 
@@ -470,11 +480,14 @@ def _support_sums(
     one rank column at a time, each gathered by a 1-D `take`."""
     k = left.shape[1]
     if data.grid_blocks is not None:
-        g_left = np.empty((data.m, k))
+        g_left = np.empty((data.m, k)) if len(data.grid_blocks) > 1 else None
         for r0, r1, at, cells in data.grid_blocks:
             block = e[at] if cells is None else np.bincount(cells, e[at], (r1 - r0) * data.n)
             block = block.reshape(r1 - r0, data.n)
-            np.matmul(block, right, out=g_left[r0:r1])
+            if g_left is None:  # the only block (grid order, say): E right outright
+                g_left = block @ right
+            else:
+                np.matmul(block, right, out=g_left[r0:r1])
             if r0:
                 g_right += block.T @ left[r0:r1]
             else:  # the first block starts E^T left, with no zeroed array to add to

@@ -38,6 +38,8 @@ from .step_policy import EMPTY_RHO, PolicyKind, StepPolicy, adaptive_A_B, phi_t,
 
 # Trials an Armijo step halves through (by beta) before it gives up.
 MAX_BACKTRACKS = 60
+# Samples an SGD run draws, and whose triplets it reads, at once.
+SAMPLE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -179,30 +181,41 @@ def _run_sgd(
     grad_fn: Callable,
     view_fn: Callable,
     rho_fn: Callable,
+    extra: tuple = (),
 ) -> tuple[object, IterTrace]:
-    """The SGD step. `grad_fn(state, t)` is the per-sample gradient at
-    triplet index t, and `state.step(i, j, grad, step)` moves the state in
-    place along it at cell (i, j). Trace costs price `state.factors()`;
-    `view_fn(state)` is the iterate the exact safeguard, recorded rho and the
-    caller see; `rho_fn` reads the confinement of the state and of its view
-    alike. An adaptive step whose rho lies in the run's `settled_rho` set
-    takes phi_t's floor max{c_t / theta, phi_min} directly; any other calls
-    `phi_t`. A record has the phi_t of the step before it. The sampler
-    and the settled set are built before the clock."""
+    """The SGD step. Samples come SAMPLE_BLOCK at a time (fewer at the end of
+    an iteration budget), in the sequence of one `sample_index` call a step;
+    `grad_fn(state, i, j, a, *entries)` is the per-sample gradient at the
+    cell (i, j), of value a and with its entries of the arrays `extra`, and
+    `state.step(i, j, grad, step)` moves the state in place along it. Trace
+    costs price `state.factors()`; `view_fn(state)` is the iterate the exact
+    safeguard, recorded rho and the caller see; `rho_fn` reads the
+    confinement of the state and of its view alike. An adaptive step whose
+    rho lies in the run's `settled_rho` set takes phi_t's floor
+    max{c_t / theta, phi_min} directly; any other calls `phi_t`. A record
+    has the phi_t of the step before it. The sampler and the settled set are
+    built before the clock."""
     data.sampler
     policy = config.policy
+    last = math.inf if config.budget.max_iterations is None else config.budget.max_iterations
     adaptive, phi_min, theta = config.adaptive, policy.phi_min, policy.theta
     settled = settled_rho(policy, data.k) if adaptive else (EMPTY_RHO, EMPTY_RHO)
     (lo, hi), (lo_floored, hi_floored) = settled
     rng = np.random.default_rng(config.seed)
+    columns = (data.rows, data.cols, data.a_vals, *extra)
+    block = iter(())
     phi = None
 
     def exact() -> tuple[float, float]:
         return adaptive_A_B(view_fn(state), data, policy)
 
     def advance(t: int) -> None:
-        nonlocal phi
-        s = sample_index(data, rng)
+        nonlocal phi, block
+        sample = next(block, None)
+        if sample is None:
+            drawn = sample_index(data, rng, min(SAMPLE_BLOCK, last - t))
+            block = zip(*(column[drawn].tolist() for column in columns))
+            sample = next(block)
         c = policy.schedule(t)
         if not adaptive:
             phi = phi_min
@@ -212,7 +225,7 @@ def _run_sgd(
                 phi = max(c / theta, phi_min)
             else:
                 phi = phi_t(policy, t, rho, data.k, exact)
-        state.step(data.rows[s], data.cols[s], grad_fn(state, s), -c / phi)
+        state.step(sample[0], sample[1], grad_fn(state, *sample), -c / phi)
 
     def record(t: int, elapsed: float) -> TraceRecord:
         return TraceRecord(
@@ -254,7 +267,7 @@ def sgd_manifold(
         FactoredPoint(init),
         data,
         config,
-        grad_fn=lambda p, t: stoch_grad_manifold(p, t, data, lam),
+        grad_fn=lambda p, i, j, a: stoch_grad_manifold(p, i, j, a, lam),
         view_fn=FactoredPoint.point,
         rho_fn=confinement_manifold,
     )
@@ -282,7 +295,7 @@ def sgd_euclidean(
         ScaledPair(init, config.policy.lam),
         data,
         config,
-        grad_fn=lambda f, t: stoch_grad_euclidean(f, t, data),
+        grad_fn=stoch_grad_euclidean,
         view_fn=ScaledPair.pair,
         rho_fn=confinement_euclidean,
     )
@@ -304,9 +317,10 @@ def sgd_pw(
         FactoredPoint(init),
         data,
         config,
-        grad_fn=lambda p, t: stoch_grad_pw(p, t, data, lam),
+        grad_fn=lambda p, i, j, a, inv_w: stoch_grad_pw(p, i, j, a, lam, inv_w),
         view_fn=FactoredPoint.point,
         rho_fn=confinement_manifold,
+        extra=(data.inv_w,),
     )
 
 

@@ -1,6 +1,8 @@
-"""Random points, tangents and draws, a tangency check, the full and
+"""Random points and tangents, a tangency check, an inner product, the full and
 per-sample objectives whose gradients the solvers step along, and the dense
 references the library is checked against, for the tests."""
+
+import dataclasses
 
 import numpy as np
 
@@ -15,7 +17,6 @@ from wlra.geometry import (
     qf,
 )
 from wlra.model import (
-    CdfSampler,
     FactorPair,
     ProblemData,
     ScaledPair,
@@ -25,6 +26,7 @@ from wlra.model import (
     cost_unregularized,
     require_positive_weights,
     stoch_grad_euclidean,
+    stoch_grad_pw,
 )
 
 
@@ -174,13 +176,6 @@ def tangent_defect(x: np.ndarray, z: np.ndarray) -> float:
     return float(np.linalg.norm(s + s.T))
 
 
-def draw_many(sampler: CdfSampler, rng: np.random.Generator, count: int) -> np.ndarray:
-    """`count` inverse-CDF draws at once, vectorized."""
-    if sampler.head is None:
-        return rng.integers(0, sampler.n, size=count)
-    return sampler.head.searchsorted(rng.random(count) * sampler.total, "right")
-
-
 def predicted_entry(p: ProductPoint, i: int, j: int) -> float:
     """p_ij = sum_l u_il x_l v_jl, computed without materializing the matrix."""
     return float(np.dot(p.u[i] * p.x, p.v[j]))
@@ -321,9 +316,13 @@ def dense_stoch_grad_pw(p: ProductPoint, t: int, data: ProblemData, lam: float) 
 
 def dense_stoch_grad_euclidean(f: FactorPair, t: int, data: ProblemData, lam: float) -> FactorPair:
     """Gradient of the per-sample Euclidean objective at triplet index t."""
-    i, j = data.rows[t], data.cols[t]
+    return dense_cell_grad_euclidean(f, *sample_cell(data, t), lam)
+
+
+def dense_cell_grad_euclidean(f: FactorPair, i: int, j: int, a: float, lam: float) -> FactorPair:
+    """Gradient of the per-sample Euclidean objective at the cell (i, j) with value a."""
     x_i, y_j = f.x[i], f.y[j]
-    coeff = -2.0 * (data.a_vals[t] - float(np.dot(x_i, y_j)))
+    coeff = -2.0 * (a - float(np.dot(x_i, y_j)))
     return _placed_pair(f, i, j, lam, coeff * y_j, coeff * x_i)
 
 
@@ -332,16 +331,32 @@ def dense_stoch_grad_euclidean(f: FactorPair, t: int, data: ProblemData, lam: fl
 # equal the dense references bit for bit.
 
 
+def sample_cell(data: ProblemData, t: int) -> tuple:
+    """(i, j, a) of triplet t as Python numbers, as the SGD loop hands a
+    sample to the per-sample gradients."""
+    return int(data.rows[t]), int(data.cols[t]), float(data.a_vals[t])
+
+
 def sampled_tangent(grad, p: ProductPoint, t: int, data: ProblemData, lam: float) -> ProductTangent:
     """`grad` (stoch_grad_manifold or stoch_grad_pw) at FactoredPoint(p), its
     ambient rows placed at row i of U and row j of V, (i, j) the cell of t,
     and projected onto the tangent space at p."""
-    _, g, gx = grad(FactoredPoint(p), t, data, lam)
-    return _placed_tangent(p, data.rows[t], data.cols[t], g, gx)
+    i, j, a = sample_cell(data, t)
+    inv_w = (float(data.inv_w[t]),) if grad is stoch_grad_pw else ()
+    _, g, gx = grad(FactoredPoint(p), i, j, a, lam, *inv_w)
+    return _placed_tangent(p, i, j, g, gx)
 
 
 def sampled_pair(f: FactorPair, t: int, data: ProblemData, lam: float) -> FactorPair:
     """stoch_grad_euclidean at ScaledPair(f, lam), its data rows added at
     row i of 2 lam X and row j of 2 lam Y, (i, j) the cell of t."""
-    rows = stoch_grad_euclidean(ScaledPair(f, lam), t, data)
-    return _placed_pair(f, data.rows[t], data.cols[t], lam, *rows)
+    i, j, a = sample_cell(data, t)
+    return _placed_pair(f, i, j, lam, *stoch_grad_euclidean(ScaledPair(f, lam), i, j, a))
+
+
+def inner(a, b) -> float:
+    """The embedded Euclidean inner product of two ProductTangents, or of two
+    FactorPairs: the entrywise products of their slots, summed."""
+    return float(
+        sum(np.sum(getattr(a, f.name) * getattr(b, f.name)) for f in dataclasses.fields(a))
+    )

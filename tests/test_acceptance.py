@@ -54,6 +54,7 @@ from helpers import (
     dense_stoch_grad_euclidean,
     dense_stoch_grad_manifold,
     dense_stoch_grad_pw,
+    inner,
     random_point,
     random_tangent,
     regularized_cost,
@@ -147,7 +148,7 @@ def _fd_err_manifold(cost, p, grad, rng, n_dirs=20, h=1e-6):
     for _ in range(n_dirs):
         d = random_tangent(p, rng)
         num = (cost(retract(p, d.scaled(h))) - cost(retract(p, d.scaled(-h)))) / (2 * h)
-        ana = grad.inner(d)
+        ana = inner(grad, d)
         worst = max(worst, abs(num - ana) / max(1.0, abs(ana)))
     return worst
 
@@ -157,7 +158,7 @@ def _fd_err_euclidean(cost, f, grad, rng, n_dirs=20, h=1e-6):
     for _ in range(n_dirs):
         d = FactorPair(rng.standard_normal(f.x.shape), rng.standard_normal(f.y.shape))
         num = (cost(f.add_scaled(d, h)) - cost(f.add_scaled(d, -h))) / (2 * h)
-        ana = grad.inner(d)
+        ana = inner(grad, d)
         worst = max(worst, abs(num - ana) / max(1.0, abs(ana)))
     return worst
 

@@ -42,7 +42,7 @@ from wlra.model import (
     stoch_grad_manifold,
     stoch_grad_pw,
 )
-from wlra.solvers import Budget, SolverConfig, sgd_pw
+from wlra.solvers import SAMPLE_BLOCK, Budget, SolverConfig, sgd_pw
 from wlra.step_policy import PolicyKind, make_policy
 
 from helpers import (
@@ -51,10 +51,10 @@ from helpers import (
     dense_stoch_grad_euclidean,
     dense_stoch_grad_manifold,
     dense_stoch_grad_pw,
-    draw_many,
     full_grid_entries,
     full_grid_sums,
     grid_cells,
+    inner,
     per_pass_grid_entries,
     per_pass_grid_sums,
     point_entries,
@@ -64,6 +64,7 @@ from helpers import (
     sample_cost_euclidean,
     sample_cost_manifold,
     sample_cost_pw,
+    sample_cell,
     sampled_pair,
     sampled_tangent,
     tangent_defect,
@@ -265,6 +266,10 @@ ALIAS_PATTERNS = {
 }
 
 
+# Zero-weight cells among 50, for the block-draw test.
+ZEROS = {"start": [0, 1], "middle": [20, 21, 22], "end": [48, 49]}
+
+
 class FixedUniform:
     """A generator stand-in whose every draw inverts one uniform `value`."""
 
@@ -293,7 +298,7 @@ class TestSampling:
             a_vals=[1.0, 2.0, 3.0, 4.0], w_vals=[0.25, 0.25, 0.25, 0.25],
         )
         rng = np.random.default_rng(123)
-        draws = draw_many(data.sampler, rng, 100000)
+        draws = data.sampler.draws(rng, 100000)
         counts = np.bincount(draws, minlength=4)
         freqs = counts / 100000.0
         assert np.all(np.abs(freqs - 0.25) <= 0.01)
@@ -363,6 +368,39 @@ class TestSampling:
             twin.random()
         assert rng.random() == twin.random()
 
+    @pytest.mark.parametrize("size", [1, 7, SAMPLE_BLOCK])
+    @pytest.mark.parametrize(
+        "weights",
+        [*sorted(ALIAS_PATTERNS),
+         *(f"{base}-zeros-{at}" for base in ("equal", "spread") for at in ZEROS)],
+    )
+    def test_block_draws_equal_scalar_draws(self, weights, size):
+        # Blocks of `size` and a last, shorter one (a budget that ends
+        # mid-block) draw the scalar sequence of a twin generator, and leave
+        # both generators in step.
+        if weights in ALIAS_PATTERNS:
+            probs = ALIAS_PATTERNS[weights]()
+        else:
+            base, _, at = weights.split("-")
+            probs = np.full(50, 0.25) if base == "equal" else spread_probs(50)
+            probs[ZEROS[at]] = 0.0
+        data = ProblemData(
+            m=1, n=probs.size, k=1, rows=np.zeros(probs.size, int), cols=np.arange(probs.size),
+            a_vals=np.zeros(probs.size), w_vals=probs / probs.sum(),
+        )
+        rng, twin = np.random.default_rng(61), np.random.default_rng(61)
+        for block in (size, size, size, max(size // 2, 1)):
+            drawn = sample_index(data, rng, block)
+            assert drawn.dtype == np.int64
+            assert drawn.tolist() == [sample_index(data, twin) for _ in range(block)]
+        assert rng.random() == twin.random()
+
+    def test_positive_weights_sample_without_the_support(self):
+        data = random_data(6, 5, 2, 15, seed=5, min_w=0.5)
+        sample_index(data, np.random.default_rng(0))
+        sample_index(data, np.random.default_rng(0), 8)
+        assert data.sampler.index is None and "support" not in vars(data)
+
     @pytest.mark.parametrize(
         "make", [remainder_probs, spread_probs], ids=["remainder-200003", "spread-200003"]
     )
@@ -383,7 +421,7 @@ class TestSampling:
         probs = spread_probs(50)
         sampler = CdfSampler(probs)
         count = 100000
-        counts = np.bincount(draw_many(sampler, np.random.default_rng(8), count), minlength=50)
+        counts = np.bincount(sampler.draws(np.random.default_rng(8), count), minlength=50)
         expected = count * probs / probs.sum()
         # chi-square GoF, 49 dof; critical value at alpha = 0.001 is 85.351
         assert float(np.sum((counts - expected) ** 2 / expected)) < 85.351
@@ -392,7 +430,7 @@ class TestSampling:
         probs = np.array([0.5, 0.3, 0.2])
         sampler = CdfSampler(probs)
         rng = np.random.default_rng(11)
-        draws = draw_many(sampler, rng, 200000)
+        draws = sampler.draws(rng, 200000)
         freqs = np.bincount(draws, minlength=3) / 200000.0
         assert np.all(np.abs(freqs - probs) <= 0.01)
 
@@ -422,7 +460,7 @@ def fd_manifold(cost, p, grad, rng, n_dirs=20, h=1e-6, rel_tol=1e-5):
     for _ in range(n_dirs):
         d = random_tangent(p, rng)
         num = (cost(retract(p, d.scaled(h))) - cost(retract(p, d.scaled(-h)))) / (2 * h)
-        ana = grad.inner(d)
+        ana = inner(grad, d)
         assert abs(num - ana) <= rel_tol * max(1.0, abs(ana))
 
 
@@ -430,7 +468,7 @@ def fd_euclidean(cost, f, grad, rng, n_dirs=20, h=1e-6, rel_tol=1e-5):
     for _ in range(n_dirs):
         d = FactorPair(rng.standard_normal(f.x.shape), rng.standard_normal(f.y.shape))
         num = (cost(f.add_scaled(d, h)) - cost(f.add_scaled(d, -h))) / (2 * h)
-        ana = grad.inner(d)
+        ana = inner(grad, d)
         assert abs(num - ana) <= rel_tol * max(1.0, abs(ana))
 
 
@@ -480,8 +518,9 @@ class TestStochGradAtFactoredPoint:
         p = random_point(8, 6, 2, rng)
         lam = 0.2 * float(data.w_vals.min())
         for t in (0, 5, data.nnz - 1):
-            rows, _, _ = grad(FactoredPoint(p), t, data, lam)
-            i, j = data.rows[t], data.cols[t]
+            i, j, a = sample_cell(data, t)
+            inv_w = (float(data.inv_w[t]),) if full else ()
+            rows, _, _ = grad(FactoredPoint(p), i, j, a, lam, *inv_w)
             np.testing.assert_array_equal(rows, [p.u[i], p.v[j]])
             dense = dense_grad(p, t, data, lam)
             projected = sampled_tangent(grad, p, t, data, lam)
@@ -1338,7 +1377,7 @@ class TestScaledPair:
         lam = 0.2
         for t in range(data.nnz):
             i, j = data.rows[t], data.cols[t]
-            gx_i, gy_j = stoch_grad_euclidean(state, t, data)
+            gx_i, gy_j = stoch_grad_euclidean(state, *sample_cell(data, t))
             assembled = f.scaled(2.0 * lam)
             assembled.x[i] += gx_i
             assembled.y[j] += gy_j
@@ -1350,8 +1389,8 @@ class TestScaledPair:
         data, state, f = self.stepped(41, lam)
         for t in (0, 7, 19):
             expected = f.add_scaled(dense_stoch_grad_euclidean(f, t, data, lam), s)
-            rows = stoch_grad_euclidean(state, t, data)
-            state.step(data.rows[t], data.cols[t], rows, s)
+            i, j, a = sample_cell(data, t)
+            state.step(i, j, stoch_grad_euclidean(state, i, j, a), s)
             f = state.pair()
             np.testing.assert_allclose(f.x, expected.x, rtol=1e-13, atol=1e-15)
             np.testing.assert_allclose(f.y, expected.y, rtol=1e-13, atol=1e-15)
@@ -1595,7 +1634,7 @@ class TestConfinement:
             t = int(rng.integers(data.nnz))
             g = sampled_tangent(stoch_grad_manifold, p, t, data, lam)
             rho_grad = ProductTangent(np.zeros_like(p.u), 2.0 * p.x, np.zeros_like(p.v))
-            assert rho_grad.inner(g) >= -1e-10
+            assert inner(rho_grad, g) >= -1e-10
 
     def test_euclidean_outward_slope(self):
         rng = np.random.default_rng(41)
@@ -1610,4 +1649,4 @@ class TestConfinement:
             t = int(rng.integers(data.nnz))
             g = sampled_pair(f, t, data, lam)
             rho_grad = FactorPair(2.0 * f.x, 2.0 * f.y)
-            assert rho_grad.inner(g) >= -1e-10
+            assert inner(rho_grad, g) >= -1e-10

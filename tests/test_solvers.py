@@ -68,10 +68,12 @@ from wlra.svd_init import fill_missing_column_mean, truncated_svd_init
 from helpers import (
     assemble,
     dense,
+    dense_cell_grad_euclidean,
     dense_stoch_grad_euclidean,
     dense_stoch_grad_manifold,
     dense_stoch_grad_pw,
     householder_qf,
+    inner,
     random_point,
     reference_update,
     regularized_cost,
@@ -635,7 +637,7 @@ def dense_euclidean_run(init, data, config):
         DensePair(init),
         data,
         config,
-        grad_fn=lambda state, t: dense_stoch_grad_euclidean(state.f, t, data, lam),
+        grad_fn=lambda state, i, j, a: dense_cell_grad_euclidean(state.f, i, j, a, lam),
         view_fn=lambda state: state.f,
         rho_fn=lambda state: confinement_euclidean(state.f),
     )
@@ -815,6 +817,73 @@ def test_iterates_do_not_depend_on_trace_every(algorithm):
         finals.append([getattr(final, f.name) for f in dataclasses.fields(final)])
     for other in finals[1:]:
         assert all(np.array_equal(a, b) for a, b in zip(finals[0], other))
+
+
+def blocks_run_setup(algorithm, weights, budget, adaptive):
+    """An SGD run on the 30x20 instance of the sgd_pw pin run, with its
+    spread weights, binary weights, or the spread weights with four cells
+    at zero (not for sgd_pw, which refuses them)."""
+    tm = synth_lowrank(30, 20, 3, 1.0, 0.1, seed=1)
+    raw = 0.1 + 9.9 * np.random.default_rng(5).random(tm.nnz)
+    if weights == "binary":
+        raw = None
+    elif weights == "zeros":
+        raw[[0, 5, 300, tm.nnz - 1]] = 0.0
+    data = problem_from_triplets(tm, 3, weights=raw)
+    point0, pair0 = truncated_svd_init(fill_missing_column_mean(data), 3)
+    solver, kind, init, rho, lam = {
+        "manifold": (sgd_manifold, PolicyKind.MANIFOLD, point0, confinement_manifold, 1e-2),
+        "euclidean": (sgd_euclidean, PolicyKind.EUCLIDEAN, pair0, confinement_euclidean, 1e-2),
+        "pw": (sgd_pw, PolicyKind.POSITIVE_WEIGHTS, point0, confinement_manifold, None),
+    }[algorithm]
+    policy = make_policy(kind, data, rho(init), lam, 1.0)
+    config = SolverConfig(
+        kind=kind, policy=policy, budget=budget, seed=7, trace_every=10, adaptive=adaptive
+    )
+    return solver, init, data, config
+
+
+class TestSampleBlocks:
+    """SGD draws its samples SAMPLE_BLOCK at a time in the sequence of one
+    draw per step, so the block size changes no trace and no iterate."""
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize(
+        "algorithm, weights",
+        [(a, w) for a in ("manifold", "euclidean", "pw") for w in ("spread", "binary", "zeros")
+         if (a, w) != ("pw", "zeros")],
+    )
+    def test_iteration_budget_run_equals_one_draw_per_step(
+        self, monkeypatch, algorithm, weights, adaptive
+    ):
+        # 2500 steps: two whole blocks, then one that the budget ends early.
+        solver, init, data, config = blocks_run_setup(
+            algorithm, weights, Budget(max_iterations=2500), adaptive
+        )
+        samples = counting(monkeypatch, wlra.solvers, "sample_index")
+        got = run_key(*solver(init, data, config))
+        assert len(samples) == 3
+        monkeypatch.setattr(wlra.solvers, "SAMPLE_BLOCK", 1)
+        samples.clear()
+        assert run_key(*solver(init, data, config)) == got
+        assert len(samples) == 2500
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize("algorithm", ["manifold", "euclidean", "pw"])
+    def test_time_budget_run_equals_one_draw_per_step(self, monkeypatch, algorithm, adaptive):
+        # Blocks of 7: the timed run stops at a trace point, a multiple of
+        # 10, so after its first block, and inside a block unless at a
+        # multiple of 70. The same number of steps under an iteration
+        # budget, one draw a step, repeats it.
+        monkeypatch.setattr(wlra.solvers, "SAMPLE_BLOCK", 7)
+        solver, init, data, config = blocks_run_setup(
+            algorithm, "spread", Budget(max_seconds=0.02), adaptive
+        )
+        final, trace = solver(init, data, config)
+        steps = trace.records[-1].t
+        monkeypatch.setattr(wlra.solvers, "SAMPLE_BLOCK", 1)
+        counted = dataclasses.replace(config, budget=Budget(max_iterations=steps))
+        assert run_key(*solver(init, data, counted)) == run_key(final, trace)
 
 
 class TestSgdPositiveWeights:
@@ -1047,7 +1116,7 @@ class TestArmijo:
         eta = g.scaled(-1.0)
         cost = lambda q: regularized_cost(q, data, lam)
         tau, m, _, _ = armijo_step(cost, g, p, params, retract, cost(p), g.sq_norm())
-        slope = g.inner(eta)
+        slope = inner(g, eta)
         assert cost(p) - cost(retract(p, eta.scaled(tau))) >= -params.iota * tau * slope
         if m > 0:
             prev = tau / params.beta
@@ -1538,17 +1607,23 @@ class TestIterationLoop:
         assert trace.records[-1].elapsed_seconds < trace.bookkeeping_seconds
 
     @pytest.mark.parametrize("algorithm", ["manifold", "euclidean", "pw"])
-    def test_alias_build_is_left_out_of_elapsed_time(self, algorithm, monkeypatch):
-        nap = 0.2
+    def test_sampler_build_is_left_out_of_elapsed_time(self, algorithm, monkeypatch):
+        # The build is set-up; a block draw, made at the first step of its
+        # block, is algorithm time.
+        nap, draw_nap = 0.2, 0.02
 
         class SlowSampler(CdfSampler):
-            def __init__(self, probs):
+            def __init__(self, *args):
                 time.sleep(nap)
-                super().__init__(probs)
+                super().__init__(*args)
+
+            def draws(self, rng, size):
+                time.sleep(draw_nap)
+                return super().draws(rng, size)
 
         monkeypatch.setattr(wlra.model, "CdfSampler", SlowSampler)
         solver, init, data, config = sgd_run_setup(algorithm, iters=10, trace_every=5)
         _, trace = solver(init, data, config)
         assert isinstance(data.sampler, SlowSampler)
         assert [r.t for r in trace.records] == [0, 5, 10]
-        assert trace.records[1].elapsed_seconds < nap / 4
+        assert draw_nap <= trace.records[1].elapsed_seconds < draw_nap + nap / 4
