@@ -78,9 +78,6 @@ class ProductTangent:
     def sq_norm(self) -> float:
         return float(np.sum(self.du**2) + np.sum(self.dx**2) + np.sum(self.dv**2))
 
-    def norm(self) -> float:
-        return float(np.sqrt(self.sq_norm()))
-
 
 def qf(c) -> np.ndarray:
     """Q factor of the thin QR decomposition with positive diagonal R.

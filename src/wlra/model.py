@@ -213,9 +213,6 @@ class FactorPair:
     def sq_norm(self) -> float:
         return float(np.sum(self.x**2) + np.sum(self.y**2))
 
-    def norm(self) -> float:
-        return float(np.sqrt(self.sq_norm()))
-
 
 # A ScaledPair step whose scale would fall below FOLD_SCALE folds the scale
 # back into the factors, long before a^2, in every residual, could underflow
@@ -282,13 +279,12 @@ class ScaledPair:
             self.scale = 1.0
             self._sq_left = 0
         dx, dy = s * gx_i, s * gy_j
+        x_i, y_j = self.x_base[i], self.y_base[j]  # views, moved in place
         if self._sq_left:  # ||r + d||^2 - ||r||^2 = d . (2 r + d) for each moved row r
             self._sq_left -= 1
-            self._sq_norm += float(
-                np.dot(dx, 2.0 * self.x_base[i] + dx) + np.dot(dy, 2.0 * self.y_base[j] + dy)
-            )
-        self.x_base[i] += dx
-        self.y_base[j] += dy
+            self._sq_norm += float(dx.dot(2.0 * x_i + dx) + dy.dot(2.0 * y_j + dy))
+        x_i += dx
+        y_j += dy
         self._pair = None
 
 
@@ -298,13 +294,10 @@ class CdfSampler:
     A draw inverts the cumulative sums by binary search (Devroye 1986,
     §III.2): index i when r * total lands in [cdf[i-1], cdf[i]). `head` omits
     the last sum, so no draw reaches n, even where r * total rounds to total.
-    `draws(rng, size)` makes `size` draws by one search of one `random(size)`
-    call, whose doubles are those of `size` scalar calls.
-
-    Equal probabilities draw one `integers` value, then make one `random`
-    call whose value is not used: the calls of the alias-table sampler
-    earlier versions used, so binary-weight runs keep their samples and CSVs.
-    No numpy call interleaves the two, so `draws` loops over them. `index`,
+    Equal probabilities draw one `integers(0, n)` value and search nothing.
+    `draws(rng, size)` makes `size` draws by one `integers(0, n, size)` call,
+    or by one search of one `random(size)` call: numpy returns the values of
+    `size` scalar calls and leaves the generator where they would. `index`,
     when given, maps each drawn position to the index returned.
     """
 
@@ -321,15 +314,15 @@ class CdfSampler:
     def draw(self, rng: np.random.Generator) -> int:
         if self.head is None:
             i = int(rng.integers(0, self.n))
-            rng.random()
         else:
             i = int(self.head.searchsorted(rng.random() * self.total, "right"))
         return i if self.index is None else int(self.index[i])
 
     def draws(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.head is None:
-            return np.fromiter((self.draw(rng) for _ in range(size)), np.int64, size)
-        drawn = self.head.searchsorted(rng.random(size) * self.total, "right")
+            drawn = rng.integers(0, self.n, size)
+        else:
+            drawn = self.head.searchsorted(rng.random(size) * self.total, "right")
         return drawn if self.index is None else self.index[drawn]
 
 
@@ -428,7 +421,7 @@ def stoch_grad_manifold(p: FactoredPoint, i: int, j: int, a: float, lam: float) 
     without reading the rows again.
     """
     rows = p.rows(i, j)
-    r = a - float(np.dot(rows[0] * p.x, rows[1]))
+    r = a - float((rows[0] * p.x).dot(rows[1]))
     return _sample_gradient(p, rows, r, lam)
 
 
@@ -437,7 +430,7 @@ def stoch_grad_euclidean(f: ScaledPair, i: int, j: int, a: float) -> tuple:
     the cell (i, j) of value a, in O(k); `ScaledPair.step` applies the
     penalty term 2 lam (X, Y) to the scale."""
     x_i, y_j = f.scale * f.x_base[i], f.scale * f.y_base[j]
-    coeff = -2.0 * (a - float(np.dot(x_i, y_j)))
+    coeff = -2.0 * (a - float(x_i.dot(y_j)))
     return coeff * y_j, coeff * x_i
 
 
@@ -446,7 +439,7 @@ def stoch_grad_pw(p: FactoredPoint, i: int, j: int, a: float, lam: float, inv_w:
     weight 1 / inv_w: the residual uses a tilted prediction. Returns what
     `stoch_grad_manifold` returns. Needs 0 < lam < w0, which `sgd_pw` checks."""
     rows = p.rows(i, j)
-    pv = float(np.dot(rows[0] * p.x, rows[1]))
+    pv = float((rows[0] * p.x).dot(rows[1]))
     r = a - (1.0 - lam * inv_w) * pv
     return _sample_gradient(p, rows, r, lam)
 

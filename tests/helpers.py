@@ -1,6 +1,6 @@
-"""Random points and tangents, a tangency check, an inner product, the full and
-per-sample objectives whose gradients the solvers step along, and the dense
-references the library is checked against, for the tests."""
+"""Random points and tangents, a tangency check, an inner product and a norm,
+the full and per-sample objectives whose gradients the solvers step along,
+and the dense references the library is checked against, for the tests."""
 
 import dataclasses
 
@@ -360,3 +360,8 @@ def inner(a, b) -> float:
     return float(
         sum(np.sum(getattr(a, f.name) * getattr(b, f.name)) for f in dataclasses.fields(a))
     )
+
+
+def norm(a) -> float:
+    """The embedded Euclidean norm of a ProductTangent or a FactorPair."""
+    return float(np.sqrt(a.sq_norm()))

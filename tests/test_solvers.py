@@ -74,17 +74,29 @@ from helpers import (
     dense_stoch_grad_pw,
     householder_qf,
     inner,
+    norm,
     random_point,
     reference_update,
     regularized_cost,
 )
 
-# Final cost of the acceptance criterion-8 run recorded with the earlier
-# hand-written kernels (one-sided Jacobi SVD, Gram-Schmidt QR).
-CRITERION_8_FINAL_COST = 0.13114043729387467
-# Final cost of the sgd_euclidean pin run below, recorded when samples were
-# still passed as (i, j) pairs and looked up by cell.
-SGD_EUCLIDEAN_PIN_FINAL_COST = 0.1880608714509634
+# Final cost of the acceptance criterion-8 run, recorded when equal weights
+# drew a whole block of samples by one `integers` call. Its binary weights
+# drew each sample by an `integers` call and an unused `random` call before,
+# the calls of a Walker alias table, which gave 0.13114043729387467 (with the
+# earlier hand-written kernels); the same code replaying those calls lands
+# there (TestLegacyEqualWeightStream).
+CRITERION_8_FINAL_COST = 0.13086557391204293
+# Final cost of the sgd_euclidean pin run below, recorded when equal weights
+# drew a whole block of samples by one `integers` call. The alias-table calls
+# gave 0.1880608714509634 (when samples were still passed as (i, j) pairs
+# and looked up by cell); the same code replaying them lands there.
+SGD_EUCLIDEAN_PIN_FINAL_COST = 0.1880610732657911
+# Final costs of those two runs under the alias-table calls.
+LEGACY_STREAM_FINAL_COSTS = {
+    "criterion_8": 0.13114043729387467,
+    "sgd_euclidean": 0.1880608714509634,
+}
 # Final cost of the sgd_pw pin run below, recorded with inverse-CDF draws. Its
 # spread weights drew another sequence from a Walker alias table, which gave
 # 0.007441027302973417; the same code replaying that table's draws lands there.
@@ -161,6 +173,18 @@ def criterion_8_setup(iters=10000):
         budget=Budget(max_iterations=iters), seed=2024, trace_every=10,
     )
     return point0, data, config
+
+
+def euclidean_pin_setup():
+    """The sgd_euclidean pin run: 2000 steps from the SVD init, lam = 1e-2, seed 3."""
+    data = problem_from_triplets(synth_lowrank(50, 20, 3, 0.4, 0.1, seed=0), 3)
+    _, pair0 = truncated_svd_init(fill_missing_column_mean(data), 3)
+    policy = make_policy(PolicyKind.EUCLIDEAN, data, confinement_euclidean(pair0), 1e-2, 1.0)
+    config = SolverConfig(
+        kind=PolicyKind.EUCLIDEAN, policy=policy,
+        budget=Budget(max_iterations=2000), seed=3, trace_every=10,
+    )
+    return data, pair0, config
 
 
 def svd_setup(m, n, k, iters, seed=5, lam=1e-2):
@@ -579,15 +603,7 @@ class TestSgdEuclidean:
         assert rhos[-1] < 0.5 * rhos[0]
 
     def test_trajectory_pinned(self):
-        data = problem_from_triplets(synth_lowrank(50, 20, 3, 0.4, 0.1, seed=0), 3)
-        _, pair0 = truncated_svd_init(fill_missing_column_mean(data), 3)
-        policy = make_policy(
-            PolicyKind.EUCLIDEAN, data, confinement_euclidean(pair0), 1e-2, 1.0
-        )
-        config = SolverConfig(
-            kind=PolicyKind.EUCLIDEAN, policy=policy,
-            budget=Budget(max_iterations=2000), seed=3, trace_every=10,
-        )
+        data, pair0, config = euclidean_pin_setup()
         _, trace = sgd_euclidean(pair0, data, config)
         pin = SGD_EUCLIDEAN_PIN_FINAL_COST
         assert abs(trace.costs[-1] - pin) <= 1e-10 * pin
@@ -884,6 +900,51 @@ class TestSampleBlocks:
         monkeypatch.setattr(wlra.solvers, "SAMPLE_BLOCK", 1)
         counted = dataclasses.replace(config, budget=Budget(max_iterations=steps))
         assert run_key(*solver(init, data, counted)) == run_key(final, trace)
+
+
+class TestLegacyEqualWeightStream:
+    """Binary weights changed their sample stream once: equal-weight draws
+    dropped the unused `random` call of each sample. Replaying those calls
+    through the current code lands on the old pins, so the stream is all
+    that changed."""
+
+    @pytest.fixture
+    def legacy_draws(self, monkeypatch):
+        real = CdfSampler.draws
+
+        def draws(sampler, rng, size):
+            if sampler.head is not None:
+                return real(sampler, rng, size)
+            drawn = np.empty(size, np.int64)
+            for d in range(size):
+                drawn[d] = rng.integers(0, sampler.n)
+                rng.random()
+            return drawn if sampler.index is None else sampler.index[drawn]
+
+        monkeypatch.setattr(CdfSampler, "draws", draws)
+
+    @pytest.mark.parametrize("run", sorted(LEGACY_STREAM_FINAL_COSTS))
+    def test_replayed_stream_lands_on_the_old_pin(self, legacy_draws, run):
+        if run == "criterion_8":
+            init, data, config = criterion_8_setup()
+            solver = sgd_manifold
+        else:
+            data, init, config = euclidean_pin_setup()
+            solver = sgd_euclidean
+        pin = LEGACY_STREAM_FINAL_COSTS[run]
+        assert abs(solver(init, data, config)[1].costs[-1] - pin) <= 1e-10 * pin
+
+    @pytest.mark.parametrize("algorithm", ["manifold", "euclidean"])
+    def test_binary_weights_make_no_scalar_draw(self, monkeypatch, algorithm):
+        def draw(*args):
+            raise AssertionError("binary-weight SGD drew one sample at a time")
+
+        monkeypatch.setattr(CdfSampler, "draw", draw)
+        solver, init, data, config = blocks_run_setup(
+            algorithm, "binary", Budget(max_iterations=2500), adaptive=False
+        )
+        assert data.sampler.head is None
+        solver(init, data, config)
 
 
 class TestSgdPositiveWeights:
@@ -1427,7 +1488,7 @@ class TestAlsEuclidean:
         data = observed_instance(6, 5, 2, 1.0, seed=39, full=True)
         zero = FactorPair(np.zeros((6, 2)), np.zeros((5, 2)))
         grad = full_grad_euclidean(zero, data, 0.0)
-        assert grad.norm() == 0.0
+        assert norm(grad) == 0.0
         final, _ = als_euclidean(
             zero, data, 0.0, ArmijoParams(iota=1e-4), Budget(max_iterations=10)
         )
